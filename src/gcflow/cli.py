@@ -115,9 +115,7 @@ def cmd_distance(args) -> int:
     nb = fieldio.load_binary(args.field_b) if args.field_b.endswith(".bin") \
         else fieldio.load_csv(args.field_b)[0]
     h = cfg.h if cfg.h is not None else 1e-3
-    d_a = metric.approx_distance(na, nb, h, params)
-    rate = metric.RealField(params.grid, (nb.values - na.values) / h)
-    _, rep = metric.solve_driving_potential(na, rate, params)
+    d_a, rep = metric._approx_distance(na, nb, h, params)
     path = metric.path_distance_upper(na, nb, args.segments, params)
     print(json.dumps({
         "d_a": d_a,
@@ -152,8 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version",
                    version=f"gcflow {__version__} "
                            f"(schema {SCHEMA_VERSION}, fields {FIELD_FORMAT})")
-    p.add_argument("--jobs", type=int, default=os.cpu_count(),
-                   help="parallelism degree for sweeps (default: logical cores)")
     sub = p.add_subparsers(dest="command")
 
     sp = sub.add_parser("evolve", help="run one trajectory")

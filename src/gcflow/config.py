@@ -93,9 +93,7 @@ class RunConfig:
 
 def _get(cp: configparser.ConfigParser, section: str, key: str, cast, default=None):
     if not cp.has_option(section, key):
-        if default is not None or cp.has_section(section):
-            return default
-        raise ConfigError(f"{section}.{key}", "missing required key")
+        return default
     raw = cp.get(section, key)
     try:
         return cast(raw)

@@ -13,18 +13,21 @@ Conservative variant (fixed mass): dN/dt = lap N + div(N grad w_N).
 
 States are carried in Psi = log N so positivity is structural; steppers that
 produce N directly convert back and fail loudly on nonpositive values.
+Inside a step the density is a bare array: each stage transforms N once and
+derives W*N, lap N and div(N grad W*N) by symbol multiplies; only the
+state at the end of a step is validated and wrapped in a SimState.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import spectral, thermo
-from .errors import PositivityLoss, StabilityViolation
+from .errors import GcflowError, PositivityLoss, StabilityViolation
 from .spectral import RealField
 from .thermo import ModelParams
 
@@ -69,23 +72,7 @@ class DiagnosticsRecord:
     residual: float | None = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "step": self.step,
-                "t": self.t,
-                "mass": self.mass,
-                "g_mu": self.g_mu,
-                "gap": self.gap,
-                "d0": self.d0,
-                "d1": self.d1,
-                "d2": self.d2,
-                "n_min": self.n_min,
-                "n_max": self.n_max,
-                "dissipation": self.dissipation,
-                "inner_iters": self.inner_iters,
-                "residual": self.residual,
-            }
-        )
+        return json.dumps(vars(self))
 
 
 @dataclass
@@ -104,25 +91,31 @@ class Trajectory:
         return np.array([r.gap for r in self.records])
 
 
-def _reaction(state: SimState) -> np.ndarray:
+def _reaction(p: ModelParams, n: np.ndarray, wn: np.ndarray) -> np.ndarray:
     """-N exp(-(mu - w_N)/2) + exp((mu - w_N)/2)."""
-    half = 0.5 * (state.params.mu - state.wn.values)
-    return -state.n.values * np.exp(-half) + np.exp(half)
+    half = 0.5 * (p.mu - wn)
+    return -n * np.exp(-half) + np.exp(half)
 
 
-def _transport(state: SimState) -> RealField:
-    """lap N + div(N grad w_N), assembled spectrally."""
-    g = state.n.grid
-    lap_n = spectral.laplacian(state.n)
-    grad_w = spectral.gradient(state.wn)
-    flux = tuple(RealField(g, state.n.values * gw.values) for gw in grad_w)
-    div = spectral.divergence(flux)
-    return RealField(g, lap_n.values + div.values)
+def _transport_hats(p: ModelParams, n: np.ndarray) -> tuple:
+    """Half spectra of N, W*N and div(N grad W*N), from one transform of N."""
+    nh = spectral._hat(n)
+    wh = spectral._half(p.kernel.spectrum.coeffs) * nh
+    return nh, wh, spectral.div_n_grad(p.grid, n, wh)
+
+
+def _rhs(p: ModelParams, n: np.ndarray, canonical: bool) -> np.ndarray:
+    """lap N + div(N grad w_N), plus the reaction unless canonical."""
+    g = p.grid
+    nh, wh, div = _transport_hats(p, n)
+    transport = spectral._real(g.lap * nh + div, g)
+    if canonical:
+        return transport
+    return transport + _reaction(p, n, spectral._real(wh, g))
 
 
 def rhs_grand(state: SimState) -> RealField:
-    transport = _transport(state)
-    return RealField(state.n.grid, transport.values + _reaction(state))
+    return RealField(state.n.grid, _rhs(state.params, state.n.values, canonical=False))
 
 
 def rhs_grand_advective(state: SimState) -> RealField:
@@ -130,22 +123,17 @@ def rhs_grand_advective(state: SimState) -> RealField:
     g = state.n.grid
     phi = thermo.potential_phi(state.n, state.params, wn=state.wn)
     om = thermo.omega(state.n, state.params, phi=phi)
-    grad_phi = spectral.gradient(phi)
-    flux = tuple(RealField(g, state.n.values * gp.values) for gp in grad_phi)
-    div = spectral.divergence(flux)
-    return RealField(g, div.values - om.values * phi.values)
+    div = spectral._real(spectral.div_n_grad(g, state.n.values, spectral._hat(phi.values)), g)
+    return RealField(g, div - om.values * phi.values)
 
 
 def rhs_canonical(state: SimState) -> RealField:
-    return _transport(state)
+    return RealField(state.n.grid, _rhs(state.params, state.n.values, canonical=True))
 
 
 def _advance_density(state: SimState, n_new: np.ndarray, h: float) -> SimState:
-    if np.min(n_new) <= 0.0:
-        raise PositivityLoss(
-            f"density hit {np.min(n_new):.3e} at t = {state.t + h:.6g} (h too large)"
-        )
-    return SimState.from_density(state.t + h, RealField(state.n.grid, n_new), state.params)
+    n = RealField(state.n.grid, _positive(n_new, state, h))
+    return SimState.from_density(state.t + h, n, state.params)
 
 
 def step_imex(state: SimState, h: float) -> SimState:
@@ -154,9 +142,12 @@ def step_imex(state: SimState, h: float) -> SimState:
     unconditionally stable in the linear diffusive part."""
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
-    explicit = rhs_grand(state).values - spectral.laplacian(state.n).values
-    stage = RealField(state.n.grid, state.n.values + h * explicit)
-    n_new = spectral.helmholtz_inverse(stage, h).values
+    p = state.params
+    g = p.grid
+    n = state.n.values
+    nh, _, div = _transport_hats(p, n)
+    explicit = div + spectral._hat(_reaction(p, n, state.wn.values))
+    n_new = spectral._real((nh + h * explicit) / (1.0 - h * g.lap), g)
     return _advance_density(state, n_new, h)
 
 
@@ -168,34 +159,32 @@ def _check_explicit_stability(state: SimState, h: float) -> None:
         )
 
 
-def _rk4(state: SimState, h: float, rhs) -> SimState:
+def _rk4(state: SimState, h: float, canonical: bool) -> SimState:
     _check_explicit_stability(state, h)
-    g = state.n.grid
     p = state.params
     n0 = state.n.values
-    k1 = rhs(state).values
-    s2 = SimState.from_density(state.t, RealField(g, _positive(n0 + 0.5 * h * k1, state, h)), p)
-    k2 = rhs(s2).values
-    s3 = SimState.from_density(state.t, RealField(g, _positive(n0 + 0.5 * h * k2, state, h)), p)
-    k3 = rhs(s3).values
-    s4 = SimState.from_density(state.t, RealField(g, _positive(n0 + h * k3, state, h)), p)
-    k4 = rhs(s4).values
+    k1 = _rhs(p, n0, canonical)
+    k2 = _rhs(p, _positive(n0 + 0.5 * h * k1, state, h), canonical)
+    k3 = _rhs(p, _positive(n0 + 0.5 * h * k2, state, h), canonical)
+    k4 = _rhs(p, _positive(n0 + h * k3, state, h), canonical)
     n_new = n0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return _advance_density(state, n_new, h)
 
 
 def _positive(n: np.ndarray, state: SimState, h: float) -> np.ndarray:
-    if np.min(n) <= 0.0:
-        raise PositivityLoss(f"stage density hit {np.min(n):.3e} at t ~ {state.t:.6g} (h = {h})")
+    if not np.min(n) > 0.0:  # also rejects NaN
+        raise PositivityLoss(
+            f"density hit {np.min(n):.3e} in the step from t = {state.t:.6g} (h = {h} too large)"
+        )
     return n
 
 
 def step_rk4(state: SimState, h: float) -> SimState:
-    return _rk4(state, h, rhs_grand)
+    return _rk4(state, h, canonical=False)
 
 
 def step_rk4_canonical(state: SimState, h: float) -> SimState:
-    return _rk4(state, h, rhs_canonical)
+    return _rk4(state, h, canonical=True)
 
 
 _STEPPERS = {"imex": step_imex, "rk4": step_rk4, "rk4_canonical": step_rk4_canonical}
@@ -204,6 +193,11 @@ _STEPPERS = {"imex": step_imex, "rk4": step_rk4, "rk4_canonical": step_rk4_canon
 def default_h(params: ModelParams, lam_max: float) -> float:
     """h = min(0.1 dx, 0.01 / lambda(k_max)); overridable via config."""
     return min(0.1 * params.grid.dx, 0.01 / max(lam_max, 1e-30))
+
+
+def _uniform_energy(p: ModelParams, c: float, mu: float) -> float:
+    """Free energy of the uniform density c: grand at mu, canonical at mu = 0."""
+    return p.grid.volume * (c * math.log(c) - (1.0 + mu) * c + 0.5 * p.kernel.w * c * c)
 
 
 def diagnostics(step: int, state: SimState, canonical: bool = False,
@@ -218,54 +212,56 @@ def diagnostics(step: int, state: SimState, canonical: bool = False,
     g_mu = thermo.free_energy_grand(state.n, p)
     if canonical:
         nbar = ref_density if ref_density is not None else mass / g.volume
-        uniform = RealField(g, np.full(g.shape, nbar))
-        gap = thermo.free_energy_canonical(state.n, p.kernel) - thermo.free_energy_canonical(
-            uniform, p.kernel
-        )
+        gap = thermo.free_energy_canonical(state.n, p.kernel) - _uniform_energy(p, nbar, 0.0)
     else:
-        uniform = RealField(g, np.full(g.shape, p.m0))
-        gap = g_mu - thermo.free_energy_grand(uniform, p)
+        gap = g_mu - _uniform_energy(p, p.m0, p.mu)
+    psi_hat = spectral._hat(state.psi.values)
     return DiagnosticsRecord(
         step=step,
         t=state.t,
         mass=mass,
         g_mu=g_mu,
         gap=gap,
-        d0=spectral.dnorm(state.psi, 0),
-        d1=spectral.dnorm(state.psi, 1),
-        d2=spectral.dnorm(state.psi, 2),
+        d0=spectral._dnorm(g, psi_hat, 0),
+        d1=spectral._dnorm(g, psi_hat, 1),
+        d2=spectral._dnorm(g, psi_hat, 2),
         n_min=float(np.min(state.n.values)),
         n_max=float(np.max(state.n.values)),
-        dissipation=thermo.dissipation(state.n, p),
+        dissipation=thermo.dissipation(state.n, p, wn=state.wn),
         inner_iters=inner_iters,
         residual=residual,
     )
 
 
-def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
-           stride: int = 1, observers: list | None = None,
-           snapshot_every: int | None = None) -> Trajectory:
-    """March to time T emitting a DiagnosticsRecord every `stride` steps.
+def _march(state: SimState, T: float, h: float, advance, record, stride: int,
+           observers: list | None, snapshot_every: int | None) -> Trajectory:
+    """The marching loop of `evolve` and `jko.jko_evolve`.
 
-    On a stepper error the partial trajectory is returned with the error
-    recorded.  Observers are callables (step, state, record|None) -> None.
+    `advance(state, h) -> (state, report)` takes one step and
+    `record(step, state, report)` builds its DiagnosticsRecord.  When T/h is
+    an integer to 1e-9 relative, that many steps of h are taken; otherwise
+    the last step is shortened to end at T.  Step k ends at t0 + k h.
     """
     if T <= 0 or h <= 0:
         raise ValueError("T and h must be positive")
-    stepper = _STEPPERS[integrator]
-    canonical = integrator.endswith("canonical")
-    ref_density = state.n.integral() / state.n.grid.volume if canonical else None
-    n_steps = max(1, int(round(T / h)))
+    n_steps = max(1, round(T / h))
+    exact = abs(T / h - n_steps) <= 1e-9 * (T / h)
+    if not exact:
+        n_steps = math.ceil(T / h)
+    h_last = h if exact else T - (n_steps - 1) * h
+    t0 = state.t
     traj = Trajectory()
     for step in range(1, n_steps + 1):
+        last = step == n_steps
         try:
-            state = stepper(state, h)
-        except Exception as exc:  # record and stop: partial trajectory is useful
+            state, report = advance(state, h_last if last else h)
+        except GcflowError as exc:  # record and stop: partial trajectory is useful
             traj.error = f"{type(exc).__name__}: {exc}"
             break
+        state = replace(state, t=t0 + (T if last and not exact else step * h))
         rec = None
-        if step % stride == 0 or step == n_steps:
-            rec = diagnostics(step, state, canonical=canonical, ref_density=ref_density)
+        if step % stride == 0 or last:
+            rec = record(step, state, report)
             traj.records.append(rec)
         if snapshot_every and step % snapshot_every == 0:
             traj.snapshots.append(state)
@@ -273,3 +269,22 @@ def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
             for obs in observers:
                 obs(step, state, rec)
     return traj
+
+
+def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
+           stride: int = 1, observers: list | None = None,
+           snapshot_every: int | None = None) -> Trajectory:
+    """March to time T emitting a DiagnosticsRecord every `stride` steps.
+
+    On a numerical failure (a GcflowError) the partial trajectory is returned
+    with the error recorded.  Observers are callables
+    (step, state, record|None) -> None.
+    """
+    stepper = _STEPPERS[integrator]
+    canonical = integrator.endswith("canonical")
+    ref_density = state.n.integral() / state.n.grid.volume if canonical else None
+    return _march(
+        state, T, h, lambda s, hk: (stepper(s, hk), None),
+        lambda step, s, _: diagnostics(step, s, canonical=canonical, ref_density=ref_density),
+        stride, observers, snapshot_every,
+    )

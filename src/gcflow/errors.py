@@ -57,10 +57,6 @@ class InsufficientData(GcflowError):
     """Not enough usable records for a fit."""
 
 
-class CorridorViolated(GcflowError):
-    """Trajectory left the density corridor required by the check."""
-
-
 class ConfigError(GcflowError):
     """Configuration file failed to parse or validate."""
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import dynamics, jko, problems, thermo
 from .dynamics import SimState, Trajectory
-from .errors import CorridorViolated, InsufficientData
+from .errors import InsufficientData
 from .spectral import Grid, RealField, dnorm, forward, l2_norm
 from .thermo import ModelParams
 
@@ -39,7 +39,12 @@ def fit_decay_rate(traj: Trajectory, window: tuple[float, float] | None = None) 
         raise InsufficientData(
             f"only {ts.size} usable records in window {window}; need at least 10"
         )
-    y = np.log(gaps)
+    return _log_linear_fit(ts, gaps, window)
+
+
+def _log_linear_fit(ts: np.ndarray, values: np.ndarray, window: tuple) -> RateFit:
+    """Least-squares fit of log(values) = a - lambda_hat * t."""
+    y = np.log(values)
     slope, intercept = np.polyfit(ts, y, 1)
     resid = y - (slope * ts + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -52,10 +57,12 @@ def linearized_rate(k, params: ModelParams, canonical: bool = False) -> float:
 
     Grand-canonical: (|k|^2 + m0^{-1/2}) (1 + m0 What(k));
     canonical:        |k|^2 (1 + m0 What(k)).
+
+    A scalar k is the wavenumber along the first axis.
     """
     g = params.grid
     if np.isscalar(k):
-        k = (float(k),)
+        k = (float(k),) + (0.0,) * (g.d - 1)
     idx = tuple(int(round(ki * g.L / (2.0 * np.pi))) % g.M for ki in k)
     what = float(params.kernel.spectrum.coeffs[idx].real)
     k2 = float(sum(ki * ki for ki in k))
@@ -95,11 +102,7 @@ def measure_mode_decay(
     ts_a, amps_a = np.array(ts), np.array(amps)
     if ts_a.size < 10:
         raise InsufficientData("mode amplitude hit the floor too quickly")
-    slope, intercept = np.polyfit(ts_a, np.log(amps_a), 1)
-    resid = np.log(amps_a) - (slope * ts_a + intercept)
-    ss_tot = float(np.sum((np.log(amps_a) - np.log(amps_a).mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return RateFit(float(-slope), r2, (float(ts_a[0]), float(ts_a[-1])), int(ts_a.size))
+    return _log_linear_fit(ts_a, amps_a, (float(ts_a[0]), float(ts_a[-1])))
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,12 @@ step is an exact fixed point there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import spectral, thermo
-from .dynamics import DiagnosticsRecord, SimState, Trajectory, diagnostics
+from .dynamics import SimState, Trajectory, _march, diagnostics
 from .errors import InnerDivergence, NonpositiveDensity, ResidualTooLarge
 from .spectral import RealField
 from .thermo import ModelParams
@@ -64,90 +64,70 @@ class JkoStepReport:
 class _Frozen:
     """Per-step quantities that depend only on the starting state."""
 
-    grad_psi0: tuple
+    grad_psi0: list
     omega0: np.ndarray  # exp(-Psi0) * Omega_{N0}
-    a: RealField
+    a_hat: np.ndarray  # half spectrum of A
 
 
 def _freeze(state: SimState) -> _Frozen:
     g = state.n.grid
-    p = state.params
-    psi0, n0, w0 = state.psi, state.n, state.wn
-    grad_psi0 = spectral.gradient(psi0)
-    phi0 = RealField(g, psi0.values - p.mu + w0.values)
-    om_n0 = thermo.omega(n0, p, phi=phi0)
-    omega0 = np.exp(-psi0.values) * om_n0.values
-    lap_psi0 = spectral.laplacian(psi0)
-    lap_w0 = spectral.laplacian(w0)
-    grad_w0 = spectral.gradient(w0)
-    grad_sq = sum(gp.values * gp.values for gp in grad_psi0)
-    grad_dot = sum(gw.values * gp.values for gw, gp in zip(grad_w0, grad_psi0))
-    a = RealField(
-        g,
-        lap_psi0.values + grad_sq + lap_w0.values + grad_dot - phi0.values * omega0,
-    )
-    return _Frozen(grad_psi0=grad_psi0, omega0=omega0, a=a)
+    psi0, w0 = state.psi.values, state.wn.values
+    psi0_hat = spectral._hat(psi0)
+    w0_hat = spectral._hat(w0)
+    grad_psi0 = [spectral._real(ik * psi0_hat, g) for ik in g.ik]
+    grad_w0 = [spectral._real(ik * w0_hat, g) for ik in g.ik]
+    phi0 = RealField(g, psi0 - state.params.mu + w0)
+    omega0 = np.exp(-psi0) * thermo.omega(state.n, state.params, phi=phi0).values
+    local = sum(gp * (gp + gw) for gp, gw in zip(grad_psi0, grad_w0)) - phi0.values * omega0
+    a_hat = g.lap * (psi0_hat + w0_hat) + spectral._hat(local)
+    return _Frozen(grad_psi0=grad_psi0, omega0=omega0, a_hat=a_hat)
 
 
 def assemble_A(state: SimState) -> RealField:
     """The psi-independent block of the fixed-point equation."""
-    return _freeze(state).a
+    return RealField(state.n.grid, spectral._real(_freeze(state).a_hat, state.n.grid))
 
 
-def _w_psi(state: SimState, psi: RealField, h: float) -> RealField:
-    """w_psi with h * w_psi = W * ( N0 * (exp(h psi) - 1) )."""
+def _fixed_point_rhs(frozen: _Frozen, state: SimState, psi: np.ndarray,
+                     psi_hat: np.ndarray, h: float) -> np.ndarray:
+    """Half spectrum of A + h B(psi) - E2(h psi) / h, with B written as
+    lap w_psi + grad u . grad Psi0 - u Omega0 for u = psi + w_psi."""
     g = state.n.grid
-    src = RealField(g, state.n.values * np.expm1(h * psi.values) / h)
-    return spectral.convolve(state.params.kernel.spectrum, src)
-
-
-def _assemble_b(frozen: _Frozen, state: SimState, psi: RealField, h: float) -> RealField:
-    g = state.n.grid
-    wp = _w_psi(state, psi, h)
-    lap_wp = spectral.laplacian(wp)
-    grad_wp = spectral.gradient(wp)
-    grad_psi = spectral.gradient(psi)
-    dot_wp = sum(gw.values * gp.values for gw, gp in zip(grad_wp, frozen.grad_psi0))
-    dot_psi = sum(gn.values * gp.values for gn, gp in zip(grad_psi, frozen.grad_psi0))
-    b = lap_wp.values + dot_wp + dot_psi - psi.values * frozen.omega0 - wp.values * frozen.omega0
-    return RealField(g, b)
-
-
-def assemble_B(state: SimState, psi: RealField, h: float) -> RealField:
-    """The psi-dependent block (per unit h)."""
-    return _assemble_b(_freeze(state), state, psi, h)
-
-
-def _e2_over_h(psi: np.ndarray, h: float) -> np.ndarray:
-    """(exp(h psi) - 1 - h psi) / h, cancellation-safe via expm1."""
-    return (np.expm1(h * psi) - h * psi) / h
+    e = np.expm1(h * psi)
+    wp_hat = spectral._half(state.params.kernel.spectrum.coeffs) * spectral._hat(
+        state.n.values * e / h)
+    u_hat = psi_hat + wp_hat
+    u = psi + spectral._real(wp_hat, g)
+    dot = sum(spectral._real(ik * u_hat, g) * gp for ik, gp in zip(g.ik, frozen.grad_psi0))
+    local = h * (dot - u * frozen.omega0) - (e - h * psi) / h
+    return frozen.a_hat + h * g.lap * wp_hat + spectral._hat(local)
 
 
 def jko_step(state: SimState, cfg: JkoConfig) -> tuple:
     """One implicit step; returns (new state, JkoStepReport).
 
-    Raises InnerDivergence when the D0 norm of the iterates grows for five
+    The iterate psi is carried with its half spectrum, on which the
+    Helmholtz solve and the D0 norms act directly.  Raises InnerDivergence
+    when the iterates stop being finite or their D0 norm grows for five
     consecutive iterations (the step size is too large for the contraction),
     and ResidualTooLarge when the converged step fails the weak-residual
     acceptance bound.
     """
     h = cfg.h
     g = state.n.grid
+    helmholtz = 1.0 / (1.0 - h * g.lap)
     frozen = _freeze(state)
-    psi = spectral.helmholtz_inverse(frozen.a, h)
-    prev_d0 = spectral.dnorm(psi, 0)
+    psi_hat = frozen.a_hat * helmholtz
+    psi = spectral._real(psi_hat, g)
+    prev_d0 = spectral._dnorm(g, psi_hat, 0)
     growth_streak = 0
     iters = 0
     for iters in range(1, cfg.max_inner + 1):
-        b = _assemble_b(frozen, state, psi, h)
-        rhs = RealField(g, frozen.a.values + h * b.values - _e2_over_h(psi.values, h))
-        psi_next = spectral.helmholtz_inverse(rhs, h)
+        next_hat = _fixed_point_rhs(frozen, state, psi, psi_hat, h) * helmholtz
         if cfg.relaxation < 1.0:
-            psi_next = RealField(
-                g, (1.0 - cfg.relaxation) * psi.values + cfg.relaxation * psi_next.values
-            )
-        delta = spectral.dnorm(RealField(g, psi_next.values - psi.values), 0)
-        d0 = spectral.dnorm(psi_next, 0)
+            next_hat = (1.0 - cfg.relaxation) * psi_hat + cfg.relaxation * next_hat
+        delta = spectral._dnorm(g, next_hat - psi_hat, 0)
+        d0 = spectral._dnorm(g, next_hat, 0)
         if not np.isfinite(d0):
             raise InnerDivergence(f"inner iterate blew up at iteration {iters}")
         if d0 > prev_d0 * (1.0 + 1e-15):
@@ -159,24 +139,25 @@ def jko_step(state: SimState, cfg: JkoConfig) -> tuple:
                 )
         else:
             growth_streak = 0
-        psi = psi_next
+        psi_hat = next_hat
+        psi = spectral._real(psi_hat, g)
         prev_d0 = d0
         if delta <= cfg.inner_tol:
             break
     else:
         raise InnerDivergence(f"no inner convergence within {cfg.max_inner} iterations")
 
-    psi1 = RealField(g, state.psi.values + h * psi.values)
+    psi1 = RealField(g, state.psi.values + h * psi)
     new_state = SimState.from_psi(state.t + h, psi1, state.params)
     resid = residual_implicit(state.n, new_state.n, h, state.params)
     if resid > cfg.residual_tol:
         raise ResidualTooLarge(f"weak residual {resid:.3e} > {cfg.residual_tol:.3e}")
     report = JkoStepReport(
         inner_iters=iters,
-        d0_psi=spectral.dnorm(psi, 0),
+        d0_psi=prev_d0,
         residual=resid,
-        norm_delta_d2=h * spectral.dnorm(psi, 2),
-        norm_delta_d1=h * spectral.dnorm(psi, 1),
+        norm_delta_d2=h * spectral._dnorm(g, psi_hat, 2),
+        norm_delta_d1=h * spectral._dnorm(g, psi_hat, 1),
     )
     return new_state, report
 
@@ -195,11 +176,9 @@ def residual_implicit(n0: RealField, n1: RealField, h: float, params: ModelParam
     g = n0.grid
     phi1 = thermo.potential_phi(n1, params)
     om0 = thermo.omega(n0, params)
-    grad_phi1 = spectral.gradient(phi1)
-    flux = tuple(RealField(g, n0.values * gp.values) for gp in grad_phi1)
-    div = spectral.divergence(flux)
+    div = spectral._real(spectral.div_n_grad(g, n0.values, spectral._hat(phi1.values)), g)
     rate = (n1.values - n0.values) / h
-    defect = RealField(g, rate - div.values + om0.values * phi1.values)
+    defect = RealField(g, rate - div + om0.values * phi1.values)
     scale = max(1.0, spectral.l2_norm(RealField(g, rate)))
     return spectral.l2_norm(defect) / scale
 
@@ -210,27 +189,19 @@ def jko_evolve(state: SimState, T: float, cfg: JkoConfig,
                snapshot_every: int | None = None) -> Trajectory:
     """Repeated implicit steps with per-step reports merged into the
     diagnostics stream.  Tracks the running bound b0 = max ||psi||_D0."""
-    if T <= 0:
-        raise ValueError("T must be positive")
-    n_steps = max(1, int(round(T / cfg.h)))
-    traj = Trajectory()
     b0 = 0.0
-    for step in range(1, n_steps + 1):
-        try:
-            state, report = jko_step(state, cfg)
-        except Exception as exc:
-            traj.error = f"{type(exc).__name__}: {exc}"
-            break
+
+    def advance(s: SimState, h: float) -> tuple:
+        nonlocal b0
+        s, report = jko_step(s, cfg if h == cfg.h else replace(cfg, h=h))
         b0 = max(b0, report.d0_psi)
-        rec = None
-        if step % stride == 0 or step == n_steps:
-            rec = diagnostics(step, state, inner_iters=report.inner_iters,
-                              residual=report.residual)
-            traj.records.append(rec)
-        if snapshot_every and step % snapshot_every == 0:
-            traj.snapshots.append(state)
-        if observers:
-            for obs in observers:
-                obs(step, state, rec)
+        return s, report
+
+    traj = _march(
+        state, T, cfg.h, advance,
+        lambda step, s, rep: diagnostics(step, s, inner_iters=rep.inner_iters,
+                                         residual=rep.residual),
+        stride, observers, snapshot_every,
+    )
     traj.psi_d0_bound = b0
     return traj

@@ -42,15 +42,6 @@ class PathDistanceResult:
     per_segment_energy: list
 
 
-def _apply_operator(n: np.ndarray, om: np.ndarray, grid, q: np.ndarray) -> np.ndarray:
-    """-( div(N grad Q) - Omega Q ), the positive-definite form."""
-    qf = RealField(grid, q)
-    grad_q = spectral.gradient(qf)
-    flux = tuple(RealField(grid, n * gq.values) for gq in grad_q)
-    div = spectral.divergence(flux)
-    return -(div.values - om * q)
-
-
 def solve_driving_potential(n0: RealField, target_rate: RealField, params: ModelParams,
                             tol: float = 1e-10) -> tuple:
     """Solve target_rate = div(N0 grad Q) - Omega_{N0} Q for Q.
@@ -65,13 +56,14 @@ def solve_driving_potential(n0: RealField, target_rate: RealField, params: Model
     om = thermo.omega(n0, params).values
     mean_n = float(np.mean(n))
     mean_om = float(np.mean(om))
-    precond_symbol = 1.0 / (mean_n * grid.k2 + mean_om)
+    precond_symbol = 1.0 / (mean_n * spectral._half(grid.k2) + mean_om)
 
     def apply_m(v: np.ndarray) -> np.ndarray:
-        return _apply_operator(n, om, grid, v)
+        """-( div(N grad Q) - Omega Q ), the positive-definite form."""
+        return om * v - spectral._real(spectral.div_n_grad(grid, n, spectral._hat(v)), grid)
 
     def apply_pre(v: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(np.fft.fftn(v) * precond_symbol).real
+        return spectral._real(spectral._hat(v) * precond_symbol, grid)
 
     rhs = -target_rate.values
     rhs_norm = float(np.linalg.norm(rhs))
@@ -102,11 +94,15 @@ def solve_driving_potential(n0: RealField, target_rate: RealField, params: Model
 def approx_distance(n0: RealField, n1: RealField, h: float, params: ModelParams) -> float:
     """Short-time distance h * <<grad Q, grad Q>>_{N0}^{1/2} with Q driven by
     the rate (N1 - N0)/h (the static minimizer of the path energy)."""
-    grid = n0.grid
-    rate = RealField(grid, (n1.values - n0.values) / h)
-    q, _ = solve_driving_potential(n0, rate, params)
+    return _approx_distance(n0, n1, h, params)[0]
+
+
+def _approx_distance(n0: RealField, n1: RealField, h: float, params: ModelParams) -> tuple:
+    """approx_distance and the EllipticSolveReport of its solve."""
+    rate = RealField(n0.grid, (n1.values - n0.values) / h)
+    q, report = solve_driving_potential(n0, rate, params)
     energy = -spectral.inner_l2(rate, q)  # equals <<grad Q, grad Q>>_{N0}
-    return h * float(np.sqrt(max(energy, 0.0)))
+    return h * float(np.sqrt(max(energy, 0.0))), report
 
 
 def path_distance_upper(n0: RealField, n1: RealField, segments: int,

@@ -7,10 +7,13 @@ Fourier coefficients follow the continuum normalization
     f_hat(k) = integral over the box of f(x) exp(-i k.x) dx,
 
 realized as the DFT scaled by dx^d.  Wavenumbers are k = (2*pi/L) * n with
-integer n in {-M/2, ..., M/2 - 1} per dimension.  Differential operators
-zero the Nyquist modes (n = -M/2) so odd derivatives of real fields stay
-real; this is standard pseudospectral practice and only touches the
-resolution floor.
+integer n in {-M/2, ..., M/2 - 1} per dimension.  `forward`/`inverse` keep
+this full spectrum as the reference.  Every operator works instead on the
+half spectrum of the real-to-complex DFT (last-axis indices 0..M/2), through
+the one transform pair `_hat`/`_real` (raw DFT, no dx^d factor).  The
+derivative symbols `Grid.ik` and `Grid.lap` zero every mode with an axis
+index M/2, so odd derivatives of real fields stay real; this is standard
+pseudospectral practice and only touches the resolution floor.
 
 The weighted l1 norms
 
@@ -41,11 +44,12 @@ class Grid:
     d: int
     L: float
     M: int
-    # broadcastable wavenumber components, |k|^2, and the Nyquist mask
-    kvec: tuple = field(repr=False, compare=False, default=None)
+    # full-spectrum |k|^2 and |k|; half-spectrum derivative symbols i k (one
+    # per axis) and -|k|^2, both zero on every mode with an axis index M/2
     k2: np.ndarray = field(repr=False, compare=False, default=None)
     kmod: np.ndarray = field(repr=False, compare=False, default=None)
-    nyquist: np.ndarray = field(repr=False, compare=False, default=None)
+    ik: tuple = field(repr=False, compare=False, default=None)
+    lap: np.ndarray = field(repr=False, compare=False, default=None)
 
     @staticmethod
     def make(d: int, L: float, M: int) -> "Grid":
@@ -56,27 +60,15 @@ class Grid:
         if L <= 0:
             raise ValueError(f"L must be positive, got {L}")
         k1 = 2.0 * np.pi * np.fft.fftfreq(M, d=L / M)
-        shape = [1] * d
-        kvec = []
-        for ax in range(d):
-            s = shape.copy()
-            s[ax] = M
-            kvec.append(k1.reshape(s))
+        kvec = np.meshgrid(*([k1] * d), indexing="ij")
         k2 = sum(k * k for k in kvec)
-        k2 = np.broadcast_to(k2, (M,) * d).copy()
-        kmod = np.sqrt(k2)
-        nyq_1d = np.zeros(M, dtype=bool)
-        nyq_1d[M // 2] = True
-        nyquist = np.zeros((M,) * d, dtype=bool)
-        for ax in range(d):
-            s = [1] * d
-            s[ax] = M
-            nyquist |= nyq_1d.reshape(s)
+        nyq = np.meshgrid(*([np.arange(M) == M // 2] * d), indexing="ij")
+        keep = _half(~np.logical_or.reduce(nyq))
         g = Grid(d, float(L), M)
-        object.__setattr__(g, "kvec", tuple(kvec))
         object.__setattr__(g, "k2", k2)
-        object.__setattr__(g, "kmod", kmod)
-        object.__setattr__(g, "nyquist", nyquist)
+        object.__setattr__(g, "kmod", np.sqrt(k2))
+        object.__setattr__(g, "ik", tuple(1j * _half(k) * keep for k in kvec))
+        object.__setattr__(g, "lap", -_half(k2) * keep)
         return g
 
     @property
@@ -159,40 +151,55 @@ def inverse(spec: Spectrum) -> RealField:
     return RealField(spec.grid, v.real)
 
 
+def _half(a: np.ndarray) -> np.ndarray:
+    """The half-spectrum part (last-axis indices 0..M/2) of a full-spectrum array."""
+    return a[..., : a.shape[-1] // 2 + 1]
+
+
+def _hat(values: np.ndarray) -> np.ndarray:
+    """Half spectrum (raw DFT) of real samples."""
+    return np.fft.rfftn(values)
+
+
+def _real(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Real samples of a half spectrum; inverse of `_hat`."""
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(grid.d)))
+
+
+def _full_sum(a: np.ndarray) -> float:
+    """Sum over the full spectrum of a quantity even in k, given on the half
+    spectrum: the interior last-axis columns stand for two modes each."""
+    return float(np.sum(a) + np.sum(a[..., 1:-1]))
+
+
 def gradient(f: RealField) -> tuple:
     """Spectral gradient, one RealField per dimension.  Nyquist modes zeroed."""
     g = f.grid
-    fh = np.fft.fftn(f.values)
-    fh[g.nyquist] = 0.0
-    out = []
-    for ax in range(g.d):
-        out.append(RealField(g, np.fft.ifftn(1j * g.kvec[ax] * fh).real))
-    return tuple(out)
+    fh = _hat(f.values)
+    return tuple(RealField(g, _real(ik * fh, g)) for ik in g.ik)
 
 
 def laplacian(f: RealField) -> RealField:
     g = f.grid
-    fh = np.fft.fftn(f.values)
-    fh[g.nyquist] = 0.0
-    return RealField(g, np.fft.ifftn(-g.k2 * fh).real)
+    return RealField(g, _real(g.lap * _hat(f.values), g))
 
 
 def divergence(fields: tuple) -> RealField:
     """Spectral divergence of a vector field given componentwise."""
     g = fields[0].grid
-    acc = np.zeros(g.shape, dtype=complex)
-    for ax, f in enumerate(fields):
-        fh = np.fft.fftn(f.values)
-        fh[g.nyquist] = 0.0
-        acc += 1j * g.kvec[ax] * fh
-    return RealField(g, np.fft.ifftn(acc).real)
+    return RealField(g, _real(sum(ik * _hat(f.values) for ik, f in zip(g.ik, fields)), g))
+
+
+def div_n_grad(grid: Grid, n: np.ndarray, f_hat: np.ndarray) -> np.ndarray:
+    """Half spectrum of div(n grad f), from the half spectrum of f: the
+    transport operator of every flow, metric and residual in the package."""
+    return sum(ik * _hat(n * _real(ik * f_hat, grid)) for ik in grid.ik)
 
 
 def convolve(kernel_spectrum: Spectrum, f: RealField) -> RealField:
     """Periodic convolution via the pointwise Fourier product W_hat * f_hat."""
     same_grid(kernel_spectrum, f)
-    fh = np.fft.fftn(f.values) * kernel_spectrum.coeffs
-    return RealField(f.grid, np.fft.ifftn(fh).real)
+    return RealField(f.grid, _real(_hat(f.values) * _half(kernel_spectrum.coeffs), f.grid))
 
 
 def helmholtz_inverse(f: RealField, h: float) -> RealField:
@@ -203,20 +210,22 @@ def helmholtz_inverse(f: RealField, h: float) -> RealField:
     if h <= 0:
         raise NonpositiveH(f"h must be positive, got {h}")
     g = f.grid
-    k2 = np.where(g.nyquist, 0.0, g.k2)
-    fh = np.fft.fftn(f.values) / (1.0 + h * k2)
-    return RealField(g, np.fft.ifftn(fh).real)
+    return RealField(g, _real(_hat(f.values) / (1.0 - h * g.lap), g))
+
+
+def _dnorm(grid: Grid, f_hat: np.ndarray, m: int) -> float:
+    """dnorm from the half spectrum of the field."""
+    mod = np.abs(f_hat)
+    if m:
+        mod = mod * _half(grid.kmod) ** m
+    return _full_sum(mod) * grid.cell_volume / grid.volume
 
 
 def dnorm(f: RealField, m: int) -> float:
     """Weighted l1 Fourier norm (1/L^d) sum_k |k|^m |f_hat(k)|, m in 0..4."""
     if m not in (0, 1, 2, 3, 4):
         raise ValueError(f"m must be in 0..4, got {m}")
-    g = f.grid
-    mod = np.abs(np.fft.fftn(f.values)) * g.cell_volume
-    if m:
-        mod = mod * g.kmod**m
-    return float(np.sum(mod)) / g.volume
+    return _dnorm(f.grid, _hat(f.values), m)
 
 
 def l2_norm(f: RealField) -> float:

@@ -129,21 +129,25 @@ def _require_positive(n: RealField) -> None:
 
 def interaction_energy(n: RealField, kernel: Kernel) -> float:
     """(1 / 2 L^d) sum_k W_hat(k) |N_hat(k)|^2 (equals the double integral)."""
-    nh = np.fft.fftn(n.values) * n.grid.cell_volume
-    return 0.5 * float(np.sum(kernel.spectrum.coeffs.real * np.abs(nh) ** 2)) / n.grid.volume
+    g = n.grid
+    nh = spectral._hat(n.values) * g.cell_volume
+    what = spectral._half(kernel.spectrum.coeffs.real)
+    return 0.5 * spectral._full_sum(what * np.abs(nh) ** 2) / g.volume
 
 
 def free_energy_grand(n: RealField, params: ModelParams) -> float:
-    _require_positive(n)
-    v = n.values
-    entropy = float(np.sum(v * np.log(v) - (1.0 + params.mu) * v)) * n.grid.cell_volume
-    return entropy + interaction_energy(n, params.kernel)
+    return _free_energy(n, params.kernel, params.mu)
 
 
 def free_energy_canonical(n: RealField, kernel: Kernel) -> float:
+    return _free_energy(n, kernel, 0.0)
+
+
+def _free_energy(n: RealField, kernel: Kernel, mu: float) -> float:
+    """int N log N - (1 + mu) N dx plus the interaction energy."""
     _require_positive(n)
     v = n.values
-    entropy = float(np.sum(v * np.log(v) - v)) * n.grid.cell_volume
+    entropy = float(np.sum(v * np.log(v) - (1.0 + mu) * v)) * n.grid.cell_volume
     return entropy + interaction_energy(n, kernel)
 
 
@@ -184,16 +188,16 @@ def weighted_inner(n: RealField, params: ModelParams, f: RealField, g: RealField
     if omega_n is None:
         omega_n = omega(n, params)
     gf = spectral.gradient(f)
-    gg = spectral.gradient(g)
+    gg = gf if g is f else spectral.gradient(g)
     grad_dot = sum(a.values * b.values for a, b in zip(gf, gg))
     integrand = n.values * grad_dot + omega_n.values * f.values * g.values
     return float(np.sum(integrand)) * n.grid.cell_volume
 
 
-def dissipation(n: RealField, params: ModelParams) -> float:
+def dissipation(n: RealField, params: ModelParams, wn: RealField | None = None) -> float:
     """Instantaneous free-energy dissipation rate: the weighted quadratic form
     of Phi_N with itself."""
-    phi = potential_phi(n, params)
+    phi = potential_phi(n, params, wn)
     om = omega(n, params, phi=phi)
     return weighted_inner(n, params, phi, phi, omega_n=om)
 

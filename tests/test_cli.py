@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gcflow import fieldio, problems
+from gcflow import fieldio, metric, problems
 from gcflow.cli import main
 from gcflow.config import build_params, dump_config, load_config, parse_config
 from gcflow.errors import ConfigError
@@ -96,6 +96,12 @@ def test_error_message_has_field_path(tmp_path):
     assert "grid.M" in str(exc.value)
 
 
+def test_run_section_optional(tmp_path):
+    text = BASE[: BASE.index("[run]")] + BASE[BASE.index("[initial]"):]
+    cfg = load_config(write_config(tmp_path, text))
+    assert cfg.h is None and cfg.integrator == "imex"
+
+
 # -- CLI --------------------------------------------------------------------
 
 
@@ -152,6 +158,33 @@ def test_distance_subcommand(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["d_a"] > 0 and payload["path_upper_sq"] > 0
     assert payload["segments"] == 8
+
+
+def test_distance_solves_once_per_node(tmp_path, capsys, monkeypatch):
+    # one solve for d_a, then one per path node (segments + 1)
+    cfgp = write_config(tmp_path)
+    params = build_params(load_config(cfgp))
+    a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
+    fieldio.save_binary(a, problems.single_mode_state(params, 1, 0.003).n)
+    fieldio.save_binary(b, problems.single_mode_state(params, 2, 0.003).n)
+    solve = metric.solve_driving_potential
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(metric, "solve_driving_potential", counting)
+    assert main(["distance", a, b, "--config", cfgp, "--segments", "8"]) == 0
+    assert len(calls) == 1 + 8 + 1
+
+
+def test_evolve_d2_default_h(tmp_path, capsys):
+    text = (BASE.replace("d = 1", "d = 2").replace("M = 64", "M = 16")
+            .replace("h = 0.001\n", "").replace("T = 0.05", "T = 2e-5"))
+    assert main(["evolve", "--config", write_config(tmp_path, text)]) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary["t"] == 2e-5
 
 
 def test_version(capsys):

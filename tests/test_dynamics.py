@@ -17,7 +17,7 @@ from gcflow.dynamics import (
     step_rk4,
     step_rk4_canonical,
 )
-from gcflow.errors import StabilityViolation
+from gcflow.errors import PositivityLoss, StabilityViolation
 from gcflow.experiments import linearized_rate
 from gcflow.kernels import make_smoothed_indicator
 from gcflow.spectral import Grid, RealField
@@ -45,6 +45,16 @@ def test_rhs_assemblies_agree(params):
     # direct form lap N + div(N grad w_N) - N e^{-(mu-w)/2} + e^{(mu-w)/2}
     # vs advective form div(N grad Phi) - Omega Phi
     st = perturbed_state(params)
+    a, b = rhs_grand(st), rhs_grand_advective(st)
+    scale = max(1.0, np.max(np.abs(a.values)))
+    assert np.max(np.abs(a.values - b.values)) < 1e-10 * scale
+
+
+def test_rhs_assemblies_agree_2d():
+    grid = Grid.make(2, 1.0, 32)
+    kernel = make_smoothed_indicator(grid, 1.0, 0.1, 0.04)
+    p = make_params(grid, kernel, 0.4, m0=0.05)
+    st = problems.random_band_state(p, 3, 0.3, seed=32)
     a, b = rhs_grand(st), rhs_grand_advective(st)
     scale = max(1.0, np.max(np.abs(a.values)))
     assert np.max(np.abs(a.values - b.values)) < 1e-10 * scale
@@ -216,3 +226,28 @@ def test_default_h(params):
     lam = linearized_rate(2 * np.pi * 31, params)
     h = dynamics.default_h(params, lam)
     assert h == min(0.1 * params.grid.dx, 0.01 / lam)
+
+
+@pytest.mark.parametrize("T, h, steps", [(1.0, 0.3, 4), (0.01, 0.5, 1), (1.0, 1e-3, 1000)])
+def test_evolve_ends_at_T(params, T, h, steps):
+    # a non-integer T/h shortens the last step; an integer one keeps every
+    # step at h, and t is t0 + k h rather than a running sum
+    traj = evolve(problems.uniform_state(params), T, h, stride=steps)
+    assert traj.error is None
+    assert traj.records[-1].step == steps
+    assert traj.records[-1].t == T
+
+
+def test_evolve_propagates_programming_errors(params, monkeypatch):
+    def broken(state, h):
+        raise TypeError("not a numerical failure")
+
+    monkeypatch.setitem(dynamics._STEPPERS, "imex", broken)
+    with pytest.raises(TypeError):
+        evolve(problems.uniform_state(params), 0.01, 1e-3)
+
+
+def test_nan_density_is_positivity_loss(params):
+    st = problems.uniform_state(params)
+    with pytest.raises(PositivityLoss):
+        dynamics._advance_density(st, np.full(params.grid.shape, np.nan), 1e-3)

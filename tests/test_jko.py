@@ -5,7 +5,7 @@ import pytest
 
 from gcflow import jko, problems
 from gcflow.dynamics import rhs_grand, step_imex
-from gcflow.errors import NoConvergence
+from gcflow.errors import InnerDivergence, NoConvergence
 from gcflow.experiments import linearized_rate
 from gcflow.jko import JkoConfig, assemble_A, jko_evolve, jko_step, residual_implicit
 from gcflow.kernels import make_smoothed_indicator
@@ -118,6 +118,21 @@ def test_max_inner_raises(params):
     st = problems.random_band_state(params, 3, 0.3, seed=46)
     with pytest.raises(NoConvergence):
         jko_step(st, JkoConfig(h=1e-3, inner_tol=1e-30, max_inner=2))
+
+
+def test_large_step_is_inner_divergence(params):
+    # h = 1 overflows the inner iterate; that is a divergence, not a crash
+    st = problems.random_band_state(params, 3, 0.3, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InnerDivergence):
+            jko_step(st, JkoConfig(h=1.0))
+
+
+def test_jko_evolve_ends_at_T(params):
+    traj = jko_evolve(problems.uniform_state(params), 0.01, JkoConfig(h=4e-3))
+    assert traj.error is None
+    assert [r.step for r in traj.records] == [1, 2, 3]
+    assert traj.records[-1].t == 0.01
 
 
 def test_jko_evolve_tracks_b0(params):

@@ -9,6 +9,7 @@ from gcflow.spectral import (
     RealField,
     Spectrum,
     convolve,
+    div_n_grad,
     divergence,
     dnorm,
     forward,
@@ -228,6 +229,37 @@ def test_nyquist_zeroed_by_derivatives(grid):
     f = RealField(grid, np.cos(2 * np.pi * 32 * x))
     (g,) = gradient(f)
     assert np.max(np.abs(g.values)) < 1e-10
+
+
+def test_nyquist_zeroed_by_derivatives_2d(grid2d):
+    # a mode with index M/2 on either axis is dropped whole, whatever the
+    # other axis index
+    x, y = grid2d.points()
+    kn = 2 * np.pi * (grid2d.M // 2) / grid2d.L
+    k3 = 2 * np.pi * 3 / grid2d.L
+    for vals in (np.cos(kn * x + k3 * y), np.cos(k3 * x + kn * y), np.cos(kn * x + kn * y)):
+        f = RealField(grid2d, vals)
+        assert all(np.max(np.abs(g.values)) < 1e-10 for g in gradient(f))
+        assert np.max(np.abs(laplacian(f).values)) < 1e-8
+
+
+def test_dnorm_2d_matches_full_spectrum(grid2d):
+    f = random_field(grid2d, seed=16)
+    mod = np.abs(np.fft.fftn(f.values)) * grid2d.cell_volume
+    for m in range(5):
+        full = float(np.sum(mod * grid2d.kmod**m)) / grid2d.volume
+        assert abs(dnorm(f, m) - full) < 1e-12 * full
+
+
+def test_div_n_grad_matches_divergence_of_flux(grid, grid2d):
+    for gr in (grid, grid2d):
+        n = RealField(gr, 1.0 + 0.5 * np.tanh(random_field(gr, seed=17).values))
+        f = random_field(gr, seed=18)
+        flux = tuple(RealField(gr, n.values * gf.values) for gf in gradient(f))
+        expect = divergence(flux).values
+        got = np.fft.irfftn(div_n_grad(gr, n.values, np.fft.rfftn(f.values)), s=gr.shape,
+                            axes=tuple(range(gr.d)))
+        assert np.max(np.abs(got - expect)) < 1e-9 * max(1.0, np.max(np.abs(expect)))
 
 
 def test_integral(grid):
