@@ -1,13 +1,14 @@
 """Command-line entry point.
 
 Subcommands: evolve, jko-study, sweep, distance, kernel-info, check.
-Exit codes: 0 success, 1 numerical failure, 2 configuration error.
+Exit codes: 0 success, 1 numerical failure, 2 configuration or input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -24,6 +25,20 @@ FIELD_FORMAT = "GCF1"
 def _fail(kind: str, message: str, code: int) -> int:
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
     return code
+
+
+def _floats(flag: str, text: str) -> tuple:
+    try:
+        return tuple(float(s) for s in text.split(","))
+    except ValueError:
+        raise ConfigError(flag, f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _load_field(path: str):
+    try:
+        return fieldio.load_binary(path) if path.endswith(".bin") else fieldio.load_csv(path)[0]
+    except (OSError, ValueError) as exc:  # unreadable file or non-finite samples
+        raise ConfigError(path, str(exc)) from None
 
 
 def _open_out(out_dir: str, name: str):
@@ -59,8 +74,7 @@ def cmd_evolve(args) -> int:
         if sink is not sys.stdout:
             sink.close()
     if traj.error is not None:
-        kind, _, msg = traj.error.partition(": ")
-        return _fail(kind, msg, 1)
+        raise traj.error
     final = traj.records[-1]
     print(json.dumps({"t": final.t, "gap": final.gap, "mass": final.mass,
                       "records": len(traj.records)}))
@@ -71,7 +85,12 @@ def cmd_jko_study(args) -> int:
     cfg = load_config(args.config)
     params = build_params(cfg)
     state = build_initial_state(cfg, params)
-    h_list = tuple(float(s) for s in args.h_list.split(","))
+    h_list = _floats("--h-list", args.h_list)
+    h_max = max(h_list)
+    if not (len(set(h_list)) > 1 and all(0 < h <= cfg.T for h in h_list)
+            and all(abs(h_max / h - round(h_max / h)) <= 1e-9 * h_max / h for h in h_list)):
+        raise ConfigError("--h-list", "expected two or more distinct steps in (0, T], "
+                                      "each dividing the largest")
     report = experiments.jko_convergence_study(state, cfg.T, h_list,
                                                inner_tol=cfg.jko.inner_tol)
     print(json.dumps({
@@ -90,7 +109,11 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if not args.axis.startswith("L="):
         raise ConfigError("--axis", "expected L=<comma-separated values>")
-    L_values = tuple(float(s) for s in args.axis[2:].split(","))
+    L_values = _floats("--axis", args.axis[2:])
+    for L in L_values:
+        M = round(cfg.M * L) if math.isfinite(L) else 0
+        if M < 8 or M & (M - 1):
+            raise ConfigError("--axis", f"L={L} gives M={M}, not a power of two >= 8")
     if cfg.kernel.family != "smoothed_indicator":
         raise ConfigError("kernel.family", "sweep supports smoothed_indicator")
     kernel_kw = {
@@ -110,10 +133,7 @@ def cmd_sweep(args) -> int:
 def cmd_distance(args) -> int:
     cfg = load_config(args.config)
     params = build_params(cfg)
-    na = fieldio.load_binary(args.field_a) if args.field_a.endswith(".bin") \
-        else fieldio.load_csv(args.field_a)[0]
-    nb = fieldio.load_binary(args.field_b) if args.field_b.endswith(".bin") \
-        else fieldio.load_csv(args.field_b)[0]
+    na, nb = _load_field(args.field_a), _load_field(args.field_b)
     h = cfg.h if cfg.h is not None else 1e-3
     d_a, rep = metric._approx_distance(na, nb, h, params)
     path = metric.path_distance_upper(na, nb, args.segments, params)

@@ -79,16 +79,8 @@ class DiagnosticsRecord:
 class Trajectory:
     records: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)  # optional SimStates
-    error: str | None = None
+    error: GcflowError | None = None  # the failure that ended the run early
     psi_d0_bound: float | None = None  # running max ||psi||_D0 (implicit runs)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
-
-    @property
-    def gaps(self) -> np.ndarray:
-        return np.array([r.gap for r in self.records])
 
 
 def _reaction(p: ModelParams, n: np.ndarray, wn: np.ndarray) -> np.ndarray:
@@ -240,7 +232,9 @@ def _march(state: SimState, T: float, h: float, advance, record, stride: int,
     `advance(state, h) -> (state, report)` takes one step and
     `record(step, state, report)` builds its DiagnosticsRecord.  When T/h is
     an integer to 1e-9 relative, that many steps of h are taken; otherwise
-    the last step is shortened to end at T.  Step k ends at t0 + k h.
+    the last step is shortened to end at T.  Step k ends at t0 + k h.  A
+    GcflowError stops the march; the trajectory so far is returned with the
+    exception itself in `error`.
     """
     if T <= 0 or h <= 0:
         raise ValueError("T and h must be positive")
@@ -256,7 +250,7 @@ def _march(state: SimState, T: float, h: float, advance, record, stride: int,
         try:
             state, report = advance(state, h_last if last else h)
         except GcflowError as exc:  # record and stop: partial trajectory is useful
-            traj.error = f"{type(exc).__name__}: {exc}"
+            traj.error = exc
             break
         state = replace(state, t=t0 + (T if last and not exact else step * h))
         rec = None
@@ -276,8 +270,8 @@ def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
            snapshot_every: int | None = None) -> Trajectory:
     """March to time T emitting a DiagnosticsRecord every `stride` steps.
 
-    On a numerical failure (a GcflowError) the partial trajectory is returned
-    with the error recorded.  Observers are callables
+    On a numerical failure the partial trajectory is returned with the
+    GcflowError instance in `Trajectory.error`.  Observers are callables
     (step, state, record|None) -> None.
     """
     stepper = _STEPPERS[integrator]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +52,13 @@ def _log_linear_fit(ts: np.ndarray, values: np.ndarray, window: tuple) -> RateFi
     return RateFit(float(-slope), r2, window, int(ts.size))
 
 
+def _completed(traj: Trajectory) -> Trajectory:
+    """`traj`, or its error raised if the run stopped early."""
+    if traj.error is not None:
+        raise traj.error
+    return traj
+
+
 def linearized_rate(k, params: ModelParams, canonical: bool = False) -> float:
     """Decay rate of the mode with wavenumber k about the uniform state.
 
@@ -84,21 +91,18 @@ def measure_mode_decay(
     state = problems.single_mode_state(params, mode, eps)
     g = params.grid
     idx = (mode % g.M,) + (0,) * (g.d - 1)
+    n = max(1, round(T / h))  # stride n: the fit reads snapshots, not records
+    traj = _completed(dynamics.evolve(state, T, h, integrator=integrator, stride=n,
+                                      snapshot_every=max(1, n // 400)))
     ts, amps = [], []
-    stepper = dynamics._STEPPERS[integrator]
-    n_steps = int(round(T / h))
-    stride = max(1, n_steps // 400)
-    for step in range(n_steps + 1):
-        if step % stride == 0:
-            if mode == 0:
-                amp = abs(float(np.mean(state.n.values)) - params.m0)
-            else:
-                amp = abs(forward(state.n).coeffs[idx]) / g.volume
-            if amp > GAP_FLOOR:
-                ts.append(state.t)
-                amps.append(amp)
-        if step < n_steps:
-            state = stepper(state, h)
+    for s in [state] + traj.snapshots:
+        if mode == 0:
+            amp = abs(float(np.mean(s.n.values)) - params.m0)
+        else:
+            amp = abs(forward(s.n).coeffs[idx]) / g.volume
+        if amp > GAP_FLOOR:
+            ts.append(s.t)
+            amps.append(amp)
     ts_a, amps_a = np.array(ts), np.array(amps)
     if ts_a.size < 10:
         raise InsufficientData("mode amplitude hit the floor too quickly")
@@ -142,6 +146,22 @@ def _sweep_report(points: list[SweepPoint]) -> SweepReport:
     return SweepReport(tuple(points), float(max(lams) / min(lams)))
 
 
+def _box_params(L: float, M_per_L: int, kernel_kw: dict, kappa: float, m0: float,
+                d: int = 1) -> ModelParams:
+    """The model on a box of side L at fixed grid spacing L / (M_per_L L)."""
+    g = Grid.make(d, float(L), int(round(M_per_L * L)))
+    kern = problems.make_kernel(g, "smoothed_indicator", **kernel_kw)
+    return thermo.make_params(g, kern, kappa, m0=m0)
+
+
+def _run_point(label: str, state: SimState, T: float, h: float, integrator: str,
+               stride: int) -> SweepPoint:
+    """Evolve to T and fit the gap decay rate."""
+    traj = _completed(dynamics.evolve(state, T, h, integrator=integrator, stride=stride))
+    p = state.params
+    return SweepPoint(label, p.grid.L, p.grid.M, fit_decay_rate(traj), thermo.rate_constants(p))
+
+
 def volume_sweep(
     L_values: tuple[float, ...],
     M_per_L: int,
@@ -159,17 +179,9 @@ def volume_sweep(
     (fixed grid spacing) and compare fitted gap-decay rates."""
     points = []
     for L in L_values:
-        g = Grid.make(d, float(L), int(round(M_per_L * L)))
-        kern = problems.make_kernel(g, "smoothed_indicator", **kernel_kw)
-        params = thermo.make_params(g, kern, kappa, m0=m0)
+        params = _box_params(L, M_per_L, kernel_kw, kappa, m0, d)
         state = problems.random_band_state(params, k_c, amp, seed)
-        traj = dynamics.evolve(state, T, h, integrator="imex", stride=5)
-        if traj.error is not None:
-            raise RuntimeError(traj.error)
-        fit = fit_decay_rate(traj)
-        points.append(
-            SweepPoint(f"L={L}", float(L), g.M, fit, thermo.rate_constants(params))
-        )
+        points.append(_run_point(f"L={L}", state, T, h, "imex", 5))
     return _sweep_report(points)
 
 
@@ -199,33 +211,17 @@ def canonical_contrast(
     canon, ctrl, lam_lin = [], [], []
     L_base = L_values[0]
     for L in L_values:
-        g = Grid.make(1, float(L), int(round(M_per_L * L)))
-        kern = problems.make_kernel(g, "smoothed_indicator", **kernel_kw)
-        params = thermo.make_params(g, kern, kappa, m0=m0)
-        rates = thermo.rate_constants(params)
-        k1 = 2.0 * np.pi / L
-        lam_lin.append(linearized_rate(k1, params, canonical=True))
-
+        params = _box_params(L, M_per_L, kernel_kw, kappa, m0)
+        lam_lin.append(linearized_rate(2.0 * np.pi / L, params, canonical=True))
         # the mass-conserving rate scales like 1/L^2: stretch the run time to
         # keep the decay profile (and fit window) self-similar across volumes
         T_can = T_canonical * (L / L_base) ** 2
-        state = problems.single_mode_state(params, 1, eps)
-        traj = dynamics.evolve(
-            state, T_can, h_canonical, integrator="rk4_canonical",
-            stride=max(1, int(round(T_can / h_canonical)) // 600),
-        )
-        if traj.error is not None:
-            raise RuntimeError(traj.error)
-        canon.append(SweepPoint(f"canonical L={L}", float(L), g.M, fit_decay_rate(traj), rates))
-
-        state = problems.shifted_mode_state(params, 1, eps)
-        traj = dynamics.evolve(
-            state, T_control, h_control, integrator="imex",
-            stride=max(1, int(round(T_control / h_control)) // 600),
-        )
-        if traj.error is not None:
-            raise RuntimeError(traj.error)
-        ctrl.append(SweepPoint(f"control L={L}", float(L), g.M, fit_decay_rate(traj), rates))
+        canon.append(_run_point(
+            f"canonical L={L}", problems.single_mode_state(params, 1, eps), T_can,
+            h_canonical, "rk4_canonical", max(1, int(round(T_can / h_canonical)) // 600)))
+        ctrl.append(_run_point(
+            f"control L={L}", problems.shifted_mode_state(params, 1, eps), T_control,
+            h_control, "imex", max(1, int(round(T_control / h_control)) // 600)))
     return ContrastReport(
         tuple(canon),
         tuple(ctrl),
@@ -311,41 +307,27 @@ def jko_convergence_study(
     T: float,
     h_values: tuple[float, ...],
     inner_tol: float = 1e-12,
-    ref_divisor: int = 20,
 ) -> JkoStudyReport:
     """First-order convergence of the variational integrator against a fine
-    IMEX reference.  Errors are D0/D1 norms of the density difference at the
-    common comparison times j * max(h)."""
-    params = state0.params
+    IMEX reference with step min(h) / 20.  Errors are D0/D1 norms of the
+    density difference at the common comparison times j * max(h)."""
+    g = state0.params.grid
     h_max = max(h_values)
-    h_ref = min(h_values) / ref_divisor
-    n_cmp = int(round(T / h_max))
-    cmp_times = [j * h_max for j in range(n_cmp + 1)]
-
-    # fine reference trajectory, sampled at the comparison times
-    per = int(round(h_max / h_ref))
-    state = state0
-    ref: list[RealField] = [state.n]
-    for _ in range(n_cmp):
-        for _ in range(per):
-            state = dynamics.step_imex(state, h_ref)
-        ref.append(state.n)
-
+    h_ref = min(h_values) / 20
+    per = round(h_max / h_ref)
+    ref = _completed(dynamics.evolve(state0, T, h_ref, stride=per, snapshot_every=per))
     points = []
     b0 = 0.0
     for h in h_values:
-        cfg = jko.JkoConfig(h=h, inner_tol=inner_tol)
-        per_h = int(round(h_max / h))
-        state = state0
-        sup_d0 = 0.0
-        for j in range(1, n_cmp + 1):
-            for _ in range(per_h):
-                state, rep = jko.jko_step(state, cfg)
-                b0 = max(b0, rep.d0_psi)
-            diff = RealField(params.grid, state.n.values - ref[j].values)
-            sup_d0 = max(sup_d0, dnorm(diff, 0))
-        end = RealField(params.grid, state.n.values - ref[-1].values)
-        points.append(JkoStudyPoint(h, dnorm(end, 0), dnorm(end, 1), sup_d0))
+        per_h = round(h_max / h)
+        traj = _completed(jko.jko_evolve(state0, T, jko.JkoConfig(h=h, inner_tol=inner_tol),
+                                         stride=per_h, snapshot_every=per_h))
+        b0 = max(b0, traj.psi_d0_bound)
+        diffs = [RealField(g, s.n.values - r.n.values)
+                 for s, r in zip(traj.snapshots, ref.snapshots)]
+        end = diffs[-1]
+        points.append(JkoStudyPoint(h, dnorm(end, 0), dnorm(end, 1),
+                                    max(dnorm(e, 0) for e in diffs)))
 
     hs = np.log([p.h for p in points])
     errs = np.log([p.endpoint_d0 for p in points])

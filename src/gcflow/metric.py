@@ -32,7 +32,6 @@ from .thermo import ModelParams
 class EllipticSolveReport:
     iterations: int
     relative_residual: float
-    preconditioner: str = "inverse_helmholtz(mean_n, mean_omega)"
 
 
 @dataclass

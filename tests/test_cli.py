@@ -1,10 +1,14 @@
 """Config parsing and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gcflow
 from gcflow import fieldio, metric, problems
 from gcflow.cli import main
 from gcflow.config import build_params, dump_config, load_config, parse_config
@@ -206,3 +210,51 @@ def test_evolve_ndjson_deterministic(tmp_path):
     assert main(["evolve", "--config", cfgp]) == 0
     second = open(tmp_path / "out" / "diag.ndjson").read()
     assert first == second
+
+
+def test_jko_divergence_prints_one_line(tmp_path):
+    # h = 1 overflows the inner iterate; stderr holds the JSON error only
+    text = BASE.replace("integrator = imex", "integrator = jko").replace(
+        "h = 0.001", "h = 1.0").replace("T = 0.05", "T = 2.0").replace(
+        "kind = uniform", "kind = random_band\nk_c = 3\namp = 0.3\nseed = 0")
+    src = os.path.dirname(os.path.dirname(gcflow.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gcflow.cli", "evolve", "--config",
+         write_config(tmp_path, text), "--stdout"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InnerDivergence"
+
+
+def test_sweep_failure_is_one_json_line(tmp_path, capsys):
+    text = (BASE.replace("kappa = 0.4", "kappa = 0.05").replace("h = 0.001", "h = 1.0")
+            .replace("T = 0.05", "T = 60").replace(
+                "kind = uniform", "kind = random_band\nk_c = 3\namp = 1.0\nseed = 0"))
+    assert main(["sweep", "--config", write_config(tmp_path, text), "--axis", "L=1,2"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "PositivityLoss"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "L=1,abc"],
+    ["sweep", "--axis", "L=0.3"],  # M = 19 points
+    ["jko-study", "--h-list", "1e-3,x"],
+    ["jko-study", "--h-list", "1e-3"],  # one step gives no order
+    ["jko-study", "--h-list", "3e-3,2e-3,1e-3"],  # 2e-3 does not divide 3e-3
+    ["distance", "{nan}.missing", "{nan}"],
+    ["distance", "{nan}", "{nan}"],
+], ids=["axis-text", "axis-bad-M", "h-text", "one-h", "h-not-dividing", "missing-field",
+        "nan-field"])
+def test_bad_cli_input_exit_2(tmp_path, capsys, argv):
+    cfgp = write_config(tmp_path)
+    nan_path = str(tmp_path / "nan.bin")
+    params = build_params(load_config(cfgp))
+    fieldio.save_binary(nan_path, problems.uniform_state(params).n)
+    with open(nan_path, "r+b") as fh:  # overwrite the first sample with NaN
+        fh.seek(32)
+        fh.write(np.array([np.nan], dtype="<f8").tobytes())
+    argv = [a.format(nan=nan_path) for a in argv] + ["--config", cfgp]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"

@@ -14,7 +14,8 @@ from gcflow.experiments import (
     rate_guarantee_check,
 )
 from gcflow.kernels import make_positive_type, make_smoothed_indicator
-from gcflow.spectral import Grid
+from gcflow.jko import JkoConfig, jko_step
+from gcflow.spectral import Grid, RealField, dnorm
 from gcflow.thermo import make_params, rate_constants
 
 
@@ -120,6 +121,34 @@ def test_jko_study_first_order(params):
     sup = [p.sup_d0 for p in rep.points]
     assert sup[0] > sup[1] > sup[2]
     assert np.isfinite(rep.b0)
+
+
+def test_jko_study_matches_hand_stepping(params):
+    # the study's errors equal those of stepping step_imex / jko_step by hand
+    st0 = problems.random_band_state(params, 2, 0.2, seed=73)
+    T, hs = 0.02, (4e-3, 2e-3)
+    rep = jko_convergence_study(st0, T, hs)
+    h_ref, n_cmp = hs[1] / 20, 5
+    ref, st = [], st0
+    for _ in range(n_cmp):
+        for _ in range(round(hs[0] / h_ref)):
+            st = dynamics.step_imex(st, h_ref)
+        ref.append(st.n.values)
+    for h, point in zip(hs, rep.points):
+        st, sup = st0, 0.0
+        for r in ref:
+            for _ in range(round(hs[0] / h)):
+                st, _ = jko_step(st, JkoConfig(h=h))
+            sup = max(sup, dnorm(RealField(params.grid, st.n.values - r), 0))
+        end = dnorm(RealField(params.grid, st.n.values - ref[-1]), 0)
+        assert point.endpoint_d0 == pytest.approx(end, rel=1e-13)
+        assert point.sup_d0 == pytest.approx(sup, rel=1e-13)
+
+
+def test_mode_decay_window_ends_at_T(params):
+    # T / h = 16.67 is not an integer: the last step is shortened to end at T
+    fit = experiments.measure_mode_decay(params, 1, 1e-4, T=0.05, h=0.003, integrator="imex")
+    assert fit.window[1] == 0.05
 
 
 def test_volume_sweep_reproducible(params):
