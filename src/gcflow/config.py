@@ -37,16 +37,20 @@ Grammar (INI-style)::
     inner_tol = 1e-12
     max_inner = 200
     residual_tol = 1e-9
-    relaxation = 1.0
+
+Key names are case-insensitive.  An unknown section or key, a value that does
+not parse (or is not finite) or fails its check, and a missing required key
+raise ConfigError naming `section.key`.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, field, fields, replace
 
-from . import problems, thermo
+from . import kernels, problems, thermo
 from .dynamics import SimState
 from .errors import ConfigError
 from .jko import JkoConfig
@@ -65,7 +69,7 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class InitialSpec:
-    kind: str  # uniform | single_mode | random_band
+    kind: str = "uniform"  # uniform | single_mode | random_band
     mode: int = 1
     eps: float = 1e-3
     k_c: int = 3
@@ -78,163 +82,127 @@ class RunConfig:
     L: float
     M: int
     kappa: float
-    mu: float | None
-    m0: float | None
     kernel: KernelSpec
+    mu: float | None = None
+    m0: float | None = None
     integrator: str = "imex"
     h: float | None = None
     T: float = 1.0
     stride: int = 1
     out_dir: str = "out"
     seed: int = 0
-    initial: InitialSpec = field(default_factory=lambda: InitialSpec("uniform"))
+    initial: InitialSpec = field(default_factory=InitialSpec)
     jko: JkoConfig = field(default_factory=lambda: JkoConfig(h=1e-3))
 
 
-def _get(cp: configparser.ConfigParser, section: str, key: str, cast, default=None):
-    if not cp.has_option(section, key):
-        return default
-    raw = cp.get(section, key)
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}", f"cannot parse {raw!r}") from None
+def _finite(raw: str) -> float:
+    if not math.isfinite(value := float(raw)):
+        raise ValueError(raw)
+    return value
 
 
-def _require(cp: configparser.ConfigParser, section: str, key: str, cast):
-    if not cp.has_option(section, key):
-        raise ConfigError(f"{section}.{key}", "missing required key")
-    return _get(cp, section, key, cast)
+def _check(ok, reason: str):
+    """A check: `reason` for a value that fails `ok`, None for one that passes."""
+    return lambda v: None if ok(v) else reason
+
+
+def _one_of(*allowed):
+    return _check(lambda v: v in allowed, "must be one of " + ", ".join(map(str, allowed)))
+
+
+_POSITIVE = _check(lambda v: v > 0, "must be positive")
+_NONNEGATIVE = _check(lambda v: v >= 0, "must be nonnegative")
+
+# [kernel] keys of one family; each is required with its family
+_FAMILY_KEYS = {"smoothed_indicator": {"radius": (_finite, _POSITIVE),
+                                       "mollifier_width": (_finite, _POSITIVE)},
+                "positive_type": {"width": (_finite, _POSITIVE)}}
+# Each key once: section -> (dataclass it fills, key -> (parser, check)); a key's
+# default is its field's.  [kernel], [initial] and [jko] fill those RunConfig fields
+_SECTIONS = {
+    "grid": (RunConfig, {"d": (int, _one_of(1, 2)), "L": (_finite, _POSITIVE),
+        "M": (int, _check(lambda m: m >= 8 and not m & (m - 1), "must be a power of two >= 8"))}),
+    "model": (RunConfig, {"mu": (_finite, None), "m0": (_finite, _POSITIVE),
+        "kappa": (_finite, _check(lambda k: 0.0 < k < 0.5, "must lie in (0, 1/2)"))}),
+    "kernel": (KernelSpec, {"family": (str, _one_of(*_FAMILY_KEYS)),
+        "amplitude": (_finite, _NONNEGATIVE)}),
+    "run": (RunConfig, {"integrator": (str, _one_of("imex", "rk4", "rk4_canonical", "jko")),
+        "h": (_finite, _POSITIVE), "T": (_finite, _NONNEGATIVE), "stride": (int, _POSITIVE),
+        "out_dir": (str, _check(bool, "must not be empty")), "seed": (int, _NONNEGATIVE)}),
+    "initial": (InitialSpec, {"kind": (str, _one_of("uniform", "single_mode", "random_band")),
+        "mode": (int, None), "eps": (_finite, None), "k_c": (int, None), "amp": (_finite, None)}),
+    "jko": (JkoConfig, {"inner_tol": (_finite, _POSITIVE), "max_inner": (int, _POSITIVE),
+        "residual_tol": (_finite, _POSITIVE)}),
+}
+
+
+def _keys(section: str, family: str | None) -> tuple[dict, set]:
+    """The keys `section` takes, and those it requires (no field default, or of the family)."""
+    cls, keys = _SECTIONS[section]
+    own = _FAMILY_KEYS.get(family, {}) if section == "kernel" else {}
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    return {**keys, **own}, required | set(own)
+
+
+def _read(cp: configparser.ConfigParser, section: str, family: str | None) -> dict:
+    """Parsed and checked values of the keys that `section` sets."""
+    keys, required = _keys(section, family)
+    given = cp[section] if cp.has_section(section) else {}
+    values = {}
+    for key, (parse, check) in keys.items():
+        raw = given.get(key)
+        if raw is None and key in required:
+            raise ConfigError(f"{section}.{key}", "missing required key")
+        if raw is None:
+            continue
+        try:
+            values[key] = parse(raw)
+        except ValueError:
+            raise ConfigError(f"{section}.{key}", f"cannot parse {raw!r}") from None
+        reason = check(values[key]) if check else None
+        if reason:
+            raise ConfigError(f"{section}.{key}", reason)
+    for key in given:
+        if key not in {k.lower() for k in keys}:
+            raise ConfigError(f"{section}.{key}", f"unknown key; known: {', '.join(keys)}")
+    return values
 
 
 def parse_config(text: str) -> RunConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError("<file>", f"parse error: {exc}") from None
-    for sec in ("grid", "model", "kernel"):
-        if not cp.has_section(sec):
-            raise ConfigError(sec, "missing required section")
-
-    d = _require(cp, "grid", "d", int)
-    L = _require(cp, "grid", "L", float)
-    M = _require(cp, "grid", "M", int)
-    if d not in (1, 2):
-        raise ConfigError("grid.d", "must be 1 or 2")
-    if M < 8 or (M & (M - 1)) != 0:
-        raise ConfigError("grid.M", "must be a power of two >= 8")
-    if L <= 0:
-        raise ConfigError("grid.L", "must be positive")
-
-    kappa = _require(cp, "model", "kappa", float)
-    if not 0.0 < kappa < 0.5:
-        raise ConfigError("model.kappa", "must lie in (0, 1/2)")
-    mu = _get(cp, "model", "mu", float)
-    m0 = _get(cp, "model", "m0", float)
-    if (mu is None) == (m0 is None):
+    for section in cp.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(section, f"unknown section; sections are {', '.join(_SECTIONS)}")
+    family = cp.get("kernel", "family", fallback=None)
+    values = {section: _read(cp, section, family) for section in _SECTIONS}
+    if ("mu" in values["model"]) == ("m0" in values["model"]):
         raise ConfigError("model.mu/m0", "exactly one of mu, m0 must be set")
-    if m0 is not None and m0 <= 0:
-        raise ConfigError("model.m0", "must be positive")
-
-    family = _require(cp, "kernel", "family", str)
-    if family == "smoothed_indicator":
-        kern = KernelSpec(
-            family,
-            _require(cp, "kernel", "amplitude", float),
-            radius=_require(cp, "kernel", "radius", float),
-            mollifier_width=_require(cp, "kernel", "mollifier_width", float),
-        )
-    elif family == "positive_type":
-        kern = KernelSpec(
-            family,
-            _require(cp, "kernel", "amplitude", float),
-            width=_require(cp, "kernel", "width", float),
-        )
-    else:
-        raise ConfigError("kernel.family", f"unknown family {family!r}")
-
-    integrator = _get(cp, "run", "integrator", str, "imex")
-    if integrator not in ("imex", "rk4", "rk4_canonical", "jko"):
-        raise ConfigError("run.integrator", f"unknown integrator {integrator!r}")
-    initial_kind = _get(cp, "initial", "kind", str, "uniform")
-    if initial_kind not in ("uniform", "single_mode", "random_band"):
-        raise ConfigError("initial.kind", f"unknown kind {initial_kind!r}")
-    h = _get(cp, "run", "h", float)
-    jko_cfg = JkoConfig(
-        h=h if h is not None else 1e-3,
-        inner_tol=_get(cp, "jko", "inner_tol", float, 1e-12),
-        max_inner=_get(cp, "jko", "max_inner", int, 200),
-        residual_tol=_get(cp, "jko", "residual_tol", float, 1e-9),
-        relaxation=_get(cp, "jko", "relaxation", float, 1.0),
-    )
-    return RunConfig(
-        d=d, L=L, M=M, kappa=kappa, mu=mu, m0=m0, kernel=kern,
-        integrator=integrator, h=h,
-        T=_get(cp, "run", "T", float, 1.0),
-        stride=_get(cp, "run", "stride", int, 1),
-        out_dir=_get(cp, "run", "out_dir", str, "out"),
-        seed=_get(cp, "run", "seed", int, 0),
-        initial=InitialSpec(
-            kind=initial_kind,
-            mode=_get(cp, "initial", "mode", int, 1),
-            eps=_get(cp, "initial", "eps", float, 1e-3),
-            k_c=_get(cp, "initial", "k_c", int, 3),
-            amp=_get(cp, "initial", "amp", float, 0.25),
-        ),
-        jko=jko_cfg,
-    )
+    cfg = RunConfig(**values["grid"], **values["model"], **values["run"],
+                    kernel=KernelSpec(**values["kernel"]),
+                    initial=InitialSpec(**values["initial"]))
+    return replace(cfg, jko=replace(cfg.jko, h=cfg.h or cfg.jko.h, **values["jko"]))
 
 
 def load_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
-            text = fh.read()
+            return parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(path, str(exc)) from None
-    return parse_config(text)
 
 
 def dump_config(cfg: RunConfig) -> str:
     """Serialize a RunConfig; parse_config(dump_config(c)) == c."""
-    cp = configparser.ConfigParser()
-    cp["grid"] = {"d": str(cfg.d), "L": repr(cfg.L), "M": str(cfg.M)}
-    model = {"kappa": repr(cfg.kappa)}
-    if cfg.mu is not None:
-        model["mu"] = repr(cfg.mu)
-    else:
-        model["m0"] = repr(cfg.m0)
-    cp["model"] = model
-    kern = {"family": cfg.kernel.family, "amplitude": repr(cfg.kernel.amplitude)}
-    if cfg.kernel.family == "smoothed_indicator":
-        kern["radius"] = repr(cfg.kernel.radius)
-        kern["mollifier_width"] = repr(cfg.kernel.mollifier_width)
-    else:
-        kern["width"] = repr(cfg.kernel.width)
-    cp["kernel"] = kern
-    run = {
-        "integrator": cfg.integrator,
-        "T": repr(cfg.T),
-        "stride": str(cfg.stride),
-        "out_dir": cfg.out_dir,
-        "seed": str(cfg.seed),
-    }
-    if cfg.h is not None:
-        run["h"] = repr(cfg.h)
-    cp["run"] = run
-    cp["initial"] = {
-        "kind": cfg.initial.kind,
-        "mode": str(cfg.initial.mode),
-        "eps": repr(cfg.initial.eps),
-        "k_c": str(cfg.initial.k_c),
-        "amp": repr(cfg.initial.amp),
-    }
-    cp["jko"] = {
-        "inner_tol": repr(cfg.jko.inner_tol),
-        "max_inner": str(cfg.jko.max_inner),
-        "residual_tol": repr(cfg.jko.residual_tol),
-        "relaxation": repr(cfg.jko.relaxation),
-    }
+    cp = configparser.ConfigParser(interpolation=None)
+    for section, (cls, _) in _SECTIONS.items():
+        obj = cfg if cls is RunConfig else getattr(cfg, section)
+        values = {key: getattr(obj, key) for key in _keys(section, cfg.kernel.family)[0]}
+        cp[section] = {key: str(v) for key, v in values.items() if v is not None}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
@@ -242,17 +210,11 @@ def dump_config(cfg: RunConfig) -> str:
 
 def build_params(cfg: RunConfig) -> ModelParams:
     grid = Grid.make(cfg.d, cfg.L, cfg.M)
-    if cfg.kernel.family == "smoothed_indicator":
-        kern = problems.make_kernel(
-            grid, "smoothed_indicator",
-            amplitude=cfg.kernel.amplitude, radius=cfg.kernel.radius,
-            mollifier_width=cfg.kernel.mollifier_width,
-        )
+    k = cfg.kernel
+    if k.family == "smoothed_indicator":
+        kern = kernels.make_smoothed_indicator(grid, k.amplitude, k.radius, k.mollifier_width)
     else:
-        kern = problems.make_kernel(
-            grid, "positive_type",
-            amplitude=cfg.kernel.amplitude, width=cfg.kernel.width,
-        )
+        kern = kernels.make_positive_type(grid, k.amplitude, k.width)
     return thermo.make_params(grid, kern, cfg.kappa, mu=cfg.mu, m0=cfg.m0)
 
 

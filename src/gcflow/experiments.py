@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, jko, problems, thermo
+from . import dynamics, jko, kernels, problems, thermo
 from .dynamics import SimState, Trajectory
-from .errors import InsufficientData
+from .errors import ConfigError, InsufficientData
 from .spectral import Grid, RealField, dnorm, forward, l2_norm
 from .thermo import ModelParams
 
@@ -150,7 +150,7 @@ def _box_params(L: float, M_per_L: int, kernel_kw: dict, kappa: float, m0: float
                 d: int = 1) -> ModelParams:
     """The model on a box of side L at fixed grid spacing L / (M_per_L L)."""
     g = Grid.make(d, float(L), int(round(M_per_L * L)))
-    kern = problems.make_kernel(g, "smoothed_indicator", **kernel_kw)
+    kern = kernels.make_smoothed_indicator(g, **kernel_kw)
     return thermo.make_params(g, kern, kappa, m0=m0)
 
 
@@ -310,9 +310,15 @@ def jko_convergence_study(
 ) -> JkoStudyReport:
     """First-order convergence of the variational integrator against a fine
     IMEX reference with step min(h) / 20.  Errors are D0/D1 norms of the
-    density difference at the common comparison times j * max(h)."""
+    density difference at the common comparison times j * max(h); ConfigError
+    unless the steps are two or more distinct values in (0, T], each dividing
+    the largest."""
     g = state0.params.grid
     h_max = max(h_values)
+    if not (len(set(h_values)) > 1 and all(0 < h <= T for h in h_values)
+            and all(abs(h_max / h - round(h_max / h)) <= 1e-9 * h_max / h for h in h_values)):
+        raise ConfigError("h_values", "expected two or more distinct steps in (0, T], "
+                                      "each dividing the largest")
     h_ref = min(h_values) / 20
     per = round(h_max / h_ref)
     ref = _completed(dynamics.evolve(state0, T, h_ref, stride=per, snapshot_every=per))

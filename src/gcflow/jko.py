@@ -42,13 +42,10 @@ class JkoConfig:
     inner_tol: float = 1e-12  # D0 stopping tolerance on psi increments
     max_inner: int = 200
     residual_tol: float = 1e-9
-    relaxation: float = 1.0  # optional damping factor in (0, 1]
 
     def __post_init__(self):
         if self.h <= 0 or self.inner_tol <= 0 or self.residual_tol <= 0:
             raise ValueError("h, inner_tol, residual_tol must be positive")
-        if not (0.0 < self.relaxation <= 1.0):
-            raise ValueError(f"relaxation must be in (0, 1], got {self.relaxation}")
 
 
 @dataclass
@@ -125,8 +122,6 @@ def jko_step(state: SimState, cfg: JkoConfig) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         for iters in range(1, cfg.max_inner + 1):
             next_hat = _fixed_point_rhs(frozen, state, psi, psi_hat, h) * helmholtz
-            if cfg.relaxation < 1.0:
-                next_hat = (1.0 - cfg.relaxation) * psi_hat + cfg.relaxation * next_hat
             delta = spectral._dnorm(g, next_hat - psi_hat, 0)
             d0 = spectral._dnorm(g, next_hat, 0)
             if not np.isfinite(d0):

@@ -110,8 +110,8 @@ def make_positive_type(grid: Grid, amplitude: float, width: float) -> Kernel:
     s = float(width)
     if s >= grid.L / 8.0:
         raise WidthTooLarge(f"width {s} >= L/8 = {grid.L / 8}")
-    if s <= 0 or amplitude <= 0:
-        raise ValueError("amplitude and width must be positive")
+    if s <= 0 or amplitude < 0:
+        raise ValueError("width must be positive and amplitude nonnegative")
     x1 = np.arange(grid.M) * grid.dx
     prof = np.zeros(grid.M)
     for n in range(-3, 4):

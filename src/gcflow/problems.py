@@ -1,23 +1,12 @@
-"""Problem assembly: kernels, model parameters, and initial conditions."""
+"""Initial states: uniform, single-mode and band-limited random densities."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import kernels, thermo
 from .dynamics import SimState
-from .spectral import Grid, RealField
+from .spectral import RealField
 from .thermo import ModelParams
-
-
-def make_kernel(grid: Grid, family: str, **kw) -> kernels.Kernel:
-    if family == "smoothed_indicator":
-        return kernels.make_smoothed_indicator(
-            grid, kw["amplitude"], kw["radius"], kw["mollifier_width"]
-        )
-    if family == "positive_type":
-        return kernels.make_positive_type(grid, kw["amplitude"], kw["width"])
-    raise ValueError(f"unknown kernel family {family!r}")
 
 
 def uniform_state(params: ModelParams, density: float | None = None) -> SimState:

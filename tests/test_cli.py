@@ -1,7 +1,9 @@
 """Config parsing and the command-line surface."""
 
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -106,6 +108,71 @@ def test_run_section_optional(tmp_path):
     assert cfg.h is None and cfg.integrator == "imex"
 
 
+def test_roundtrip_over_config_variants():
+    kernels = {"smoothed_indicator": "radius = 0.1\nmollifier_width = 0.02",
+               "positive_type": "width = 0.05"}
+    runs = {"absent": "", "partial": "[run]\nT = 0.5\n",
+            "full": "[run]\nintegrator = jko\nh = 0.002\nT = 0.0\nstride = 3\n"
+                    "out_dir = runs/50%\nseed = 11\n"}
+    initials = {"uniform": "kind = uniform",
+                "single_mode": "kind = single_mode\nmode = 2\neps = 0.01",
+                "random_band": "kind = random_band\nk_c = 4\namp = 0.1"}
+    jkos = {"absent": "",
+            "present": "[jko]\ninner_tol = 1e-10\nmax_inner = 50\nresidual_tol = 1e-8\n"}
+    variants = itertools.product((1, 2), ("m0 = 0.05", "mu = -2.5"), kernels, runs, initials, jkos)
+    for d, density, family, run, initial, jko in variants:
+        text = (f"[grid]\nd = {d}\nL = 1.0\nM = 32\n[model]\nkappa = 0.3\n{density}\n"
+                f"[kernel]\nfamily = {family}\namplitude = 0.5\n{kernels[family]}\n"
+                f"{runs[run]}[initial]\n{initials[initial]}\n{jkos[jko]}")
+        cfg = parse_config(text)
+        assert parse_config(dump_config(cfg)) == cfg, text
+
+
+def test_zero_end_time_loads(tmp_path, capsys):
+    # distance marches nothing, so its configs may set T = 0
+    cfgp = write_config(tmp_path, BASE.replace("T = 0.05", "T = 0.0"))
+    params = build_params(load_config(cfgp))
+    a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
+    fieldio.save_binary(a, problems.single_mode_state(params, 1, 0.003).n)
+    fieldio.save_binary(b, problems.single_mode_state(params, 2, 0.003).n)
+    assert main(["distance", a, b, "--config", cfgp, "--segments", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["d_a"] > 0
+
+
+def test_readme_example_parses():
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = parse_config(block)
+    assert cfg.initial.kind == "random_band" and cfg.stride == 10
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ("T = 0.05", "T = 0", "run.T"),
+    ("T = 0.05", "T = inf", "run.T"),
+    ("stride = 10", "stride = 0", "run.stride"),
+    ("h = 0.001", "h = -1e-3", "run.h"),
+    ("kind = uniform", "kind = uniform\n[jko]\ninner_tol = 0", "jko.inner_tol"),
+    ("amplitude = 1.0", "amplitude = -1", "kernel.amplitude"),
+    ("family = smoothed_indicator", "family = positive_type\nwidth = 0", "kernel.width"),
+    ("stride = 10", "stirde = 10", "run.stirde"),
+    ("kind = uniform", "kind = uniform\nseed = 0", "initial.seed"),
+    ("kind = uniform", "kind = uniform\n[output]\nformat = csv", "output"),
+    ("kind = uniform", "kind = uniform\n[jko]\nrelaxation = 0.5", "jko.relaxation"),
+    ("radius = 0.1", "radius = 0.1\nwidth = 0.1", "kernel.width"),
+], ids=["T-zero", "T-inf", "stride-zero", "h-negative", "inner-tol-zero", "amplitude-negative",
+        "positive-type-width-zero", "misspelled-key", "seed-in-initial", "unknown-section",
+        "relaxation", "other-family-key"])
+def test_bad_config_exit_2(tmp_path, capsys, old, new, field):
+    text = BASE.replace(old, new)
+    if "positive_type" in new:
+        text = text.replace("radius = 0.1\n", "").replace("mollifier_width = 0.02\n", "")
+    assert main(["evolve", "--config", write_config(tmp_path, text)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigError" and err["message"].startswith(field + ":")
+
+
 # -- CLI --------------------------------------------------------------------
 
 
@@ -150,6 +217,15 @@ def test_kernel_info_json(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["positive_type"] is False
     assert payload["w"] > 0
+
+
+def test_zero_amplitude_gaussian_kernel(tmp_path, capsys):
+    # amplitude 0 (no interaction) is accepted by both kernel families
+    text = BASE.replace("amplitude = 1.0", "amplitude = 0.0").replace(
+        "family = smoothed_indicator", "family = positive_type\nwidth = 0.05").replace(
+        "radius = 0.1\nmollifier_width = 0.02\n", "")
+    assert main(["kernel-info", "--config", write_config(tmp_path, text)]) == 0
+    assert json.loads(capsys.readouterr().out)["w"] == 0.0
 
 
 def test_distance_subcommand(tmp_path, capsys):
@@ -215,8 +291,8 @@ def test_evolve_ndjson_deterministic(tmp_path):
 def test_jko_divergence_prints_one_line(tmp_path):
     # h = 1 overflows the inner iterate; stderr holds the JSON error only
     text = BASE.replace("integrator = imex", "integrator = jko").replace(
-        "h = 0.001", "h = 1.0").replace("T = 0.05", "T = 2.0").replace(
-        "kind = uniform", "kind = random_band\nk_c = 3\namp = 0.3\nseed = 0")
+        "h = 0.001", "h = 1.0").replace("T = 0.05", "T = 2.0\nseed = 0").replace(
+        "kind = uniform", "kind = random_band\nk_c = 3\namp = 0.3")
     src = os.path.dirname(os.path.dirname(gcflow.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "gcflow.cli", "evolve", "--config",
@@ -229,8 +305,8 @@ def test_jko_divergence_prints_one_line(tmp_path):
 
 def test_sweep_failure_is_one_json_line(tmp_path, capsys):
     text = (BASE.replace("kappa = 0.4", "kappa = 0.05").replace("h = 0.001", "h = 1.0")
-            .replace("T = 0.05", "T = 60").replace(
-                "kind = uniform", "kind = random_band\nk_c = 3\namp = 1.0\nseed = 0"))
+            .replace("T = 0.05", "T = 60\nseed = 0").replace(
+                "kind = uniform", "kind = random_band\nk_c = 3\namp = 1.0"))
     assert main(["sweep", "--config", write_config(tmp_path, text), "--axis", "L=1,2"]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "PositivityLoss"
@@ -244,17 +320,24 @@ def test_sweep_failure_is_one_json_line(tmp_path, capsys):
     ["jko-study", "--h-list", "3e-3,2e-3,1e-3"],  # 2e-3 does not divide 3e-3
     ["distance", "{nan}.missing", "{nan}"],
     ["distance", "{nan}", "{nan}"],
+    ["sweep", "--axis", "L=1", "--config", "{mu}"],  # a sweep sets m0
+    ["distance", "{ok}", "{ok}", "--segments", "1"],
 ], ids=["axis-text", "axis-bad-M", "h-text", "one-h", "h-not-dividing", "missing-field",
-        "nan-field"])
+        "nan-field", "sweep-mu", "one-segment"])
 def test_bad_cli_input_exit_2(tmp_path, capsys, argv):
     cfgp = write_config(tmp_path)
-    nan_path = str(tmp_path / "nan.bin")
+    mu_path = tmp_path / "mu.ini"
+    mu_path.write_text(BASE.replace("m0 = 0.05", "mu = -2.0").format(out=tmp_path / "out"))
+    ok_path, nan_path = str(tmp_path / "ok.bin"), str(tmp_path / "nan.bin")
     params = build_params(load_config(cfgp))
+    fieldio.save_binary(ok_path, problems.uniform_state(params).n)
     fieldio.save_binary(nan_path, problems.uniform_state(params).n)
     with open(nan_path, "r+b") as fh:  # overwrite the first sample with NaN
         fh.seek(32)
         fh.write(np.array([np.nan], dtype="<f8").tobytes())
-    argv = [a.format(nan=nan_path) for a in argv] + ["--config", cfgp]
+    # the last --config wins, so a case may name its own
+    argv = [argv[0], "--config", cfgp] + [a.format(nan=nan_path, ok=ok_path, mu=mu_path)
+                                          for a in argv[1:]]
     assert main(argv) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"

@@ -5,7 +5,7 @@ import pytest
 
 from gcflow import dynamics, experiments, problems
 from gcflow.dynamics import DiagnosticsRecord, Trajectory
-from gcflow.errors import InsufficientData
+from gcflow.errors import ConfigError, InsufficientData
 from gcflow.experiments import (
     corridor_check,
     fit_decay_rate,
@@ -143,6 +143,15 @@ def test_jko_study_matches_hand_stepping(params):
         end = dnorm(RealField(params.grid, st.n.values - ref[-1]), 0)
         assert point.endpoint_d0 == pytest.approx(end, rel=1e-13)
         assert point.sup_d0 == pytest.approx(sup, rel=1e-13)
+
+
+@pytest.mark.parametrize("T, hs", [(0.002, (4e-3, 2e-3)), (0.01, (2e-3,)),
+                                   (0.01, (3e-3, 2e-3)), (0.01, (2e-3, -1e-3))])
+def test_jko_study_rejects_bad_steps(params, T, hs):
+    # a step beyond T used to end in an IndexError; one step fitted no order
+    st = problems.single_mode_state(params, 1, 1e-3)
+    with pytest.raises(ConfigError, match="h_values"):
+        jko_convergence_study(st, T, hs)
 
 
 def test_mode_decay_window_ends_at_T(params):
