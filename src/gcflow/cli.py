@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__, dynamics, experiments, fieldio, jko, kernels, metric, selftest
-from .config import build_initial_state, build_params, load_config
+from .config import build_initial_state, build_params, kernel_keys, load_config
 from .errors import ConfigError, GcflowError
 
 SCHEMA_VERSION = "diagnostics-ndjson/1"
@@ -50,8 +50,11 @@ def _load_run(path: str):
 
 
 def _open_out(out_dir: str, name: str):
-    os.makedirs(out_dir, exist_ok=True)
-    return open(os.path.join(out_dir, name), "w")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        return open(os.path.join(out_dir, name), "w")
+    except OSError as exc:
+        raise ConfigError("run.out_dir", str(exc)) from None
 
 
 def cmd_evolve(args) -> int:
@@ -117,16 +120,19 @@ def cmd_sweep(args) -> int:
         M = round(cfg.M * L) if math.isfinite(L) else 0
         if M < 8 or M & (M - 1):
             raise ConfigError("--axis", f"L={L} gives M={M}, not a power of two >= 8")
+    if cfg.integrator != "imex":
+        raise ConfigError("run.integrator", f"sweep runs imex, not {cfg.integrator}")
     if cfg.kernel.family != "smoothed_indicator":
         raise ConfigError("kernel.family", "sweep supports smoothed_indicator")
     if cfg.m0 is None:
         raise ConfigError("model.m0", "sweep sets the uniform density m0, not mu")
     kernel_kw = {k: getattr(cfg.kernel, k) for k in ("amplitude", "radius", "mollifier_width")}
     h = cfg.h if cfg.h is not None else 2e-3
-    report = experiments.volume_sweep(
-        L_values, cfg.M, kernel_kw, cfg.kappa, cfg.m0, cfg.T, h,
-        seed=cfg.seed, amp=cfg.initial.amp, k_c=cfg.initial.k_c, d=cfg.d,
-    )
+    with kernel_keys():
+        report = experiments.volume_sweep(
+            L_values, cfg.M, kernel_kw, cfg.kappa, cfg.m0, cfg.T, h,
+            seed=cfg.seed, amp=cfg.initial.amp, k_c=cfg.initial.k_c, d=cfg.d,
+        )
     print(json.dumps(report.to_dict()))
     return 0
 

@@ -48,11 +48,12 @@ from __future__ import annotations
 import configparser
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from . import kernels, problems, thermo
 from .dynamics import SimState
-from .errors import ConfigError
+from .errors import BadMollifier, ConfigError, RangeTooLarge, WidthTooLarge
 from .jko import JkoConfig
 from .spectral import Grid
 from .thermo import ModelParams
@@ -208,13 +209,30 @@ def dump_config(cfg: RunConfig) -> str:
     return buf.getvalue()
 
 
+# the [kernel] key behind each kernel geometry error
+_KERNEL_ERROR_KEYS = {RangeTooLarge: "kernel.radius", BadMollifier: "kernel.mollifier_width",
+                      WidthTooLarge: "kernel.width"}
+
+
+@contextmanager
+def kernel_keys():
+    """Report a kernel geometry error, raised while building kernels from
+    config values, as a ConfigError on the [kernel] key behind it."""
+    try:
+        yield
+    except tuple(_KERNEL_ERROR_KEYS) as exc:
+        raise ConfigError(_KERNEL_ERROR_KEYS[type(exc)], str(exc)) from None
+
+
 def build_params(cfg: RunConfig) -> ModelParams:
     grid = Grid.make(cfg.d, cfg.L, cfg.M)
     k = cfg.kernel
-    if k.family == "smoothed_indicator":
-        kern = kernels.make_smoothed_indicator(grid, k.amplitude, k.radius, k.mollifier_width)
-    else:
-        kern = kernels.make_positive_type(grid, k.amplitude, k.width)
+    with kernel_keys():
+        if k.family == "smoothed_indicator":
+            kern = kernels.make_smoothed_indicator(grid, k.amplitude, k.radius,
+                                                   k.mollifier_width)
+        else:
+            kern = kernels.make_positive_type(grid, k.amplitude, k.width)
     return thermo.make_params(grid, kern, cfg.kappa, mu=cfg.mu, m0=cfg.m0)
 
 

@@ -17,8 +17,9 @@ with E2(x) = e^x - 1 - x and
              - psi Omega0 - w_psi Omega0,
 
 where Omega0 = exp(-Psi0) Omega_{N0}, Phi0 = Psi0 - mu + w0 and
-h w_psi = W * ( exp(Psi0) (exp(h psi) - 1) ).  The iteration starts at
-psi = Hinv_h(A); a monotone-growth guard flags divergence (h too large).
+h w_psi = W * ( exp(Psi0) (exp(h psi) - 1) ).  The solve starts at
+psi = Hinv_h(A) and accelerates the fixed-point map by Anderson mixing; a
+guard on growth of the fixed-point residual flags divergence (h too large).
 A equals exp(-Psi0) * rhs(N0), so uniform equilibrium gives A == 0 and the
 step is an exact fixed point there.
 """
@@ -34,6 +35,8 @@ from .dynamics import SimState, Trajectory, _march, diagnostics
 from .errors import InnerDivergence, NonpositiveDensity, ResidualTooLarge
 from .spectral import RealField
 from .thermo import ModelParams
+
+_ANDERSON_DEPTH = 3  # residual differences kept by the Anderson mixing of jko_step
 
 
 @dataclass(frozen=True)
@@ -102,66 +105,80 @@ def _fixed_point_rhs(frozen: _Frozen, state: SimState, psi: np.ndarray,
 def jko_step(state: SimState, cfg: JkoConfig) -> tuple:
     """One implicit step; returns (new state, JkoStepReport).
 
-    The iterate psi is carried with its half spectrum, on which the
-    Helmholtz solve and the D0 norms act directly.  Raises InnerDivergence
-    when the iterates stop being finite or their D0 norm grows for five
+    Solves psi = G(psi), G(psi) = Hinv_h(A + h B(psi) - E2(h psi) / h), by
+    Anderson mixing of depth _ANDERSON_DEPTH (Walker & Ni 2011, SIAM J.
+    Numer. Anal. 49:1715) on a real view of the half spectrum of psi: the
+    next iterate is G(x) minus the combination of recent map-output
+    differences whose residual differences best cancel the residual
+    G(x) - x in least squares.  The step converges when D0(G(x) - x) <=
+    inner_tol and takes G(x) as psi.  Raises InnerDivergence when an iterate
+    stops being finite, when the residual D0(G(x) - x) grows for five
     consecutive iterations (the step size is too large for the contraction),
-    and ResidualTooLarge when the converged step fails the weak-residual
-    acceptance bound.
+    or after max_inner iterations, and ResidualTooLarge when the converged
+    step fails the weak-residual acceptance bound.
     """
     h = cfg.h
     g = state.n.grid
     helmholtz = 1.0 / (1.0 - h * g.lap)
     frozen = _freeze(state)
-    psi_hat = frozen.a_hat * helmholtz
-    psi = spectral._real(psi_hat, g)
-    prev_d0 = spectral._dnorm(g, psi_hat, 0)
+    x_hat = frozen.a_hat * helmholtz
+    outs, resids = [], []  # real views of the last map outputs G(x) and residuals G(x) - x
+    prev_delta = np.inf
     growth_streak = 0
-    iters = 0
     # an overflowing iterate is caught by the isfinite check as InnerDivergence
     with np.errstate(over="ignore", invalid="ignore"):
         for iters in range(1, cfg.max_inner + 1):
-            next_hat = _fixed_point_rhs(frozen, state, psi, psi_hat, h) * helmholtz
-            delta = spectral._dnorm(g, next_hat - psi_hat, 0)
-            d0 = spectral._dnorm(g, next_hat, 0)
-            if not np.isfinite(d0):
+            psi_hat = helmholtz * _fixed_point_rhs(
+                frozen, state, spectral._real(x_hat, g), x_hat, h)
+            resid_hat = psi_hat - x_hat
+            delta = spectral._dnorm(g, resid_hat, 0)
+            if not np.isfinite(delta):
                 raise InnerDivergence(f"inner iterate blew up at iteration {iters}")
-            if d0 > prev_d0 * (1.0 + 1e-15):
+            if delta <= cfg.inner_tol:
+                break
+            if delta > prev_delta * (1.0 + 1e-15):
                 growth_streak += 1
                 if growth_streak >= 5:
                     raise InnerDivergence(
-                        f"iterate norm grew for {growth_streak} consecutive iterations "
-                        f"(h = {h} too large)"
+                        f"fixed-point residual grew for {growth_streak} consecutive "
+                        f"iterations (h = {h} too large)"
                     )
             else:
                 growth_streak = 0
-            psi_hat = next_hat
-            psi = spectral._real(psi_hat, g)
-            prev_d0 = d0
-            if delta <= cfg.inner_tol:
-                break
+            prev_delta = delta
+            outs = (outs + [psi_hat.view(float).ravel()])[-_ANDERSON_DEPTH - 1:]
+            resids = (resids + [resid_hat.view(float).ravel()])[-_ANDERSON_DEPTH - 1:]
+            x = outs[-1]
+            if len(outs) > 1:
+                gamma = np.linalg.lstsq(np.diff(resids, axis=0).T, resids[-1], rcond=None)[0]
+                x = x - np.diff(outs, axis=0).T @ gamma
+            x_hat = x.view(complex).reshape(psi_hat.shape)
         else:
             raise InnerDivergence(f"no inner convergence within {cfg.max_inner} iterations")
 
+    psi = spectral._real(psi_hat, g)
     psi1 = RealField(g, state.psi.values + h * psi)
     new_state = SimState.from_psi(state.t + h, psi1, state.params)
-    resid = residual_implicit(state.n, new_state.n, h, state.params)
+    resid = residual_implicit(state.n, new_state.n, h, state.params, state.wn, new_state.wn)
     if resid > cfg.residual_tol:
         raise ResidualTooLarge(f"weak residual {resid:.3e} > {cfg.residual_tol:.3e}")
     report = JkoStepReport(
         inner_iters=iters,
-        d0_psi=prev_d0,
+        d0_psi=spectral._dnorm(g, psi_hat, 0),
         residual=resid,
         norm_delta_d2=h * spectral._dnorm(g, psi_hat, 2),
     )
     return new_state, report
 
 
-def residual_implicit(n0: RealField, n1: RealField, h: float, params: ModelParams) -> float:
+def residual_implicit(n0: RealField, n1: RealField, h: float, params: ModelParams,
+                      wn0: RealField | None = None, wn1: RealField | None = None) -> float:
     """Relative strong-form residual of the implicit step relation:
 
         || (N1 - N0)/h - div(N0 grad Phi_{N1}) + Omega_{N0} Phi_{N1} ||_L2
         / max(1, ||(N1 - N0)/h||_L2).
+
+    wn0 and wn1 are W*N0 and W*N1 when the caller already has them.
 
     The grid Fourier basis is dense in the test space, so the strong grid
     residual stands in for testing against all admissible test functions.
@@ -169,8 +186,8 @@ def residual_implicit(n0: RealField, n1: RealField, h: float, params: ModelParam
     if np.min(n0.values) <= 0 or np.min(n1.values) <= 0:
         raise NonpositiveDensity("both densities must be positive")
     g = n0.grid
-    phi1 = thermo.potential_phi(n1, params)
-    om0 = thermo.omega(n0, params)
+    phi1 = thermo.potential_phi(n1, params, wn1)
+    om0 = thermo.omega(n0, params, wn0)
     div = spectral._real(spectral.div_n_grad(g, n0.values, spectral._hat(phi1.values)), g)
     rate = (n1.values - n0.values) / h
     defect = RealField(g, rate - div + om0.values * phi1.values)

@@ -42,11 +42,13 @@ class PathDistanceResult:
 
 
 def solve_driving_potential(n0: RealField, target_rate: RealField, params: ModelParams,
-                            tol: float = 1e-10) -> tuple:
+                            tol: float = 1e-10, x0: RealField | None = None) -> tuple:
     """Solve target_rate = div(N0 grad Q) - Omega_{N0} Q for Q.
 
-    Preconditioned CG; relative residual <= tol or NoConvergence after
-    10 * M^d iterations.
+    Preconditioned CG from the starting guess x0 (zero when None); relative
+    residual <= tol of the right-hand side, or NoConvergence after
+    10 * M^d iterations.  The search direction is carried with its half
+    spectrum, so an iteration transforms it only inside the operator.
     """
     if np.min(n0.values) <= 0:
         raise NonpositiveDensity(f"min density {np.min(n0.values):.3e}")
@@ -57,35 +59,41 @@ def solve_driving_potential(n0: RealField, target_rate: RealField, params: Model
     mean_om = float(np.mean(om))
     precond_symbol = 1.0 / (mean_n * spectral._half(grid.k2) + mean_om)
 
-    def apply_m(v: np.ndarray) -> np.ndarray:
+    def apply_m(v: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
         """-( div(N grad Q) - Omega Q ), the positive-definite form."""
-        return om * v - spectral._real(spectral.div_n_grad(grid, n, spectral._hat(v)), grid)
+        return om * v - spectral._real(spectral.div_n_grad(grid, n, v_hat), grid)
 
-    def apply_pre(v: np.ndarray) -> np.ndarray:
-        return spectral._real(spectral._hat(v) * precond_symbol, grid)
+    def apply_pre(v: np.ndarray) -> tuple:
+        """The preconditioned vector and its half spectrum."""
+        z_hat = spectral._hat(v) * precond_symbol
+        return spectral._real(z_hat, grid), z_hat
 
     rhs = -target_rate.values
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return RealField(grid, np.zeros(grid.shape)), EllipticSolveReport(0, 0.0)
 
-    x = np.zeros(grid.shape)
-    r = rhs.copy()
-    z = apply_pre(r)
-    p = z.copy()
-    rz = float(np.sum(r * z))
+    x = np.zeros(grid.shape) if x0 is None else x0.values.copy()
+    r = rhs - apply_m(x, spectral._hat(x))
+    rel = float(np.linalg.norm(r)) / rhs_norm
+    if rel <= tol:
+        return RealField(grid, x), EllipticSolveReport(0, rel)
+    p, p_hat = apply_pre(r)
+    rz = float(np.sum(r * p))
     max_iter = 10 * grid.M**grid.d
     for it in range(1, max_iter + 1):
-        ap = apply_m(p)
+        ap = apply_m(p, p_hat)
         alpha = rz / float(np.sum(p * ap))
         x += alpha * p
         r -= alpha * ap
         rel = float(np.linalg.norm(r)) / rhs_norm
         if rel <= tol:
             return RealField(grid, x), EllipticSolveReport(it, rel)
-        z = apply_pre(r)
+        z, z_hat = apply_pre(r)
         rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
+        beta = rz_new / rz
+        p = z + beta * p
+        p_hat = z_hat + beta * p_hat
         rz = rz_new
     raise NoConvergence(f"PCG stalled at relative residual {rel:.3e} after {max_iter} iterations")
 
@@ -111,16 +119,19 @@ def path_distance_upper(n0: RealField, n1: RealField, segments: int,
     Discretizes s in [0, 1] at segments+1 nodes; at each node solves the
     elliptic equation with the constant target N1 - N0 and density
     N_s = (1-s) N0 + s N1, and integrates the energy by the trapezoid rule.
+    Each solve starts from the previous node's Q, extrapolated linearly
+    from the two previous nodes once there are two.
     """
     if segments < 2:
         raise ValueError(f"need at least 2 segments, got {segments}")
     grid = n0.grid
     target = RealField(grid, n1.values - n0.values)
-    energies = []
+    energies, q, q_prev = [], None, None
     for i in range(segments + 1):
         s = i / segments
         ns = RealField(grid, (1.0 - s) * n0.values + s * n1.values)
-        q, _ = solve_driving_potential(ns, target, params)
+        x0 = q if q_prev is None else RealField(grid, 2.0 * q.values - q_prev.values)
+        q_prev, (q, _) = q, solve_driving_potential(ns, target, params, x0=x0)
         energies.append(-spectral.inner_l2(target, q))
     weights = np.ones(segments + 1)
     weights[0] = weights[-1] = 0.5

@@ -173,6 +173,30 @@ def test_bad_config_exit_2(tmp_path, capsys, old, new, field):
     assert err["error"] == "ConfigError" and err["message"].startswith(field + ":")
 
 
+@pytest.mark.parametrize("command, old, new, field", [
+    ("evolve", "out_dir = {out}", "out_dir = {file}/x", "run.out_dir"),
+    ("evolve", "radius = 0.1", "radius = 0.3", "kernel.radius"),
+    ("evolve", "mollifier_width = 0.02", "mollifier_width = 0.2", "kernel.mollifier_width"),
+    ("evolve", "family = smoothed_indicator\namplitude = 1.0\nradius = 0.1\n"
+               "mollifier_width = 0.02",
+     "family = positive_type\namplitude = 1.0\nwidth = 0.2", "kernel.width"),
+    ("sweep", "radius = 0.1", "radius = 0.12", "kernel.radius"),  # too wide for L = 0.5
+    ("sweep", "integrator = imex", "integrator = jko", "run.integrator"),
+], ids=["out-dir-under-file", "radius-too-large", "mollifier-too-wide", "gaussian-too-wide",
+        "sweep-box-too-small", "sweep-jko"])
+def test_config_value_failure_exit_2(tmp_path, capsys, command, old, new, field):
+    # values that parse but fail later, while building kernels or the output
+    text = BASE.replace(old, new).replace("{file}", str(tmp_path / "c.ini"))
+    argv = [command, "--config", write_config(tmp_path, text)]
+    if command == "sweep":
+        argv += ["--axis", "L=0.5,1"]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigError" and err["message"].startswith(field + ":")
+
+
 # -- CLI --------------------------------------------------------------------
 
 
@@ -289,9 +313,9 @@ def test_evolve_ndjson_deterministic(tmp_path):
 
 
 def test_jko_divergence_prints_one_line(tmp_path):
-    # h = 1 overflows the inner iterate; stderr holds the JSON error only
+    # h = 100 overflows the inner iterate; stderr holds the JSON error only
     text = BASE.replace("integrator = imex", "integrator = jko").replace(
-        "h = 0.001", "h = 1.0").replace("T = 0.05", "T = 2.0\nseed = 0").replace(
+        "h = 0.001", "h = 100.0").replace("T = 0.05", "T = 100.0\nseed = 0").replace(
         "kind = uniform", "kind = random_band\nk_c = 3\namp = 0.3")
     src = os.path.dirname(os.path.dirname(gcflow.__file__))
     proc = subprocess.run(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gcflow import jko, problems
+from gcflow import jko, problems, spectral
 from gcflow.dynamics import rhs_grand, step_imex
 from gcflow.errors import InnerDivergence, NoConvergence
 from gcflow.experiments import linearized_rate
@@ -121,11 +121,36 @@ def test_max_inner_raises(params):
 
 
 def test_large_step_is_inner_divergence(params):
-    # h = 1 overflows the inner iterate; that is a divergence, not a crash
+    # h = 100 overflows the inner iterate; that is a divergence, not a crash
     st = problems.random_band_state(params, 3, 0.3, seed=0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InnerDivergence):
-            jko_step(st, JkoConfig(h=1.0))
+            jko_step(st, JkoConfig(h=100.0))
+
+
+@pytest.mark.parametrize("h", [0.5, 1.0])
+def test_large_step_converges(params, h):
+    st = problems.random_band_state(params, 3, 0.3, seed=0)
+    cfg = JkoConfig(h=h)
+    st1, rep = jko_step(st, cfg)
+    assert rep.residual <= cfg.residual_tol
+    assert rep.inner_iters < 30
+    assert st1.t == h
+
+
+def test_residual_reuses_cached_convolutions(params, monkeypatch):
+    # with W*N of both states given, one residual costs 4 transforms (d = 1)
+    st = problems.random_band_state(params, 3, 0.3, seed=49)
+    st1, _ = jko_step(st, JkoConfig(h=1e-3))
+    recomputed = residual_implicit(st.n, st1.n, 1e-3, params)
+    calls = []
+    for name in ("_hat", "_real"):
+        transform = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name,
+                            lambda *a, _t=transform: calls.append(1) or _t(*a))
+    cached = residual_implicit(st.n, st1.n, 1e-3, params, st.wn, st1.wn)
+    assert len(calls) == 4
+    assert abs(cached - recomputed) <= 1e-14 * recomputed
 
 
 def test_jko_evolve_ends_at_T(params):

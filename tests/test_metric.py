@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gcflow import problems, thermo
+from gcflow import metric, problems, thermo
 from gcflow.kernels import make_smoothed_indicator
 from gcflow.metric import (
     approx_distance,
@@ -141,6 +141,43 @@ def test_forward_reverse_symmetry(params):
     fwd = path_distance_upper(na, nb, 16, params).value_sq
     rev = path_distance_upper(nb, na, 16, params).value_sq
     assert abs(fwd - rev) < 1e-8 * max(1.0, fwd)
+
+
+def test_warm_started_path_matches_cold(params, monkeypatch):
+    # each node's solve starts from the previous nodes' Q; from zero at
+    # every node the path gives the same value with more PCG iterations
+    na = problems.random_band_state(params, 3, 0.3, seed=59).n
+    nb = problems.random_band_state(params, 3, 0.3, seed=60).n
+    solve = metric.solve_driving_potential
+
+    def path(warm):
+        iters = []
+
+        def counting(n, rate, params_, x0=None):
+            q, rep = solve(n, rate, params_, x0=x0 if warm else None)
+            iters.append(rep.iterations)
+            return q, rep
+
+        monkeypatch.setattr(metric, "solve_driving_potential", counting)
+        return path_distance_upper(na, nb, 16, params).value_sq, sum(iters)
+
+    (warm, warm_iters), (cold, cold_iters) = path(True), path(False)
+    assert abs(warm - cold) <= 1e-10 * cold
+    assert warm_iters < cold_iters
+
+
+def test_warm_start_keeps_solution(params):
+    # a starting guess changes the iterations, not the solution
+    n = problems.random_band_state(params, 3, 0.3, seed=61).n
+    rate = RealField(params.grid, problems.random_band_state(params, 3, 0.3, seed=62).n.values
+                     - n.values)
+    q, rep = solve_driving_potential(n, rate, params)
+    guess = RealField(params.grid, 0.9 * q.values)
+    q_warm, rep_warm = solve_driving_potential(n, rate, params, x0=guess)
+    assert rep_warm.relative_residual <= 1e-10
+    assert np.max(np.abs(q_warm.values - q.values)) <= 1e-8 * np.max(np.abs(q.values))
+    _, rep_exact = solve_driving_potential(n, rate, params, x0=q)
+    assert rep_exact.iterations == 0
 
 
 def test_path_refinement_stabilizes(params):
