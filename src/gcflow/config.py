@@ -19,8 +19,8 @@ Grammar (INI-style)::
     width = 0.1                   # positive_type only
 
     [run]
-    integrator = imex             # imex | rk4 | rk4_canonical | jko
-    h = 0.001                     # omit for the default step size
+    integrator = imex             # imex | rk4 | rk4_canonical | jko (evolve and sweep)
+    h = 0.001                     # omit for the default step size (jko: 1e-3)
     T = 1.0
     stride = 1
     out_dir = out
@@ -33,14 +33,15 @@ Grammar (INI-style)::
     k_c = 3                       # random_band
     amp = 0.25                    # random_band
 
-    [jko]
+    [jko]                         # solver tolerances of the jko step; its size is [run] h
     inner_tol = 1e-12
     max_inner = 200
     residual_tol = 1e-9
 
 Key names are case-insensitive.  An unknown section or key, a value that does
 not parse (or is not finite) or fails its check, and a missing required key
-raise ConfigError naming `section.key`.
+raise ConfigError naming `section.key`; so does, in `build_params`, a kernel
+that does not fit the box or an m0/mu without a representable uniform state.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ import configparser
 import io
 import math
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 
 from . import kernels, problems, thermo
 from .dynamics import SimState
-from .errors import BadMollifier, ConfigError, RangeTooLarge, WidthTooLarge
+from .errors import BadMollifier, ConfigError, NoConvergence, RangeTooLarge, WidthTooLarge
 from .jko import JkoConfig
 from .spectral import Grid
 from .thermo import ModelParams
@@ -93,7 +94,7 @@ class RunConfig:
     out_dir: str = "out"
     seed: int = 0
     initial: InitialSpec = field(default_factory=InitialSpec)
-    jko: JkoConfig = field(default_factory=lambda: JkoConfig(h=1e-3))
+    jko: JkoConfig = field(default_factory=JkoConfig)
 
 
 def _finite(raw: str) -> float:
@@ -183,10 +184,10 @@ def parse_config(text: str) -> RunConfig:
     values = {section: _read(cp, section, family) for section in _SECTIONS}
     if ("mu" in values["model"]) == ("m0" in values["model"]):
         raise ConfigError("model.mu/m0", "exactly one of mu, m0 must be set")
-    cfg = RunConfig(**values["grid"], **values["model"], **values["run"],
-                    kernel=KernelSpec(**values["kernel"]),
-                    initial=InitialSpec(**values["initial"]))
-    return replace(cfg, jko=replace(cfg.jko, h=cfg.h or cfg.jko.h, **values["jko"]))
+    return RunConfig(**values["grid"], **values["model"], **values["run"],
+                     kernel=KernelSpec(**values["kernel"]),
+                     initial=InitialSpec(**values["initial"]),
+                     jko=JkoConfig(**values["jko"]))
 
 
 def load_config(path: str) -> RunConfig:
@@ -233,7 +234,11 @@ def build_params(cfg: RunConfig) -> ModelParams:
                                                    k.mollifier_width)
         else:
             kern = kernels.make_positive_type(grid, k.amplitude, k.width)
-    return thermo.make_params(grid, kern, cfg.kappa, mu=cfg.mu, m0=cfg.m0)
+    try:
+        return thermo.make_params(grid, kern, cfg.kappa, mu=cfg.mu, m0=cfg.m0)
+    except (ValueError, ArithmeticError, NoConvergence) as exc:  # no uniform state fits
+        raise ConfigError("model.mu" if cfg.mu is not None else "model.m0",
+                          str(exc)) from None
 
 
 def build_initial_state(cfg: RunConfig, params: ModelParams) -> SimState:

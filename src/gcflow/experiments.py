@@ -6,9 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, jko, kernels, problems, thermo
+from . import dynamics, kernels, problems, thermo
 from .dynamics import SimState, Trajectory
 from .errors import ConfigError, InsufficientData
+from .jko import JkoConfig
 from .spectral import Grid, RealField, dnorm, forward, l2_norm
 from .thermo import ModelParams
 
@@ -155,9 +156,9 @@ def _box_params(L: float, M_per_L: int, kernel_kw: dict, kappa: float, m0: float
 
 
 def _run_point(label: str, state: SimState, T: float, h: float, integrator: str,
-               stride: int) -> SweepPoint:
+               stride: int, jko: JkoConfig | None = None) -> SweepPoint:
     """Evolve to T and fit the gap decay rate."""
-    traj = _completed(dynamics.evolve(state, T, h, integrator=integrator, stride=stride))
+    traj = _completed(dynamics.evolve(state, T, h, integrator, stride=stride, jko=jko))
     p = state.params
     return SweepPoint(label, p.grid.L, p.grid.M, fit_decay_rate(traj), thermo.rate_constants(p))
 
@@ -174,14 +175,17 @@ def volume_sweep(
     amp: float = 0.25,
     k_c: int = 3,
     d: int = 1,
+    integrator: str = "imex",
+    jko: JkoConfig | None = None,
 ) -> SweepReport:
-    """Run the same grand-canonical relaxation on tori of increasing volume
-    (fixed grid spacing) and compare fitted gap-decay rates."""
+    """Run the same relaxation, by `integrator` (`jko` holds the tolerances
+    of the implicit step), on tori of increasing volume (fixed grid spacing)
+    and compare fitted gap-decay rates."""
     points = []
     for L in L_values:
         params = _box_params(L, M_per_L, kernel_kw, kappa, m0, d)
         state = problems.random_band_state(params, k_c, amp, seed)
-        points.append(_run_point(f"L={L}", state, T, h, "imex", 5))
+        points.append(_run_point(f"L={L}", state, T, h, integrator, 5, jko))
     return _sweep_report(points)
 
 
@@ -306,13 +310,13 @@ def jko_convergence_study(
     state0: SimState,
     T: float,
     h_values: tuple[float, ...],
-    inner_tol: float = 1e-12,
+    jko: JkoConfig | None = None,
 ) -> JkoStudyReport:
-    """First-order convergence of the variational integrator against a fine
-    IMEX reference with step min(h) / 20.  Errors are D0/D1 norms of the
-    density difference at the common comparison times j * max(h); ConfigError
-    unless the steps are two or more distinct values in (0, T], each dividing
-    the largest."""
+    """First-order convergence of the variational integrator (tolerances
+    `jko`) against a fine IMEX reference with step min(h) / 20.  Errors are
+    D0/D1 norms of the density difference at the common comparison times
+    j * max(h); ConfigError unless the steps are two or more distinct values
+    in (0, T], each dividing the largest."""
     g = state0.params.grid
     h_max = max(h_values)
     if not (len(set(h_values)) > 1 and all(0 < h <= T for h in h_values)
@@ -326,8 +330,8 @@ def jko_convergence_study(
     b0 = 0.0
     for h in h_values:
         per_h = round(h_max / h)
-        traj = _completed(jko.jko_evolve(state0, T, jko.JkoConfig(h=h, inner_tol=inner_tol),
-                                         stride=per_h, snapshot_every=per_h))
+        traj = _completed(dynamics.evolve(state0, T, h, "jko", stride=per_h,
+                                          snapshot_every=per_h, jko=jko))
         b0 = max(b0, traj.psi_d0_bound)
         diffs = [RealField(g, s.n.values - r.n.values)
                  for s, r in zip(traj.snapshots, ref.snapshots)]

@@ -26,12 +26,12 @@ step is an exact fixed point there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral, thermo
-from .dynamics import SimState, Trajectory, _march, diagnostics
+from .dynamics import SimState
 from .errors import InnerDivergence, NonpositiveDensity, ResidualTooLarge
 from .spectral import RealField
 from .thermo import ModelParams
@@ -41,14 +41,15 @@ _ANDERSON_DEPTH = 3  # residual differences kept by the Anderson mixing of jko_s
 
 @dataclass(frozen=True)
 class JkoConfig:
-    h: float
+    """Tolerances of the implicit step's solver; the step size is an argument."""
+
     inner_tol: float = 1e-12  # D0 stopping tolerance on psi increments
     max_inner: int = 200
     residual_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.h <= 0 or self.inner_tol <= 0 or self.residual_tol <= 0:
-            raise ValueError("h, inner_tol, residual_tol must be positive")
+        if self.inner_tol <= 0 or self.residual_tol <= 0:
+            raise ValueError("inner_tol, residual_tol must be positive")
 
 
 @dataclass
@@ -102,8 +103,8 @@ def _fixed_point_rhs(frozen: _Frozen, state: SimState, psi: np.ndarray,
     return frozen.a_hat + h * g.lap * wp_hat + spectral._hat(local)
 
 
-def jko_step(state: SimState, cfg: JkoConfig) -> tuple:
-    """One implicit step; returns (new state, JkoStepReport).
+def jko_step(state: SimState, h: float, cfg: JkoConfig | None = None) -> tuple:
+    """One implicit step of size h; returns (new state, JkoStepReport).
 
     Solves psi = G(psi), G(psi) = Hinv_h(A + h B(psi) - E2(h psi) / h), by
     Anderson mixing of depth _ANDERSON_DEPTH (Walker & Ni 2011, SIAM J.
@@ -115,9 +116,12 @@ def jko_step(state: SimState, cfg: JkoConfig) -> tuple:
     stops being finite, when the residual D0(G(x) - x) grows for five
     consecutive iterations (the step size is too large for the contraction),
     or after max_inner iterations, and ResidualTooLarge when the converged
-    step fails the weak-residual acceptance bound.
+    step fails the weak-residual acceptance bound.  `cfg` holds the solver
+    tolerances (JkoConfig defaults when None).
     """
-    h = cfg.h
+    if h <= 0:
+        raise ValueError(f"h must be positive, got {h}")
+    cfg = cfg or JkoConfig()
     g = state.n.grid
     helmholtz = 1.0 / (1.0 - h * g.lap)
     frozen = _freeze(state)
@@ -194,26 +198,3 @@ def residual_implicit(n0: RealField, n1: RealField, h: float, params: ModelParam
     scale = max(1.0, spectral.l2_norm(RealField(g, rate)))
     return spectral.l2_norm(defect) / scale
 
-
-def jko_evolve(state: SimState, T: float, cfg: JkoConfig,
-               observers: list | None = None,
-               stride: int = 1,
-               snapshot_every: int | None = None) -> Trajectory:
-    """Repeated implicit steps with per-step reports merged into the
-    diagnostics stream.  Tracks the running bound b0 = max ||psi||_D0."""
-    b0 = 0.0
-
-    def advance(s: SimState, h: float) -> tuple:
-        nonlocal b0
-        s, report = jko_step(s, cfg if h == cfg.h else replace(cfg, h=h))
-        b0 = max(b0, report.d0_psi)
-        return s, report
-
-    traj = _march(
-        state, T, cfg.h, advance,
-        lambda step, s, rep: diagnostics(step, s, inner_iters=rep.inner_iters,
-                                         residual=rep.residual),
-        stride, observers, snapshot_every,
-    )
-    traj.psi_d0_bound = b0
-    return traj

@@ -107,14 +107,14 @@ def run_checks() -> list[tuple[str, bool, str]]:
 
     def jko_uniform():
         st = problems.uniform_state(params)
-        st1, rep = jko.jko_step(st, jko.JkoConfig(h=1e-3))
+        st1, rep = jko.jko_step(st, 1e-3)
         err = float(np.max(np.abs(st1.n.values - params.m0)))
         assert err < 1e-12, err
         return f"drift {err:.2e}, {rep.inner_iters} inner iters"
 
     def jko_residual():
         st = problems.single_mode_state(params, 1, 0.002)
-        _, rep = jko.jko_step(st, jko.JkoConfig(h=1e-3))
+        _, rep = jko.jko_step(st, 1e-3)
         assert rep.residual < 1e-9, rep.residual
         return f"implicit residual {rep.residual:.2e}"
 

@@ -19,7 +19,7 @@ from gcflow.experiments import (
     rate_guarantee_check,
     volume_sweep,
 )
-from gcflow.jko import JkoConfig, jko_evolve, jko_step
+from gcflow.jko import jko_step
 from gcflow.kernels import make_positive_type, make_smoothed_indicator
 from gcflow.metric import path_distance_upper, solve_driving_potential
 from gcflow.spectral import Grid, RealField, divergence, dnorm, gradient, l2_norm
@@ -54,7 +54,7 @@ def test_criterion_01_stationarity(params):
     devs["rk4"] = max(
         max(abs(r.n_min - M0), abs(r.n_max - M0)) for r in traj.records
     )
-    traj = jko_evolve(st, 1.0, JkoConfig(h=1e-2), stride=10)
+    traj = evolve(st, 1.0, 1e-2, "jko", stride=10)
     devs["jko"] = max(
         max(abs(r.n_min - M0), abs(r.n_max - M0)) for r in traj.records
     )
@@ -70,7 +70,7 @@ def test_criterion_02_free_energy_monotone(params):
     st = problems.random_band_state(params, 3, 0.3, seed=101)
     runs.append(("imex", evolve(st, 1.0, 1e-3, stride=1)))
     runs.append(("rk4", evolve(st, 0.05, 5e-5, integrator="rk4", stride=1)))
-    runs.append(("jko", jko_evolve(st, 0.2, JkoConfig(h=2e-3), stride=1)))
+    runs.append(("jko", evolve(st, 0.2, 2e-3, "jko", stride=1)))
     worst = 0.0
     for _, traj in runs:
         assert traj.error is None
@@ -179,7 +179,7 @@ def test_criterion_09_jko_consistency(params):
     max_res = 0.0
     s = st
     for _ in range(25):
-        s, step_rep = jko_step(s, JkoConfig(h=2e-3))
+        s, step_rep = jko_step(s, 2e-3)
         max_res = max(max_res, step_rep.residual)
     rep = jko_convergence_study(st, 0.2, (4e-3, 2e-3, 1e-3))
     d0 = [p.endpoint_d0 for p in rep.points]
@@ -202,7 +202,7 @@ def test_criterion_10_log_density_bookkeeping(params):
     d0_list, d2_list = [], []
     s = st
     for _ in range(50):
-        s, rep = jko_step(s, JkoConfig(h=h))
+        s, rep = jko_step(s, h)
         d0_list.append(rep.d0_psi)
         d2_list.append(rep.norm_delta_d2)
     b0 = max(d0_list)

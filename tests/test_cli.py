@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,10 +12,11 @@ import numpy as np
 import pytest
 
 import gcflow
-from gcflow import fieldio, metric, problems
+from gcflow import dynamics, fieldio, metric, problems
 from gcflow.cli import main
 from gcflow.config import build_params, dump_config, load_config, parse_config
 from gcflow.errors import ConfigError
+from gcflow.experiments import linearized_rate
 
 BASE = """
 [grid]
@@ -181,11 +183,12 @@ def test_bad_config_exit_2(tmp_path, capsys, old, new, field):
                "mollifier_width = 0.02",
      "family = positive_type\namplitude = 1.0\nwidth = 0.2", "kernel.width"),
     ("sweep", "radius = 0.1", "radius = 0.12", "kernel.radius"),  # too wide for L = 0.5
-    ("sweep", "integrator = imex", "integrator = jko", "run.integrator"),
+    ("evolve", "m0 = 0.05", "m0 = 1e300", "model.m0"),  # mu is not representable
+    ("evolve", "m0 = 0.05", "mu = 800", "model.mu"),  # exp(mu) overflows
 ], ids=["out-dir-under-file", "radius-too-large", "mollifier-too-wide", "gaussian-too-wide",
-        "sweep-box-too-small", "sweep-jko"])
+        "sweep-box-too-small", "m0-huge", "mu-huge"])
 def test_config_value_failure_exit_2(tmp_path, capsys, command, old, new, field):
-    # values that parse but fail later, while building kernels or the output
+    # values that parse but fail later, while building the model, kernels or output
     text = BASE.replace(old, new).replace("{file}", str(tmp_path / "c.ini"))
     argv = [command, "--config", write_config(tmp_path, text)]
     if command == "sweep":
@@ -312,10 +315,16 @@ def test_evolve_ndjson_deterministic(tmp_path):
     assert first == second
 
 
-def test_jko_divergence_prints_one_line(tmp_path):
-    # h = 100 overflows the inner iterate; stderr holds the JSON error only
-    text = BASE.replace("integrator = imex", "integrator = jko").replace(
-        "h = 0.001", "h = 100.0").replace("T = 0.05", "T = 100.0\nseed = 0").replace(
+@pytest.mark.parametrize("old, new, error", [
+    # h = 100 overflows the inner iterate of the implicit step
+    ("integrator = imex\nh = 0.001\nT = 0.05", "integrator = jko\nh = 100.0\nT = 100.0",
+     "InnerDivergence"),
+    # the interaction term overflows an IMEX step
+    ("amplitude = 1.0", "amplitude = 1e6", "PositivityLoss"),
+], ids=["jko-h100", "imex-amplitude-1e6"])
+def test_jko_divergence_prints_one_line(tmp_path, old, new, error):
+    # a numerical failure puts its JSON error line, and nothing else, on stderr
+    text = BASE.replace(old, new).replace("stride = 10", "stride = 10\nseed = 0").replace(
         "kind = uniform", "kind = random_band\nk_c = 3\namp = 0.3")
     src = os.path.dirname(os.path.dirname(gcflow.__file__))
     proc = subprocess.run(
@@ -324,7 +333,44 @@ def test_jko_divergence_prints_one_line(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["error"] == "InnerDivergence"
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == error
+
+
+def test_sweep_runs_jko(tmp_path, capsys):
+    # the sweep runs [run] integrator: the implicit scheme's rate is volume independent
+    text = (BASE.replace("integrator = imex", "integrator = jko").replace("h = 0.001", "h = 0.01")
+            .replace("T = 0.05", "T = 1.5"))
+    assert main(["sweep", "--config", write_config(tmp_path, text), "--axis", "L=1,2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [p["L"] for p in report["points"]] == [1.0, 2.0]
+    assert report["max_ratio"] <= 1.10
+
+
+@pytest.mark.parametrize("integrator, T", [("jko", 3e-3), ("imex", 3e-6), ("rk4", 3e-6)])
+def test_evolve_default_h(tmp_path, capsys, integrator, T):
+    # without [run] h, jko steps at 1e-3 and the direct steppers at dynamics.default_h
+    text = BASE.replace("integrator = imex", f"integrator = {integrator}").replace(
+        "h = 0.001\n", "").replace("T = 0.05", f"T = {T}").replace("stride = 10", "stride = 1")
+    cfgp = write_config(tmp_path, text)
+    params = build_params(load_config(cfgp))
+    lam = linearized_rate(2.0 * np.pi * 31, params)
+    h = 1e-3 if integrator == "jko" else dynamics.default_h(params, lam)
+    assert main(["evolve", "--config", cfgp, "--stdout"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
+    assert records[0]["t"] == h
+    assert len(records) == math.ceil(T / h - 1e-9)
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("max_inner", "1", "InnerDivergence"), ("residual_tol", "1e-30", "ResidualTooLarge")])
+def test_jko_study_honours_jko_section(tmp_path, capsys, key, value, error):
+    # each value alone makes the first implicit step fail
+    text = BASE.replace("T = 0.05", "T = 0.004").replace(
+        "kind = uniform", "kind = random_band\nk_c = 3\namp = 0.3") + f"[jko]\n{key} = {value}\n"
+    argv = ["jko-study", "--config", write_config(tmp_path, text), "--h-list", "2e-3,1e-3"]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == error
 
 
 def test_sweep_failure_is_one_json_line(tmp_path, capsys):

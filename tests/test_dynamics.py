@@ -1,5 +1,6 @@
 """Direct time-stepping: right-hand sides, integrators, diagnostics."""
 
+import inspect
 import json
 
 import numpy as np
@@ -220,6 +221,13 @@ def test_evolve_reproducible(params):
     a = evolve(st, 0.05, 1e-3, stride=5)
     b = evolve(st, 0.05, 1e-3, stride=5)
     assert [r.to_json() for r in a.records] == [r.to_json() for r in b.records]
+
+
+def test_steppers_are_public_functions():
+    # the benchmark tracer replaces each stepper by the wrapper of the module function
+    for name, fn in dynamics._STEPPERS.items():
+        assert inspect.isfunction(fn) and fn.__module__ == "gcflow.dynamics", name
+        assert not fn.__name__.startswith("_") and getattr(dynamics, fn.__name__) is fn, name
 
 
 def test_default_h(params):

@@ -14,7 +14,7 @@ from gcflow.experiments import (
     rate_guarantee_check,
 )
 from gcflow.kernels import make_positive_type, make_smoothed_indicator
-from gcflow.jko import JkoConfig, jko_step
+from gcflow.jko import jko_step
 from gcflow.spectral import Grid, RealField, dnorm
 from gcflow.thermo import make_params, rate_constants
 
@@ -138,7 +138,7 @@ def test_jko_study_matches_hand_stepping(params):
         st, sup = st0, 0.0
         for r in ref:
             for _ in range(round(hs[0] / h)):
-                st, _ = jko_step(st, JkoConfig(h=h))
+                st, _ = jko_step(st, h)
             sup = max(sup, dnorm(RealField(params.grid, st.n.values - r), 0))
         end = dnorm(RealField(params.grid, st.n.values - ref[-1]), 0)
         assert point.endpoint_d0 == pytest.approx(end, rel=1e-13)

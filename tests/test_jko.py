@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from gcflow import jko, problems, spectral
-from gcflow.dynamics import rhs_grand, step_imex
+from gcflow.dynamics import evolve, rhs_grand, step_imex
 from gcflow.errors import InnerDivergence, NoConvergence
 from gcflow.experiments import linearized_rate
-from gcflow.jko import JkoConfig, assemble_A, jko_evolve, jko_step, residual_implicit
+from gcflow.jko import JkoConfig, assemble_A, jko_step, residual_implicit
 from gcflow.kernels import make_smoothed_indicator
 from gcflow.spectral import Grid, RealField, dnorm, forward
 from gcflow.thermo import free_energy_grand, make_params
@@ -37,7 +37,7 @@ def test_assemble_A_is_scaled_rhs(params):
 
 def test_uniform_state_is_fixed_point(params):
     st = problems.uniform_state(params)
-    st1, rep = jko_step(st, JkoConfig(h=1e-2))
+    st1, rep = jko_step(st, 1e-2)
     assert np.max(np.abs(st1.n.values - params.m0)) < 1e-12
     assert rep.inner_iters <= 2
 
@@ -48,14 +48,14 @@ def test_symmetry_preservation(params):
     x = grid.points()[0]
     n0 = RealField(grid, params.m0 * np.exp(0.2 * np.cos(2 * np.pi * x)))
     st = jko.SimState.from_density(0.0, n0, params)
-    st1, _ = jko_step(st, JkoConfig(h=2e-3))
+    st1, _ = jko_step(st, 2e-3)
     v = st1.n.values
     assert np.max(np.abs(v[1:] - v[1:][::-1])) < 1e-12
 
 
 def test_implicit_residual_small(params):
     st = problems.random_band_state(params, 3, 0.3, seed=42)
-    st1, rep = jko_step(st, JkoConfig(h=1e-3))
+    st1, rep = jko_step(st, 1e-3)
     assert rep.residual < 1e-9
     replay = residual_implicit(st.n, st1.n, 1e-3, params)
     assert abs(replay - rep.residual) < 1e-12
@@ -66,7 +66,7 @@ def test_single_mode_decay_factor(params):
     grid = params.grid
     eps, mode, h = 1e-5, 2, 2e-3
     st = problems.single_mode_state(params, mode, eps)
-    st1, _ = jko_step(st, JkoConfig(h=h))
+    st1, _ = jko_step(st, h)
     k = 2 * np.pi * mode / grid.L
     amp0 = abs(forward(st.n).coeffs[mode]) / grid.volume
     amp1 = abs(forward(st1.n).coeffs[mode]) / grid.volume
@@ -77,7 +77,7 @@ def test_single_mode_decay_factor(params):
 def test_zero_mode_decay_factor(params):
     eps, h = 1e-5, 2e-3
     st = problems.single_mode_state(params, 0, eps)
-    st1, _ = jko_step(st, JkoConfig(h=h))
+    st1, _ = jko_step(st, h)
     dev0 = abs(float(np.mean(st.n.values)) - params.m0)
     dev1 = abs(float(np.mean(st1.n.values)) - params.m0)
     expected = 1.0 / (1.0 + h * linearized_rate(0.0, params))
@@ -89,7 +89,7 @@ def test_matches_imex_at_first_order(params):
     st = problems.random_band_state(params, 3, 0.2, seed=43)
     errs = []
     for h in (2e-3, 5e-4):
-        a, _ = jko_step(st, JkoConfig(h=h))
+        a, _ = jko_step(st, h)
         b = step_imex(st, h)
         errs.append(np.max(np.abs(a.n.values - b.n.values)))
     # both methods are consistent: their difference vanishes superlinearly
@@ -101,7 +101,7 @@ def test_free_energy_monotone(params):
     st = problems.random_band_state(params, 3, 0.4, seed=44)
     g_prev = free_energy_grand(st.n, params)
     for _ in range(50):
-        st, _ = jko_step(st, JkoConfig(h=2e-3))
+        st, _ = jko_step(st, 2e-3)
         g = free_energy_grand(st.n, params)
         assert g <= g_prev + 1e-10 * max(1.0, abs(g_prev))
         g_prev = g
@@ -109,15 +109,15 @@ def test_free_energy_monotone(params):
 
 def test_inner_iteration_tolerance_respected(params):
     st = problems.random_band_state(params, 3, 0.3, seed=45)
-    _, loose = jko_step(st, JkoConfig(h=1e-3, inner_tol=1e-6))
-    _, tight = jko_step(st, JkoConfig(h=1e-3, inner_tol=1e-13))
+    _, loose = jko_step(st, 1e-3, JkoConfig(inner_tol=1e-6))
+    _, tight = jko_step(st, 1e-3, JkoConfig(inner_tol=1e-13))
     assert tight.inner_iters >= loose.inner_iters
 
 
 def test_max_inner_raises(params):
     st = problems.random_band_state(params, 3, 0.3, seed=46)
     with pytest.raises(NoConvergence):
-        jko_step(st, JkoConfig(h=1e-3, inner_tol=1e-30, max_inner=2))
+        jko_step(st, 1e-3, JkoConfig(inner_tol=1e-30, max_inner=2))
 
 
 def test_large_step_is_inner_divergence(params):
@@ -125,15 +125,14 @@ def test_large_step_is_inner_divergence(params):
     st = problems.random_band_state(params, 3, 0.3, seed=0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InnerDivergence):
-            jko_step(st, JkoConfig(h=100.0))
+            jko_step(st, 100.0)
 
 
 @pytest.mark.parametrize("h", [0.5, 1.0])
 def test_large_step_converges(params, h):
     st = problems.random_band_state(params, 3, 0.3, seed=0)
-    cfg = JkoConfig(h=h)
-    st1, rep = jko_step(st, cfg)
-    assert rep.residual <= cfg.residual_tol
+    st1, rep = jko_step(st, h)
+    assert rep.residual <= JkoConfig().residual_tol
     assert rep.inner_iters < 30
     assert st1.t == h
 
@@ -141,7 +140,7 @@ def test_large_step_converges(params, h):
 def test_residual_reuses_cached_convolutions(params, monkeypatch):
     # with W*N of both states given, one residual costs 4 transforms (d = 1)
     st = problems.random_band_state(params, 3, 0.3, seed=49)
-    st1, _ = jko_step(st, JkoConfig(h=1e-3))
+    st1, _ = jko_step(st, 1e-3)
     recomputed = residual_implicit(st.n, st1.n, 1e-3, params)
     calls = []
     for name in ("_hat", "_real"):
@@ -154,7 +153,7 @@ def test_residual_reuses_cached_convolutions(params, monkeypatch):
 
 
 def test_jko_evolve_ends_at_T(params):
-    traj = jko_evolve(problems.uniform_state(params), 0.01, JkoConfig(h=4e-3))
+    traj = evolve(problems.uniform_state(params), 0.01, 4e-3, "jko")
     assert traj.error is None
     assert [r.step for r in traj.records] == [1, 2, 3]
     assert traj.records[-1].t == 0.01
@@ -162,7 +161,7 @@ def test_jko_evolve_ends_at_T(params):
 
 def test_jko_evolve_tracks_b0(params):
     st = problems.random_band_state(params, 3, 0.3, seed=47)
-    traj = jko_evolve(st, 0.02, JkoConfig(h=1e-3), stride=1)
+    traj = evolve(st, 0.02, 1e-3, "jko", stride=1)
     assert traj.error is None
     assert traj.psi_d0_bound is not None and np.isfinite(traj.psi_d0_bound)
     recs = traj.records
@@ -174,7 +173,7 @@ def test_d2_increment_bounded_linearly_in_h(params):
     st = problems.random_band_state(params, 3, 0.3, seed=48)
     incs = []
     for h in (2e-3, 1e-3, 5e-4):
-        st1, rep = jko_step(st, JkoConfig(h=h))
+        st1, rep = jko_step(st, h)
         incs.append(rep.norm_delta_d2)
     assert 0.35 < incs[1] / incs[0] < 0.65
     assert 0.35 < incs[2] / incs[1] < 0.65
