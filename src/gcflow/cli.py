@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 numerical failure, 2 configuration or input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -14,8 +15,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, dynamics, experiments, fieldio, kernels, metric, selftest
-from .config import build_initial_state, build_params, kernel_keys, load_config
+from . import __version__, dynamics, experiments, fieldio, kernels, metric, problems, selftest
+from .config import build_initial_state, build_params, load_config
 from .errors import ConfigError, GcflowError
 
 SCHEMA_VERSION = "diagnostics-ndjson/1"
@@ -34,11 +35,15 @@ def _floats(flag: str, text: str) -> tuple:
         raise ConfigError(flag, f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _load_field(path: str):
+def _load_field(path: str, grid):
+    """The field stored at `path`, which must lie on the config's `grid`."""
     try:
-        return fieldio.load_binary(path) if path.endswith(".bin") else fieldio.load_csv(path)[0]
+        f = fieldio.load_binary(path) if path.endswith(".bin") else fieldio.load_csv(path)[0]
     except (OSError, ValueError) as exc:  # unreadable file or non-finite samples
         raise ConfigError(path, str(exc)) from None
+    if f.grid != grid:
+        raise ConfigError(path, f"field on {f.grid}, config on {grid}")
+    return f
 
 
 def _load_run(path: str):
@@ -109,22 +114,16 @@ def cmd_sweep(args) -> int:
     if not args.axis.startswith("L="):
         raise ConfigError("--axis", "expected L=<comma-separated values>")
     L_values = _floats("--axis", args.axis[2:])
-    for L in L_values:
+    states = []
+    for L in L_values:  # a box per L at the config's points per unit length
         M = round(cfg.M * L) if math.isfinite(L) else 0
         if M < 8 or M & (M - 1):
             raise ConfigError("--axis", f"L={L} gives M={M}, not a power of two >= 8")
-    if cfg.kernel.family != "smoothed_indicator":
-        raise ConfigError("kernel.family", "sweep supports smoothed_indicator")
-    if cfg.m0 is None:
-        raise ConfigError("model.m0", "sweep sets the uniform density m0, not mu")
-    kernel_kw = {k: getattr(cfg.kernel, k) for k in ("amplitude", "radius", "mollifier_width")}
+        params = build_params(dataclasses.replace(cfg, L=L, M=M))
+        states.append(problems.random_band_state(params, cfg.initial.k_c, cfg.initial.amp,
+                                                 cfg.seed))
     h = cfg.h if cfg.h is not None else 2e-3
-    with kernel_keys():
-        report = experiments.volume_sweep(
-            L_values, cfg.M, kernel_kw, cfg.kappa, cfg.m0, cfg.T, h,
-            seed=cfg.seed, amp=cfg.initial.amp, k_c=cfg.initial.k_c, d=cfg.d,
-            integrator=cfg.integrator, jko=cfg.jko,
-        )
+    report = experiments.volume_sweep(states, cfg.T, h, cfg.integrator, cfg.jko)
     print(json.dumps(report.to_dict()))
     return 0
 
@@ -134,9 +133,9 @@ def cmd_distance(args) -> int:
         raise ConfigError("--segments", f"need at least 2, got {args.segments}")
     cfg = load_config(args.config)
     params = build_params(cfg)
-    na, nb = _load_field(args.field_a), _load_field(args.field_b)
+    na, nb = _load_field(args.field_a, params.grid), _load_field(args.field_b, params.grid)
     h = cfg.h if cfg.h is not None else 1e-3
-    d_a, rep = metric._approx_distance(na, nb, h, params)
+    d_a, rep = metric.approx_distance(na, nb, h, params)
     path = metric.path_distance_upper(na, nb, args.segments, params)
     print(json.dumps({
         "d_a": d_a,

@@ -41,7 +41,11 @@ Grammar (INI-style)::
 Key names are case-insensitive.  An unknown section or key, a value that does
 not parse (or is not finite) or fails its check, and a missing required key
 raise ConfigError naming `section.key`; so does, in `build_params`, a kernel
-that does not fit the box or an m0/mu without a representable uniform state.
+that does not fit the box or an m0/mu without a representable uniform state,
+and, in `build_initial_state`, a single-mode eps that makes the density
+nonpositive.  `build_params` is the one builder of a model from config values:
+`gcflow sweep` calls it on each box, a copy of the config with `L` from its
+axis and `M` scaled by L (the config's M is read as points per unit length).
 """
 
 from __future__ import annotations
@@ -49,12 +53,12 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 
 from . import kernels, problems, thermo
 from .dynamics import SimState
-from .errors import BadMollifier, ConfigError, NoConvergence, RangeTooLarge, WidthTooLarge
+from .errors import (BadMollifier, ConfigError, NoConvergence, PositivityLoss,
+                     RangeTooLarge, WidthTooLarge)
 from .jko import JkoConfig
 from .spectral import Grid
 from .thermo import ModelParams
@@ -215,25 +219,18 @@ _KERNEL_ERROR_KEYS = {RangeTooLarge: "kernel.radius", BadMollifier: "kernel.moll
                       WidthTooLarge: "kernel.width"}
 
 
-@contextmanager
-def kernel_keys():
-    """Report a kernel geometry error, raised while building kernels from
-    config values, as a ConfigError on the [kernel] key behind it."""
-    try:
-        yield
-    except tuple(_KERNEL_ERROR_KEYS) as exc:
-        raise ConfigError(_KERNEL_ERROR_KEYS[type(exc)], str(exc)) from None
-
-
 def build_params(cfg: RunConfig) -> ModelParams:
+    """The model of `cfg`; a value that cannot make one is a ConfigError."""
     grid = Grid.make(cfg.d, cfg.L, cfg.M)
     k = cfg.kernel
-    with kernel_keys():
+    try:
         if k.family == "smoothed_indicator":
             kern = kernels.make_smoothed_indicator(grid, k.amplitude, k.radius,
                                                    k.mollifier_width)
         else:
             kern = kernels.make_positive_type(grid, k.amplitude, k.width)
+    except tuple(_KERNEL_ERROR_KEYS) as exc:  # the kernel does not fit the box
+        raise ConfigError(_KERNEL_ERROR_KEYS[type(exc)], str(exc)) from None
     try:
         return thermo.make_params(grid, kern, cfg.kappa, mu=cfg.mu, m0=cfg.m0)
     except (ValueError, ArithmeticError, NoConvergence) as exc:  # no uniform state fits
@@ -246,5 +243,8 @@ def build_initial_state(cfg: RunConfig, params: ModelParams) -> SimState:
     if ic.kind == "uniform":
         return problems.uniform_state(params)
     if ic.kind == "single_mode":
-        return problems.single_mode_state(params, ic.mode, ic.eps)
+        try:
+            return problems.single_mode_state(params, ic.mode, ic.eps)
+        except PositivityLoss as exc:  # eps drives the density nonpositive before any step
+            raise ConfigError("initial.eps", str(exc)) from None
     return problems.random_band_state(params, ic.k_c, ic.amp, cfg.seed)

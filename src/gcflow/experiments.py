@@ -6,11 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, kernels, problems, thermo
+from . import dynamics, problems, thermo
 from .dynamics import SimState, Trajectory
 from .errors import ConfigError, InsufficientData
 from .jko import JkoConfig
-from .spectral import Grid, RealField, dnorm, forward, l2_norm
+from .spectral import RealField, dnorm, forward, l2_norm
 from .thermo import ModelParams
 
 GAP_FLOOR = 1e-13
@@ -147,14 +147,6 @@ def _sweep_report(points: list[SweepPoint]) -> SweepReport:
     return SweepReport(tuple(points), float(max(lams) / min(lams)))
 
 
-def _box_params(L: float, M_per_L: int, kernel_kw: dict, kappa: float, m0: float,
-                d: int = 1) -> ModelParams:
-    """The model on a box of side L at fixed grid spacing L / (M_per_L L)."""
-    g = Grid.make(d, float(L), int(round(M_per_L * L)))
-    kern = kernels.make_smoothed_indicator(g, **kernel_kw)
-    return thermo.make_params(g, kern, kappa, m0=m0)
-
-
 def _run_point(label: str, state: SimState, T: float, h: float, integrator: str,
                stride: int, jko: JkoConfig | None = None) -> SweepPoint:
     """Evolve to T and fit the gap decay rate."""
@@ -163,30 +155,13 @@ def _run_point(label: str, state: SimState, T: float, h: float, integrator: str,
     return SweepPoint(label, p.grid.L, p.grid.M, fit_decay_rate(traj), thermo.rate_constants(p))
 
 
-def volume_sweep(
-    L_values: tuple[float, ...],
-    M_per_L: int,
-    kernel_kw: dict,
-    kappa: float,
-    m0: float,
-    T: float,
-    h: float,
-    seed: int = 7,
-    amp: float = 0.25,
-    k_c: int = 3,
-    d: int = 1,
-    integrator: str = "imex",
-    jko: JkoConfig | None = None,
-) -> SweepReport:
+def volume_sweep(states: list[SimState], T: float, h: float, integrator: str = "imex",
+                 jko: JkoConfig | None = None) -> SweepReport:
     """Run the same relaxation, by `integrator` (`jko` holds the tolerances
-    of the implicit step), on tori of increasing volume (fixed grid spacing)
+    of the implicit step), from `states`, one per torus of increasing volume,
     and compare fitted gap-decay rates."""
-    points = []
-    for L in L_values:
-        params = _box_params(L, M_per_L, kernel_kw, kappa, m0, d)
-        state = problems.random_band_state(params, k_c, amp, seed)
-        points.append(_run_point(f"L={L}", state, T, h, integrator, 5, jko))
-    return _sweep_report(points)
+    return _sweep_report([_run_point(f"L={s.params.grid.L}", s, T, h, integrator, 5, jko)
+                          for s in states])
 
 
 @dataclass(frozen=True)
@@ -199,11 +174,7 @@ class ContrastReport:
 
 
 def canonical_contrast(
-    L_values: tuple[float, float],
-    M_per_L: int,
-    kernel_kw: dict,
-    kappa: float,
-    m0: float,
+    boxes: tuple[ModelParams, ModelParams],
     eps: float,
     T_canonical: float,
     h_canonical: float,
@@ -211,11 +182,12 @@ def canonical_contrast(
     h_control: float,
 ) -> ContrastReport:
     """Mass-conserving runs slow down with volume (rate ~ k1^2); the
-    grand-canonical control keeps a volume-independent rate."""
+    grand-canonical control keeps a volume-independent rate.  `boxes` are the
+    same model on two tori."""
     canon, ctrl, lam_lin = [], [], []
-    L_base = L_values[0]
-    for L in L_values:
-        params = _box_params(L, M_per_L, kernel_kw, kappa, m0)
+    L_base = boxes[0].grid.L
+    for params in boxes:
+        L = params.grid.L
         lam_lin.append(linearized_rate(2.0 * np.pi / L, params, canonical=True))
         # the mass-conserving rate scales like 1/L^2: stretch the run time to
         # keep the decay profile (and fit window) self-similar across volumes

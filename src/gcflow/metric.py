@@ -98,14 +98,10 @@ def solve_driving_potential(n0: RealField, target_rate: RealField, params: Model
     raise NoConvergence(f"PCG stalled at relative residual {rel:.3e} after {max_iter} iterations")
 
 
-def approx_distance(n0: RealField, n1: RealField, h: float, params: ModelParams) -> float:
+def approx_distance(n0: RealField, n1: RealField, h: float, params: ModelParams) -> tuple:
     """Short-time distance h * <<grad Q, grad Q>>_{N0}^{1/2} with Q driven by
-    the rate (N1 - N0)/h (the static minimizer of the path energy)."""
-    return _approx_distance(n0, n1, h, params)[0]
-
-
-def _approx_distance(n0: RealField, n1: RealField, h: float, params: ModelParams) -> tuple:
-    """approx_distance and the EllipticSolveReport of its solve."""
+    the rate (N1 - N0)/h (the static minimizer of the path energy), and the
+    EllipticSolveReport of its solve."""
     rate = RealField(n0.grid, (n1.values - n0.values) / h)
     q, report = solve_driving_potential(n0, rate, params)
     energy = -spectral.inner_l2(rate, q)  # equals <<grad Q, grad Q>>_{N0}

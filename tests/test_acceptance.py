@@ -135,10 +135,16 @@ def test_criterion_05_rate_bound_positive_type():
     assert ok
 
 
+def box(L):
+    """The criterion model on a torus of side L, 64 points per unit length."""
+    grid = Grid.make(1, L, round(64 * L))
+    return make_params(grid, make_smoothed_indicator(grid, **KERNEL_KW), KAPPA, m0=M0)
+
+
 def test_criterion_06_volume_independence():
     """L in {1,2,4}: fitted rates within 10% of each other."""
-    rep = volume_sweep((1.0, 2.0, 4.0), 64, KERNEL_KW, KAPPA, M0,
-                       T=1.5, h=2e-3, seed=7, amp=0.25, k_c=3)
+    states = [problems.random_band_state(box(L), 3, 0.25, seed=7) for L in (1.0, 2.0, 4.0)]
+    rep = volume_sweep(states, T=1.5, h=2e-3)
     ok = rep.max_ratio <= 1.10
     rates = " ".join(f"{p.label}:{p.fit.lambda_hat:.4f}" for p in rep.points)
     report(6, "volume independence", ok, f"max ratio {rep.max_ratio:.4f} ({rates})")
@@ -148,7 +154,7 @@ def test_criterion_06_volume_independence():
 def test_criterion_07_canonical_contrast():
     """Mass-conserving lowest-mode rate quarters when L doubles; the
     grand-canonical control rate does not move."""
-    rep = canonical_contrast((2.0, 4.0), 64, KERNEL_KW, KAPPA, M0, eps=0.002,
+    rep = canonical_contrast((box(2.0), box(4.0)), eps=0.002,
                              T_canonical=1.0, h_canonical=6e-5,
                              T_control=2.5, h_control=1e-3)
     ok = 3.4 <= rep.canonical_ratio <= 4.6 and 0.9 <= rep.control_ratio <= 1.1

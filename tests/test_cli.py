@@ -185,8 +185,17 @@ def test_bad_config_exit_2(tmp_path, capsys, old, new, field):
     ("sweep", "radius = 0.1", "radius = 0.12", "kernel.radius"),  # too wide for L = 0.5
     ("evolve", "m0 = 0.05", "m0 = 1e300", "model.m0"),  # mu is not representable
     ("evolve", "m0 = 0.05", "mu = 800", "model.mu"),  # exp(mu) overflows
+    # the sweep builds each box's model the way evolve builds its one
+    ("sweep", "radius = 0.1", "radius = 0.3", "kernel.radius"),
+    ("sweep", "family = smoothed_indicator\namplitude = 1.0\nradius = 0.1\n"
+              "mollifier_width = 0.02",
+     "family = positive_type\namplitude = 1.0\nwidth = 0.2", "kernel.width"),
+    ("sweep", "m0 = 0.05", "m0 = 1e300", "model.m0"),
+    ("sweep", "m0 = 0.05", "mu = 800", "model.mu"),
+    ("evolve", "kind = uniform", "kind = single_mode\neps = -1.0", "initial.eps"),
 ], ids=["out-dir-under-file", "radius-too-large", "mollifier-too-wide", "gaussian-too-wide",
-        "sweep-box-too-small", "m0-huge", "mu-huge"])
+        "sweep-box-too-small", "m0-huge", "mu-huge", "sweep-radius-too-large",
+        "sweep-gaussian-too-wide", "sweep-m0-huge", "sweep-mu-huge", "single-mode-nonpositive"])
 def test_config_value_failure_exit_2(tmp_path, capsys, command, old, new, field):
     # values that parse but fail later, while building the model, kernels or output
     text = BASE.replace(old, new).replace("{file}", str(tmp_path / "c.ini"))
@@ -373,6 +382,20 @@ def test_jko_study_honours_jko_section(tmp_path, capsys, key, value, error):
     assert len(lines) == 1 and json.loads(lines[0])["error"] == error
 
 
+@pytest.mark.parametrize("old, new", [
+    ("m0 = 0.05", "mu = -2.0"),
+    ("family = smoothed_indicator\namplitude = 1.0\nradius = 0.1\nmollifier_width = 0.02",
+     "family = positive_type\namplitude = 1.0\nwidth = 0.05"),
+], ids=["mu", "positive-type"])
+def test_sweep_any_model(tmp_path, capsys, old, new):
+    # the sweep takes every model evolve takes: mu instead of m0, either kernel family
+    text = BASE.replace(old, new).replace("h = 0.001", "h = 0.002").replace("T = 0.05", "T = 0.3")
+    assert main(["sweep", "--config", write_config(tmp_path, text), "--axis", "L=1,2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [p["M"] for p in report["points"]] == [64, 128]
+    assert report["max_ratio"] <= 1.10
+
+
 def test_sweep_failure_is_one_json_line(tmp_path, capsys):
     text = (BASE.replace("kappa = 0.4", "kappa = 0.05").replace("h = 0.001", "h = 1.0")
             .replace("T = 0.05", "T = 60\nseed = 0").replace(
@@ -390,23 +413,24 @@ def test_sweep_failure_is_one_json_line(tmp_path, capsys):
     ["jko-study", "--h-list", "3e-3,2e-3,1e-3"],  # 2e-3 does not divide 3e-3
     ["distance", "{nan}.missing", "{nan}"],
     ["distance", "{nan}", "{nan}"],
-    ["sweep", "--axis", "L=1", "--config", "{mu}"],  # a sweep sets m0
     ["distance", "{ok}", "{ok}", "--segments", "1"],
+    ["distance", "{off}", "{off}"],  # both fields on M = 32, the config on M = 64
+    ["distance", "{ok}", "{off}"],  # the two fields on different grids
 ], ids=["axis-text", "axis-bad-M", "h-text", "one-h", "h-not-dividing", "missing-field",
-        "nan-field", "sweep-mu", "one-segment"])
+        "nan-field", "one-segment", "fields-off-grid", "fields-on-two-grids"])
 def test_bad_cli_input_exit_2(tmp_path, capsys, argv):
     cfgp = write_config(tmp_path)
-    mu_path = tmp_path / "mu.ini"
-    mu_path.write_text(BASE.replace("m0 = 0.05", "mu = -2.0").format(out=tmp_path / "out"))
     ok_path, nan_path = str(tmp_path / "ok.bin"), str(tmp_path / "nan.bin")
+    off_path = str(tmp_path / "off.bin")
     params = build_params(load_config(cfgp))
     fieldio.save_binary(ok_path, problems.uniform_state(params).n)
     fieldio.save_binary(nan_path, problems.uniform_state(params).n)
     with open(nan_path, "r+b") as fh:  # overwrite the first sample with NaN
         fh.seek(32)
         fh.write(np.array([np.nan], dtype="<f8").tobytes())
-    # the last --config wins, so a case may name its own
-    argv = [argv[0], "--config", cfgp] + [a.format(nan=nan_path, ok=ok_path, mu=mu_path)
+    off = build_params(parse_config(BASE.replace("M = 64", "M = 32")))
+    fieldio.save_binary(off_path, problems.uniform_state(off).n)
+    argv = [argv[0], "--config", cfgp] + [a.format(nan=nan_path, ok=ok_path, off=off_path)
                                           for a in argv[1:]]
     assert main(argv) == 2
     lines = capsys.readouterr().err.splitlines()

@@ -161,9 +161,8 @@ def test_mode_decay_window_ends_at_T(params):
 
 
 def test_volume_sweep_reproducible(params):
-    kw = dict(amplitude=1.0, radius=0.1, mollifier_width=0.02)
-    a = experiments.volume_sweep((1.0,), 64, kw, 0.4, 0.05, T=0.6, h=2e-3, seed=9)
-    b = experiments.volume_sweep((1.0,), 64, kw, 0.4, 0.05, T=0.6, h=2e-3, seed=9)
+    a = experiments.volume_sweep([problems.random_band_state(params, 3, 0.25, 9)], T=0.6, h=2e-3)
+    b = experiments.volume_sweep([problems.random_band_state(params, 3, 0.25, 9)], T=0.6, h=2e-3)
     assert a.points[0].fit.lambda_hat == b.points[0].fit.lambda_hat
 
 

@@ -124,14 +124,14 @@ def test_energy_identity(params):
 
 def test_self_distance_zero(params):
     n = problems.random_band_state(params, 3, 0.3, seed=60).n
-    assert approx_distance(n, n, 1e-3, params) == 0.0
+    assert approx_distance(n, n, 1e-3, params)[0] == 0.0
     assert path_distance_upper(n, n, 4, params).value_sq < 1e-24
 
 
 def test_distance_positive(params):
     na = problems.single_mode_state(params, 1, 0.004).n
     nb = problems.single_mode_state(params, 2, 0.004).n
-    assert approx_distance(na, nb, 1e-3, params) > 0
+    assert approx_distance(na, nb, 1e-3, params)[0] > 0
     assert path_distance_upper(na, nb, 8, params).value_sq > 0
 
 
