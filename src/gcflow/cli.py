@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, dynamics, experiments, fieldio, kernels, metric, problems, selftest
-from .config import build_initial_state, build_params, load_config
+from . import __version__, dynamics, experiments, fieldio, kernels, metric, selftest
+from .config import build_band_state, build_initial_state, build_params, load_config
 from .errors import ConfigError, GcflowError
 
 SCHEMA_VERSION = "diagnostics-ndjson/1"
@@ -119,9 +119,8 @@ def cmd_sweep(args) -> int:
         M = round(cfg.M * L) if math.isfinite(L) else 0
         if M < 8 or M & (M - 1):
             raise ConfigError("--axis", f"L={L} gives M={M}, not a power of two >= 8")
-        params = build_params(dataclasses.replace(cfg, L=L, M=M))
-        states.append(problems.random_band_state(params, cfg.initial.k_c, cfg.initial.amp,
-                                                 cfg.seed))
+        box = dataclasses.replace(cfg, L=L, M=M)
+        states.append(build_band_state(box, build_params(box)))
     h = cfg.h if cfg.h is not None else 2e-3
     report = experiments.volume_sweep(states, cfg.T, h, cfg.integrator, cfg.jko)
     print(json.dumps(report.to_dict()))

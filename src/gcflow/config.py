@@ -43,9 +43,11 @@ not parse (or is not finite) or fails its check, and a missing required key
 raise ConfigError naming `section.key`; so does, in `build_params`, a kernel
 that does not fit the box or an m0/mu without a representable uniform state,
 and, in `build_initial_state`, a single-mode eps that makes the density
-nonpositive.  `build_params` is the one builder of a model from config values:
-`gcflow sweep` calls it on each box, a copy of the config with `L` from its
-axis and `M` scaled by L (the config's M is read as points per unit length).
+nonpositive or a random-band k_c outside 0..M/2.  `build_params` is the one
+builder of a model from config values: `gcflow sweep` calls it on each box, a
+copy of the config with `L` from its axis and `M` scaled by L (the config's M
+is read as points per unit length), and builds the box's random-band state
+with `build_band_state`, which checks k_c against the box's M.
 """
 
 from __future__ import annotations
@@ -247,4 +249,13 @@ def build_initial_state(cfg: RunConfig, params: ModelParams) -> SimState:
             return problems.single_mode_state(params, ic.mode, ic.eps)
         except PositivityLoss as exc:  # eps drives the density nonpositive before any step
             raise ConfigError("initial.eps", str(exc)) from None
-    return problems.random_band_state(params, ic.k_c, ic.amp, cfg.seed)
+    return build_band_state(cfg, params)
+
+
+def build_band_state(cfg: RunConfig, params: ModelParams) -> SimState:
+    """The random-band state of `cfg` on the grid of `params`; the band edge
+    k_c must lie in 0..M/2, the grid's Nyquist mode, or ConfigError."""
+    k_c, nyquist = cfg.initial.k_c, params.grid.M // 2
+    if not 0 <= k_c <= nyquist:
+        raise ConfigError("initial.k_c", f"must lie in 0..M/2 = {nyquist}, got {k_c}")
+    return problems.random_band_state(params, k_c, cfg.initial.amp, cfg.seed)

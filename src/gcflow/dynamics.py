@@ -13,9 +13,13 @@ Conservative variant (fixed mass): dN/dt = lap N + div(N grad w_N).
 
 States are carried in Psi = log N so positivity is structural; steppers that
 produce N directly convert back and fail loudly on nonpositive values.
-Inside a step the density is a bare array: each stage transforms N once and
-derives W*N, lap N and div(N grad W*N) by symbol multiplies; only the
-state at the end of a step is validated and wrapped in a SimState.
+A SimState also carries N, W*N and the half spectrum N_hat, so a step starts
+in Fourier space: it derives W*N, lap N and div(N grad W*N) from N_hat by
+symbol multiplies, without transforming N again.  Inside a step the density
+is a bare array; each later stage transforms N once, and several fields go
+through one batched transform (IMEX gets N and W*N of the new state from
+one inverse).  Only the state at the end of a step is validated and wrapped
+in a SimState.
 
 `evolve` is the one march loop, for these steppers and for the implicit
 step of `gcflow.jko`.
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import spectral, thermo
-from .errors import GcflowError, PositivityLoss, StabilityViolation
+from .errors import GcflowError, NonpositiveDensity, PositivityLoss, StabilityViolation
 from .spectral import RealField
 from .thermo import ModelParams
 
@@ -41,6 +45,7 @@ class SimState:
     psi: RealField  # log-density
     n: RealField  # exp(psi), cached
     wn: RealField  # W * N, cached
+    n_hat: np.ndarray  # half spectrum (raw DFT) of N, cached
     params: ModelParams
 
     @staticmethod
@@ -48,14 +53,32 @@ class SimState:
         if np.min(n.values) <= 0:
             raise PositivityLoss(f"min density {np.min(n.values):.3e}")
         psi = RealField(n.grid, np.log(n.values))
-        wn = spectral.convolve(params.kernel.spectrum, n)
-        return SimState(t, psi, n, wn, params)
+        return SimState._with_spectrum(t, psi, n, params)
 
     @staticmethod
     def from_psi(t: float, psi: RealField, params: ModelParams) -> "SimState":
         n = RealField(psi.grid, np.exp(psi.values))
-        wn = spectral.convolve(params.kernel.spectrum, n)
-        return SimState(t, psi, n, wn, params)
+        return SimState._with_spectrum(t, psi, n, params)
+
+    @staticmethod
+    def from_spectrum(t: float, n_hat: np.ndarray, params: ModelParams) -> "SimState":
+        """The state whose N has half spectrum n_hat: one batched inverse
+        transform gives N and W*N.  A nonpositive N raises PositivityLoss."""
+        g = params.grid
+        n, wn = spectral._real(np.stack((n_hat, n_hat * _kernel_hat(params))), g)
+        n_min = n.min()
+        if not n_min > 0.0:  # also rejects NaN
+            raise PositivityLoss(f"density hit {n_min:.3e} at t = {t:.6g}")
+        return SimState(t, RealField(g, np.log(n)), RealField(g, n), RealField(g, wn), n_hat,
+                        params)
+
+    @staticmethod
+    def _with_spectrum(t: float, psi: RealField, n: RealField,
+                       params: ModelParams) -> "SimState":
+        g = n.grid
+        n_hat = spectral._hat(n.values, g)
+        wn = RealField(g, spectral._real(n_hat * _kernel_hat(params), g))
+        return SimState(t, psi, n, wn, n_hat, params)
 
 
 @dataclass
@@ -86,31 +109,37 @@ class Trajectory:
     psi_d0_bound: float | None = None  # running max ||psi||_D0 (implicit runs)
 
 
+def _kernel_hat(p: ModelParams) -> np.ndarray:
+    """Half spectrum of the kernel: W*N has half spectrum _kernel_hat * N_hat."""
+    return spectral._half(p.kernel.spectrum.coeffs)
+
+
 def _reaction(p: ModelParams, n: np.ndarray, wn: np.ndarray) -> np.ndarray:
     """-N exp(-(mu - w_N)/2) + exp((mu - w_N)/2)."""
     half = 0.5 * (p.mu - wn)
     return -n * np.exp(-half) + np.exp(half)
 
 
-def _transport_hats(p: ModelParams, n: np.ndarray) -> tuple:
-    """Half spectra of N, W*N and div(N grad W*N), from one transform of N."""
-    nh = spectral._hat(n)
-    wh = spectral._half(p.kernel.spectrum.coeffs) * nh
-    return nh, wh, spectral.div_n_grad(p.grid, n, wh)
-
-
-def _rhs(p: ModelParams, n: np.ndarray, canonical: bool) -> np.ndarray:
-    """lap N + div(N grad w_N), plus the reaction unless canonical."""
+def _rhs(p: ModelParams, n: np.ndarray, nh: np.ndarray, canonical: bool,
+         wn: np.ndarray | None = None) -> np.ndarray:
+    """lap N + div(N grad w_N), plus the reaction unless canonical, from N and
+    its half spectrum nh.  W*N is taken from `wn` when given; otherwise it
+    comes back with the transport term from one batched inverse transform."""
     g = p.grid
-    nh, wh, div = _transport_hats(p, n)
-    transport = spectral._real(g.lap * nh + div, g)
+    wh = _kernel_hat(p) * nh
+    transport_hat = g.lap * nh + spectral.div_n_grad(g, n, wh)
+    if canonical or wn is not None:
+        transport = spectral._real(transport_hat, g)
+    else:
+        transport, wn = spectral._real(np.stack((transport_hat, wh)), g)
     if canonical:
         return transport
-    return transport + _reaction(p, n, spectral._real(wh, g))
+    return transport + _reaction(p, n, wn)
 
 
 def rhs_grand(state: SimState) -> RealField:
-    return RealField(state.n.grid, _rhs(state.params, state.n.values, canonical=False))
+    return RealField(state.n.grid, _rhs(state.params, state.n.values, state.n_hat,
+                                        canonical=False, wn=state.wn.values))
 
 
 def rhs_grand_advective(state: SimState) -> RealField:
@@ -118,32 +147,35 @@ def rhs_grand_advective(state: SimState) -> RealField:
     g = state.n.grid
     phi = thermo.potential_phi(state.n, state.params, wn=state.wn)
     om = thermo.omega(state.n, state.params, phi=phi)
-    div = spectral._real(spectral.div_n_grad(g, state.n.values, spectral._hat(phi.values)), g)
+    div = spectral._real(spectral.div_n_grad(g, state.n.values, spectral._hat(phi.values, g)), g)
     return RealField(g, div - om.values * phi.values)
 
 
 def rhs_canonical(state: SimState) -> RealField:
-    return RealField(state.n.grid, _rhs(state.params, state.n.values, canonical=True))
+    return RealField(state.n.grid, _rhs(state.params, state.n.values, state.n_hat,
+                                        canonical=True))
 
 
 def _advance_density(state: SimState, n_new: np.ndarray, h: float) -> SimState:
-    n = RealField(state.n.grid, _positive(n_new, state, h))
-    return SimState.from_density(state.t + h, n, state.params)
+    g = state.n.grid
+    n = RealField(g, _positive(n_new, state, h))
+    return SimState._with_spectrum(state.t + h, RealField(g, np.log(n_new)), n, state.params)
 
 
 def step_imex(state: SimState, h: float) -> SimState:
     """Semi-implicit Euler: diffusion implicit via the Helmholtz inverse,
     interaction and reaction terms explicit.  First-order accurate,
-    unconditionally stable in the linear diffusive part."""
+    unconditionally stable in the linear diffusive part.  N_hat of the new
+    state is formed in Fourier space (`SimState.from_spectrum`): four
+    transforms in all."""
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
     p = state.params
     g = p.grid
-    n = state.n.values
-    nh, _, div = _transport_hats(p, n)
-    explicit = div + spectral._hat(_reaction(p, n, state.wn.values))
-    n_new = spectral._real((nh + h * explicit) / (1.0 - h * g.lap), g)
-    return _advance_density(state, n_new, h)
+    n, nh = state.n.values, state.n_hat
+    explicit = (spectral.div_n_grad(g, n, _kernel_hat(p) * nh)
+                + spectral._hat(_reaction(p, n, state.wn.values), g))
+    return SimState.from_spectrum(state.t + h, (nh + h * explicit) / (1.0 - h * g.lap), p)
 
 
 def _check_explicit_stability(state: SimState, h: float) -> None:
@@ -157,11 +189,17 @@ def _check_explicit_stability(state: SimState, h: float) -> None:
 def _rk4(state: SimState, h: float, canonical: bool) -> SimState:
     _check_explicit_stability(state, h)
     p = state.params
+    g = p.grid
     n0 = state.n.values
-    k1 = _rhs(p, n0, canonical)
-    k2 = _rhs(p, _positive(n0 + 0.5 * h * k1, state, h), canonical)
-    k3 = _rhs(p, _positive(n0 + 0.5 * h * k2, state, h), canonical)
-    k4 = _rhs(p, _positive(n0 + h * k3, state, h), canonical)
+
+    def stage(n: np.ndarray) -> np.ndarray:
+        n = _positive(n, state, h)
+        return _rhs(p, n, spectral._hat(n, g), canonical)
+
+    k1 = _rhs(p, n0, state.n_hat, canonical, state.wn.values)  # from the cached spectrum
+    k2 = stage(n0 + 0.5 * h * k1)
+    k3 = stage(n0 + 0.5 * h * k2)
+    k4 = stage(n0 + h * k3)
     n_new = n0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return _advance_density(state, n_new, h)
 
@@ -202,30 +240,41 @@ def diagnostics(step: int, state: SimState, canonical: bool = False,
                 ref_density: float | None = None,
                 inner_iters: int | None = None,
                 residual: float | None = None) -> DiagnosticsRecord:
-    """Per-step observables.  gap is measured against the uniform state: m0
-    for the non-conservative flow, the (conserved) mean density otherwise."""
+    """Per-step observables, in one pass over the state's cached N, Psi and
+    W*N with the formulas of `thermo`: one batched forward transform of
+    (Psi, Phi_N) and one batched inverse for grad Phi_N.  A nonpositive N
+    raises NonpositiveDensity.  gap is measured against the uniform state:
+    m0 for the non-conservative flow, the (conserved) mean density otherwise."""
     p = state.params
-    g = state.n.grid
-    mass = state.n.integral()
-    g_mu = thermo.free_energy_grand(state.n, p)
+    g = p.grid
+    n, psi, wn = state.n.values, state.psi.values, state.wn.values
+    n_min = float(n.min())
+    if n_min <= 0.0:
+        raise NonpositiveDensity(f"min density {n_min:.3e}")
+    cv = g.cell_volume
+    mass = float(n.sum()) * cv
+    g_mu = thermo._free_energy(n, psi, wn, p.mu, cv)
     if canonical:
         nbar = ref_density if ref_density is not None else mass / g.volume
-        gap = thermo.free_energy_canonical(state.n, p.kernel) - _uniform_energy(p, nbar, 0.0)
+        gap = thermo._free_energy(n, psi, wn, 0.0, cv) - _uniform_energy(p, nbar, 0.0)
     else:
         gap = g_mu - _uniform_energy(p, p.m0, p.mu)
-    psi_hat = spectral._hat(state.psi.values)
+    phi = thermo._potential(psi, wn, p.mu)
+    psi_hat, phi_hat = spectral._hat(np.stack((psi, phi)), g)
+    grad_phi = spectral._real(g.ik * phi_hat, g)
+    d0, d1, d2 = spectral._dnorms(g, psi_hat, 2).tolist()
     return DiagnosticsRecord(
         step=step,
         t=state.t,
         mass=mass,
         g_mu=g_mu,
         gap=gap,
-        d0=spectral._dnorm(g, psi_hat, 0),
-        d1=spectral._dnorm(g, psi_hat, 1),
-        d2=spectral._dnorm(g, psi_hat, 2),
-        n_min=float(np.min(state.n.values)),
-        n_max=float(np.max(state.n.values)),
-        dissipation=thermo.dissipation(state.n, p, wn=state.wn),
+        d0=d0,
+        d1=d1,
+        d2=d2,
+        n_min=n_min,
+        n_max=float(n.max()),
+        dissipation=thermo._dissipation(n, phi, grad_phi, cv),
         inner_iters=inner_iters,
         residual=residual,
     )

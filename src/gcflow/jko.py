@@ -64,22 +64,23 @@ class JkoStepReport:
 class _Frozen:
     """Per-step quantities that depend only on the starting state."""
 
-    grad_psi0: list
+    grad_psi0: np.ndarray  # stacked, one row per axis
     omega0: np.ndarray  # exp(-Psi0) * Omega_{N0}
     a_hat: np.ndarray  # half spectrum of A
 
 
 def _freeze(state: SimState) -> _Frozen:
+    """Three batched transforms: Psi0 and w0 forward, their gradients back,
+    and the pointwise part of A forward."""
     g = state.n.grid
     psi0, w0 = state.psi.values, state.wn.values
-    psi0_hat = spectral._hat(psi0)
-    w0_hat = spectral._hat(w0)
-    grad_psi0 = [spectral._real(ik * psi0_hat, g) for ik in g.ik]
-    grad_w0 = [spectral._real(ik * w0_hat, g) for ik in g.ik]
-    phi0 = RealField(g, psi0 - state.params.mu + w0)
-    omega0 = np.exp(-psi0) * thermo.omega(state.n, state.params, phi=phi0).values
-    local = sum(gp * (gp + gw) for gp, gw in zip(grad_psi0, grad_w0)) - phi0.values * omega0
-    a_hat = g.lap * (psi0_hat + w0_hat) + spectral._hat(local)
+    hats = spectral._hat(np.stack((psi0, w0)), g)
+    psi0_hat, w0_hat = hats
+    grad_psi0, grad_w0 = spectral._real(g.ik * hats[:, None], g)
+    phi0 = thermo._potential(psi0, w0, state.params.mu)
+    omega0 = np.exp(-psi0) * thermo._omega(state.n.values, phi0)
+    local = np.sum(grad_psi0 * (grad_psi0 + grad_w0), axis=0) - phi0 * omega0
+    a_hat = g.lap * (psi0_hat + w0_hat) + spectral._hat(local, g)
     return _Frozen(grad_psi0=grad_psi0, omega0=omega0, a_hat=a_hat)
 
 
@@ -91,16 +92,18 @@ def assemble_A(state: SimState) -> RealField:
 def _fixed_point_rhs(frozen: _Frozen, state: SimState, psi: np.ndarray,
                      psi_hat: np.ndarray, h: float) -> np.ndarray:
     """Half spectrum of A + h B(psi) - E2(h psi) / h, with B written as
-    lap w_psi + grad u . grad Psi0 - u Omega0 for u = psi + w_psi."""
+    lap w_psi + grad u . grad Psi0 - u Omega0 for u = psi + w_psi.  w_psi
+    and grad u come back from one batched inverse transform."""
     g = state.n.grid
     e = np.expm1(h * psi)
     wp_hat = spectral._half(state.params.kernel.spectrum.coeffs) * spectral._hat(
-        state.n.values * e / h)
+        state.n.values * e / h, g)
     u_hat = psi_hat + wp_hat
-    u = psi + spectral._real(wp_hat, g)
-    dot = sum(spectral._real(ik * u_hat, g) * gp for ik, gp in zip(g.ik, frozen.grad_psi0))
+    back = spectral._real(np.concatenate((wp_hat[None], g.ik * u_hat)), g)
+    u = psi + back[0]
+    dot = np.sum(back[1:] * frozen.grad_psi0, axis=0)
     local = h * (dot - u * frozen.omega0) - (e - h * psi) / h
-    return frozen.a_hat + h * g.lap * wp_hat + spectral._hat(local)
+    return frozen.a_hat + h * g.lap * wp_hat + spectral._hat(local, g)
 
 
 def jko_step(state: SimState, h: float, cfg: JkoConfig | None = None) -> tuple:
@@ -192,7 +195,7 @@ def residual_implicit(n0: RealField, n1: RealField, h: float, params: ModelParam
     g = n0.grid
     phi1 = thermo.potential_phi(n1, params, wn1)
     om0 = thermo.omega(n0, params, wn0)
-    div = spectral._real(spectral.div_n_grad(g, n0.values, spectral._hat(phi1.values)), g)
+    div = spectral._real(spectral.div_n_grad(g, n0.values, spectral._hat(phi1.values, g)), g)
     rate = (n1.values - n0.values) / h
     defect = RealField(g, rate - div + om0.values * phi1.values)
     scale = max(1.0, spectral.l2_norm(RealField(g, rate)))

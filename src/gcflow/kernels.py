@@ -95,7 +95,7 @@ def make_smoothed_indicator(
     if mass <= 0:
         raise BadMollifier(f"mollifier_width {eps} unresolved on dx = {grid.dx}")
     bump /= mass  # unit discrete mass: convolution preserves the indicator's integral
-    conv = spectral._real(spectral._hat(ind) * spectral._hat(bump), grid)
+    conv = spectral._real(spectral._hat(ind, grid) * spectral._hat(bump, grid), grid)
     values = amplitude * np.maximum(conv, 0.0)  # clip FFT roundoff (~1e-16)
     return _finish(grid, values, a + eps)
 

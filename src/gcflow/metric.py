@@ -65,7 +65,7 @@ def solve_driving_potential(n0: RealField, target_rate: RealField, params: Model
 
     def apply_pre(v: np.ndarray) -> tuple:
         """The preconditioned vector and its half spectrum."""
-        z_hat = spectral._hat(v) * precond_symbol
+        z_hat = spectral._hat(v, grid) * precond_symbol
         return spectral._real(z_hat, grid), z_hat
 
     rhs = -target_rate.values
@@ -74,7 +74,7 @@ def solve_driving_potential(n0: RealField, target_rate: RealField, params: Model
         return RealField(grid, np.zeros(grid.shape)), EllipticSolveReport(0, 0.0)
 
     x = np.zeros(grid.shape) if x0 is None else x0.values.copy()
-    r = rhs - apply_m(x, spectral._hat(x))
+    r = rhs - apply_m(x, spectral._hat(x, grid))
     rel = float(np.linalg.norm(r)) / rhs_norm
     if rel <= tol:
         return RealField(grid, x), EllipticSolveReport(0, rel)

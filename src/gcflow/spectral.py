@@ -10,10 +10,14 @@ realized as the DFT scaled by dx^d.  Wavenumbers are k = (2*pi/L) * n with
 integer n in {-M/2, ..., M/2 - 1} per dimension.  `forward`/`inverse` keep
 this full spectrum as the reference.  Every operator works instead on the
 half spectrum of the real-to-complex DFT (last-axis indices 0..M/2), through
-the one transform pair `_hat`/`_real` (raw DFT, no dx^d factor).  The
-derivative symbols `Grid.ik` and `Grid.lap` zero every mode with an axis
-index M/2, so odd derivatives of real fields stay real; this is standard
-pseudospectral practice and only touches the resolution floor.
+the one transform pair `_hat`/`_real` (raw DFT, no dx^d factor).  The pair is
+chosen by d -- `rfft`/`irfft` in d = 1, `rfftn`/`irfftn` over the last two
+axes in d = 2 -- and takes a leading batch axis, so that several fields (the
+d gradient components of `div_n_grad`, N and W*N of a step) go through one
+call.  The derivative symbols `Grid.ik` (stacked, one row per axis) and
+`Grid.lap` zero every mode with an axis index M/2, so odd derivatives of real
+fields stay real; this is standard pseudospectral practice and only touches
+the resolution floor.
 
 The weighted l1 norms
 
@@ -44,12 +48,17 @@ class Grid:
     d: int
     L: float
     M: int
-    # full-spectrum |k|^2 and |k|; half-spectrum derivative symbols i k (one
-    # per axis) and -|k|^2, both zero on every mode with an axis index M/2
+    # full-spectrum |k|^2 and |k|; half-spectrum derivative symbols i k (shape
+    # (d, ...), one row per axis) and -|k|^2, both zero on every mode with an
+    # axis index M/2
     k2: np.ndarray = field(repr=False, compare=False, default=None)
     kmod: np.ndarray = field(repr=False, compare=False, default=None)
-    ik: tuple = field(repr=False, compare=False, default=None)
+    ik: np.ndarray = field(repr=False, compare=False, default=None)
     lap: np.ndarray = field(repr=False, compare=False, default=None)
+    # row m (0..4): |k|^m times the number of full-spectrum modes each
+    # half-spectrum mode stands for (two for interior last-axis columns),
+    # times dx^d / L^d, flattened; dnorm is this row applied to |f_hat|
+    dnorm_weights: np.ndarray = field(repr=False, compare=False, default=None)
 
     @staticmethod
     def make(d: int, L: float, M: int) -> "Grid":
@@ -64,11 +73,17 @@ class Grid:
         k2 = sum(k * k for k in kvec)
         nyq = np.meshgrid(*([np.arange(M) == M // 2] * d), indexing="ij")
         keep = _half(~np.logical_or.reduce(nyq))
+        kmod = np.sqrt(k2)
+        copies = np.full(M // 2 + 1, 2.0)
+        copies[[0, -1]] = 1.0
         g = Grid(d, float(L), M)
+        scale = copies * g.cell_volume / g.volume
         object.__setattr__(g, "k2", k2)
-        object.__setattr__(g, "kmod", np.sqrt(k2))
-        object.__setattr__(g, "ik", tuple(1j * _half(k) * keep for k in kvec))
+        object.__setattr__(g, "kmod", kmod)
+        object.__setattr__(g, "ik", np.stack([1j * _half(k) * keep for k in kvec]))
         object.__setattr__(g, "lap", -_half(k2) * keep)
+        object.__setattr__(g, "dnorm_weights",
+                           np.stack([(_half(kmod) ** m * scale).ravel() for m in range(5)]))
         return g
 
     @property
@@ -156,50 +171,53 @@ def _half(a: np.ndarray) -> np.ndarray:
     return a[..., : a.shape[-1] // 2 + 1]
 
 
-def _hat(values: np.ndarray) -> np.ndarray:
-    """Half spectrum (raw DFT) of real samples."""
-    return np.fft.rfftn(values)
+def _hat(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half spectrum (raw DFT) of real samples over the grid's axes, which
+    come last: a leading batch axis transforms each field in one call."""
+    if grid.d == 1:
+        return np.fft.rfft(values)
+    return np.fft.rfftn(values, axes=(-2, -1))
 
 
 def _real(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Real samples of a half spectrum; inverse of `_hat`."""
-    return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(grid.d)))
-
-
-def _full_sum(a: np.ndarray) -> float:
-    """Sum over the full spectrum of a quantity even in k, given on the half
-    spectrum: the interior last-axis columns stand for two modes each."""
-    return float(np.sum(a) + np.sum(a[..., 1:-1]))
+    """Real samples of a half spectrum; inverse of `_hat`, batched alike."""
+    if grid.d == 1:
+        return np.fft.irfft(coeffs, n=grid.M)
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=(-2, -1))
 
 
 def gradient(f: RealField) -> tuple:
     """Spectral gradient, one RealField per dimension.  Nyquist modes zeroed."""
     g = f.grid
-    fh = _hat(f.values)
-    return tuple(RealField(g, _real(ik * fh, g)) for ik in g.ik)
+    return tuple(RealField(g, c) for c in _real(g.ik * _hat(f.values, g), g))
 
 
 def laplacian(f: RealField) -> RealField:
     g = f.grid
-    return RealField(g, _real(g.lap * _hat(f.values), g))
+    return RealField(g, _real(g.lap * _hat(f.values, g), g))
 
 
 def divergence(fields: tuple) -> RealField:
     """Spectral divergence of a vector field given componentwise."""
     g = fields[0].grid
-    return RealField(g, _real(sum(ik * _hat(f.values) for ik, f in zip(g.ik, fields)), g))
+    flux_hat = _hat(np.stack([f.values for f in fields]), g)
+    return RealField(g, _real(np.sum(g.ik * flux_hat, axis=0), g))
 
 
 def div_n_grad(grid: Grid, n: np.ndarray, f_hat: np.ndarray) -> np.ndarray:
     """Half spectrum of div(n grad f), from the half spectrum of f: the
-    transport operator of every flow, metric and residual in the package."""
-    return sum(ik * _hat(n * _real(ik * f_hat, grid)) for ik in grid.ik)
+    transport operator of every flow, metric and residual in the package.
+    One inverse transform for the d gradient components, one forward for
+    the d flux components."""
+    flux = n * _real(grid.ik * f_hat, grid)
+    return np.sum(grid.ik * _hat(flux, grid), axis=0)
 
 
 def convolve(kernel_spectrum: Spectrum, f: RealField) -> RealField:
     """Periodic convolution via the pointwise Fourier product W_hat * f_hat."""
     same_grid(kernel_spectrum, f)
-    return RealField(f.grid, _real(_hat(f.values) * _half(kernel_spectrum.coeffs), f.grid))
+    return RealField(f.grid, _real(_hat(f.values, f.grid) * _half(kernel_spectrum.coeffs),
+                                   f.grid))
 
 
 def helmholtz_inverse(f: RealField, h: float) -> RealField:
@@ -210,22 +228,25 @@ def helmholtz_inverse(f: RealField, h: float) -> RealField:
     if h <= 0:
         raise NonpositiveH(f"h must be positive, got {h}")
     g = f.grid
-    return RealField(g, _real(_hat(f.values) / (1.0 - h * g.lap), g))
+    return RealField(g, _real(_hat(f.values, g) / (1.0 - h * g.lap), g))
+
+
+def _dnorms(grid: Grid, f_hat: np.ndarray, m_max: int) -> np.ndarray:
+    """dnorm of orders 0..m_max from the half spectrum of the field, in one
+    product of |f_hat| with the rows of `Grid.dnorm_weights`."""
+    return grid.dnorm_weights[: m_max + 1] @ np.abs(f_hat).ravel()
 
 
 def _dnorm(grid: Grid, f_hat: np.ndarray, m: int) -> float:
     """dnorm from the half spectrum of the field."""
-    mod = np.abs(f_hat)
-    if m:
-        mod = mod * _half(grid.kmod) ** m
-    return _full_sum(mod) * grid.cell_volume / grid.volume
+    return float(_dnorms(grid, f_hat, m)[m])
 
 
 def dnorm(f: RealField, m: int) -> float:
     """Weighted l1 Fourier norm (1/L^d) sum_k |k|^m |f_hat(k)|, m in 0..4."""
     if m not in (0, 1, 2, 3, 4):
         raise ValueError(f"m must be in 0..4, got {m}")
-    return _dnorm(f.grid, _hat(f.values), m)
+    return _dnorm(f.grid, _hat(f.values, f.grid), m)
 
 
 def l2_norm(f: RealField) -> float:

@@ -9,10 +9,16 @@ The grand free energy is
 
     G(N) = int N log N - (1 + mu) N dx + (1/2) int (W*N) N dx,
 
-with the interaction term evaluated in Fourier space as
+with the interaction term evaluated in real space from W*N, which every
+simulation state caches; `interaction_energy` gives its Fourier form
 (1 / 2 L^d) sum_k W_hat(k) |N_hat(k)|^2.  Its variational derivative is the
 driving potential Phi_N = log N - mu + W*N, and the mobility weight is
 Omega_N = sqrt(N) * sinhc(Phi_N / 2) >= sqrt(N) > 0.
+
+Each formula lives in one array-level helper (`_free_energy`, `_potential`,
+`_omega`, `_weighted_inner`).  The public functionals validate their RealField
+arguments and call these helpers; the diagnostics record calls them on a
+state's cached arrays.
 """
 
 from __future__ import annotations
@@ -130,25 +136,30 @@ def _require_positive(n: RealField) -> None:
 def interaction_energy(n: RealField, kernel: Kernel) -> float:
     """(1 / 2 L^d) sum_k W_hat(k) |N_hat(k)|^2 (equals the double integral)."""
     g = n.grid
-    nh = spectral._hat(n.values) * g.cell_volume
     what = spectral._half(kernel.spectrum.coeffs.real)
-    return 0.5 * spectral._full_sum(what * np.abs(nh) ** 2) / g.volume
+    power = (what * np.abs(spectral._hat(n.values, g)) ** 2).ravel()
+    return 0.5 * g.cell_volume * float(g.dnorm_weights[0] @ power)
 
 
 def free_energy_grand(n: RealField, params: ModelParams) -> float:
-    return _free_energy(n, params.kernel, params.mu)
+    return _free_energy_of(n, params.kernel, params.mu)
 
 
 def free_energy_canonical(n: RealField, kernel: Kernel) -> float:
-    return _free_energy(n, kernel, 0.0)
+    return _free_energy_of(n, kernel, 0.0)
 
 
-def _free_energy(n: RealField, kernel: Kernel, mu: float) -> float:
-    """int N log N - (1 + mu) N dx plus the interaction energy."""
+def _free_energy_of(n: RealField, kernel: Kernel, mu: float) -> float:
     _require_positive(n)
-    v = n.values
-    entropy = float(np.sum(v * np.log(v) - (1.0 + mu) * v)) * n.grid.cell_volume
-    return entropy + interaction_energy(n, kernel)
+    wn = spectral.convolve(kernel.spectrum, n)
+    return _free_energy(n.values, np.log(n.values), wn.values, mu, n.grid.cell_volume)
+
+
+def _free_energy(n: np.ndarray, log_n: np.ndarray, wn: np.ndarray, mu: float,
+                 cell_volume: float) -> float:
+    """int N log N - (1 + mu) N + (1/2) (W*N) N dx, from the arrays of N,
+    log N and W*N."""
+    return float(np.sum(n * (log_n - (1.0 + mu) + 0.5 * wn))) * cell_volume
 
 
 def potential_phi(n: RealField, params: ModelParams, wn: RealField | None = None) -> RealField:
@@ -157,7 +168,12 @@ def potential_phi(n: RealField, params: ModelParams, wn: RealField | None = None
     _require_positive(n)
     if wn is None:
         wn = spectral.convolve(params.kernel.spectrum, n)
-    return RealField(n.grid, np.log(n.values) - params.mu + wn.values)
+    return RealField(n.grid, _potential(np.log(n.values), wn.values, params.mu))
+
+
+def _potential(log_n: np.ndarray, wn: np.ndarray, mu: float) -> np.ndarray:
+    """Phi_N from the arrays of log N and W*N."""
+    return log_n - mu + wn
 
 
 def sinhc_half(phi: np.ndarray) -> np.ndarray:
@@ -178,7 +194,12 @@ def omega(n: RealField, params: ModelParams, wn: RealField | None = None,
     _require_positive(n)
     if phi is None:
         phi = potential_phi(n, params, wn)
-    return RealField(n.grid, np.sqrt(n.values) * sinhc_half(phi.values))
+    return RealField(n.grid, _omega(n.values, phi.values))
+
+
+def _omega(n: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Omega_N from the arrays of N and Phi_N."""
+    return np.sqrt(n) * sinhc_half(phi)
 
 
 def weighted_inner(n: RealField, params: ModelParams, f: RealField, g: RealField,
@@ -187,19 +208,33 @@ def weighted_inner(n: RealField, params: ModelParams, f: RealField, g: RealField
     _require_positive(n)
     if omega_n is None:
         omega_n = omega(n, params)
-    gf = spectral.gradient(f)
-    gg = gf if g is f else spectral.gradient(g)
-    grad_dot = sum(a.values * b.values for a, b in zip(gf, gg))
-    integrand = n.values * grad_dot + omega_n.values * f.values * g.values
-    return float(np.sum(integrand)) * n.grid.cell_volume
+    grid = n.grid
+    grad_f = spectral._real(grid.ik * spectral._hat(f.values, grid), grid)
+    grad_g = grad_f if g is f else spectral._real(grid.ik * spectral._hat(g.values, grid), grid)
+    return _weighted_inner(n.values, omega_n.values, f.values, g.values, grad_f, grad_g,
+                           grid.cell_volume)
+
+
+def _weighted_inner(n: np.ndarray, omega_n: np.ndarray, f: np.ndarray, g: np.ndarray,
+                    grad_f: np.ndarray, grad_g: np.ndarray, cell_volume: float) -> float:
+    """weighted_inner from arrays; the gradients are stacked, one row per axis."""
+    grad_dot = np.sum(grad_f * grad_g, axis=0)
+    return float(np.sum(n * grad_dot + omega_n * f * g)) * cell_volume
 
 
 def dissipation(n: RealField, params: ModelParams, wn: RealField | None = None) -> float:
     """Instantaneous free-energy dissipation rate: the weighted quadratic form
     of Phi_N with itself."""
     phi = potential_phi(n, params, wn)
-    om = omega(n, params, phi=phi)
-    return weighted_inner(n, params, phi, phi, omega_n=om)
+    g = n.grid
+    grad_phi = spectral._real(g.ik * spectral._hat(phi.values, g), g)
+    return _dissipation(n.values, phi.values, grad_phi, g.cell_volume)
+
+
+def _dissipation(n: np.ndarray, phi: np.ndarray, grad_phi: np.ndarray,
+                 cell_volume: float) -> float:
+    """dissipation from the arrays of N, Phi_N and its gradient (stacked)."""
+    return _weighted_inner(n, _omega(n, phi), phi, phi, grad_phi, grad_phi, cell_volume)
 
 
 def convexity_quadratic_form(n_a: RealField, n_b: RealField, s: float,

@@ -193,9 +193,14 @@ def test_bad_config_exit_2(tmp_path, capsys, old, new, field):
     ("sweep", "m0 = 0.05", "m0 = 1e300", "model.m0"),
     ("sweep", "m0 = 0.05", "mu = 800", "model.mu"),
     ("evolve", "kind = uniform", "kind = single_mode\neps = -1.0", "initial.eps"),
+    # the band edge must lie in 0..M/2; the sweep's L = 0.5 box has M = 32
+    ("evolve", "kind = uniform", "kind = random_band\nk_c = 100000", "initial.k_c"),
+    ("evolve", "kind = uniform", "kind = random_band\nk_c = -1", "initial.k_c"),
+    ("sweep", "kind = uniform", "kind = random_band\nk_c = 20", "initial.k_c"),
 ], ids=["out-dir-under-file", "radius-too-large", "mollifier-too-wide", "gaussian-too-wide",
         "sweep-box-too-small", "m0-huge", "mu-huge", "sweep-radius-too-large",
-        "sweep-gaussian-too-wide", "sweep-m0-huge", "sweep-mu-huge", "single-mode-nonpositive"])
+        "sweep-gaussian-too-wide", "sweep-m0-huge", "sweep-mu-huge", "single-mode-nonpositive",
+        "band-edge-huge", "band-edge-negative", "sweep-band-edge-above-nyquist"])
 def test_config_value_failure_exit_2(tmp_path, capsys, command, old, new, field):
     # values that parse but fail later, while building the model, kernels or output
     text = BASE.replace(old, new).replace("{file}", str(tmp_path / "c.ini"))

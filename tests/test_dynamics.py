@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from gcflow import dynamics, problems, thermo
+from gcflow import dynamics, jko, problems, spectral, thermo
 from gcflow.dynamics import (
     SimState,
     diagnostics,
@@ -18,7 +18,7 @@ from gcflow.dynamics import (
     step_rk4,
     step_rk4_canonical,
 )
-from gcflow.errors import PositivityLoss, StabilityViolation
+from gcflow.errors import NonpositiveDensity, PositivityLoss, StabilityViolation
 from gcflow.experiments import linearized_rate
 from gcflow.kernels import make_smoothed_indicator
 from gcflow.spectral import Grid, RealField
@@ -34,6 +34,23 @@ def params():
 
 def perturbed_state(params, seed=31, amp=0.1):
     return problems.random_band_state(params, 3, amp, seed)
+
+
+def model(d, M):
+    grid = Grid.make(d, 1.0, M)
+    return make_params(grid, make_smoothed_indicator(grid, 1.0, 0.1, 0.04), 0.4, m0=0.05)
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Counts calls of numpy's real transforms, which gcflow looks up on
+    np.fft at each call, so the patch sees every one."""
+    calls = []
+    for name in ("rfft", "irfft", "rfftn", "irfftn"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, _t=transform, **k: calls.append(1) or _t(*a, **k))
+    return calls
 
 
 def test_rhs_vanishes_at_uniform(params):
@@ -259,3 +276,74 @@ def test_nan_density_is_positivity_loss(params):
     st = problems.uniform_state(params)
     with pytest.raises(PositivityLoss):
         dynamics._advance_density(st, np.full(params.grid.shape, np.nan), 1e-3)
+
+
+@pytest.mark.parametrize("canonical", [False, True], ids=["grand", "canonical"])
+@pytest.mark.parametrize("built_from", ["psi", "density"])
+@pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
+def test_record_matches_reference_functionals(d, M, built_from, canonical):
+    # the one-pass record against the validated functionals of thermo/spectral
+    p = model(d, M)
+    st = problems.random_band_state(p, 3, 0.3, seed=39)  # built by from_psi
+    if built_from == "density":
+        st = SimState.from_density(0.0, st.n, p)
+    rec = diagnostics(0, st, canonical=canonical)
+    g_mu = thermo.free_energy_grand(st.n, p)
+    reference = {
+        "mass": st.n.integral(),
+        "g_mu": g_mu,
+        "d0": spectral.dnorm(st.psi, 0),
+        "d1": spectral.dnorm(st.psi, 1),
+        "d2": spectral.dnorm(st.psi, 2),
+        "n_min": float(np.min(st.n.values)),
+        "n_max": float(np.max(st.n.values)),
+        "dissipation": thermo.dissipation(st.n, p),
+    }
+    for key, value in reference.items():
+        assert abs(getattr(rec, key) - value) <= 1e-12 * abs(value), key
+    if canonical:
+        nbar = st.n.integral() / p.grid.volume
+        gap = (thermo.free_energy_canonical(st.n, p.kernel)
+               - dynamics._uniform_energy(p, nbar, 0.0))
+    else:
+        gap = g_mu - dynamics._uniform_energy(p, p.m0, p.mu)
+    assert abs(rec.gap - gap) <= 1e-14 * abs(g_mu)
+
+
+def test_record_rejects_underflowed_density(params):
+    psi = np.full(params.grid.shape, np.log(params.m0))
+    psi[5] = -1000.0  # exp underflows to 0
+    st = SimState.from_psi(0.0, RealField(params.grid, psi), params)
+    assert st.n.values[5] == 0.0
+    with pytest.raises(NonpositiveDensity):
+        diagnostics(0, st)
+
+
+@pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
+def test_transforms_per_step_and_record(d, M, fft_calls):
+    # a step starts from the state's cached spectrum; IMEX gets N and W*N of
+    # the new state from one batched inverse, and a record transforms
+    # (Psi, Phi) forward and grad Phi back in one call each
+    st = problems.random_band_state(model(d, M), 3, 0.3, seed=40)
+    for name, count in {"imex": 4, "rk4": 17, "rk4_canonical": 17}.items():
+        del fft_calls[:]
+        dynamics._STEPPERS[name](st, 1e-5)
+        assert len(fft_calls) == count, name
+    for canonical in (False, True):
+        del fft_calls[:]
+        diagnostics(1, st, canonical=canonical)
+        assert len(fft_calls) == 2, canonical
+
+
+@pytest.mark.parametrize("integrator", ["imex", "rk4", "rk4_canonical", "jko"])
+@pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
+def test_cached_spectrum_matches_density(d, M, integrator):
+    st = problems.random_band_state(model(d, M), 3, 0.3, seed=41)
+    for _ in range(3):
+        if integrator == "jko":
+            st = jko.jko_step(st, 1e-3)[0]
+        else:
+            st = dynamics._STEPPERS[integrator](st, 1e-5)
+    fresh = spectral._hat(st.n.values, st.n.grid)
+    assert st.n_hat.shape == fresh.shape
+    assert np.max(np.abs(st.n_hat - fresh)) <= 1e-12 * np.max(np.abs(fresh))
