@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import spectral
 from .errors import NoConvergence, NonpositiveDensity
@@ -47,7 +46,7 @@ class ModelParams:
         if not (0.0 < self.kappa < 0.5):
             raise ValueError(f"kappa must be in (0, 1/2), got {self.kappa}")
         resid = abs(self.m0 - math.exp(self.mu - self.kernel.w * self.m0))
-        if resid > 1e-12 * max(1.0, self.m0):
+        if resid > 1e-12 * self.m0:
             raise ValueError(f"(mu, m0) inconsistent: fixed-point residual {resid:.3e}")
 
 
@@ -69,41 +68,41 @@ def make_params(grid: Grid, kernel: Kernel, kappa: float, mu: float | None = Non
 def solve_uniform_density(mu: float, w: float, max_iter: int = 200) -> float:
     """Unique positive root of x * exp(w x) = exp(mu) for w >= 0.
 
-    Safeguarded Newton (bisection fallback via brentq bracket); residual
-    |x - exp(mu - w x)| <= 1e-14 * max(1, x).
+    Newton's method in t = log x on g(t) = t + w e^t - mu, which is increasing
+    and convex, from Winitzki's approximation of the Lambert W function; a step
+    that leaves the bracket [mu - log(1 + w e^mu), mu] of the root is replaced
+    by bisection.  One Newton step in x then restores the digits that e^t loses
+    at large |t|.  The relative residual |log x + w x - mu| is at most
+    1e-14 * max(1, |mu|, w x), the scale of the terms it is rounded at, or
+    NoConvergence.  exp(mu) must be representable (OverflowError otherwise).
     """
     if w < 0:
         raise ValueError(f"kernel integral must be nonnegative, got {w}")
+    activity = math.exp(mu)  # OverflowError when e^mu is beyond the float range
     if w == 0.0:
-        return math.exp(mu)
-
-    def f(x):
-        return math.log(x) + w * x - mu  # log form: monotone, well-scaled
-
-    lo = min(math.exp(mu), math.exp(mu - w * math.exp(mu)))
-    hi = math.exp(mu)
-    lo *= 0.5
-    hi = hi * 1.0 + 1e-300
-    # expand bracket defensively
-    it = 0
-    while f(lo) > 0:
-        lo *= 0.5
-        it += 1
-        if it > max_iter:
-            raise NoConvergence("failed to bracket the uniform density")
-    while f(hi) < 0:
-        hi *= 2.0
-        it += 1
-        if it > max_iter:
-            raise NoConvergence("failed to bracket the uniform density")
-    x = brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=max_iter)
-    # one Newton polish in the original variables
-    for _ in range(3):
-        g = x - math.exp(mu - w * x)
-        if abs(g) <= 1e-14 * max(1.0, x):
-            return x
-        x -= g / (1.0 + w * math.exp(mu - w * x))
-    if abs(x - math.exp(mu - w * x)) > 1e-14 * max(1.0, x):
+        return activity
+    s = mu + math.log(w)
+    ell = s + math.log1p(math.exp(-s)) if s > 0 else math.log1p(math.exp(s))  # log(1 + w e^mu)
+    lo, hi = mu - ell, mu  # g(lo) <= 0 because W(z) <= log(1 + z); g(mu) = w e^mu >= 0
+    t = mu - ell * (1.0 - math.log1p(ell) / (2.0 + ell))  # W(w e^mu) to within 2%
+    for _ in range(max_iter):
+        wx = w * math.exp(t)
+        g = t + wx - mu
+        if g > 0:
+            hi = t
+        elif g < 0:
+            lo = t
+        step = g / (1.0 + wx)
+        if abs(step) <= 1e-9:  # the next error is below step^2 / 2
+            t -= step
+            break
+        t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
+    else:
+        raise NoConvergence(f"uniform density not found in {max_iter} iterations")
+    x = math.exp(t)
+    y = math.exp(mu - w * x)
+    x -= (x - y) / (1.0 + w * y)
+    if not (x > 0.0 and abs(math.log(x) + w * x - mu) <= 1e-14 * max(1.0, abs(mu), w * x)):
         raise NoConvergence("uniform-density residual above tolerance")
     return x
 

@@ -214,6 +214,33 @@ def test_config_value_failure_exit_2(tmp_path, capsys, command, old, new, field)
     assert err["error"] == "ConfigError" and err["message"].startswith(field + ":")
 
 
+@pytest.mark.parametrize("mu", [10.0, 50.0])
+def test_evolve_mu_large_activity(tmp_path, capsys, mu):
+    # w e^mu is large: m0 is about 32 and 220; the uniform state's solve once
+    # underflowed its bracket and exited 2 with "math domain error"
+    cfgp = write_config(tmp_path, BASE.replace("m0 = 0.05", f"mu = {mu}"))
+    m0 = build_params(load_config(cfgp)).m0
+    assert main(["evolve", "--config", cfgp]) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    # the uniform state is stationary: the gap is roundoff of energies of order m0^2
+    assert abs(summary["gap"]) <= 1e-14 * m0**2 and abs(summary["mass"] / m0 - 1.0) < 1e-12
+
+
+def test_cli_run_imports_no_scipy(tmp_path):
+    # gcflow needs numpy and the stdlib only: a whole `evolve` run, uniform-state
+    # solve included, leaves no scipy module loaded
+    cfgp = write_config(tmp_path, BASE.replace("m0 = 0.05", "mu = -1.0").replace(
+        "T = 0.05", "T = 0.002"))
+    script = ("import json, sys\n"
+              "from gcflow.cli import main\n"
+              "code = main(['evolve', '--config', sys.argv[1]])\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+    src = os.path.dirname(os.path.dirname(gcflow.__file__))
+    proc = subprocess.run([sys.executable, "-c", script, cfgp], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+
+
 # -- CLI --------------------------------------------------------------------
 
 

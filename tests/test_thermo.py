@@ -1,10 +1,15 @@
 """Free energy, uniform state, mobility, rate constants."""
 
+import math
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import configuration, given, settings
+from hypothesis import strategies as st
 
 from gcflow import thermo
-from gcflow.errors import NonpositiveDensity
+from gcflow.errors import NoConvergence, NonpositiveDensity
 from gcflow.kernels import make_positive_type, make_smoothed_indicator
 from gcflow.spectral import Grid, RealField, convolve
 from gcflow.thermo import (
@@ -23,6 +28,12 @@ from gcflow.thermo import (
     solve_uniform_density,
     weighted_inner,
 )
+
+
+# database=None stores no examples, but hypothesis still caches the source constants
+# it draws from while collecting; that cache goes to a directory removed at exit
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture
@@ -46,6 +57,60 @@ def test_uniform_density_no_interaction():
     # w = 0 reduces to m0 = e^mu
     for mu in (-2.0, 0.0, 1.5):
         assert abs(solve_uniform_density(mu, 0.0) - np.exp(mu)) < 1e-12
+
+
+@pytest.mark.parametrize("mu, w", [(0.0, 1e3), (10.0, 1.0), (10.0, 0.203125), (50.0, 0.203125)])
+def test_uniform_density_large_w_exp_mu(mu, w):
+    # w e^mu large: exp(mu - w e^mu) underflows, which once failed the solve with log(0)
+    x = solve_uniform_density(mu, w)
+    assert x > 0 and abs(math.log(x) + w * x - mu) <= 1e-14 * max(1.0, abs(mu), w * x)
+
+
+def test_uniform_density_relative_residual(setup):
+    # at mu = -700 the root is e^-700 (w x ~ 1e-304); an absolute residual check
+    # accepted half of it
+    assert abs(solve_uniform_density(-700.0, 1.0) / math.exp(-700.0) - 1.0) <= 1e-15
+    grid, kernel, _ = setup
+    with pytest.raises(ValueError, match="inconsistent"):
+        ModelParams(grid, kernel, -700.0, 0.5 * math.exp(-700.0), 0.4)
+
+
+def test_uniform_density_errors():
+    with pytest.raises(ValueError):
+        solve_uniform_density(0.0, -1.0)
+    with pytest.raises(NoConvergence):
+        solve_uniform_density(0.0, 1.0, max_iter=0)
+    with pytest.raises(OverflowError):  # e^mu is beyond the float range
+        solve_uniform_density(800.0, 1.0)
+
+
+@pytest.mark.parametrize("mu, w, m0", [
+    # m0 as the brentq-based solver gave it, so that mu configs keep their numbers
+    # (w = 0.203125 is the criterion kernel's integral)
+    (-2.5, 1.0, 0.07607221340790256), (-2.0, 1.0, 0.12002823898764121),
+    (-1.0, 1.0, 0.2784645427610738), (0.0, 1.0, 0.5671432904097838),
+    (-2.5, 0.203125, 0.08074960063175948), (-2.0, 0.203125, 0.13176121179785386),
+    (-1.0, 0.203125, 0.3431131962661587), (0.0, 0.203125, 0.8426790032663706),
+])
+def test_uniform_density_pinned(setup, mu, w, m0):
+    _, kernel, _ = setup
+    assert kernel.w == 0.203125
+    assert abs(solve_uniform_density(mu, w) / m0 - 1.0) <= 1e-15
+
+
+_W = st.one_of(st.just(0.0), st.floats(math.log(1e-6), math.log(1e6)).map(math.exp))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.floats(-700.0, 709.0), st.floats(-700.0, 709.0), _W)
+def test_uniform_density_property(mu_a, mu_b, w):
+    # the log-form residual is rounded at the scale of its largest term
+    lo, hi = sorted((mu_a, mu_b))
+    x_lo, x_hi = solve_uniform_density(lo, w), solve_uniform_density(hi, w)
+    for mu, x in ((lo, x_lo), (hi, x_hi)):
+        assert math.isfinite(x) and x > 0
+        assert abs(math.log(x) + w * x - mu) <= 2e-15 * max(1.0, abs(mu), w * x)
+    assert x_lo <= x_hi
 
 
 def test_mu_m0_inverse_map(setup):
