@@ -11,15 +11,15 @@ with w_N = W * N.  Equivalently, in advective form,
 
 Conservative variant (fixed mass): dN/dt = lap N + div(N grad w_N).
 
-States are carried in Psi = log N so positivity is structural; steppers that
-produce N directly convert back and fail loudly on nonpositive values.
-A SimState also carries N, W*N and the half spectrum N_hat, so a step starts
-in Fourier space: it derives W*N, lap N and div(N grad W*N) from N_hat by
+A SimState holds N as its one validated field (a RealField) and caches
+Psi = log N, W*N and the half spectrum N_hat as plain arrays; it is built
+only by `from_density`, `from_psi` or `from_spectrum`, and the steppers that
+produce N directly fail loudly on nonpositive values.  A step starts in
+Fourier space: it derives W*N, lap N and div(N grad W*N) from N_hat by
 symbol multiplies, without transforming N again.  Inside a step the density
 is a bare array; each later stage transforms N once, and several fields go
 through one batched transform (IMEX gets N and W*N of the new state from
-one inverse).  Only the state at the end of a step is validated and wrapped
-in a SimState.
+one inverse).  So a step validates one field, the N of the state it ends in.
 
 `evolve` is the one march loop, for these steppers and for the implicit
 step of `gcflow.jko`.
@@ -42,23 +42,28 @@ from .thermo import ModelParams
 @dataclass(frozen=True)
 class SimState:
     t: float
-    psi: RealField  # log-density
-    n: RealField  # exp(psi), cached
-    wn: RealField  # W * N, cached
+    psi: np.ndarray  # log N, cached
+    n: RealField  # the density, validated
+    wn: np.ndarray  # W * N, cached
     n_hat: np.ndarray  # half spectrum (raw DFT) of N, cached
     params: ModelParams
 
     @staticmethod
     def from_density(t: float, n: RealField, params: ModelParams) -> "SimState":
-        if np.min(n.values) <= 0:
-            raise PositivityLoss(f"min density {np.min(n.values):.3e}")
-        psi = RealField(n.grid, np.log(n.values))
-        return SimState._with_spectrum(t, psi, n, params)
+        """The state of density n; a nonpositive n raises PositivityLoss."""
+        v = _positive(n.values, t)
+        n_hat = spectral._hat(v, n.grid)
+        wn = spectral._real(n_hat * _kernel_hat(params), n.grid)
+        return SimState(t, np.log(v), n, wn, n_hat, params)
 
     @staticmethod
-    def from_psi(t: float, psi: RealField, params: ModelParams) -> "SimState":
-        n = RealField(psi.grid, np.exp(psi.values))
-        return SimState._with_spectrum(t, psi, n, params)
+    def from_psi(t: float, psi: RealField | np.ndarray, params: ModelParams) -> "SimState":
+        """The state of log-density psi; N = exp(psi) may underflow to 0."""
+        psi = psi.values if isinstance(psi, RealField) else psi
+        n = RealField(params.grid, np.exp(psi))
+        n_hat = spectral._hat(n.values, n.grid)
+        wn = spectral._real(n_hat * _kernel_hat(params), n.grid)
+        return SimState(t, psi, n, wn, n_hat, params)
 
     @staticmethod
     def from_spectrum(t: float, n_hat: np.ndarray, params: ModelParams) -> "SimState":
@@ -66,19 +71,16 @@ class SimState:
         transform gives N and W*N.  A nonpositive N raises PositivityLoss."""
         g = params.grid
         n, wn = spectral._real(np.stack((n_hat, n_hat * _kernel_hat(params))), g)
-        n_min = n.min()
-        if not n_min > 0.0:  # also rejects NaN
-            raise PositivityLoss(f"density hit {n_min:.3e} at t = {t:.6g}")
-        return SimState(t, RealField(g, np.log(n)), RealField(g, n), RealField(g, wn), n_hat,
-                        params)
+        _positive(n, t)
+        return SimState(t, np.log(n), RealField(g, n), wn, n_hat, params)
 
-    @staticmethod
-    def _with_spectrum(t: float, psi: RealField, n: RealField,
-                       params: ModelParams) -> "SimState":
-        g = n.grid
-        n_hat = spectral._hat(n.values, g)
-        wn = RealField(g, spectral._real(n_hat * _kernel_hat(params), g))
-        return SimState(t, psi, n, wn, n_hat, params)
+
+def _positive(n: np.ndarray, t: float) -> np.ndarray:
+    """n, the density at time t; PositivityLoss unless every value is > 0."""
+    n_min = n.min()
+    if not n_min > 0.0:  # also rejects NaN
+        raise PositivityLoss(f"density hit {n_min:.3e} at t = {t:.6g}")
+    return n
 
 
 @dataclass
@@ -139,27 +141,21 @@ def _rhs(p: ModelParams, n: np.ndarray, nh: np.ndarray, canonical: bool,
 
 def rhs_grand(state: SimState) -> RealField:
     return RealField(state.n.grid, _rhs(state.params, state.n.values, state.n_hat,
-                                        canonical=False, wn=state.wn.values))
+                                        canonical=False, wn=state.wn))
 
 
 def rhs_grand_advective(state: SimState) -> RealField:
     """div(N grad Phi_N) - Omega_N Phi_N; algebraically equal to rhs_grand."""
     g = state.n.grid
-    phi = thermo.potential_phi(state.n, state.params, wn=state.wn)
-    om = thermo.omega(state.n, state.params, phi=phi)
-    div = spectral._real(spectral.div_n_grad(g, state.n.values, spectral._hat(phi.values, g)), g)
-    return RealField(g, div - om.values * phi.values)
+    n = state.n.values
+    phi = thermo._potential(state.psi, state.wn, state.params.mu)
+    div = spectral._real(spectral.div_n_grad(g, n, spectral._hat(phi, g)), g)
+    return RealField(g, div - thermo._omega(n, phi) * phi)
 
 
 def rhs_canonical(state: SimState) -> RealField:
     return RealField(state.n.grid, _rhs(state.params, state.n.values, state.n_hat,
                                         canonical=True))
-
-
-def _advance_density(state: SimState, n_new: np.ndarray, h: float) -> SimState:
-    g = state.n.grid
-    n = RealField(g, _positive(n_new, state, h))
-    return SimState._with_spectrum(state.t + h, RealField(g, np.log(n_new)), n, state.params)
 
 
 def step_imex(state: SimState, h: float) -> SimState:
@@ -174,7 +170,7 @@ def step_imex(state: SimState, h: float) -> SimState:
     g = p.grid
     n, nh = state.n.values, state.n_hat
     explicit = (spectral.div_n_grad(g, n, _kernel_hat(p) * nh)
-                + spectral._hat(_reaction(p, n, state.wn.values), g))
+                + spectral._hat(_reaction(p, n, state.wn), g))
     return SimState.from_spectrum(state.t + h, (nh + h * explicit) / (1.0 - h * g.lap), p)
 
 
@@ -192,24 +188,17 @@ def _rk4(state: SimState, h: float, canonical: bool) -> SimState:
     g = p.grid
     n0 = state.n.values
 
-    def stage(n: np.ndarray) -> np.ndarray:
-        n = _positive(n, state, h)
+    def stage(n: np.ndarray, c: float) -> np.ndarray:
+        n = _positive(n, state.t + c * h)
         return _rhs(p, n, spectral._hat(n, g), canonical)
 
-    k1 = _rhs(p, n0, state.n_hat, canonical, state.wn.values)  # from the cached spectrum
-    k2 = stage(n0 + 0.5 * h * k1)
-    k3 = stage(n0 + 0.5 * h * k2)
-    k4 = stage(n0 + h * k3)
+    k1 = _rhs(p, n0, state.n_hat, canonical, state.wn)  # from the cached spectrum
+    k2 = stage(n0 + 0.5 * h * k1, 0.5)
+    k3 = stage(n0 + 0.5 * h * k2, 0.5)
+    k4 = stage(n0 + h * k3, 1.0)
     n_new = n0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return _advance_density(state, n_new, h)
-
-
-def _positive(n: np.ndarray, state: SimState, h: float) -> np.ndarray:
-    if not np.min(n) > 0.0:  # also rejects NaN
-        raise PositivityLoss(
-            f"density hit {np.min(n):.3e} in the step from t = {state.t:.6g} (h = {h} too large)"
-        )
-    return n
+    # checked before the RealField, which would reject NaN as a ValueError
+    return SimState.from_density(state.t + h, RealField(g, _positive(n_new, state.t + h)), p)
 
 
 def step_rk4(state: SimState, h: float) -> SimState:
@@ -247,7 +236,7 @@ def diagnostics(step: int, state: SimState, canonical: bool = False,
     m0 for the non-conservative flow, the (conserved) mean density otherwise."""
     p = state.params
     g = p.grid
-    n, psi, wn = state.n.values, state.psi.values, state.wn.values
+    n, psi, wn = state.n.values, state.psi, state.wn
     n_min = float(n.min())
     if n_min <= 0.0:
         raise NonpositiveDensity(f"min density {n_min:.3e}")

@@ -34,7 +34,6 @@ from . import spectral, thermo
 from .dynamics import SimState
 from .errors import InnerDivergence, NonpositiveDensity, ResidualTooLarge
 from .spectral import RealField
-from .thermo import ModelParams
 
 _ANDERSON_DEPTH = 3  # residual differences kept by the Anderson mixing of jko_step
 
@@ -73,7 +72,7 @@ def _freeze(state: SimState) -> _Frozen:
     """Three batched transforms: Psi0 and w0 forward, their gradients back,
     and the pointwise part of A forward."""
     g = state.n.grid
-    psi0, w0 = state.psi.values, state.wn.values
+    psi0, w0 = state.psi, state.wn
     hats = spectral._hat(np.stack((psi0, w0)), g)
     psi0_hat, w0_hat = hats
     grad_psi0, grad_w0 = spectral._real(g.ik * hats[:, None], g)
@@ -164,9 +163,8 @@ def jko_step(state: SimState, h: float, cfg: JkoConfig | None = None) -> tuple:
             raise InnerDivergence(f"no inner convergence within {cfg.max_inner} iterations")
 
     psi = spectral._real(psi_hat, g)
-    psi1 = RealField(g, state.psi.values + h * psi)
-    new_state = SimState.from_psi(state.t + h, psi1, state.params)
-    resid = residual_implicit(state.n, new_state.n, h, state.params, state.wn, new_state.wn)
+    new_state = SimState.from_psi(state.t + h, state.psi + h * psi, state.params)
+    resid = residual_implicit(state, new_state, h)
     if resid > cfg.residual_tol:
         raise ResidualTooLarge(f"weak residual {resid:.3e} > {cfg.residual_tol:.3e}")
     report = JkoStepReport(
@@ -178,26 +176,27 @@ def jko_step(state: SimState, h: float, cfg: JkoConfig | None = None) -> tuple:
     return new_state, report
 
 
-def residual_implicit(n0: RealField, n1: RealField, h: float, params: ModelParams,
-                      wn0: RealField | None = None, wn1: RealField | None = None) -> float:
-    """Relative strong-form residual of the implicit step relation:
+def residual_implicit(s0: SimState, s1: SimState, h: float) -> float:
+    """Relative strong-form residual of the implicit step relation from state
+    s0 to state s1:
 
         || (N1 - N0)/h - div(N0 grad Phi_{N1}) + Omega_{N0} Phi_{N1} ||_L2
-        / max(1, ||(N1 - N0)/h||_L2).
+        / max(1, ||(N1 - N0)/h||_L2),
 
-    wn0 and wn1 are W*N0 and W*N1 when the caller already has them.
+    with Phi and Omega formed from the states' cached log N and W*N, so the
+    residual costs the four transforms of the divergence term.
 
     The grid Fourier basis is dense in the test space, so the strong grid
     residual stands in for testing against all admissible test functions.
     """
-    if np.min(n0.values) <= 0 or np.min(n1.values) <= 0:
+    n0, n1 = s0.n.values, s1.n.values
+    if np.min(n0) <= 0 or np.min(n1) <= 0:
         raise NonpositiveDensity("both densities must be positive")
-    g = n0.grid
-    phi1 = thermo.potential_phi(n1, params, wn1)
-    om0 = thermo.omega(n0, params, wn0)
-    div = spectral._real(spectral.div_n_grad(g, n0.values, spectral._hat(phi1.values, g)), g)
-    rate = (n1.values - n0.values) / h
-    defect = RealField(g, rate - div + om0.values * phi1.values)
-    scale = max(1.0, spectral.l2_norm(RealField(g, rate)))
-    return spectral.l2_norm(defect) / scale
-
+    g = s0.n.grid
+    mu = s0.params.mu
+    phi1 = thermo._potential(s1.psi, s1.wn, mu)
+    om0 = thermo._omega(n0, thermo._potential(s0.psi, s0.wn, mu))
+    div = spectral._real(spectral.div_n_grad(g, n0, spectral._hat(phi1, g)), g)
+    rate = (n1 - n0) / h
+    scale = max(1.0, spectral._l2_norm(rate, g))
+    return spectral._l2_norm(rate - div + om0 * phi1, g) / scale

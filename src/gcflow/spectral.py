@@ -251,7 +251,11 @@ def dnorm(f: RealField, m: int) -> float:
 
 def l2_norm(f: RealField) -> float:
     """sqrt of the collocation quadrature of f^2."""
-    return float(np.sqrt(np.sum(f.values**2) * f.grid.cell_volume))
+    return _l2_norm(f.values, f.grid)
+
+
+def _l2_norm(values: np.ndarray, grid: Grid) -> float:
+    return float(np.sqrt(np.sum(values**2) * grid.cell_volume))
 
 
 def inner_l2(f: RealField, g_: RealField) -> float:

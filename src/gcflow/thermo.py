@@ -16,9 +16,10 @@ driving potential Phi_N = log N - mu + W*N, and the mobility weight is
 Omega_N = sqrt(N) * sinhc(Phi_N / 2) >= sqrt(N) > 0.
 
 Each formula lives in one array-level helper (`_free_energy`, `_potential`,
-`_omega`, `_weighted_inner`).  The public functionals validate their RealField
-arguments and call these helpers; the diagnostics record calls them on a
-state's cached arrays.
+`_omega`, `_weighted_inner`, `_dissipation`).  The public functionals take a
+RealField density, check it positive, compute log N and W*N themselves and
+call these helpers; the simulation (right-hand sides, diagnostics record,
+implicit step) calls them on a state's cached Psi = log N and W*N.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ class ModelParams:
     def __post_init__(self):
         if not (0.0 < self.kappa < 0.5):
             raise ValueError(f"kappa must be in (0, 1/2), got {self.kappa}")
+        if not self.m0 > 0.0:  # e.g. exp(mu) underflowed to 0
+            raise ValueError(f"uniform density m0 must be positive, got {self.m0}")
         resid = abs(self.m0 - math.exp(self.mu - self.kernel.w * self.m0))
         if resid > 1e-12 * self.m0:
             raise ValueError(f"(mu, m0) inconsistent: fixed-point residual {resid:.3e}")
@@ -161,12 +164,11 @@ def _free_energy(n: np.ndarray, log_n: np.ndarray, wn: np.ndarray, mu: float,
     return float(np.sum(n * (log_n - (1.0 + mu) + 0.5 * wn))) * cell_volume
 
 
-def potential_phi(n: RealField, params: ModelParams, wn: RealField | None = None) -> RealField:
+def potential_phi(n: RealField, params: ModelParams) -> RealField:
     """Driving potential Phi_N = log N - mu + W*N (the variational derivative
     of the grand free energy)."""
     _require_positive(n)
-    if wn is None:
-        wn = spectral.convolve(params.kernel.spectrum, n)
+    wn = spectral.convolve(params.kernel.spectrum, n)
     return RealField(n.grid, _potential(np.log(n.values), wn.values, params.mu))
 
 
@@ -187,13 +189,9 @@ def sinhc_half(phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def omega(n: RealField, params: ModelParams, wn: RealField | None = None,
-          phi: RealField | None = None) -> RealField:
+def omega(n: RealField, params: ModelParams) -> RealField:
     """Mobility Omega_N = sqrt(N) * sinhc(Phi_N / 2); pointwise >= sqrt(N)."""
-    _require_positive(n)
-    if phi is None:
-        phi = potential_phi(n, params, wn)
-    return RealField(n.grid, _omega(n.values, phi.values))
+    return RealField(n.grid, _omega(n.values, potential_phi(n, params).values))
 
 
 def _omega(n: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -201,12 +199,9 @@ def _omega(n: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.sqrt(n) * sinhc_half(phi)
 
 
-def weighted_inner(n: RealField, params: ModelParams, f: RealField, g: RealField,
-                   omega_n: RealField | None = None) -> float:
+def weighted_inner(n: RealField, params: ModelParams, f: RealField, g: RealField) -> float:
     """int N (grad f . grad g) + Omega_N f g dx (collocation quadrature)."""
-    _require_positive(n)
-    if omega_n is None:
-        omega_n = omega(n, params)
+    omega_n = omega(n, params)
     grid = n.grid
     grad_f = spectral._real(grid.ik * spectral._hat(f.values, grid), grid)
     grad_g = grad_f if g is f else spectral._real(grid.ik * spectral._hat(g.values, grid), grid)
@@ -221,10 +216,10 @@ def _weighted_inner(n: np.ndarray, omega_n: np.ndarray, f: np.ndarray, g: np.nda
     return float(np.sum(n * grad_dot + omega_n * f * g)) * cell_volume
 
 
-def dissipation(n: RealField, params: ModelParams, wn: RealField | None = None) -> float:
+def dissipation(n: RealField, params: ModelParams) -> float:
     """Instantaneous free-energy dissipation rate: the weighted quadratic form
     of Phi_N with itself."""
-    phi = potential_phi(n, params, wn)
+    phi = potential_phi(n, params)
     g = n.grid
     grad_phi = spectral._real(g.ik * spectral._hat(phi.values, g), g)
     return _dissipation(n.values, phi.values, grad_phi, g.cell_volume)

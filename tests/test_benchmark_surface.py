@@ -1,0 +1,49 @@
+"""The parts of gcflow that the benchmark in `perfbench/` calls directly.
+
+The benchmark's own tests are not part of this suite, so these checks keep
+its entry points in place: the density of a state is a RealField with
+`integral()`, it round-trips through both field formats, RealField
+validation is a patchable method, and the implicit step reaches its
+residual through the module attribute the tracer times.
+"""
+
+import numpy as np
+import pytest
+
+from gcflow import fieldio, jko, problems
+from gcflow.kernels import make_smoothed_indicator
+from gcflow.spectral import Grid, RealField
+from gcflow.thermo import make_params
+
+
+@pytest.fixture
+def state():
+    grid = Grid.make(1, 1.0, 64)
+    params = make_params(grid, make_smoothed_indicator(grid, 1.0, 0.1, 0.02), 0.4, m0=0.05)
+    return problems.random_band_state(params, 3, 0.3, seed=7)
+
+
+def test_state_density_is_a_field(state):
+    assert isinstance(state.n, RealField)
+    assert state.n.integral() == float(np.sum(state.n.values)) * state.n.grid.cell_volume
+
+
+def test_state_density_round_trips(state, tmp_path):
+    fieldio.save_binary(str(tmp_path / "a.gcf"), state.n)
+    assert np.array_equal(fieldio.load_binary(str(tmp_path / "a.gcf")).values, state.n.values)
+    fieldio.save_csv(str(tmp_path / "b.csv"), state.n, name="b")
+    field, name = fieldio.load_csv(str(tmp_path / "b.csv"))
+    assert name == "b" and np.array_equal(field.values, state.n.values)
+
+
+def test_realfield_validation_is_a_method():
+    assert "__post_init__" in vars(RealField)
+
+
+def test_jko_step_calls_residual_through_module(state, monkeypatch):
+    calls = []
+    residual = jko.residual_implicit
+    monkeypatch.setattr(jko, "residual_implicit",
+                        lambda *a: calls.append(1) or residual(*a))
+    jko.jko_step(state, 1e-3)
+    assert len(calls) == 1

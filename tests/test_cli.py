@@ -197,13 +197,23 @@ def test_bad_config_exit_2(tmp_path, capsys, old, new, field):
     ("evolve", "kind = uniform", "kind = random_band\nk_c = 100000", "initial.k_c"),
     ("evolve", "kind = uniform", "kind = random_band\nk_c = -1", "initial.k_c"),
     ("sweep", "kind = uniform", "kind = random_band\nk_c = 20", "initial.k_c"),
+    # with no interaction (w = 0), m0 = exp(-800) underflows to 0
+    ("evolve", ("amplitude = 1.0", "m0 = 0.05"), ("amplitude = 0.0", "mu = -800"), "model.mu"),
+    ("evolve", ("amplitude = 1.0", "m0 = 0.05", "kind = uniform"),
+     ("amplitude = 0.0", "mu = -800", "kind = random_band"), "model.mu"),
+    ("sweep", ("amplitude = 1.0", "m0 = 0.05"), ("amplitude = 0.0", "mu = -800"), "model.mu"),
 ], ids=["out-dir-under-file", "radius-too-large", "mollifier-too-wide", "gaussian-too-wide",
         "sweep-box-too-small", "m0-huge", "mu-huge", "sweep-radius-too-large",
         "sweep-gaussian-too-wide", "sweep-m0-huge", "sweep-mu-huge", "single-mode-nonpositive",
-        "band-edge-huge", "band-edge-negative", "sweep-band-edge-above-nyquist"])
+        "band-edge-huge", "band-edge-negative", "sweep-band-edge-above-nyquist",
+        "m0-underflow-uniform", "m0-underflow-band", "sweep-m0-underflow"])
 def test_config_value_failure_exit_2(tmp_path, capsys, command, old, new, field):
-    # values that parse but fail later, while building the model, kernels or output
-    text = BASE.replace(old, new).replace("{file}", str(tmp_path / "c.ini"))
+    # values that parse but fail later, while building the model, kernels or output;
+    # `old` and `new` may be tuples of replacements made in turn
+    text = BASE
+    for o, n in zip(old, new) if isinstance(old, tuple) else [(old, new)]:
+        text = text.replace(o, n)
+    text = text.replace("{file}", str(tmp_path / "c.ini"))
     argv = [command, "--config", write_config(tmp_path, text)]
     if command == "sweep":
         argv += ["--axis", "L=0.5,1"]

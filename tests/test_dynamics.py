@@ -53,6 +53,16 @@ def fft_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def realfield_calls(monkeypatch):
+    """Counts RealField validations: calls of RealField.__post_init__, which
+    the dataclass __init__ looks up on the class at each construction."""
+    calls = []
+    check = RealField.__post_init__
+    monkeypatch.setattr(RealField, "__post_init__", lambda self: calls.append(1) or check(self))
+    return calls
+
+
 def test_rhs_vanishes_at_uniform(params):
     st = problems.uniform_state(params)
     assert np.max(np.abs(rhs_grand(st).values)) < 1e-12
@@ -272,10 +282,22 @@ def test_evolve_propagates_programming_errors(params, monkeypatch):
         evolve(problems.uniform_state(params), 0.01, 1e-3)
 
 
-def test_nan_density_is_positivity_loss(params):
-    st = problems.uniform_state(params)
+def test_nan_density_is_positivity_loss(params, monkeypatch):
+    nan_hat = np.full(params.grid.shape[:-1] + (params.grid.M // 2 + 1,), np.nan, complex)
     with pytest.raises(PositivityLoss):
-        dynamics._advance_density(st, np.full(params.grid.shape, np.nan), 1e-3)
+        SimState.from_spectrum(0.0, nan_hat, params)
+    # an rk4 step whose stages stay positive but whose result is NaN
+    st = problems.uniform_state(params)
+    calls = []
+
+    def rhs(p, n, *args):
+        calls.append(1)
+        return np.full_like(n, np.nan if len(calls) == 4 else 0.0)
+
+    monkeypatch.setattr(dynamics, "_rhs", rhs)
+    with pytest.raises(PositivityLoss):
+        step_rk4(st, 1e-5)
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("canonical", [False, True], ids=["grand", "canonical"])
@@ -289,12 +311,13 @@ def test_record_matches_reference_functionals(d, M, built_from, canonical):
         st = SimState.from_density(0.0, st.n, p)
     rec = diagnostics(0, st, canonical=canonical)
     g_mu = thermo.free_energy_grand(st.n, p)
+    psi = RealField(p.grid, st.psi)
     reference = {
         "mass": st.n.integral(),
         "g_mu": g_mu,
-        "d0": spectral.dnorm(st.psi, 0),
-        "d1": spectral.dnorm(st.psi, 1),
-        "d2": spectral.dnorm(st.psi, 2),
+        "d0": spectral.dnorm(psi, 0),
+        "d1": spectral.dnorm(psi, 1),
+        "d2": spectral.dnorm(psi, 2),
         "n_min": float(np.min(st.n.values)),
         "n_max": float(np.max(st.n.values)),
         "dissipation": thermo.dissipation(st.n, p),
@@ -346,4 +369,48 @@ def test_cached_spectrum_matches_density(d, M, integrator):
             st = dynamics._STEPPERS[integrator](st, 1e-5)
     fresh = spectral._hat(st.n.values, st.n.grid)
     assert st.n_hat.shape == fresh.shape
+    assert np.max(np.abs(st.n_hat - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+
+
+@pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
+def test_one_validation_per_step(d, M, realfield_calls):
+    # N is a state's one validated field; a step validates the N it ends in,
+    # and a diagnostics record validates nothing
+    st = problems.random_band_state(model(d, M), 3, 0.3, seed=42)
+    for name in ("imex", "rk4", "rk4_canonical"):
+        del realfield_calls[:]
+        dynamics._STEPPERS[name](st, 1e-5)
+        assert len(realfield_calls) == 1, name
+    del realfield_calls[:]
+    jko.jko_step(st, 1e-3)
+    assert len(realfield_calls) == 1
+    for canonical in (False, True):
+        del realfield_calls[:]
+        diagnostics(1, st, canonical=canonical)
+        assert not realfield_calls, canonical
+    del realfield_calls[:]
+    traj = evolve(st, 1e-4, 1e-5, stride=1)
+    assert len(traj.records) == 10 and len(realfield_calls) == 10
+
+
+@pytest.mark.parametrize("built_from", ["density", "psi", "spectrum"])
+@pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
+def test_state_caches_follow_density(d, M, built_from):
+    p = model(d, M)
+    base = problems.random_band_state(p, 3, 0.3, seed=43)
+    if built_from == "density":
+        st = SimState.from_density(0.0, base.n, p)
+    elif built_from == "psi":
+        st = SimState.from_psi(0.0, base.psi, p)
+    else:
+        st = SimState.from_spectrum(0.0, base.n_hat, p)
+    assert isinstance(st.n, RealField)
+    assert type(st.psi) is np.ndarray and type(st.wn) is np.ndarray
+    if built_from == "psi":
+        assert np.array_equal(st.psi, base.psi) and np.array_equal(st.n.values, np.exp(st.psi))
+    else:
+        assert np.array_equal(st.psi, np.log(st.n.values))
+    wn = spectral.convolve(p.kernel.spectrum, st.n).values
+    assert np.max(np.abs(st.wn - wn)) <= 1e-14 * np.max(np.abs(wn))
+    fresh = spectral._hat(st.n.values, p.grid)
     assert np.max(np.abs(st.n_hat - fresh)) <= 1e-12 * np.max(np.abs(fresh))

@@ -57,7 +57,7 @@ def test_implicit_residual_small(params):
     st = problems.random_band_state(params, 3, 0.3, seed=42)
     st1, rep = jko_step(st, 1e-3)
     assert rep.residual < 1e-9
-    replay = residual_implicit(st.n, st1.n, 1e-3, params)
+    replay = residual_implicit(st, st1, 1e-3)
     assert abs(replay - rep.residual) < 1e-12
 
 
@@ -138,16 +138,18 @@ def test_large_step_converges(params, h):
 
 
 def test_residual_reuses_cached_convolutions(params, monkeypatch):
-    # with W*N of both states given, one residual costs 4 transforms (d = 1)
+    # log N and W*N come from the states' caches: one residual costs 4
+    # transforms (d = 1) and matches states rebuilt from their densities
     st = problems.random_band_state(params, 3, 0.3, seed=49)
     st1, _ = jko_step(st, 1e-3)
-    recomputed = residual_implicit(st.n, st1.n, 1e-3, params)
+    recomputed = residual_implicit(jko.SimState.from_density(st.t, st.n, params),
+                                   jko.SimState.from_density(st1.t, st1.n, params), 1e-3)
     calls = []
     for name in ("_hat", "_real"):
         transform = getattr(spectral, name)
         monkeypatch.setattr(spectral, name,
                             lambda *a, _t=transform: calls.append(1) or _t(*a))
-    cached = residual_implicit(st.n, st1.n, 1e-3, params, st.wn, st1.wn)
+    cached = residual_implicit(st, st1, 1e-3)
     assert len(calls) == 4
     assert abs(cached - recomputed) <= 1e-14 * recomputed
 

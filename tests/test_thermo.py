@@ -249,8 +249,8 @@ def test_omega_closed_form(setup):
     rng = np.random.default_rng(25)
     n = RealField(grid, 0.05 * np.exp(0.3 * rng.standard_normal(grid.shape)))
     wn = convolve(params.kernel.spectrum, n)
-    phi = potential_phi(n, params, wn)
-    om = omega(n, params, wn)
+    phi = potential_phi(n, params)
+    om = omega(n, params)
     expect = (
         np.exp((wn.values - params.mu) / 2)
         * (n.values - np.exp(params.mu - wn.values))
