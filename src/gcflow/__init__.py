@@ -4,5 +4,5 @@ transport metric with reaction, and a relaxation-rate experiment harness."""
 
 __version__ = "0.1.0"
 
-from .spectral import Grid, RealField, Spectrum  # noqa: F401
+from .spectral import Grid, RealField  # noqa: F401
 from .thermo import ModelParams, RateConstants, make_params, rate_constants  # noqa: F401

@@ -53,7 +53,7 @@ class SimState:
         """The state of density n; a nonpositive n raises PositivityLoss."""
         v = _positive(n.values, t)
         n_hat = spectral._hat(v, n.grid)
-        wn = spectral._real(n_hat * _kernel_hat(params), n.grid)
+        wn = spectral._real(n_hat * params.kernel.symbol, n.grid)
         return SimState(t, np.log(v), n, wn, n_hat, params)
 
     @staticmethod
@@ -62,7 +62,7 @@ class SimState:
         psi = psi.values if isinstance(psi, RealField) else psi
         n = RealField(params.grid, np.exp(psi))
         n_hat = spectral._hat(n.values, n.grid)
-        wn = spectral._real(n_hat * _kernel_hat(params), n.grid)
+        wn = spectral._real(n_hat * params.kernel.symbol, n.grid)
         return SimState(t, psi, n, wn, n_hat, params)
 
     @staticmethod
@@ -70,7 +70,7 @@ class SimState:
         """The state whose N has half spectrum n_hat: one batched inverse
         transform gives N and W*N.  A nonpositive N raises PositivityLoss."""
         g = params.grid
-        n, wn = spectral._real(np.stack((n_hat, n_hat * _kernel_hat(params))), g)
+        n, wn = spectral._real(np.stack((n_hat, n_hat * params.kernel.symbol)), g)
         _positive(n, t)
         return SimState(t, np.log(n), RealField(g, n), wn, n_hat, params)
 
@@ -111,11 +111,6 @@ class Trajectory:
     psi_d0_bound: float | None = None  # running max ||psi||_D0 (implicit runs)
 
 
-def _kernel_hat(p: ModelParams) -> np.ndarray:
-    """Half spectrum of the kernel: W*N has half spectrum _kernel_hat * N_hat."""
-    return spectral._half(p.kernel.spectrum.coeffs)
-
-
 def _reaction(p: ModelParams, n: np.ndarray, wn: np.ndarray) -> np.ndarray:
     """-N exp(-(mu - w_N)/2) + exp((mu - w_N)/2)."""
     half = 0.5 * (p.mu - wn)
@@ -128,7 +123,7 @@ def _rhs(p: ModelParams, n: np.ndarray, nh: np.ndarray, canonical: bool,
     its half spectrum nh.  W*N is taken from `wn` when given; otherwise it
     comes back with the transport term from one batched inverse transform."""
     g = p.grid
-    wh = _kernel_hat(p) * nh
+    wh = p.kernel.symbol * nh
     transport_hat = g.lap * nh + spectral.div_n_grad(g, n, wh)
     if canonical or wn is not None:
         transport = spectral._real(transport_hat, g)
@@ -153,11 +148,6 @@ def rhs_grand_advective(state: SimState) -> RealField:
     return RealField(g, div - thermo._omega(n, phi) * phi)
 
 
-def rhs_canonical(state: SimState) -> RealField:
-    return RealField(state.n.grid, _rhs(state.params, state.n.values, state.n_hat,
-                                        canonical=True))
-
-
 def step_imex(state: SimState, h: float) -> SimState:
     """Semi-implicit Euler: diffusion implicit via the Helmholtz inverse,
     interaction and reaction terms explicit.  First-order accurate,
@@ -169,7 +159,7 @@ def step_imex(state: SimState, h: float) -> SimState:
     p = state.params
     g = p.grid
     n, nh = state.n.values, state.n_hat
-    explicit = (spectral.div_n_grad(g, n, _kernel_hat(p) * nh)
+    explicit = (spectral.div_n_grad(g, n, p.kernel.symbol * nh)
                 + spectral._hat(_reaction(p, n, state.wn), g))
     return SimState.from_spectrum(state.t + h, (nh + h * explicit) / (1.0 - h * g.lap), p)
 

@@ -5,16 +5,8 @@ class GcflowError(Exception):
     """Base class for all gcflow errors."""
 
 
-class NonHermitianInput(GcflowError):
-    """Spectrum passed to inverse() is not Hermitian-symmetric."""
-
-
 class GridMismatch(GcflowError):
     """Operands live on different grids."""
-
-
-class NonpositiveH(GcflowError):
-    """Helmholtz inverse requires h > 0."""
 
 
 class RangeTooLarge(GcflowError):

@@ -10,7 +10,7 @@ from . import dynamics, problems, thermo
 from .dynamics import SimState, Trajectory
 from .errors import ConfigError, InsufficientData
 from .jko import JkoConfig
-from .spectral import RealField, dnorm, forward, l2_norm
+from .spectral import RealField, dnorm, l2_norm
 from .thermo import ModelParams
 
 GAP_FLOOR = 1e-13
@@ -60,6 +60,16 @@ def _completed(traj: Trajectory) -> Trajectory:
     return traj
 
 
+def _half_index(grid, n: tuple) -> tuple:
+    """Index in the half spectrum of the mode with integer wavenumbers n, or of
+    its conjugate partner (same modulus, same real part) when the last axis
+    index lies above M/2."""
+    idx = tuple(ni % grid.M for ni in n)
+    if idx[-1] > grid.M // 2:
+        idx = tuple(-i % grid.M for i in idx)
+    return idx
+
+
 def linearized_rate(k, params: ModelParams, canonical: bool = False) -> float:
     """Decay rate of the mode with wavenumber k about the uniform state.
 
@@ -71,8 +81,8 @@ def linearized_rate(k, params: ModelParams, canonical: bool = False) -> float:
     g = params.grid
     if np.isscalar(k):
         k = (float(k),) + (0.0,) * (g.d - 1)
-    idx = tuple(int(round(ki * g.L / (2.0 * np.pi))) % g.M for ki in k)
-    what = float(params.kernel.spectrum.coeffs[idx].real)
+    idx = _half_index(g, tuple(int(round(ki * g.L / (2.0 * np.pi))) for ki in k))
+    what = float(params.kernel.symbol[idx].real)
     k2 = float(sum(ki * ki for ki in k))
     mult = 1.0 + params.m0 * what
     if canonical:
@@ -91,7 +101,7 @@ def measure_mode_decay(
     """Evolve m0 + eps cos(k x) and fit the decay rate of |Nhat(k, t)|."""
     state = problems.single_mode_state(params, mode, eps)
     g = params.grid
-    idx = (mode % g.M,) + (0,) * (g.d - 1)
+    idx = _half_index(g, (mode,) + (0,) * (g.d - 1))
     n = max(1, round(T / h))  # stride n: the fit reads snapshots, not records
     traj = _completed(dynamics.evolve(state, T, h, integrator=integrator, stride=n,
                                       snapshot_every=max(1, n // 400)))
@@ -100,7 +110,7 @@ def measure_mode_decay(
         if mode == 0:
             amp = abs(float(np.mean(s.n.values)) - params.m0)
         else:
-            amp = abs(forward(s.n).coeffs[idx]) / g.volume
+            amp = abs(s.n_hat[idx]) * g.cell_volume / g.volume
         if amp > GAP_FLOOR:
             ts.append(s.t)
             amps.append(amp)

@@ -33,7 +33,6 @@ import numpy as np
 from . import spectral, thermo
 from .dynamics import SimState
 from .errors import InnerDivergence, NonpositiveDensity, ResidualTooLarge
-from .spectral import RealField
 
 _ANDERSON_DEPTH = 3  # residual differences kept by the Anderson mixing of jko_step
 
@@ -83,11 +82,6 @@ def _freeze(state: SimState) -> _Frozen:
     return _Frozen(grad_psi0=grad_psi0, omega0=omega0, a_hat=a_hat)
 
 
-def assemble_A(state: SimState) -> RealField:
-    """The psi-independent block of the fixed-point equation."""
-    return RealField(state.n.grid, spectral._real(_freeze(state).a_hat, state.n.grid))
-
-
 def _fixed_point_rhs(frozen: _Frozen, state: SimState, psi: np.ndarray,
                      psi_hat: np.ndarray, h: float) -> np.ndarray:
     """Half spectrum of A + h B(psi) - E2(h psi) / h, with B written as
@@ -95,8 +89,7 @@ def _fixed_point_rhs(frozen: _Frozen, state: SimState, psi: np.ndarray,
     and grad u come back from one batched inverse transform."""
     g = state.n.grid
     e = np.expm1(h * psi)
-    wp_hat = spectral._half(state.params.kernel.spectrum.coeffs) * spectral._hat(
-        state.n.values * e / h, g)
+    wp_hat = state.params.kernel.symbol * spectral._hat(state.n.values * e / h, g)
     u_hat = psi_hat + wp_hat
     back = spectral._real(np.concatenate((wp_hat[None], g.ik * u_hat)), g)
     u = psi + back[0]

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import spectral
 from .errors import BadMollifier, RangeTooLarge, WidthTooLarge
-from .spectral import Grid, RealField, Spectrum
+from .spectral import Grid, RealField
 
 _NEG_TOL = 1e-12
 
@@ -40,7 +40,7 @@ class KernelStats:
 class Kernel:
     grid: Grid
     values: RealField
-    spectrum: Spectrum
+    symbol: np.ndarray  # half spectrum of W, continuum-normalized: W*N has symbol * N_hat
     w: float  # W_hat(0) = integral of W
     range_a: float  # support radius (including mollifier width)
     stats: KernelStats
@@ -55,18 +55,21 @@ def _theta_sharp_of(what: np.ndarray) -> float:
 
 def _finish(grid: Grid, values: np.ndarray, range_a: float) -> Kernel:
     fld = RealField(grid, values)
-    spec = spectral.forward(fld)
-    what = spec.coeffs.real  # even real kernel: coefficients real to roundoff
-    kmod = grid.kmod
+    # sliced from fftn, not rfftn, whose roundoff moves the last digit of simulated masses
+    symbol = spectral._half(np.fft.fftn(values)) * grid.cell_volume
+    what = symbol.real  # even real kernel: coefficients real to roundoff
+    # a half-spectrum mode stands for itself and its conjugate: sups need no
+    # weights, sums take the copy weights of dnorm
+    kmod = np.sqrt(grid.k2)
     v = tuple(float(np.max(kmod**m * np.abs(what))) for m in range(5))
     stats = KernelStats(
         v=v,
-        d2norm=float(np.sum(grid.k2 * np.abs(what))) / grid.volume,
+        d2norm=float(grid.dnorm_weights[2] @ np.abs(what).ravel()) / grid.cell_volume,
         theta_sharp=_theta_sharp_of(what),
         positive_type=bool(np.min(what) >= -_NEG_TOL),
         pointwise_nonneg=bool(np.min(values) >= -_NEG_TOL),
     )
-    return Kernel(grid, fld, spec, w=float(what.flat[0]), range_a=range_a, stats=stats)
+    return Kernel(grid, fld, symbol, w=float(what.flat[0]), range_a=range_a, stats=stats)
 
 
 def make_smoothed_indicator(
@@ -121,27 +124,6 @@ def make_positive_type(grid: Grid, amplitude: float, width: float) -> Kernel:
     else:
         values = amplitude * prof.reshape(-1, 1) * prof.reshape(1, -1)
     return _finish(grid, values, min(6.0 * s, grid.L / 2.0))
-
-
-def theta_sharp(kernel: Kernel) -> float:
-    """Reciprocal of the largest-magnitude negative Fourier mode; +inf if none."""
-    return kernel.stats.theta_sharp
-
-
-def hstability_report(kernel: Kernel) -> dict:
-    """Sufficient-condition check for stability of the interaction form.
-
-    Either pointwise nonnegativity of W or positivity of all Fourier modes
-    guarantees the double-integral quadratic form is nonnegative over
-    nonnegative densities.  certified == False means undetermined, not a
-    disproof (full co-positivity is not tested).
-    """
-    s = kernel.stats
-    return {
-        "pointwise_nonneg": s.pointwise_nonneg,
-        "positive_type": s.positive_type,
-        "certified": s.pointwise_nonneg or s.positive_type,
-    }
 
 
 def stats_json(kernel: Kernel) -> dict:

@@ -57,7 +57,7 @@ def solve_driving_potential(n0: RealField, target_rate: RealField, params: Model
     om = thermo.omega(n0, params).values
     mean_n = float(np.mean(n))
     mean_om = float(np.mean(om))
-    precond_symbol = 1.0 / (mean_n * spectral._half(grid.k2) + mean_om)
+    precond_symbol = 1.0 / (mean_n * grid.k2 + mean_om)
 
     def apply_m(v: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
         """-( div(N grad Q) - Omega Q ), the positive-definite form."""

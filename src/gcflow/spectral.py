@@ -7,17 +7,16 @@ Fourier coefficients follow the continuum normalization
     f_hat(k) = integral over the box of f(x) exp(-i k.x) dx,
 
 realized as the DFT scaled by dx^d.  Wavenumbers are k = (2*pi/L) * n with
-integer n in {-M/2, ..., M/2 - 1} per dimension.  `forward`/`inverse` keep
-this full spectrum as the reference.  Every operator works instead on the
-half spectrum of the real-to-complex DFT (last-axis indices 0..M/2), through
-the one transform pair `_hat`/`_real` (raw DFT, no dx^d factor).  The pair is
-chosen by d -- `rfft`/`irfft` in d = 1, `rfftn`/`irfftn` over the last two
-axes in d = 2 -- and takes a leading batch axis, so that several fields (the
-d gradient components of `div_n_grad`, N and W*N of a step) go through one
-call.  The derivative symbols `Grid.ik` (stacked, one row per axis) and
-`Grid.lap` zero every mode with an axis index M/2, so odd derivatives of real
-fields stay real; this is standard pseudospectral practice and only touches
-the resolution floor.
+integer n in {-M/2, ..., M/2 - 1} per dimension.  Fields are real, so every
+operator works on the half spectrum of the real-to-complex DFT (last-axis
+indices 0..M/2), through the one transform pair `_hat`/`_real` (raw DFT, no
+dx^d factor).  The pair is chosen by d -- `rfft`/`irfft` in d = 1,
+`rfftn`/`irfftn` over the last two axes in d = 2 -- and takes a leading batch
+axis, so that several fields (the d gradient components of `div_n_grad`, N
+and W*N of a step) go through one call.  The derivative symbols `Grid.ik`
+(stacked, one row per axis) and `Grid.lap` zero every mode with an axis
+index M/2, so odd derivatives of real fields stay real; this is standard
+pseudospectral practice and only touches the resolution floor.
 
 The weighted l1 norms
 
@@ -33,9 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, NonHermitianInput, NonpositiveH
-
-_ROUNDTRIP_RTOL = 1e-12
+from .errors import GridMismatch
 
 
 @dataclass(frozen=True)
@@ -48,11 +45,9 @@ class Grid:
     d: int
     L: float
     M: int
-    # full-spectrum |k|^2 and |k|; half-spectrum derivative symbols i k (shape
-    # (d, ...), one row per axis) and -|k|^2, both zero on every mode with an
-    # axis index M/2
+    # half-spectrum |k|^2; derivative symbols i k (shape (d, ...), one row per
+    # axis) and -|k|^2, both zero on every mode with an axis index M/2
     k2: np.ndarray = field(repr=False, compare=False, default=None)
-    kmod: np.ndarray = field(repr=False, compare=False, default=None)
     ik: np.ndarray = field(repr=False, compare=False, default=None)
     lap: np.ndarray = field(repr=False, compare=False, default=None)
     # row m (0..4): |k|^m times the number of full-spectrum modes each
@@ -69,21 +64,19 @@ class Grid:
         if L <= 0:
             raise ValueError(f"L must be positive, got {L}")
         k1 = 2.0 * np.pi * np.fft.fftfreq(M, d=L / M)
-        kvec = np.meshgrid(*([k1] * d), indexing="ij")
+        kvec = [_half(k) for k in np.meshgrid(*([k1] * d), indexing="ij")]
         k2 = sum(k * k for k in kvec)
         nyq = np.meshgrid(*([np.arange(M) == M // 2] * d), indexing="ij")
         keep = _half(~np.logical_or.reduce(nyq))
-        kmod = np.sqrt(k2)
         copies = np.full(M // 2 + 1, 2.0)
         copies[[0, -1]] = 1.0
         g = Grid(d, float(L), M)
         scale = copies * g.cell_volume / g.volume
         object.__setattr__(g, "k2", k2)
-        object.__setattr__(g, "kmod", kmod)
-        object.__setattr__(g, "ik", np.stack([1j * _half(k) * keep for k in kvec]))
-        object.__setattr__(g, "lap", -_half(k2) * keep)
+        object.__setattr__(g, "ik", np.stack([1j * k * keep for k in kvec]))
+        object.__setattr__(g, "lap", -k2 * keep)
         object.__setattr__(g, "dnorm_weights",
-                           np.stack([(_half(kmod) ** m * scale).ravel() for m in range(5)]))
+                           np.stack([(np.sqrt(k2) ** m * scale).ravel() for m in range(5)]))
         return g
 
     @property
@@ -139,31 +132,9 @@ class RealField:
         return float(np.sum(self.values)) * self.grid.cell_volume
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    grid: Grid
-    coeffs: np.ndarray
-
-
 def same_grid(a, b) -> None:
     if a.grid is not b.grid and (a.grid.d, a.grid.L, a.grid.M) != (b.grid.d, b.grid.L, b.grid.M):
         raise GridMismatch(f"{a.grid} vs {b.grid}")
-
-
-def forward(f: RealField) -> Spectrum:
-    """Continuum-normalized Fourier coefficients of a real field."""
-    return Spectrum(f.grid, np.fft.fftn(f.values) * f.grid.cell_volume)
-
-
-def inverse(spec: Spectrum) -> RealField:
-    """Back-transform; errors out if the imaginary residue is non-negligible."""
-    v = np.fft.ifftn(spec.coeffs) / spec.grid.cell_volume
-    scale = max(np.max(np.abs(v.real)), 1e-300)
-    if np.max(np.abs(v.imag)) > _ROUNDTRIP_RTOL * max(scale, 1.0):
-        raise NonHermitianInput(
-            f"imaginary residue {np.max(np.abs(v.imag)):.3e} (field scale {scale:.3e})"
-        )
-    return RealField(spec.grid, v.real)
 
 
 def _half(a: np.ndarray) -> np.ndarray:
@@ -192,11 +163,6 @@ def gradient(f: RealField) -> tuple:
     return tuple(RealField(g, c) for c in _real(g.ik * _hat(f.values, g), g))
 
 
-def laplacian(f: RealField) -> RealField:
-    g = f.grid
-    return RealField(g, _real(g.lap * _hat(f.values, g), g))
-
-
 def divergence(fields: tuple) -> RealField:
     """Spectral divergence of a vector field given componentwise."""
     g = fields[0].grid
@@ -213,22 +179,11 @@ def div_n_grad(grid: Grid, n: np.ndarray, f_hat: np.ndarray) -> np.ndarray:
     return np.sum(grid.ik * _hat(flux, grid), axis=0)
 
 
-def convolve(kernel_spectrum: Spectrum, f: RealField) -> RealField:
-    """Periodic convolution via the pointwise Fourier product W_hat * f_hat."""
-    same_grid(kernel_spectrum, f)
-    return RealField(f.grid, _real(_hat(f.values, f.grid) * _half(kernel_spectrum.coeffs),
-                                   f.grid))
-
-
-def helmholtz_inverse(f: RealField, h: float) -> RealField:
-    """Apply (1 - h*laplacian)^{-1}: divide each mode by 1 + h|k|^2.
-
-    Uses the same symbol as `laplacian` (Nyquist modes carry no derivative),
-    so (1 - h*laplacian) composed with this map is the exact identity."""
-    if h <= 0:
-        raise NonpositiveH(f"h must be positive, got {h}")
-    g = f.grid
-    return RealField(g, _real(_hat(f.values, g) / (1.0 - h * g.lap), g))
+def convolve(kernel, f: RealField) -> RealField:
+    """Periodic convolution W*f of a `kernels.Kernel` with f, via the
+    pointwise Fourier product W_hat * f_hat."""
+    same_grid(kernel, f)
+    return RealField(f.grid, _real(_hat(f.values, f.grid) * kernel.symbol, f.grid))
 
 
 def _dnorms(grid: Grid, f_hat: np.ndarray, m_max: int) -> np.ndarray:

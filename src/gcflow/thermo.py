@@ -138,7 +138,7 @@ def _require_positive(n: RealField) -> None:
 def interaction_energy(n: RealField, kernel: Kernel) -> float:
     """(1 / 2 L^d) sum_k W_hat(k) |N_hat(k)|^2 (equals the double integral)."""
     g = n.grid
-    what = spectral._half(kernel.spectrum.coeffs.real)
+    what = kernel.symbol.real
     power = (what * np.abs(spectral._hat(n.values, g)) ** 2).ravel()
     return 0.5 * g.cell_volume * float(g.dnorm_weights[0] @ power)
 
@@ -153,7 +153,7 @@ def free_energy_canonical(n: RealField, kernel: Kernel) -> float:
 
 def _free_energy_of(n: RealField, kernel: Kernel, mu: float) -> float:
     _require_positive(n)
-    wn = spectral.convolve(kernel.spectrum, n)
+    wn = spectral.convolve(kernel, n)
     return _free_energy(n.values, np.log(n.values), wn.values, mu, n.grid.cell_volume)
 
 
@@ -168,7 +168,7 @@ def potential_phi(n: RealField, params: ModelParams) -> RealField:
     """Driving potential Phi_N = log N - mu + W*N (the variational derivative
     of the grand free energy)."""
     _require_positive(n)
-    wn = spectral.convolve(params.kernel.spectrum, n)
+    wn = spectral.convolve(params.kernel, n)
     return RealField(n.grid, _potential(np.log(n.values), wn.values, params.mu))
 
 

@@ -290,6 +290,17 @@ def test_evolve_jko_integrator(tmp_path, capsys):
     assert rec["inner_iters"] is not None and rec["residual"] is not None
 
 
+def test_check_runs_every_check(capsys):
+    assert main(["check"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines[:-1]] == [["ok", name] for name in (
+        "spectral_roundtrip", "parseval", "cosine_gradient", "convolution_theorem",
+        "kernel_properties", "uniform_fixed_point", "stationary_rhs", "rhs_assemblies_agree",
+        "mass_conserving_step", "jko_uniform_step", "jko_implicit_residual", "metric_axioms",
+        "rate_fit_synthetic", "field_serialization")]
+    assert lines[-1] == "14/14 checks passed"
+
+
 def test_kernel_info_json(tmp_path, capsys):
     assert main(["kernel-info", "--config", write_config(tmp_path)]) == 0
     payload = json.loads(capsys.readouterr().out)

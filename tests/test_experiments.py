@@ -79,6 +79,20 @@ def test_linearized_rate_values(params):
     assert linearized_rate(0.0, params, canonical=True) == 0.0
 
 
+def test_linearized_rate_folds_negative_wavenumbers(params):
+    # the kernel symbol holds the half spectrum: a negative last component
+    # reads the conjugate mode, whose W_hat is the same
+    k = 2 * np.pi * 5 / params.grid.L
+    ref = linearized_rate(k, params)
+    assert abs(linearized_rate(-k, params) - ref) <= 1e-12 * ref
+    grid = Grid.make(2, 1.0, 64)
+    p2 = make_params(grid, make_smoothed_indicator(grid, 1.0, 0.1, 0.02), 0.4, m0=0.05)
+    k1, k2 = 2 * np.pi * 3, 2 * np.pi * 5
+    ref = linearized_rate((k1, k2), p2)
+    for k in ((k1, -k2), (-k1, k2)):
+        assert abs(linearized_rate(k, p2) - ref) <= 1e-12 * ref
+
+
 def test_corridor_check(params):
     st = problems.random_band_state(params, 3, 0.3, seed=71)
     traj = dynamics.evolve(st, 0.2, 1e-3, stride=10)

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from gcflow import jko, problems, spectral
+from gcflow import jko, metric, problems, spectral, thermo
 from gcflow.dynamics import evolve, rhs_grand, step_imex
 from gcflow.errors import InnerDivergence, NoConvergence
 from gcflow.experiments import linearized_rate
-from gcflow.jko import JkoConfig, assemble_A, jko_step, residual_implicit
-from gcflow.kernels import make_smoothed_indicator
-from gcflow.spectral import Grid, RealField, dnorm, forward
+from gcflow.jko import JkoConfig, jko_step, residual_implicit
+from gcflow.kernels import make_positive_type, make_smoothed_indicator
+from gcflow.spectral import Grid, RealField, dnorm
 from gcflow.thermo import free_energy_grand, make_params
 
 
@@ -22,17 +22,17 @@ def params():
 
 def test_assemble_A_zero_at_uniform(params):
     st = problems.uniform_state(params)
-    assert np.max(np.abs(assemble_A(st).values)) < 1e-11
+    assert np.max(np.abs(spectral._real(jko._freeze(st).a_hat, params.grid))) < 1e-11
 
 
 def test_assemble_A_is_scaled_rhs(params):
     # A = e^{-Psi0} * rhs(N0): the log-variable drift equals the density
     # drift divided by N0
     st = problems.random_band_state(params, 3, 0.3, seed=41)
-    a = assemble_A(st)
+    a = spectral._real(jko._freeze(st).a_hat, params.grid)
     expect = rhs_grand(st).values / st.n.values
     scale = max(1.0, np.max(np.abs(expect)))
-    assert np.max(np.abs(a.values - expect)) < 1e-9 * scale
+    assert np.max(np.abs(a - expect)) < 1e-9 * scale
 
 
 def test_uniform_state_is_fixed_point(params):
@@ -68,8 +68,8 @@ def test_single_mode_decay_factor(params):
     st = problems.single_mode_state(params, mode, eps)
     st1, _ = jko_step(st, h)
     k = 2 * np.pi * mode / grid.L
-    amp0 = abs(forward(st.n).coeffs[mode]) / grid.volume
-    amp1 = abs(forward(st1.n).coeffs[mode]) / grid.volume
+    amp0 = abs(np.fft.fftn(st.n.values)[mode] * grid.cell_volume) / grid.volume
+    amp1 = abs(np.fft.fftn(st1.n.values)[mode] * grid.cell_volume) / grid.volume
     expected = 1.0 / (1.0 + h * linearized_rate(k, params))
     assert abs(amp1 / amp0 - expected) < 0.02 * expected
 
@@ -179,3 +179,32 @@ def test_d2_increment_bounded_linearly_in_h(params):
         incs.append(rep.norm_delta_d2)
     assert 0.35 < incs[1] / incs[0] < 0.65
     assert 0.35 < incs[2] / incs[1] < 0.65
+
+
+@pytest.mark.parametrize("family", ["smoothed_indicator", "positive_type"])
+def test_step_energy_inequality_and_rate(family):
+    # the theorem at the level of the scheme: each step lowers G by at least
+    # d_a^2 / h, with d_a^2 = h^2 <<Phi_{N1}, Phi_{N1}>>_{N0} the squared
+    # short-time distance, and shrinks the gap by 1 + 2 lambda_dagger h
+    for L in (1.0, 4.0):
+        grid = Grid.make(1, L, int(64 * L))
+        kernel = (make_smoothed_indicator(grid, 1.0, 0.1, 0.02) if family == "smoothed_indicator"
+                  else make_positive_type(grid, 1.0, 0.05))
+        p = make_params(grid, kernel, 0.4, m0=0.05)
+        lam = thermo.rate_constants(p).lambda_dagger
+        g_eq = free_energy_grand(problems.uniform_state(p).n, p)
+        assert lam > 0
+        for h in (2e-3, 2e-2):
+            st = problems.random_band_state(p, 3, 0.3, seed=103)
+            g0 = free_energy_grand(st.n, p)
+            for step in range(40):
+                st1, _ = jko_step(st, h)
+                g1 = free_energy_grand(st1.n, p)
+                phi1 = thermo.potential_phi(st1.n, p)
+                da_sq = h * h * thermo.weighted_inner(st.n, p, phi1, phi1)
+                assert g0 - g1 >= da_sq / h
+                assert (g1 - g_eq) / (g0 - g_eq) * (1.0 + 2.0 * lam * h) <= 1.0
+                if step < 2:
+                    d_a, _ = metric.approx_distance(st.n, st1.n, h, p)
+                    assert abs(d_a**2 - da_sq) <= 1e-10 * da_sq
+                st, g0 = st1, g1

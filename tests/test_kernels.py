@@ -4,19 +4,28 @@ import numpy as np
 import pytest
 
 from gcflow.errors import RangeTooLarge, WidthTooLarge
-from gcflow.kernels import (
-    hstability_report,
-    make_positive_type,
-    make_smoothed_indicator,
-    stats_json,
-    theta_sharp,
-)
-from gcflow.spectral import Grid, RealField, forward
+from gcflow.kernels import make_positive_type, make_smoothed_indicator, stats_json
+from gcflow.spectral import Grid, RealField
 
 
 @pytest.fixture
 def grid():
     return Grid.make(1, 1.0, 128)
+
+
+def both_families(grid):
+    """Each kernel family on `grid` and on a 2-D grid."""
+    for g in (grid, Grid.make(2, 1.0, 64)):
+        yield make_smoothed_indicator(g, 1.0, 0.1, 0.02)
+        yield make_positive_type(g, 0.5, 0.07)
+
+
+def full_spectrum(k):
+    """Oracle: W_hat over the full spectrum, and |k| of each mode."""
+    g = k.grid
+    k1 = 2 * np.pi * np.fft.fftfreq(g.M, g.dx)
+    kvec = np.meshgrid(*([k1] * g.d), indexing="ij")
+    return np.fft.fftn(k.values.values) * g.cell_volume, np.sqrt(sum(c * c for c in kvec))
 
 
 def test_smoothed_indicator_nonnegative(grid):
@@ -62,7 +71,7 @@ def test_theta_sharp_quadrature_oracle(grid):
     wh = np.array(wh)
     worst_neg = np.min(wh)
     assert worst_neg < 0  # indicator-type kernels are not positive type
-    assert abs(theta_sharp(k) - 1.0 / abs(worst_neg)) < 1e-6
+    assert abs(k.stats.theta_sharp - 1.0 / abs(worst_neg)) < 1e-6
 
 
 def test_positive_type_gaussian(grid):
@@ -81,27 +90,31 @@ def test_positive_type_2d_mass():
 
 
 def test_w_equals_zero_mode(grid):
-    for k in (
-        make_smoothed_indicator(grid, 1.0, 0.1, 0.02),
-        make_positive_type(grid, 0.5, 0.07),
-    ):
-        zero_mode = float(forward(k.values).coeffs[(0,) * grid.d].real)
+    for k in both_families(grid):
+        zero_mode = float(full_spectrum(k)[0][(0,) * k.grid.d].real)
         assert abs(k.w - zero_mode) < 1e-12
 
 
 def test_vm_replay(grid):
-    # v_m = sup_k |k|^m |W_hat(k)| recomputed from the stored spectrum
-    k = make_smoothed_indicator(grid, 1.0, 0.1, 0.02)
-    what = np.abs(k.spectrum.coeffs)
-    for m in range(5):
-        expect = float(np.max(grid.kmod**m * what))
-        assert abs(k.stats.v[m] - expect) < 1e-9 * max(1.0, expect)
+    # v_m = sup_k |k|^m |W_hat(k)| and theta_sharp recomputed over the full spectrum
+    for k in both_families(grid):
+        what, kmod = full_spectrum(k)
+        for m in range(5):
+            expect = float(np.max(kmod**m * np.abs(what)))
+            assert abs(k.stats.v[m] - expect) < 1e-9 * max(1.0, expect)
+        neg = what.real[what.real < -1e-12]
+        if neg.size:
+            expect = 1.0 / float(np.max(np.abs(neg)))
+            assert abs(k.stats.theta_sharp - expect) < 1e-9 * max(1.0, expect)
+        else:
+            assert k.stats.theta_sharp == np.inf
 
 
 def test_d2norm_replay(grid):
-    k = make_smoothed_indicator(grid, 1.0, 0.1, 0.02)
-    expect = float(np.sum(grid.k2 * np.abs(k.spectrum.coeffs))) / grid.volume
-    assert abs(k.stats.d2norm - expect) < 1e-9 * max(1.0, expect)
+    for k in both_families(grid):
+        what, kmod = full_spectrum(k)
+        expect = float(np.sum(kmod**2 * np.abs(what))) / k.grid.volume
+        assert abs(k.stats.d2norm - expect) < 1e-9 * max(1.0, expect)
 
 
 def test_range_too_large(grid):
@@ -112,13 +125,6 @@ def test_range_too_large(grid):
 def test_width_too_large(grid):
     with pytest.raises(WidthTooLarge):
         make_positive_type(grid, 1.0, 0.5)
-
-
-def test_hstability_report(grid):
-    rep = hstability_report(make_positive_type(grid, 1.0, 0.05))
-    assert rep["positive_type"] and rep["certified"]
-    rep = hstability_report(make_smoothed_indicator(grid, 1.0, 0.1, 0.02))
-    assert rep["pointwise_nonneg"] and rep["certified"]
 
 
 def test_stats_json_shape(grid):

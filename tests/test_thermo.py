@@ -164,7 +164,7 @@ def test_interaction_energy_quadrature_oracle(setup):
     grid, kernel, _ = setup
     rng = np.random.default_rng(21)
     n = RealField(grid, 0.05 + 0.01 * rng.standard_normal(grid.shape))
-    direct = 0.5 * np.sum(convolve(kernel.spectrum, n).values * n.values) * grid.dx
+    direct = 0.5 * np.sum(convolve(kernel, n).values * n.values) * grid.dx
     assert abs(interaction_energy(n, kernel) - direct) < 1e-12
 
 
@@ -248,7 +248,7 @@ def test_omega_closed_form(setup):
     grid, _, params = setup
     rng = np.random.default_rng(25)
     n = RealField(grid, 0.05 * np.exp(0.3 * rng.standard_normal(grid.shape)))
-    wn = convolve(params.kernel.spectrum, n)
+    wn = convolve(params.kernel, n)
     phi = potential_phi(n, params)
     om = omega(n, params)
     expect = (
