@@ -133,11 +133,10 @@ def cmd_distance(args) -> int:
     cfg = load_config(args.config)
     params = build_params(cfg)
     na, nb = _load_field(args.field_a, params.grid), _load_field(args.field_b, params.grid)
-    h = cfg.h if cfg.h is not None else 1e-3
-    d_a, rep = metric.approx_distance(na, nb, h, params)
     path = metric.path_distance_upper(na, nb, args.segments, params)
+    rep = path.reports[0]  # node 0's solve also gives d_a
     print(json.dumps({
-        "d_a": d_a,
+        "d_a": path.d_a,
         "path_upper_sq": path.value_sq,
         "segments": path.segments,
         "solver": {"iterations": rep.iterations,

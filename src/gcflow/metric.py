@@ -13,7 +13,9 @@ which is diagonal in Fourier space.
 The short-time (approximate) squared distance between N0 and N1 is
 h^2 * <<grad Q, grad Q>>_{N0} for the static Q driven by (N1 - N0)/h.  An
 upper bound on the full squared distance is obtained by integrating the
-same energy along the straight-line path between the endpoints.
+same energy along the straight-line path between the endpoints.  The
+path's first node solves for h Q, driven by N1 - N0, so it gives the
+short-time distance too.
 """
 
 from __future__ import annotations
@@ -39,25 +41,35 @@ class PathDistanceResult:
     value_sq: float
     segments: int
     per_segment_energy: list
+    reports: list  # one EllipticSolveReport per path node
+
+    @property
+    def d_a(self) -> float:
+        """The short-time distance sqrt(E_0): node 0 solves the equation of
+        `approx_distance` with its right-hand side scaled by h, so E_0 is
+        the squared short-time distance for every h."""
+        return float(np.sqrt(max(self.per_segment_energy[0], 0.0)))
 
 
+# an overflowing Omega or iterate is caught by the isfinite check as NoConvergence
+@np.errstate(over="ignore", invalid="ignore")
 def solve_driving_potential(n0: RealField, target_rate: RealField, params: ModelParams,
                             tol: float = 1e-10, x0: RealField | None = None) -> tuple:
     """Solve target_rate = div(N0 grad Q) - Omega_{N0} Q for Q.
 
     Preconditioned CG from the starting guess x0 (zero when None); relative
     residual <= tol of the right-hand side, or NoConvergence after
-    10 * M^d iterations.  The search direction is carried with its half
-    spectrum, so an iteration transforms it only inside the operator.
+    10 * M^d iterations or at the first non-finite residual.  The search
+    direction is carried with its half spectrum, so an iteration transforms
+    it only inside the operator.
     """
-    if np.min(n0.values) <= 0:
-        raise NonpositiveDensity(f"min density {np.min(n0.values):.3e}")
-    grid = n0.grid
     n = n0.values
-    om = thermo.omega(n0, params).values
-    mean_n = float(np.mean(n))
-    mean_om = float(np.mean(om))
-    precond_symbol = 1.0 / (mean_n * grid.k2 + mean_om)
+    if np.min(n) <= 0:
+        raise NonpositiveDensity(f"min density {np.min(n):.3e}")
+    grid = n0.grid
+    wn = spectral._real(spectral._hat(n, grid) * params.kernel.symbol, grid)
+    om = thermo._omega(n, thermo._potential(np.log(n), wn, params.mu))
+    precond_symbol = 1.0 / (float(np.mean(n)) * grid.k2 + float(np.mean(om)))
 
     def apply_m(v: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
         """-( div(N grad Q) - Omega Q ), the positive-definite form."""
@@ -73,9 +85,16 @@ def solve_driving_potential(n0: RealField, target_rate: RealField, params: Model
     if rhs_norm == 0.0:
         return RealField(grid, np.zeros(grid.shape)), EllipticSolveReport(0, 0.0)
 
+    def residual(r: np.ndarray, it: int) -> float:
+        """The relative residual; NoConvergence once it is not finite."""
+        rel = float(np.linalg.norm(r)) / rhs_norm
+        if not np.isfinite(rel):
+            raise NoConvergence(f"PCG residual is not finite at iteration {it}")
+        return rel
+
     x = np.zeros(grid.shape) if x0 is None else x0.values.copy()
     r = rhs - apply_m(x, spectral._hat(x, grid))
-    rel = float(np.linalg.norm(r)) / rhs_norm
+    rel = residual(r, 0)
     if rel <= tol:
         return RealField(grid, x), EllipticSolveReport(0, rel)
     p, p_hat = apply_pre(r)
@@ -86,7 +105,7 @@ def solve_driving_potential(n0: RealField, target_rate: RealField, params: Model
         alpha = rz / float(np.sum(p * ap))
         x += alpha * p
         r -= alpha * ap
-        rel = float(np.linalg.norm(r)) / rhs_norm
+        rel = residual(r, it)
         if rel <= tol:
             return RealField(grid, x), EllipticSolveReport(it, rel)
         z, z_hat = apply_pre(r)
@@ -101,11 +120,24 @@ def solve_driving_potential(n0: RealField, target_rate: RealField, params: Model
 def approx_distance(n0: RealField, n1: RealField, h: float, params: ModelParams) -> tuple:
     """Short-time distance h * <<grad Q, grad Q>>_{N0}^{1/2} with Q driven by
     the rate (N1 - N0)/h (the static minimizer of the path energy), and the
-    EllipticSolveReport of its solve."""
+    EllipticSolveReport of its solve.  The value does not depend on h (up to
+    rounding): it is `PathDistanceResult.d_a` of any path from N0 to N1,
+    which `gcflow distance` reports without this extra solve."""
     rate = RealField(n0.grid, (n1.values - n0.values) / h)
     q, report = solve_driving_potential(n0, rate, params)
-    energy = -spectral.inner_l2(rate, q)  # equals <<grad Q, grad Q>>_{N0}
+    energy = 0.0 - spectral.inner_l2(rate, q)  # <<grad Q, grad Q>>_{N0}; +0.0 when Q = 0
     return h * float(np.sqrt(max(energy, 0.0))), report
+
+
+# Lagrange weights, oldest first, that extrapolate values at 1, 2, 3 or 4
+# equispaced nodes to the next node: exact for polynomials of degree 0-3.
+_EXTRAPOLATION = {1: (1.0,), 2: (-1.0, 2.0), 3: (1.0, -3.0, 3.0), 4: (-1.0, 4.0, -6.0, 4.0)}
+
+
+def _extrapolate(history: list) -> np.ndarray:
+    """The next value of the sequence whose last (at most 4) arrays are
+    `history`, oldest first, by polynomial extrapolation through all of them."""
+    return sum(c * q for c, q in zip(_EXTRAPOLATION[len(history)], history))
 
 
 def path_distance_upper(n0: RealField, n1: RealField, segments: int,
@@ -114,25 +146,31 @@ def path_distance_upper(n0: RealField, n1: RealField, segments: int,
 
     Discretizes s in [0, 1] at segments+1 nodes; at each node solves the
     elliptic equation with the constant target N1 - N0 and density
-    N_s = (1-s) N0 + s N1, and integrates the energy by the trapezoid rule.
-    Each solve starts from the previous node's Q, extrapolated linearly
-    from the two previous nodes once there are two.
+    N_s = (1-s) N0 + s N1, once, and integrates the energy by the trapezoid
+    rule.  Node 0's solve starts from zero and gives `d_a`; each later one
+    starts from the cubic (at nodes 1-3 the highest available degree)
+    extrapolation of the last four nodes' Q (Fischer 1998, Comput. Methods
+    Appl. Mech. Engrg. 163:193).  Higher degrees amplify the solver's
+    residual noise at fine node spacing.
     """
     if segments < 2:
         raise ValueError(f"need at least 2 segments, got {segments}")
     grid = n0.grid
     target = RealField(grid, n1.values - n0.values)
-    energies, q, q_prev = [], None, None
+    energies, reports, history = [], [], []
     for i in range(segments + 1):
         s = i / segments
         ns = RealField(grid, (1.0 - s) * n0.values + s * n1.values)
-        x0 = q if q_prev is None else RealField(grid, 2.0 * q.values - q_prev.values)
-        q_prev, (q, _) = q, solve_driving_potential(ns, target, params, x0=x0)
-        energies.append(-spectral.inner_l2(target, q))
+        x0 = RealField(grid, _extrapolate(history)) if history else None
+        q, report = solve_driving_potential(ns, target, params, x0=x0)
+        history = history[-3:] + [q.values]
+        energies.append(0.0 - spectral.inner_l2(target, q))  # +0.0, not -0.0, when Q = 0
+        reports.append(report)
     weights = np.ones(segments + 1)
     weights[0] = weights[-1] = 0.5
     value = float(np.dot(weights, energies)) / segments
-    return PathDistanceResult(value_sq=value, segments=segments, per_segment_energy=energies)
+    return PathDistanceResult(value_sq=value, segments=segments,
+                              per_segment_energy=energies, reports=reports)
 
 
 def metric_axiom_checks(samples: list, params: ModelParams, segments: int = 32,

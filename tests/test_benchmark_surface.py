@@ -3,14 +3,16 @@
 The benchmark's own tests are not part of this suite, so these checks keep
 its entry points in place: the density of a state is a RealField with
 `integral()`, it round-trips through both field formats, RealField
-validation is a patchable method, and the implicit step reaches its
-residual through the module attribute the tracer times.
+validation is a patchable method, the implicit step reaches its residual
+and `distance` its elliptic solves through the module attributes the tracer
+times, and each solve returns the report whose `.iterations` the tracer
+reads.
 """
 
 import numpy as np
 import pytest
 
-from gcflow import fieldio, jko, problems
+from gcflow import cli, fieldio, jko, metric, problems
 from gcflow.kernels import make_smoothed_indicator
 from gcflow.spectral import Grid, RealField
 from gcflow.thermo import make_params
@@ -47,3 +49,21 @@ def test_jko_step_calls_residual_through_module(state, monkeypatch):
                         lambda *a: calls.append(1) or residual(*a))
     jko.jko_step(state, 1e-3)
     assert len(calls) == 1
+
+
+def test_distance_calls_solver_through_module(state, tmp_path, monkeypatch):
+    # one solve per path node, each returning (Q, report with .iterations)
+    config = tmp_path / "c.ini"
+    config.write_text("[grid]\nd = 1\nL = 1.0\nM = 64\n\n[model]\nkappa = 0.4\nm0 = 0.05\n\n"
+                      "[kernel]\nfamily = smoothed_indicator\namplitude = 1.0\nradius = 0.1\n"
+                      "mollifier_width = 0.02\n")
+    a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
+    fieldio.save_binary(a, state.n)
+    fieldio.save_binary(b, RealField(state.n.grid, state.n.values[::-1].copy()))
+    results = []
+    solve = metric.solve_driving_potential
+    monkeypatch.setattr(metric, "solve_driving_potential",
+                        lambda *a, **k: results.append(solve(*a, **k)) or results[-1])
+    assert cli.main(["distance", a, b, "--config", str(config), "--segments", "4"]) == 0
+    assert len(results) == 4 + 1
+    assert all(isinstance(report.iterations, int) for _, report in results)

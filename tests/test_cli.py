@@ -17,6 +17,7 @@ from gcflow.cli import main
 from gcflow.config import build_params, dump_config, load_config, parse_config
 from gcflow.errors import ConfigError
 from gcflow.experiments import linearized_rate
+from gcflow.spectral import RealField
 
 BASE = """
 [grid]
@@ -330,7 +331,7 @@ def test_distance_subcommand(tmp_path, capsys):
 
 
 def test_distance_solves_once_per_node(tmp_path, capsys, monkeypatch):
-    # one solve for d_a, then one per path node (segments + 1)
+    # one solve per path node (segments + 1); node 0's also gives d_a
     cfgp = write_config(tmp_path)
     params = build_params(load_config(cfgp))
     a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
@@ -345,7 +346,36 @@ def test_distance_solves_once_per_node(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(metric, "solve_driving_potential", counting)
     assert main(["distance", a, b, "--config", cfgp, "--segments", "8"]) == 0
-    assert len(calls) == 1 + 8 + 1
+    assert len(calls) == 8 + 1
+
+
+def test_distance_identical_fields_is_positive_zero(tmp_path, capsys):
+    cfgp = write_config(tmp_path)
+    params = build_params(load_config(cfgp))
+    a = str(tmp_path / "a.bin")
+    fieldio.save_binary(a, problems.single_mode_state(params, 1, 0.003).n)
+    assert main(["distance", a, a, "--config", cfgp, "--segments", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert math.copysign(1.0, payload["d_a"]) == 1.0
+    assert math.copysign(1.0, payload["path_upper_sq"]) == 1.0
+
+
+def test_distance_nonfinite_fails_fast(tmp_path):
+    # a field of 1e300 overflows the solve: one JSON error line, exit 1, no
+    # warning text, at once rather than after 10 M^d NaN iterations
+    text = BASE.replace("d = 1", "d = 2")
+    cfgp = write_config(tmp_path, text)
+    params = build_params(load_config(cfgp))
+    a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
+    fieldio.save_binary(a, problems.single_mode_state(params, 1, 0.003).n)
+    fieldio.save_binary(b, RealField(params.grid, np.full(params.grid.shape, 1e300)))
+    src = os.path.dirname(os.path.dirname(gcflow.__file__))
+    proc = subprocess.run([sys.executable, "-m", "gcflow.cli", "distance", a, b, "--config", cfgp],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=60)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "NoConvergence"
 
 
 def test_evolve_d2_default_h(tmp_path, capsys):
