@@ -72,19 +72,12 @@ def cmd_evolve(args) -> int:
         h = dynamics.default_h(params, experiments.linearized_rate(k_head, params),
                                cfg.integrator)
     sink = _open_out(cfg.out_dir, "diag.ndjson") if not args.stdout else sys.stdout
-
-    def emit(step, state, rec):
-        if rec is not None:
-            print(rec.to_json(), file=sink)
-
-    try:
+    try:  # a failing step raises here; the records written before it stay in the sink
         traj = dynamics.evolve(state, cfg.T, h, cfg.integrator, stride=cfg.stride,
-                               observers=[emit], jko=cfg.jko)
+                               emit=lambda rec: print(rec.to_json(), file=sink), jko=cfg.jko)
     finally:
         if sink is not sys.stdout:
             sink.close()
-    if traj.error is not None:
-        raise traj.error
     final = traj.records[-1]
     print(json.dumps({"t": final.t, "gap": final.gap, "mass": final.mass,
                       "records": len(traj.records)}))

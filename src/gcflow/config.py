@@ -43,11 +43,12 @@ not parse (or is not finite) or fails its check, and a missing required key
 raise ConfigError naming `section.key`; so does, in `build_params`, a kernel
 that does not fit the box or an m0/mu without a representable uniform state,
 and, in `build_initial_state`, a single-mode eps that makes the density
-nonpositive or a random-band k_c outside 0..M/2.  `build_params` is the one
-builder of a model from config values: `gcflow sweep` calls it on each box, a
-copy of the config with `L` from its axis and `M` scaled by L (the config's M
-is read as points per unit length), and builds the box's random-band state
-with `build_band_state`, which checks k_c against the box's M.
+nonpositive, a random-band k_c outside 0..M/2 or a random-band amp that
+underflows the density to 0.  `build_params` is the one builder of a model
+from config values: `gcflow sweep` calls it on each box, a copy of the config
+with `L` from its axis and `M` scaled by L (the config's M is read as points
+per unit length), and builds the box's random-band state with
+`build_band_state`, which checks k_c against the box's M.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import io
 import math
 from dataclasses import MISSING, dataclass, field, fields
 
-from . import kernels, problems, thermo
+from . import dynamics, kernels, problems, thermo
 from .dynamics import SimState
 from .errors import (BadMollifier, ConfigError, NoConvergence, PositivityLoss,
                      RangeTooLarge, WidthTooLarge)
@@ -134,7 +135,7 @@ _SECTIONS = {
         "kappa": (_finite, _check(lambda k: 0.0 < k < 0.5, "must lie in (0, 1/2)"))}),
     "kernel": (KernelSpec, {"family": (str, _one_of(*_FAMILY_KEYS)),
         "amplitude": (_finite, _NONNEGATIVE)}),
-    "run": (RunConfig, {"integrator": (str, _one_of("imex", "rk4", "rk4_canonical", "jko")),
+    "run": (RunConfig, {"integrator": (str, _one_of(*dynamics._STEPPERS, "jko")),
         "h": (_finite, _POSITIVE), "T": (_finite, _NONNEGATIVE), "stride": (int, _POSITIVE),
         "out_dir": (str, _check(bool, "must not be empty")), "seed": (int, _NONNEGATIVE)}),
     "initial": (InitialSpec, {"kind": (str, _one_of("uniform", "single_mode", "random_band")),
@@ -254,8 +255,12 @@ def build_initial_state(cfg: RunConfig, params: ModelParams) -> SimState:
 
 def build_band_state(cfg: RunConfig, params: ModelParams) -> SimState:
     """The random-band state of `cfg` on the grid of `params`; the band edge
-    k_c must lie in 0..M/2, the grid's Nyquist mode, or ConfigError."""
+    k_c must lie in 0..M/2, the grid's Nyquist mode, and the density must not
+    underflow to 0, or ConfigError."""
     k_c, nyquist = cfg.initial.k_c, params.grid.M // 2
     if not 0 <= k_c <= nyquist:
         raise ConfigError("initial.k_c", f"must lie in 0..M/2 = {nyquist}, got {k_c}")
-    return problems.random_band_state(params, k_c, cfg.initial.amp, cfg.seed)
+    try:
+        return problems.random_band_state(params, k_c, cfg.initial.amp, cfg.seed)
+    except PositivityLoss as exc:  # amp drives the density to 0 before any step
+        raise ConfigError("initial.amp", str(exc)) from None

@@ -12,17 +12,19 @@ with w_N = W * N.  Equivalently, in advective form,
 Conservative variant (fixed mass): dN/dt = lap N + div(N grad w_N).
 
 A SimState holds N as its one validated field (a RealField) and caches
-Psi = log N, W*N and the half spectrum N_hat as plain arrays; it is built
-only by `from_density`, `from_psi` or `from_spectrum`, and the steppers that
-produce N directly fail loudly on nonpositive values.  A step starts in
-Fourier space: it derives W*N, lap N and div(N grad W*N) from N_hat by
-symbol multiplies, without transforming N again.  Inside a step the density
+Psi = log N, W*N and the half spectrum N_hat as plain arrays.  It is built
+only by `from_density`, `from_psi` or `from_spectrum`, and each raises
+PositivityLoss, naming t, on an N that is not positive everywhere (also one
+that underflows to 0): every state is positive by construction.  A step
+starts in Fourier space: it derives W*N, lap N and div(N grad W*N) from N_hat
+by symbol multiplies, without transforming N again.  Inside a step the density
 is a bare array; each later stage transforms N once, and several fields go
 through one batched transform (IMEX gets N and W*N of the new state from
 one inverse).  So a step validates one field, the N of the state it ends in.
 
 `evolve` is the one march loop, for these steppers and for the implicit
-step of `gcflow.jko`.
+step of `gcflow.jko`.  A step's failure is an ordinary exception, raised by
+the step that detects it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import spectral, thermo
-from .errors import GcflowError, NonpositiveDensity, PositivityLoss, StabilityViolation
+from .errors import PositivityLoss, StabilityViolation
 from .spectral import RealField
 from .thermo import ModelParams
 
@@ -57,10 +59,10 @@ class SimState:
         return SimState(t, np.log(v), n, wn, n_hat, params)
 
     @staticmethod
-    def from_psi(t: float, psi: RealField | np.ndarray, params: ModelParams) -> "SimState":
-        """The state of log-density psi; N = exp(psi) may underflow to 0."""
-        psi = psi.values if isinstance(psi, RealField) else psi
-        n = RealField(params.grid, np.exp(psi))
+    def from_psi(t: float, psi: np.ndarray, params: ModelParams) -> "SimState":
+        """The state of log-density psi (an array); an N = exp(psi) that
+        underflows to 0 raises PositivityLoss."""
+        n = RealField(params.grid, _positive(np.exp(psi), t))
         n_hat = spectral._hat(n.values, n.grid)
         wn = spectral._real(n_hat * params.kernel.symbol, n.grid)
         return SimState(t, psi, n, wn, n_hat, params)
@@ -107,7 +109,6 @@ class DiagnosticsRecord:
 class Trajectory:
     records: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)  # optional SimStates
-    error: GcflowError | None = None  # the failure that ended the run early
     psi_d0_bound: float | None = None  # running max ||psi||_D0 (implicit runs)
 
 
@@ -221,15 +222,13 @@ def diagnostics(step: int, state: SimState, canonical: bool = False,
                 residual: float | None = None) -> DiagnosticsRecord:
     """Per-step observables, in one pass over the state's cached N, Psi and
     W*N with the formulas of `thermo`: one batched forward transform of
-    (Psi, Phi_N) and one batched inverse for grad Phi_N.  A nonpositive N
-    raises NonpositiveDensity.  gap is measured against the uniform state:
-    m0 for the non-conservative flow, the (conserved) mean density otherwise."""
+    (Psi, Phi_N) and one batched inverse for grad Phi_N.  The state's N is
+    positive by construction, so nothing is checked here.  gap is measured
+    against the uniform state: m0 for the non-conservative flow, the
+    (conserved) mean density otherwise."""
     p = state.params
     g = p.grid
     n, psi, wn = state.n.values, state.psi, state.wn
-    n_min = float(n.min())
-    if n_min <= 0.0:
-        raise NonpositiveDensity(f"min density {n_min:.3e}")
     cv = g.cell_volume
     mass = float(n.sum()) * cv
     g_mu = thermo._free_energy(n, psi, wn, p.mu, cv)
@@ -251,7 +250,7 @@ def diagnostics(step: int, state: SimState, canonical: bool = False,
         d0=d0,
         d1=d1,
         d2=d2,
-        n_min=n_min,
+        n_min=float(n.min()),
         n_max=float(n.max()),
         dissipation=thermo._dissipation(n, phi, grad_phi, cv),
         inner_iters=inner_iters,
@@ -260,18 +259,19 @@ def diagnostics(step: int, state: SimState, canonical: bool = False,
 
 
 def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
-           stride: int = 1, observers: list | None = None,
-           snapshot_every: int | None = None, jko=None) -> Trajectory:
-    """March to time T emitting a DiagnosticsRecord every `stride` steps.
+           stride: int = 1, emit=None, snapshot_every: int | None = None,
+           jko=None) -> Trajectory:
+    """March to time T making a DiagnosticsRecord every `stride` steps.
 
     `integrator` is a key of _STEPPERS or "jko" (`jko.jko_step` with the
     JkoConfig `jko`).  When T/h is an integer to 1e-9 relative, that many
     steps of h are taken; otherwise the last step is shortened to end at T.
     Step k ends at t0 + k h.  The march runs without overflow/invalid
-    warnings: a step's own checks report the failure.  A GcflowError stops
-    the march and is returned in `error` with the trajectory so far.  A step
-    report's `d0_psi` feeds `psi_d0_bound`; its `inner_iters`/`residual` go
-    into the records.  Observers are callables (step, state, record|None).
+    warnings: a step's own checks report the failure, and its GcflowError
+    propagates from that step.  `emit`, when given, is called with each
+    record as it is made, so the records made before a failure are kept by
+    the caller.  A JKO step's report gives its `d0_psi` to `psi_d0_bound`
+    and its `inner_iters`/`residual` to the records; a direct step has none.
     """
     if T <= 0 or h <= 0:
         raise ValueError("T and h must be positive")
@@ -295,27 +295,21 @@ def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
     t0 = state.t
     traj = Trajectory()
     # entered once: per step, np.errstate cost 5-10 us, 4-8% of a d = 1 IMEX
-    # step; records and observers only see states that passed the step's checks
+    # step; records only see states that passed the step's checks
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
             last = step == n_steps
-            try:
-                state, report = advance(state, h_last if last else h)
-            except GcflowError as exc:  # record and stop: partial trajectory is useful
-                traj.error = exc
-                break
+            state, report = advance(state, h_last if last else h)
             state = replace(state, t=t0 + (T if last and not exact else step * h))
-            if getattr(report, "d0_psi", None) is not None:
+            if report is not None:
                 traj.psi_d0_bound = max(traj.psi_d0_bound or 0.0, report.d0_psi)
-            rec = None
             if step % stride == 0 or last:
                 rec = diagnostics(step, state, canonical=canonical, ref_density=ref_density,
-                                  inner_iters=getattr(report, "inner_iters", None),
-                                  residual=getattr(report, "residual", None))
+                                  inner_iters=report.inner_iters if report else None,
+                                  residual=report.residual if report else None)
                 traj.records.append(rec)
+                if emit:
+                    emit(rec)
             if snapshot_every and step % snapshot_every == 0:
                 traj.snapshots.append(state)
-            if observers:
-                for obs in observers:
-                    obs(step, state, rec)
     return traj

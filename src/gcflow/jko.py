@@ -32,7 +32,7 @@ import numpy as np
 
 from . import spectral, thermo
 from .dynamics import SimState
-from .errors import InnerDivergence, NonpositiveDensity, ResidualTooLarge
+from .errors import InnerDivergence, ResidualTooLarge
 
 _ANDERSON_DEPTH = 3  # residual differences kept by the Anderson mixing of jko_step
 
@@ -110,9 +110,10 @@ def jko_step(state: SimState, h: float, cfg: JkoConfig | None = None) -> tuple:
     inner_tol and takes G(x) as psi.  Raises InnerDivergence when an iterate
     stops being finite, when the residual D0(G(x) - x) grows for five
     consecutive iterations (the step size is too large for the contraction),
-    or after max_inner iterations, and ResidualTooLarge when the converged
-    step fails the weak-residual acceptance bound.  `cfg` holds the solver
-    tolerances (JkoConfig defaults when None).
+    or after max_inner iterations, PositivityLoss when N1 underflows to 0,
+    and ResidualTooLarge when the converged step fails the weak-residual
+    acceptance bound.  `cfg` holds the solver tolerances (JkoConfig defaults
+    when None).
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
@@ -183,8 +184,6 @@ def residual_implicit(s0: SimState, s1: SimState, h: float) -> float:
     residual stands in for testing against all admissible test functions.
     """
     n0, n1 = s0.n.values, s1.n.values
-    if np.min(n0) <= 0 or np.min(n1) <= 0:
-        raise NonpositiveDensity("both densities must be positive")
     g = s0.n.grid
     mu = s0.params.mu
     phi1 = thermo._potential(s1.psi, s1.wn, mu)

@@ -177,7 +177,9 @@ def metric_axiom_checks(samples: list, params: ModelParams, segments: int = 32,
                         tol: float = 1e-8) -> dict:
     """Numeric sanity battery on the path distance over sample densities:
     zero iff equal endpoints, positivity with a coercivity floor, and
-    forward/reverse path symmetry.  Report only; never raises."""
+    forward/reverse path symmetry.  `ok` is False when a self-distance
+    exceeds 1e-10, a forward value is nonpositive or below its floor, or a
+    symmetry defect exceeds tol.  Report only; never raises."""
     report = {"pairs": [], "ok": True}
     for i, na in enumerate(samples):
         self_d = path_distance_upper(na, na, 2, params).value_sq
@@ -207,7 +209,7 @@ def metric_axiom_checks(samples: list, params: ModelParams, segments: int = 32,
                 "positivity_floor": floor,
                 "symmetry_defect": abs(fwd - rev),
             }
-            if fwd <= 0 or abs(fwd - rev) > tol * max(1.0, fwd):
+            if fwd <= 0 or fwd < floor or abs(fwd - rev) > tol * max(1.0, fwd):
                 report["ok"] = False
             report["pairs"].append(entry)
     return report

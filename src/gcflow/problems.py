@@ -9,8 +9,8 @@ from .spectral import RealField
 from .thermo import ModelParams
 
 
-def uniform_state(params: ModelParams, density: float | None = None) -> SimState:
-    n = np.full(params.grid.shape, params.m0 if density is None else density)
+def uniform_state(params: ModelParams) -> SimState:
+    n = np.full(params.grid.shape, params.m0)
     return SimState.from_density(0.0, RealField(params.grid, n), params)
 
 
@@ -40,7 +40,8 @@ def random_band_state(params: ModelParams, k_c: int, amp: float, seed: int) -> S
         Psi0 = log m0 + a0 + sum_{1 <= |n| <= k_c} a_n cos(k_n . x + theta_n)
 
     with seeded coefficients, rescaled so the corridor kappa m0 < N < m0/kappa
-    holds with a 10% margin.
+    holds with a 10% margin.  A density that underflows to 0 (m0 near the
+    float floor) raises PositivityLoss.
     """
     g = params.grid
     rng = np.random.default_rng(seed)
@@ -64,5 +65,4 @@ def random_band_state(params: ModelParams, k_c: int, amp: float, seed: int) -> S
     sup = float(np.max(np.abs(pert)))
     limit = 0.9 * np.log(1.0 / params.kappa)
     scale = min(amp, limit) / max(sup, 1e-300)
-    psi = RealField(g, np.log(params.m0) + scale * pert)
-    return SimState.from_psi(0.0, psi, params)
+    return SimState.from_psi(0.0, np.log(params.m0) + scale * pert, params)

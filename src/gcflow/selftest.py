@@ -16,8 +16,8 @@ from .dynamics import DiagnosticsRecord, Trajectory
 from .spectral import Grid, RealField, _hat, _real, convolve, gradient, l2_norm
 
 
-def _setup(M: int = 64, L: float = 1.0):
-    grid = Grid.make(1, L, M)
+def _setup():
+    grid = Grid.make(1, 1.0, 64)
     kern = kernels.make_smoothed_indicator(grid, 1.0, 0.1, 0.02)
     params = thermo.make_params(grid, kern, 0.4, m0=0.05)
     return grid, kern, params

@@ -44,6 +44,7 @@ class ModelParams:
     kappa: float
 
     def __post_init__(self):
+        spectral.same_grid(self, self.kernel)  # GridMismatch: a kernel built on another box
         if not (0.0 < self.kappa < 0.5):
             raise ValueError(f"kappa must be in (0, 1/2), got {self.kappa}")
         if not self.m0 > 0.0:  # e.g. exp(mu) underflowed to 0
@@ -55,7 +56,8 @@ class ModelParams:
 
 def make_params(grid: Grid, kernel: Kernel, kappa: float, mu: float | None = None,
                 m0: float | None = None) -> ModelParams:
-    """Build ModelParams from exactly one of mu or a target m0."""
+    """Build ModelParams from exactly one of mu or a target m0; `kernel` must
+    be built on `grid` (GridMismatch otherwise)."""
     if (mu is None) == (m0 is None):
         raise ValueError("exactly one of mu, m0 must be given")
     w = kernel.w

@@ -428,6 +428,32 @@ def test_jko_divergence_prints_one_line(tmp_path, old, new, error):
     assert len(lines) == 1 and json.loads(lines[0])["error"] == error
 
 
+def test_failing_evolve_keeps_records(tmp_path, capsys):
+    # the records written before the failing step stay in diag.ndjson
+    text = (BASE.replace("amplitude = 1.0", "amplitude = 300").replace("h = 0.001", "h = 0.01")
+            .replace("T = 0.05", "T = 1.0").replace("stride = 10", "stride = 2\nseed = 0")
+            .replace("kind = uniform", "kind = random_band\nk_c = 3\namp = 0.3"))
+    assert main(["evolve", "--config", write_config(tmp_path, text)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "PositivityLoss"
+    records = [json.loads(line) for line in open(tmp_path / "out" / "diag.ndjson")]
+    assert [r["step"] for r in records] == list(range(2, 15, 2))
+
+
+@pytest.mark.parametrize("command", ["evolve", "sweep", "jko-study"])
+def test_underflowing_band_exit_2(tmp_path, capsys, command):
+    # m0 = exp(-700 - w m0) is about 1e-304: a band of amplitude 1000 (capped
+    # at 0.9 log(1/kappa)) underflows N to 0 at some samples before any step
+    text = (BASE.replace("kappa = 0.4\nm0 = 0.05", "kappa = 1e-300\nmu = -700")
+            .replace("kind = uniform", "kind = random_band\nk_c = 3\namp = 1000"))
+    argv = [command, "--config", write_config(tmp_path, text)]
+    assert main(argv + (["--axis", "L=1,2"] if command == "sweep" else [])) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigError" and err["message"].startswith("initial.amp:")
+
+
 def test_sweep_runs_jko(tmp_path, capsys):
     # the sweep runs [run] integrator: the implicit scheme's rate is volume independent
     text = (BASE.replace("integrator = imex", "integrator = jko").replace("h = 0.001", "h = 0.01")

@@ -17,7 +17,7 @@ from gcflow.dynamics import (
     step_rk4,
     step_rk4_canonical,
 )
-from gcflow.errors import NonpositiveDensity, PositivityLoss, StabilityViolation
+from gcflow.errors import PositivityLoss, StabilityViolation
 from gcflow.experiments import linearized_rate
 from gcflow.kernels import make_smoothed_indicator
 from gcflow.spectral import Grid, RealField
@@ -188,14 +188,12 @@ def test_grand_does_not_conserve_mass(params):
     st = problems.single_mode_state(params, 0, 0.01)
     mass0 = st.n.integral()
     traj = evolve(st, 0.2, 1e-3, integrator="imex", stride=10)
-    assert traj.error is None
     assert abs(traj.records[-1].mass * params.grid.volume - mass0) > 1e-4
 
 
 def test_free_energy_monotone_along_run(params):
     st = perturbed_state(params, seed=33, amp=0.3)
     traj = evolve(st, 0.5, 1e-3, integrator="imex", stride=1)
-    assert traj.error is None
     g = np.array([r.g_mu for r in traj.records])
     assert np.all(np.diff(g) <= 1e-10 * np.maximum(1.0, np.abs(g[:-1])))
 
@@ -269,18 +267,25 @@ def test_evolve_ends_at_T(params, T, h, steps):
     # a non-integer T/h shortens the last step; an integer one keeps every
     # step at h, and t is t0 + k h rather than a running sum
     traj = evolve(problems.uniform_state(params), T, h, stride=steps)
-    assert traj.error is None
     assert traj.records[-1].step == steps
     assert traj.records[-1].t == T
 
 
-def test_evolve_propagates_programming_errors(params, monkeypatch):
+@pytest.mark.parametrize("error", [TypeError, PositivityLoss],
+                         ids=["TypeError", "PositivityLoss"])
+def test_evolve_propagates_programming_errors(params, monkeypatch, error):
+    # a step's exception leaves evolve as raised; emit has seen every record
+    # made before the failing step (steps 2 and 4 of a stride-2 run)
     def broken(state, h):
-        raise TypeError("not a numerical failure")
+        if state.t >= 5e-3 - 1e-12:
+            raise error("raised by step 6")
+        return step_imex(state, h)
 
     monkeypatch.setitem(dynamics._STEPPERS, "imex", broken)
-    with pytest.raises(TypeError):
-        evolve(problems.uniform_state(params), 0.01, 1e-3)
+    seen = []
+    with pytest.raises(error, match="step 6"):
+        evolve(problems.uniform_state(params), 0.01, 1e-3, stride=2, emit=seen.append)
+    assert [rec.step for rec in seen] == [2, 4]
 
 
 def test_nan_density_is_positivity_loss(params, monkeypatch):
@@ -335,12 +340,11 @@ def test_record_matches_reference_functionals(d, M, built_from, canonical):
 
 
 def test_record_rejects_underflowed_density(params):
+    # no state holds N = 0: from_psi rejects an underflowing psi, naming t
     psi = np.full(params.grid.shape, np.log(params.m0))
     psi[5] = -1000.0  # exp underflows to 0
-    st = SimState.from_psi(0.0, RealField(params.grid, psi), params)
-    assert st.n.values[5] == 0.0
-    with pytest.raises(NonpositiveDensity):
-        diagnostics(0, st)
+    with pytest.raises(PositivityLoss, match="at t = 0.25"):
+        SimState.from_psi(0.25, psi, params)
 
 
 @pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])

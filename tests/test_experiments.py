@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gcflow import dynamics, experiments, problems
+from gcflow import dynamics, experiments, problems, thermo
 from gcflow.dynamics import DiagnosticsRecord, Trajectory
 from gcflow.errors import ConfigError, InsufficientData
 from gcflow.experiments import (
@@ -111,6 +111,21 @@ def test_rate_guarantee_positive_type():
     assert rep.applicable
     assert rep.fit.lambda_hat >= 0.95 * rep.rates.lambda_dagger
     assert rep.l2_bound_ok
+
+
+def test_rate_guarantee_checks_unrecorded_snapshots(monkeypatch):
+    # a snapshot every 37 steps on a stride-2 run has no record at its time;
+    # it is still checked: a sigma too large for the L2 bound must fail it
+    grid = Grid.make(1, 1.0, 64)
+    params = make_params(grid, make_positive_type(grid, 1.0, 0.05), 0.4, m0=0.05)
+    st = problems.random_band_state(params, 3, 0.3, seed=3)
+    traj = dynamics.evolve(st, 0.07, 1e-3, stride=2, snapshot_every=37)
+    assert [round(s.t, 12) for s in traj.snapshots] == [0.037]
+    assert 0.037 not in {round(r.t, 12) for r in traj.records}
+    huge = thermo.RateConstants(sigma=1e6, gsq=1.0, lambda_dagger=0.0, sigma_nonpositive=False)
+    monkeypatch.setattr(thermo, "rate_constants", lambda p: huge)
+    rep = rate_guarantee_check(traj, params)
+    assert rep.applicable and rep.l2_bound_ok is False
 
 
 def test_rate_guarantee_not_applicable_sigma(params):

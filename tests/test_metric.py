@@ -285,3 +285,17 @@ def test_metric_axiom_battery(params):
     assert report["ok"]
     for pair in report["pairs"]:
         assert pair["forward_sq"] >= pair["positivity_floor"] * 0.99
+
+
+def test_metric_axiom_battery_enforces_floor(params, monkeypatch):
+    # a tiny, symmetric, positive forward value below the coercivity floor fails
+    samples = [problems.random_band_state(params, 2, 0.2, seed=s).n for s in (68, 69)]
+
+    def tiny(na, nb, segments, params):
+        same = np.array_equal(na.values, nb.values)
+        return metric.PathDistanceResult(0.0 if same else 1e-12, segments, [], [])
+
+    monkeypatch.setattr(metric, "path_distance_upper", tiny)
+    report = metric_axiom_checks(samples, params, segments=8)
+    assert report["pairs"][0]["positivity_floor"] > 1e-12
+    assert not report["ok"]

@@ -9,7 +9,7 @@ from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
 from gcflow import thermo
-from gcflow.errors import NoConvergence, NonpositiveDensity
+from gcflow.errors import GridMismatch, NoConvergence, NonpositiveDensity
 from gcflow.kernels import make_positive_type, make_smoothed_indicator
 from gcflow.spectral import Grid, RealField, convolve
 from gcflow.thermo import (
@@ -128,6 +128,14 @@ def test_make_params_exclusivity(setup):
         make_params(grid, kernel, 0.4, mu=0.0, m0=0.05)
     with pytest.raises(ValueError):
         make_params(grid, kernel, 0.4)
+
+
+@pytest.mark.parametrize("L, M", [(2.0, 64), (1.0, 32)], ids=["other-L", "other-M"])
+def test_make_params_rejects_kernel_of_other_grid(L, M):
+    # the kernel's symbol belongs to its own box; a params on another box rejects it
+    kernel = make_smoothed_indicator(Grid.make(1, 1.0, 64), 1.0, 0.1, 0.02)
+    with pytest.raises(GridMismatch):
+        make_params(Grid.make(1, L, M), kernel, 0.4, m0=0.05)
 
 
 def test_kappa_range(setup):
