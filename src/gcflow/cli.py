@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, dynamics, experiments, fieldio, kernels, metric, selftest
 from .config import build_band_state, build_initial_state, build_params, load_config
-from .errors import ConfigError, GcflowError
+from .errors import ConfigError, GcflowError, PositivityLoss
 
 SCHEMA_VERSION = "diagnostics-ndjson/1"
 FIELD_FORMAT = "GCF1"
@@ -35,15 +35,18 @@ def _floats(flag: str, text: str) -> tuple:
         raise ConfigError(flag, f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _load_field(path: str, grid):
-    """The field stored at `path`, which must lie on the config's `grid`."""
+def _load_state(path: str, params):
+    """The state of the density at `path`, positive and on the model's grid."""
     try:
         f = fieldio.load_binary(path) if path.endswith(".bin") else fieldio.load_csv(path)[0]
     except (OSError, ValueError) as exc:  # unreadable file or non-finite samples
         raise ConfigError(path, str(exc)) from None
-    if f.grid != grid:
-        raise ConfigError(path, f"field on {f.grid}, config on {grid}")
-    return f
+    if f.grid != params.grid:
+        raise ConfigError(path, f"field on {f.grid}, config on {params.grid}")
+    try:
+        return dynamics.SimState.from_density(0.0, f, params)
+    except PositivityLoss:
+        raise ConfigError(path, f"density must be positive, min {f.values.min():.3e}") from None
 
 
 def _load_run(path: str):
@@ -125,8 +128,8 @@ def cmd_distance(args) -> int:
         raise ConfigError("--segments", f"need at least 2, got {args.segments}")
     cfg = load_config(args.config)
     params = build_params(cfg)
-    na, nb = _load_field(args.field_a, params.grid), _load_field(args.field_b, params.grid)
-    path = metric.path_distance_upper(na, nb, args.segments, params)
+    sa, sb = _load_state(args.field_a, params), _load_state(args.field_b, params)
+    path = metric.path_distance_upper(sa, sb, args.segments)
     rep = path.reports[0]  # node 0's solve also gives d_a
     print(json.dumps({
         "d_a": path.d_a,

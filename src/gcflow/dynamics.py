@@ -12,8 +12,9 @@ with w_N = W * N.  Equivalently, in advective form,
 Conservative variant (fixed mass): dN/dt = lap N + div(N grad w_N).
 
 A SimState holds N as its one validated field (a RealField) and caches
-Psi = log N, W*N and the half spectrum N_hat as plain arrays.  It is built
-only by `from_density`, `from_psi` or `from_spectrum`, and each raises
+Psi = log N, W*N and the half spectrum N_hat as plain arrays, and Phi_N and
+Omega_N from the first time they are read.  It is built only by
+`from_density`, `from_psi` or `from_spectrum`, and each raises
 PositivityLoss, naming t, on an N that is not positive everywhere (also one
 that underflows to 0): every state is positive by construction.  A step
 starts in Fourier space: it derives W*N, lap N and div(N grad W*N) from N_hat
@@ -32,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +54,8 @@ class SimState:
 
     @staticmethod
     def from_density(t: float, n: RealField, params: ModelParams) -> "SimState":
-        """The state of density n; a nonpositive n raises PositivityLoss."""
+        """The state of density n; PositivityLoss unless n > 0, GridMismatch off-grid."""
+        spectral.same_grid(n, params)
         v = _positive(n.values, t)
         n_hat = spectral._hat(v, n.grid)
         wn = spectral._real(n_hat * params.kernel.symbol, n.grid)
@@ -75,6 +78,16 @@ class SimState:
         n, wn = spectral._real(np.stack((n_hat, n_hat * params.kernel.symbol)), g)
         _positive(n, t)
         return SimState(t, np.log(n), RealField(g, n), wn, n_hat, params)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """Driving potential Phi_N = log N - mu + W*N, formed on first use."""
+        return thermo._potential(self.psi, self.wn, self.params.mu)
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """Mobility Omega_N = sqrt(N) sinhc(Phi_N / 2), formed on first use."""
+        return thermo._omega(self.n.values, self.phi)
 
 
 def _positive(n: np.ndarray, t: float) -> np.ndarray:
@@ -143,10 +156,8 @@ def rhs_grand(state: SimState) -> RealField:
 def rhs_grand_advective(state: SimState) -> RealField:
     """div(N grad Phi_N) - Omega_N Phi_N; algebraically equal to rhs_grand."""
     g = state.n.grid
-    n = state.n.values
-    phi = thermo._potential(state.psi, state.wn, state.params.mu)
-    div = spectral._real(spectral.div_n_grad(g, n, spectral._hat(phi, g)), g)
-    return RealField(g, div - thermo._omega(n, phi) * phi)
+    div = spectral._real(spectral.div_n_grad(g, state.n.values, spectral._hat(state.phi, g)), g)
+    return RealField(g, div - state.omega * state.phi)
 
 
 def step_imex(state: SimState, h: float) -> SimState:
@@ -220,12 +231,12 @@ def diagnostics(step: int, state: SimState, canonical: bool = False,
                 ref_density: float | None = None,
                 inner_iters: int | None = None,
                 residual: float | None = None) -> DiagnosticsRecord:
-    """Per-step observables, in one pass over the state's cached N, Psi and
-    W*N with the formulas of `thermo`: one batched forward transform of
-    (Psi, Phi_N) and one batched inverse for grad Phi_N.  The state's N is
-    positive by construction, so nothing is checked here.  gap is measured
-    against the uniform state: m0 for the non-conservative flow, the
-    (conserved) mean density otherwise."""
+    """Per-step observables, in one pass over the state's cached fields with
+    the formulas of `thermo`: one batched forward transform of (Psi, Phi_N)
+    and one batched inverse for grad Phi_N.  The state's N is positive by
+    construction, so nothing is checked here.  gap is measured against the
+    uniform state: m0 for the non-conservative flow, the (conserved) mean
+    density otherwise."""
     p = state.params
     g = p.grid
     n, psi, wn = state.n.values, state.psi, state.wn
@@ -237,7 +248,7 @@ def diagnostics(step: int, state: SimState, canonical: bool = False,
         gap = thermo._free_energy(n, psi, wn, 0.0, cv) - _uniform_energy(p, nbar, 0.0)
     else:
         gap = g_mu - _uniform_energy(p, p.m0, p.mu)
-    phi = thermo._potential(psi, wn, p.mu)
+    phi = state.phi
     psi_hat, phi_hat = spectral._hat(np.stack((psi, phi)), g)
     grad_phi = spectral._real(g.ik * phi_hat, g)
     d0, d1, d2 = spectral._dnorms(g, psi_hat, 2).tolist()
@@ -252,7 +263,7 @@ def diagnostics(step: int, state: SimState, canonical: bool = False,
         d2=d2,
         n_min=float(n.min()),
         n_max=float(n.max()),
-        dissipation=thermo._dissipation(n, phi, grad_phi, cv),
+        dissipation=thermo._weighted_inner(n, state.omega, phi, phi, grad_phi, grad_phi, cv),
         inner_iters=inner_iters,
         residual=residual,
     )

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral, thermo
+from . import spectral
 from .dynamics import SimState
 from .errors import InnerDivergence, ResidualTooLarge
 
@@ -75,9 +75,8 @@ def _freeze(state: SimState) -> _Frozen:
     hats = spectral._hat(np.stack((psi0, w0)), g)
     psi0_hat, w0_hat = hats
     grad_psi0, grad_w0 = spectral._real(g.ik * hats[:, None], g)
-    phi0 = thermo._potential(psi0, w0, state.params.mu)
-    omega0 = np.exp(-psi0) * thermo._omega(state.n.values, phi0)
-    local = np.sum(grad_psi0 * (grad_psi0 + grad_w0), axis=0) - phi0 * omega0
+    omega0 = np.exp(-psi0) * state.omega
+    local = np.sum(grad_psi0 * (grad_psi0 + grad_w0), axis=0) - state.phi * omega0
     a_hat = g.lap * (psi0_hat + w0_hat) + spectral._hat(local, g)
     return _Frozen(grad_psi0=grad_psi0, omega0=omega0, a_hat=a_hat)
 
@@ -177,18 +176,16 @@ def residual_implicit(s0: SimState, s1: SimState, h: float) -> float:
         || (N1 - N0)/h - div(N0 grad Phi_{N1}) + Omega_{N0} Phi_{N1} ||_L2
         / max(1, ||(N1 - N0)/h||_L2),
 
-    with Phi and Omega formed from the states' cached log N and W*N, so the
-    residual costs the four transforms of the divergence term.
+    with Phi_{N1} and Omega_{N0} read from the states (`jko_step` formed
+    Omega_{N0} for its frozen terms), so it costs the four transforms of the
+    divergence term.
 
     The grid Fourier basis is dense in the test space, so the strong grid
     residual stands in for testing against all admissible test functions.
     """
     n0, n1 = s0.n.values, s1.n.values
     g = s0.n.grid
-    mu = s0.params.mu
-    phi1 = thermo._potential(s1.psi, s1.wn, mu)
-    om0 = thermo._omega(n0, thermo._potential(s0.psi, s0.wn, mu))
-    div = spectral._real(spectral.div_n_grad(g, n0, spectral._hat(phi1, g)), g)
+    div = spectral._real(spectral.div_n_grad(g, n0, spectral._hat(s1.phi, g)), g)
     rate = (n1 - n0) / h
     scale = max(1.0, spectral._l2_norm(rate, g))
-    return spectral._l2_norm(rate - div + om0 * phi1, g) / scale
+    return spectral._l2_norm(rate - div + s0.omega * s1.phi, g) / scale

@@ -8,7 +8,8 @@ mapping a prescribed rate of change M to its driving potential Q.  The
 operator is symmetric negative definite (Omega_N > 0 kills the kernel); we
 solve with conjugate gradients on the negated operator, preconditioned by
 the constant-coefficient surrogate (mean(N) * (-lap) + mean(Omega_N))^{-1},
-which is diagonal in Fourier space.
+which is diagonal in Fourier space.  Densities are `dynamics.SimState`s,
+which carry their model and Omega_N; so is each node of a path.
 
 The short-time (approximate) squared distance between N0 and N1 is
 h^2 * <<grad Q, grad Q>>_{N0} for the static Q driven by (N1 - N0)/h.  An
@@ -24,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral, thermo
-from .errors import NoConvergence, NonpositiveDensity
+from . import spectral
+from .dynamics import SimState
+from .errors import NoConvergence
 from .spectral import RealField
-from .thermo import ModelParams
 
 
 @dataclass
@@ -53,22 +54,17 @@ class PathDistanceResult:
 
 # an overflowing Omega or iterate is caught by the isfinite check as NoConvergence
 @np.errstate(over="ignore", invalid="ignore")
-def solve_driving_potential(n0: RealField, target_rate: RealField, params: ModelParams,
-                            tol: float = 1e-10, x0: RealField | None = None) -> tuple:
-    """Solve target_rate = div(N0 grad Q) - Omega_{N0} Q for Q.
+def solve_driving_potential(state: SimState, target_rate: RealField, tol: float = 1e-10,
+                            x0: np.ndarray | None = None) -> tuple:
+    """Solve target_rate = div(N0 grad Q) - Omega_{N0} Q at the state N0 for Q.
 
-    Preconditioned CG from the starting guess x0 (zero when None); relative
-    residual <= tol of the right-hand side, or NoConvergence after
+    Preconditioned CG from the starting guess x0, an array (zero when None);
+    relative residual <= tol of the right-hand side, or NoConvergence after
     10 * M^d iterations or at the first non-finite residual.  The search
     direction is carried with its half spectrum, so an iteration transforms
     it only inside the operator.
     """
-    n = n0.values
-    if np.min(n) <= 0:
-        raise NonpositiveDensity(f"min density {np.min(n):.3e}")
-    grid = n0.grid
-    wn = spectral._real(spectral._hat(n, grid) * params.kernel.symbol, grid)
-    om = thermo._omega(n, thermo._potential(np.log(n), wn, params.mu))
+    n, om, grid = state.n.values, state.omega, state.n.grid
     precond_symbol = 1.0 / (float(np.mean(n)) * grid.k2 + float(np.mean(om)))
 
     def apply_m(v: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
@@ -92,7 +88,7 @@ def solve_driving_potential(n0: RealField, target_rate: RealField, params: Model
             raise NoConvergence(f"PCG residual is not finite at iteration {it}")
         return rel
 
-    x = np.zeros(grid.shape) if x0 is None else x0.values.copy()
+    x = np.zeros(grid.shape) if x0 is None else x0.copy()
     r = rhs - apply_m(x, spectral._hat(x, grid))
     rel = residual(r, 0)
     if rel <= tol:
@@ -117,14 +113,16 @@ def solve_driving_potential(n0: RealField, target_rate: RealField, params: Model
     raise NoConvergence(f"PCG stalled at relative residual {rel:.3e} after {max_iter} iterations")
 
 
-def approx_distance(n0: RealField, n1: RealField, h: float, params: ModelParams) -> tuple:
-    """Short-time distance h * <<grad Q, grad Q>>_{N0}^{1/2} with Q driven by
-    the rate (N1 - N0)/h (the static minimizer of the path energy), and the
-    EllipticSolveReport of its solve.  The value does not depend on h (up to
-    rounding): it is `PathDistanceResult.d_a` of any path from N0 to N1,
-    which `gcflow distance` reports without this extra solve."""
-    rate = RealField(n0.grid, (n1.values - n0.values) / h)
-    q, report = solve_driving_potential(n0, rate, params)
+def approx_distance(s0: SimState, s1: SimState, h: float) -> tuple:
+    """Short-time distance h * <<grad Q, grad Q>>_{N0}^{1/2} from state N0 to
+    state N1 with Q driven by the rate (N1 - N0)/h (the static minimizer of
+    the path energy), and the EllipticSolveReport of its solve.  The value
+    does not depend on h (up to rounding): it is `PathDistanceResult.d_a` of
+    any path from N0 to N1, which `gcflow distance` reports without this
+    extra solve.  GridMismatch for states on two grids."""
+    spectral.same_grid(s0.n, s1.n)
+    rate = RealField(s0.n.grid, (s1.n.values - s0.n.values) / h)
+    q, report = solve_driving_potential(s0, rate)
     energy = 0.0 - spectral.inner_l2(rate, q)  # <<grad Q, grad Q>>_{N0}; +0.0 when Q = 0
     return h * float(np.sqrt(max(energy, 0.0))), report
 
@@ -140,29 +138,32 @@ def _extrapolate(history: list) -> np.ndarray:
     return sum(c * q for c, q in zip(_EXTRAPOLATION[len(history)], history))
 
 
-def path_distance_upper(n0: RealField, n1: RealField, segments: int,
-                        params: ModelParams) -> PathDistanceResult:
-    """Upper bound on the squared distance via the straight-line path.
+def path_distance_upper(s0: SimState, s1: SimState, segments: int) -> PathDistanceResult:
+    """Upper bound on the squared distance from state N0 to state N1 (in the
+    model of N0; GridMismatch on two grids) via the straight-line path.
 
     Discretizes s in [0, 1] at segments+1 nodes; at each node solves the
-    elliptic equation with the constant target N1 - N0 and density
-    N_s = (1-s) N0 + s N1, once, and integrates the energy by the trapezoid
-    rule.  Node 0's solve starts from zero and gives `d_a`; each later one
-    starts from the cubic (at nodes 1-3 the highest available degree)
+    elliptic equation with the constant target N1 - N0 at the state
+    N_s = (1-s) N0 + s N1 (the given states at s = 0 and 1, unless N1 is of
+    another model), once, and integrates the energy by the trapezoid rule.
+    Node 0's solve starts from zero and gives `d_a`; each later one starts
+    from the cubic (at nodes 1-3 the highest available degree)
     extrapolation of the last four nodes' Q (Fischer 1998, Comput. Methods
     Appl. Mech. Engrg. 163:193).  Higher degrees amplify the solver's
     residual noise at fine node spacing.
     """
     if segments < 2:
         raise ValueError(f"need at least 2 segments, got {segments}")
-    grid = n0.grid
-    target = RealField(grid, n1.values - n0.values)
+    spectral.same_grid(s0.n, s1.n)
+    params, n0, n1 = s0.params, s0.n.values, s1.n.values
+    target = RealField(params.grid, n1 - n0)
     energies, reports, history = [], [], []
     for i in range(segments + 1):
         s = i / segments
-        ns = RealField(grid, (1.0 - s) * n0.values + s * n1.values)
-        x0 = RealField(grid, _extrapolate(history)) if history else None
-        q, report = solve_driving_potential(ns, target, params, x0=x0)
+        ns = (s0 if i == 0 else s1 if i == segments and s1.params is params else
+              SimState.from_density(0.0, RealField(params.grid, (1.0 - s) * n0 + s * n1), params))
+        x0 = _extrapolate(history) if history else None
+        q, report = solve_driving_potential(ns, target, x0=x0)
         history = history[-3:] + [q.values]
         energies.append(0.0 - spectral.inner_l2(target, q))  # +0.0, not -0.0, when Q = 0
         reports.append(report)
@@ -173,35 +174,29 @@ def path_distance_upper(n0: RealField, n1: RealField, segments: int,
                               per_segment_energy=energies, reports=reports)
 
 
-def metric_axiom_checks(samples: list, params: ModelParams, segments: int = 32,
-                        tol: float = 1e-8) -> dict:
-    """Numeric sanity battery on the path distance over sample densities:
-    zero iff equal endpoints, positivity with a coercivity floor, and
+def metric_axiom_checks(states: list, segments: int = 32, tol: float = 1e-8) -> dict:
+    """Numeric sanity battery on the path distance over sample states: zero
+    iff equal endpoints, positivity with a coercivity floor, and
     forward/reverse path symmetry.  `ok` is False when a self-distance
     exceeds 1e-10, a forward value is nonpositive or below its floor, or a
-    symmetry defect exceeds tol.  Report only; never raises."""
+    symmetry defect exceeds tol.  A report, not a test: a failed axiom does
+    not raise, but a solve that fails raises its NoConvergence."""
     report = {"pairs": [], "ok": True}
-    for i, na in enumerate(samples):
-        self_d = path_distance_upper(na, na, 2, params).value_sq
+    for i, sa in enumerate(states):
+        self_d = path_distance_upper(sa, sa, 2).value_sq
         if abs(self_d) > 1e-10:
             report["ok"] = False
-        for nb in samples[i + 1:]:
-            fwd = path_distance_upper(na, nb, segments, params).value_sq
-            rev = path_distance_upper(nb, na, segments, params).value_sq
+        for sb in states[i + 1:]:
+            fwd = path_distance_upper(sa, sb, segments).value_sq
+            rev = path_distance_upper(sb, sa, segments).value_sq
             # coercivity floor: energy = dN^T A^{-1} dN >= ||dN||^2 / lam_max(A)
             # with A the (positive) elliptic operator; lam_max is bounded by
             # max(N) * max|k|^2 + max(Omega) along the path.
-            dn = RealField(na.grid, nb.values - na.values)
-            dn_l2 = spectral.l2_norm(dn)
-            n_max = float(max(np.max(na.values), np.max(nb.values)))
-            k2max = float(np.max(na.grid.k2))
-            omega_max = float(
-                np.max(
-                    np.maximum(
-                        thermo.omega(na, params).values, thermo.omega(nb, params).values
-                    )
-                )
-            )
+            na, nb = sa.n.values, sb.n.values
+            dn_l2 = spectral._l2_norm(nb - na, sa.n.grid)
+            n_max = float(max(np.max(na), np.max(nb)))
+            k2max = float(np.max(sa.n.grid.k2))
+            omega_max = float(np.max(np.maximum(sa.omega, sb.omega)))
             floor = dn_l2**2 / (n_max * k2max + omega_max)
             entry = {
                 "forward_sq": fwd,

@@ -120,9 +120,9 @@ def run_checks() -> list[tuple[str, bool, str]]:
         return f"implicit residual {rep.residual:.2e}"
 
     def metric_axioms():
-        na = problems.single_mode_state(params, 1, 0.003).n
-        nb = problems.single_mode_state(params, 2, 0.003).n
-        rep = metric.metric_axiom_checks([na, nb], params, segments=8)
+        sa = problems.single_mode_state(params, 1, 0.003)
+        sb = problems.single_mode_state(params, 2, 0.003)
+        rep = metric.metric_axiom_checks([sa, sb], segments=8)
         assert rep["ok"], rep
         defect = rep["pairs"][0]["symmetry_defect"]
         return f"symmetry defect {defect:.2e}"

@@ -16,10 +16,11 @@ driving potential Phi_N = log N - mu + W*N, and the mobility weight is
 Omega_N = sqrt(N) * sinhc(Phi_N / 2) >= sqrt(N) > 0.
 
 Each formula lives in one array-level helper (`_free_energy`, `_potential`,
-`_omega`, `_weighted_inner`, `_dissipation`).  The public functionals take a
-RealField density, check it positive, compute log N and W*N themselves and
-call these helpers; the simulation (right-hand sides, diagnostics record,
-implicit step) calls them on a state's cached Psi = log N and W*N.
+`_omega`, `_weighted_inner`).  The public functionals, the reference the
+tests compare against, take a RealField density, check it positive, compute
+log N and W*N themselves and call these helpers.  The simulation and the
+metric take Phi_N and Omega_N from a `dynamics.SimState`, which forms them
+with these helpers from its cached Psi = log N and W*N.
 """
 
 from __future__ import annotations
@@ -222,15 +223,7 @@ def dissipation(n: RealField, params: ModelParams) -> float:
     """Instantaneous free-energy dissipation rate: the weighted quadratic form
     of Phi_N with itself."""
     phi = potential_phi(n, params)
-    g = n.grid
-    grad_phi = spectral._real(g.ik * spectral._hat(phi.values, g), g)
-    return _dissipation(n.values, phi.values, grad_phi, g.cell_volume)
-
-
-def _dissipation(n: np.ndarray, phi: np.ndarray, grad_phi: np.ndarray,
-                 cell_volume: float) -> float:
-    """dissipation from the arrays of N, Phi_N and its gradient (stacked)."""
-    return _weighted_inner(n, _omega(n, phi), phi, phi, grad_phi, grad_phi, cell_volume)
+    return weighted_inner(n, params, phi, phi)
 
 
 def convexity_quadratic_form(n_a: RealField, n_b: RealField, s: float,

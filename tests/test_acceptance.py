@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gcflow import dynamics, experiments, jko, problems, selftest, thermo
-from gcflow.dynamics import evolve, step_imex
+from gcflow.dynamics import SimState, evolve, step_imex
 from gcflow.experiments import (
     canonical_contrast,
     corridor_check,
@@ -227,7 +227,8 @@ def test_criterion_11_metric_layer(params):
     grid32 = Grid.make(1, 1.0, 32)
     k32 = make_smoothed_indicator(grid32, 1.0, 0.1, 0.04)
     p32 = make_params(grid32, k32, KAPPA, m0=M0)
-    n32 = problems.random_band_state(p32, 3, 0.3, seed=107).n
+    s32 = problems.random_band_state(p32, 3, 0.3, seed=107)
+    n32 = s32.n
     om = omega(n32, p32).values
     A = np.zeros((32, 32))
     for j in range(32):
@@ -238,34 +239,36 @@ def test_criterion_11_metric_layer(params):
         A[:, j] = divergence((flux,)).values - om * e
     rng = np.random.default_rng(108)
     target = RealField(grid32, rng.standard_normal((32,)))
-    q_it, _ = solve_driving_potential(n32, target, p32, tol=1e-13)
+    q_it, _ = solve_driving_potential(s32, target, tol=1e-13)
     checks["dense"] = float(np.max(np.abs(q_it.values - np.linalg.solve(A, target.values))))
 
-    n = problems.random_band_state(params, 3, 0.3, seed=109).n
-    checks["self"] = path_distance_upper(n, n, 4, params).value_sq
+    st = problems.random_band_state(params, 3, 0.3, seed=109)
+    checks["self"] = path_distance_upper(st, st, 4).value_sq
 
     target = RealField(params.grid, rng.standard_normal(params.grid.shape))
-    q1, _ = solve_driving_potential(n, target, params, tol=1e-13)
+    q1, _ = solve_driving_potential(st, target, tol=1e-13)
     q3, _ = solve_driving_potential(
-        n, RealField(params.grid, 3.0 * target.values), params, tol=1e-13)
+        st, RealField(params.grid, 3.0 * target.values), tol=1e-13)
     checks["linear"] = float(
         np.max(np.abs(q3.values - 3.0 * q1.values)) / max(1.0, np.max(np.abs(q3.values)))
     )
 
     rc = rate_constants(params)
-    uniform = RealField(params.grid, np.full(params.grid.shape, M0))
+    uniform = SimState.from_density(
+        0.0, RealField(params.grid, np.full(params.grid.shape, M0)), params)
     bound_ok = True
     for seed in (110, 111, 112):
-        n0 = problems.random_band_state(params, 3, 0.5, seed=seed).n
+        s0 = problems.random_band_state(params, 3, 0.5, seed=seed)
+        n0 = s0.n
         assert thermo.in_corridor(n0, params)
         dev = l2_norm(RealField(params.grid, n0.values - M0))
-        val = path_distance_upper(n0, uniform, 16, params).value_sq
+        val = path_distance_upper(s0, uniform, 16).value_sq
         bound_ok = bound_ok and val <= rc.gsq * dev**2 * 1.02
     checks["l2_bound"] = bound_ok
 
-    nb = problems.random_band_state(params, 3, 0.3, seed=113).n
-    fwd = path_distance_upper(n, nb, 16, params).value_sq
-    rev = path_distance_upper(nb, n, 16, params).value_sq
+    sb = problems.random_band_state(params, 3, 0.3, seed=113)
+    fwd = path_distance_upper(st, sb, 16).value_sq
+    rev = path_distance_upper(sb, st, 16).value_sq
     checks["symmetry"] = abs(fwd - rev) / max(1.0, fwd)
 
     ok = (checks["dense"] < 1e-8 and checks["self"] < 1e-24

@@ -360,6 +360,28 @@ def test_distance_identical_fields_is_positive_zero(tmp_path, capsys):
     assert math.copysign(1.0, payload["path_upper_sq"]) == 1.0
 
 
+@pytest.mark.parametrize("which, value", [("b", 0.0), ("a", -1.5e-3)],
+                         ids=["zero-in-b", "negative-a"])
+def test_distance_nonpositive_field_exit_2(tmp_path, capsys, which, value):
+    # a nonpositive field is an input error naming its file and minimum, not
+    # a numerical failure at an interior path node
+    cfgp = write_config(tmp_path)
+    params = build_params(load_config(cfgp))
+    paths = {"a": str(tmp_path / "a.bin"), "b": str(tmp_path / "b.bin")}
+    for name, mode in (("a", 1), ("b", 2)):
+        values = problems.single_mode_state(params, mode, 0.003).n.values.copy()
+        if name == which:
+            values[7] = value
+        fieldio.save_binary(paths[name], RealField(params.grid, values))
+    assert main(["distance", paths["a"], paths["b"], "--config", cfgp]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ConfigError"
+    assert error["message"].startswith(paths[which] + ":")
+    assert f"{value:.3e}" in error["message"] and "t =" not in error["message"]
+
+
 def test_distance_nonfinite_fails_fast(tmp_path):
     # a field of 1e300 overflows the solve: one JSON error line, exit 1, no
     # warning text, at once rather than after 10 M^d NaN iterations

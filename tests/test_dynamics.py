@@ -19,7 +19,7 @@ from gcflow.dynamics import (
 )
 from gcflow.errors import PositivityLoss, StabilityViolation
 from gcflow.experiments import linearized_rate
-from gcflow.kernels import make_smoothed_indicator
+from gcflow.kernels import make_positive_type, make_smoothed_indicator
 from gcflow.spectral import Grid, RealField
 from gcflow.thermo import free_energy_grand, make_params
 
@@ -419,3 +419,19 @@ def test_state_caches_follow_density(d, M, built_from):
     assert np.max(np.abs(st.wn - wn)) <= 1e-14 * np.max(np.abs(wn))
     fresh = spectral._hat(st.n.values, p.grid)
     assert np.max(np.abs(st.n_hat - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+
+
+@pytest.mark.parametrize("family", ["smoothed_indicator", "positive_type"])
+@pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
+def test_state_phi_omega_match_reference(d, M, family):
+    # Phi_N and Omega_N of a state against the functionals of thermo
+    grid = Grid.make(d, 1.0, M)
+    kernel = (make_smoothed_indicator(grid, 1.0, 0.1, 0.04) if family == "smoothed_indicator"
+              else make_positive_type(grid, 1.0, 0.05))
+    p = make_params(grid, kernel, 0.4, m0=0.05)
+    st = problems.random_band_state(p, 3, 0.3, seed=44)
+    for cached, reference in ((st.phi, thermo.potential_phi(st.n, p)),
+                              (st.omega, thermo.omega(st.n, p))):
+        assert type(cached) is np.ndarray
+        ref = reference.values
+        assert np.max(np.abs(cached - ref)) <= 1e-14 * np.max(np.abs(ref))

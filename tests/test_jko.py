@@ -154,6 +154,21 @@ def test_residual_reuses_cached_convolutions(params, monkeypatch):
     assert abs(cached - recomputed) <= 1e-14 * recomputed
 
 
+def test_step_forms_omega_once(params, monkeypatch):
+    # Omega_{N0} is formed once per step, for the frozen terms, and the
+    # residual reads it from the state; in a march the record of a state and
+    # the next step's frozen terms share it too
+    calls = []
+    form = thermo._omega
+    monkeypatch.setattr(thermo, "_omega", lambda *a: calls.append(1) or form(*a))
+    st = problems.random_band_state(params, 3, 0.3, seed=49)
+    jko_step(st, 1e-3)
+    assert len(calls) == 1
+    del calls[:]
+    evolve(problems.random_band_state(params, 3, 0.3, seed=49), 4e-3, 1e-3, "jko", stride=1)
+    assert len(calls) == 4 + 1
+
+
 def test_jko_evolve_ends_at_T(params):
     traj = evolve(problems.uniform_state(params), 0.01, 4e-3, "jko")
     assert [r.step for r in traj.records] == [1, 2, 3]
@@ -203,6 +218,6 @@ def test_step_energy_inequality_and_rate(family):
                 assert g0 - g1 >= da_sq / h
                 assert (g1 - g_eq) / (g0 - g_eq) * (1.0 + 2.0 * lam * h) <= 1.0
                 if step < 2:
-                    d_a, _ = metric.approx_distance(st.n, st1.n, h, p)
+                    d_a, _ = metric.approx_distance(st, st1, h)
                     assert abs(d_a**2 - da_sq) <= 1e-10 * da_sq
                 st, g0 = st1, g1

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gcflow import metric, problems, thermo
-from gcflow.errors import NoConvergence
+from gcflow.dynamics import SimState
+from gcflow.errors import GridMismatch, NoConvergence
 from gcflow.kernels import make_smoothed_indicator
 from gcflow.metric import (
     approx_distance,
@@ -50,9 +51,9 @@ def dense_operator(n, params):
 
 
 def test_zero_target_gives_zero(params):
-    n = problems.random_band_state(params, 3, 0.3, seed=51).n
+    st = problems.random_band_state(params, 3, 0.3, seed=51)
     zero = RealField(params.grid, np.zeros(params.grid.shape))
-    q, rep = solve_driving_potential(n, zero, params)
+    q, rep = solve_driving_potential(st, zero)
     assert np.max(np.abs(q.values)) == 0.0
     assert rep.iterations == 0
 
@@ -60,11 +61,11 @@ def test_zero_target_gives_zero(params):
 def test_solve_matches_dense_oracle(params32):
     # M = 32: invert the dense matrix directly and compare
     grid = params32.grid
-    n = problems.random_band_state(params32, 3, 0.3, seed=52).n
+    st = problems.random_band_state(params32, 3, 0.3, seed=52)
     rng = np.random.default_rng(53)
     target = RealField(grid, rng.standard_normal(grid.shape))
-    q, rep = solve_driving_potential(n, target, params32, tol=1e-13)
-    A = dense_operator(n, params32)
+    q, rep = solve_driving_potential(st, target, tol=1e-13)
+    A = dense_operator(st.n, params32)
     q_dense = np.linalg.solve(A, target.values)
     assert np.max(np.abs(q.values - q_dense)) < 1e-8
     assert rep.relative_residual < 1e-10
@@ -79,7 +80,7 @@ def test_uniform_density_diagonal_oracle(params):
     k = 2 * np.pi * mode
     n = RealField(grid, np.full(grid.shape, params.m0))
     target = RealField(grid, eps * np.cos(k * x))
-    q, _ = solve_driving_potential(n, target, params, tol=1e-13)
+    q, _ = solve_driving_potential(SimState.from_density(0.0, n, params), target, tol=1e-13)
     expect = -eps * np.cos(k * x) / (params.m0 * k**2 + np.sqrt(params.m0))
     assert np.max(np.abs(q.values - expect)) < 1e-12
 
@@ -87,12 +88,12 @@ def test_uniform_density_diagonal_oracle(params):
 def test_linear_scaling(params):
     # Q is linear in the target; distance scales linearly in the rate
     grid = params.grid
-    n = problems.random_band_state(params, 3, 0.3, seed=54).n
+    st = problems.random_band_state(params, 3, 0.3, seed=54)
     rng = np.random.default_rng(55)
     target = RealField(grid, rng.standard_normal(grid.shape))
-    q1, _ = solve_driving_potential(n, target, params, tol=1e-13)
+    q1, _ = solve_driving_potential(st, target, tol=1e-13)
     target3 = RealField(grid, 3.0 * target.values)
-    q3, _ = solve_driving_potential(n, target3, params, tol=1e-13)
+    q3, _ = solve_driving_potential(st, target3, tol=1e-13)
     scale = np.max(np.abs(q3.values))
     assert np.max(np.abs(q3.values - 3.0 * q1.values)) < 1e-10 * max(1.0, scale)
 
@@ -100,12 +101,12 @@ def test_linear_scaling(params):
 def test_solve_adjointness(params):
     # the operator is symmetric: <f, A^{-1} g> = <g, A^{-1} f>
     grid = params.grid
-    n = problems.random_band_state(params, 3, 0.3, seed=56).n
+    st = problems.random_band_state(params, 3, 0.3, seed=56)
     rng = np.random.default_rng(57)
     f = RealField(grid, rng.standard_normal(grid.shape))
     g = RealField(grid, rng.standard_normal(grid.shape))
-    qf, _ = solve_driving_potential(n, f, params, tol=1e-13)
-    qg, _ = solve_driving_potential(n, g, params, tol=1e-13)
+    qf, _ = solve_driving_potential(st, f, tol=1e-13)
+    qg, _ = solve_driving_potential(st, g, tol=1e-13)
     a = np.sum(f.values * qg.values) * grid.dx
     b = np.sum(g.values * qf.values) * grid.dx
     assert abs(a - b) < 1e-9 * max(1.0, abs(a))
@@ -114,10 +115,11 @@ def test_solve_adjointness(params):
 def test_energy_identity(params):
     # <<grad Q, grad Q>>_N = -int target * Q (integration by parts)
     grid = params.grid
-    n = problems.random_band_state(params, 3, 0.3, seed=58).n
+    st = problems.random_band_state(params, 3, 0.3, seed=58)
+    n = st.n
     rng = np.random.default_rng(59)
     target = RealField(grid, rng.standard_normal(grid.shape))
-    q, _ = solve_driving_potential(n, target, params, tol=1e-13)
+    q, _ = solve_driving_potential(st, target, tol=1e-13)
     gq = gradient(q)[0]
     om = omega(n, params)
     lhs = np.sum(n.values * gq.values**2 + om.values * q.values**2) * grid.dx
@@ -127,8 +129,8 @@ def test_energy_identity(params):
 
 def test_self_distance_zero(params):
     # +0.0: -<target, Q> is -0.0 for Q = 0, and max(-0.0, 0.0) keeps the -0.0
-    n = problems.random_band_state(params, 3, 0.3, seed=60).n
-    d_a, path = approx_distance(n, n, 1e-3, params)[0], path_distance_upper(n, n, 4, params)
+    st = problems.random_band_state(params, 3, 0.3, seed=60)
+    d_a, path = approx_distance(st, st, 1e-3)[0], path_distance_upper(st, st, 4)
     assert d_a == 0.0
     assert path.value_sq < 1e-24
     for value in (d_a, path.d_a, path.value_sq):
@@ -138,60 +140,62 @@ def test_self_distance_zero(params):
 def test_nonfinite_residual_fails_fast(params):
     # a density of 1e300 overflows Omega and the residual: the solve stops
     # at once, without warnings, instead of running 10 M^d NaN iterations
-    n = problems.random_band_state(params, 3, 0.3, seed=60).n
+    st = problems.random_band_state(params, 3, 0.3, seed=60)
+    n = st.n
     big = RealField(params.grid, np.full(params.grid.shape, 1e300))
     rate = RealField(params.grid, big.values - n.values)
     with pytest.raises(NoConvergence, match="not finite at iteration 0"):
-        solve_driving_potential(n, rate, params)
+        solve_driving_potential(st, rate)
     with pytest.raises(NoConvergence, match="not finite at iteration 0"):
-        solve_driving_potential(big, RealField(params.grid, n.values - big.values), params)
+        solve_driving_potential(SimState.from_density(0.0, big, params),
+                                RealField(params.grid, n.values - big.values))
 
 
 def test_path_node_zero_gives_short_time_distance(params):
     # node 0 solves A Q0 = N1 - N0 = h * rate, so Q0 = h Q and d_a = sqrt(E_0) for any h
-    na = problems.random_band_state(params, 3, 0.3, seed=71).n
-    nb = problems.random_band_state(params, 3, 0.3, seed=72).n
-    path = path_distance_upper(na, nb, 8, params)
+    sa = problems.random_band_state(params, 3, 0.3, seed=71)
+    sb = problems.random_band_state(params, 3, 0.3, seed=72)
+    path = path_distance_upper(sa, sb, 8)
     assert len(path.reports) == 9
     assert all(rep.relative_residual <= 1e-10 for rep in path.reports)
     for h in (1e-3, 0.25, 4.0):
-        d_a, rep = approx_distance(na, nb, h, params)
+        d_a, rep = approx_distance(sa, sb, h)
         assert abs(path.d_a - d_a) <= 1e-12 * d_a
         assert rep.iterations == path.reports[0].iterations
 
 
 def test_distance_positive(params):
-    na = problems.single_mode_state(params, 1, 0.004).n
-    nb = problems.single_mode_state(params, 2, 0.004).n
-    assert approx_distance(na, nb, 1e-3, params)[0] > 0
-    assert path_distance_upper(na, nb, 8, params).value_sq > 0
+    sa = problems.single_mode_state(params, 1, 0.004)
+    sb = problems.single_mode_state(params, 2, 0.004)
+    assert approx_distance(sa, sb, 1e-3)[0] > 0
+    assert path_distance_upper(sa, sb, 8).value_sq > 0
 
 
 def test_forward_reverse_symmetry(params):
-    na = problems.random_band_state(params, 2, 0.2, seed=61).n
-    nb = problems.random_band_state(params, 2, 0.2, seed=62).n
-    fwd = path_distance_upper(na, nb, 16, params).value_sq
-    rev = path_distance_upper(nb, na, 16, params).value_sq
+    sa = problems.random_band_state(params, 2, 0.2, seed=61)
+    sb = problems.random_band_state(params, 2, 0.2, seed=62)
+    fwd = path_distance_upper(sa, sb, 16).value_sq
+    rev = path_distance_upper(sb, sa, 16).value_sq
     assert abs(fwd - rev) < 1e-8 * max(1.0, fwd)
 
 
 def test_warm_started_path_matches_cold(params, monkeypatch):
     # each node's solve starts from the previous nodes' Q; from zero at
     # every node the path gives the same value with more PCG iterations
-    na = problems.random_band_state(params, 3, 0.3, seed=59).n
-    nb = problems.random_band_state(params, 3, 0.3, seed=60).n
+    sa = problems.random_band_state(params, 3, 0.3, seed=59)
+    sb = problems.random_band_state(params, 3, 0.3, seed=60)
     solve = metric.solve_driving_potential
 
     def path(warm):
         iters = []
 
-        def counting(n, rate, params_, x0=None):
-            q, rep = solve(n, rate, params_, x0=x0 if warm else None)
+        def counting(state, rate, x0=None):
+            q, rep = solve(state, rate, x0=x0 if warm else None)
             iters.append(rep.iterations)
             return q, rep
 
         monkeypatch.setattr(metric, "solve_driving_potential", counting)
-        return path_distance_upper(na, nb, 16, params).value_sq, sum(iters)
+        return path_distance_upper(sa, sb, 16).value_sq, sum(iters)
 
     (warm, warm_iters), (cold, cold_iters) = path(True), path(False)
     assert abs(warm - cold) <= 1e-10 * cold
@@ -214,24 +218,23 @@ def test_extrapolation_exact_for_polynomials():
 def test_cubic_warm_start_beats_linear(params, monkeypatch):
     # a 32-segment path takes at most 0.8x the PCG iterations of warm starts
     # by linear extrapolation (120 against 188 here), for the same value
-    na = problems.random_band_state(params, 3, 0.25, seed=59).n
-    nb = problems.random_band_state(params, 3, 0.25, seed=60).n
+    sa = problems.random_band_state(params, 3, 0.25, seed=59)
+    sb = problems.random_band_state(params, 3, 0.25, seed=60)
     solve = metric.solve_driving_potential
 
     def path(linear):
         iters, history = [], []
 
-        def counting(n, rate, params_, x0=None):
+        def counting(state, rate, x0=None):
             if linear and history:
-                guess = history[-1] if len(history) == 1 else 2.0 * history[-1] - history[-2]
-                x0 = RealField(params.grid, guess)
-            q, rep = solve(n, rate, params_, x0=x0)
+                x0 = history[-1] if len(history) == 1 else 2.0 * history[-1] - history[-2]
+            q, rep = solve(state, rate, x0=x0)
             history.append(q.values)
             iters.append(rep.iterations)
             return q, rep
 
         monkeypatch.setattr(metric, "solve_driving_potential", counting)
-        return path_distance_upper(na, nb, 32, params).value_sq, sum(iters)
+        return path_distance_upper(sa, sb, 32).value_sq, sum(iters)
 
     (cubic, cubic_iters), (linear, linear_iters) = path(False), path(True)
     assert abs(cubic - linear) <= 1e-10 * linear
@@ -240,24 +243,24 @@ def test_cubic_warm_start_beats_linear(params, monkeypatch):
 
 def test_warm_start_keeps_solution(params):
     # a starting guess changes the iterations, not the solution
-    n = problems.random_band_state(params, 3, 0.3, seed=61).n
+    st = problems.random_band_state(params, 3, 0.3, seed=61)
     rate = RealField(params.grid, problems.random_band_state(params, 3, 0.3, seed=62).n.values
-                     - n.values)
-    q, rep = solve_driving_potential(n, rate, params)
-    guess = RealField(params.grid, 0.9 * q.values)
-    q_warm, rep_warm = solve_driving_potential(n, rate, params, x0=guess)
+                     - st.n.values)
+    q, rep = solve_driving_potential(st, rate)
+    guess = 0.9 * q.values
+    q_warm, rep_warm = solve_driving_potential(st, rate, x0=guess)
     assert rep_warm.relative_residual <= 1e-10
     assert np.max(np.abs(q_warm.values - q.values)) <= 1e-8 * np.max(np.abs(q.values))
-    _, rep_exact = solve_driving_potential(n, rate, params, x0=q)
+    _, rep_exact = solve_driving_potential(st, rate, x0=q.values)
     assert rep_exact.iterations == 0
 
 
 def test_path_refinement_stabilizes(params):
-    na = problems.random_band_state(params, 2, 0.2, seed=63).n
-    nb = problems.random_band_state(params, 2, 0.2, seed=64).n
-    v8 = path_distance_upper(na, nb, 8, params).value_sq
-    v16 = path_distance_upper(na, nb, 16, params).value_sq
-    v32 = path_distance_upper(na, nb, 32, params).value_sq
+    sa = problems.random_band_state(params, 2, 0.2, seed=63)
+    sb = problems.random_band_state(params, 2, 0.2, seed=64)
+    v8 = path_distance_upper(sa, sb, 8).value_sq
+    v16 = path_distance_upper(sa, sb, 16).value_sq
+    v32 = path_distance_upper(sa, sb, 32).value_sq
     # trapezoid error is O(segments^-2)
     assert abs(v32 - v16) < abs(v16 - v8)
     assert abs(v32 - v16) < 1e-3 * abs(v32)
@@ -267,21 +270,23 @@ def test_distance_bound_by_l2(params):
     # squared distance to the uniform state <= g^2 ||N - m0||_L2^2 (with a
     # 2% quadrature allowance), for corridor samples
     rc = rate_constants(params)
-    uniform = RealField(params.grid, np.full(params.grid.shape, params.m0))
+    uniform = SimState.from_density(
+        0.0, RealField(params.grid, np.full(params.grid.shape, params.m0)), params)
     for seed in (65, 66, 67):
-        n0 = problems.random_band_state(params, 3, 0.5, seed=seed).n
+        s0 = problems.random_band_state(params, 3, 0.5, seed=seed)
+        n0 = s0.n
         assert thermo.in_corridor(n0, params)
         dev = l2_norm(RealField(params.grid, n0.values - params.m0))
         bound = rc.gsq * dev**2 * 1.02
-        val = path_distance_upper(n0, uniform, 16, params).value_sq
+        val = path_distance_upper(s0, uniform, 16).value_sq
         assert val <= bound
 
 
 def test_metric_axiom_battery(params):
     samples = [
-        problems.random_band_state(params, 2, 0.2, seed=s).n for s in (68, 69, 70)
+        problems.random_band_state(params, 2, 0.2, seed=s) for s in (68, 69, 70)
     ]
-    report = metric_axiom_checks(samples, params, segments=8)
+    report = metric_axiom_checks(samples, segments=8)
     assert report["ok"]
     for pair in report["pairs"]:
         assert pair["forward_sq"] >= pair["positivity_floor"] * 0.99
@@ -289,13 +294,49 @@ def test_metric_axiom_battery(params):
 
 def test_metric_axiom_battery_enforces_floor(params, monkeypatch):
     # a tiny, symmetric, positive forward value below the coercivity floor fails
-    samples = [problems.random_band_state(params, 2, 0.2, seed=s).n for s in (68, 69)]
+    samples = [problems.random_band_state(params, 2, 0.2, seed=s) for s in (68, 69)]
 
-    def tiny(na, nb, segments, params):
-        same = np.array_equal(na.values, nb.values)
+    def tiny(sa, sb, segments):
+        same = np.array_equal(sa.n.values, sb.n.values)
         return metric.PathDistanceResult(0.0 if same else 1e-12, segments, [], [])
 
     monkeypatch.setattr(metric, "path_distance_upper", tiny)
-    report = metric_axiom_checks(samples, params, segments=8)
+    report = metric_axiom_checks(samples, segments=8)
     assert report["pairs"][0]["positivity_floor"] > 1e-12
     assert not report["ok"]
+
+
+@pytest.mark.parametrize("L, M", [(2.0, 64), (1.0, 32)], ids=["other-L", "other-M"])
+def test_densities_on_other_grid_rejected(params, L, M):
+    # a state is built on its model's grid, and a path joins states on one grid
+    grid = Grid.make(1, L, M)
+    other = make_params(grid, make_smoothed_indicator(grid, 1.0, 0.1, 0.04), 0.4, m0=0.05)
+    s_other = problems.random_band_state(other, 3, 0.3, seed=73)
+    s_here = problems.random_band_state(params, 3, 0.3, seed=74)
+    with pytest.raises(GridMismatch):
+        SimState.from_density(0.0, s_other.n, params)
+    for sa, sb in ((s_here, s_other), (s_other, s_here)):
+        with pytest.raises(GridMismatch):
+            path_distance_upper(sa, sb, 4)
+        with pytest.raises(GridMismatch):
+            approx_distance(sa, sb, 1e-3)
+
+
+def test_path_forms_omega_once_per_node(params, monkeypatch):
+    # each path node is a state whose Omega the solve forms once
+    calls = []
+    form = thermo._omega
+    monkeypatch.setattr(thermo, "_omega", lambda *a: calls.append(1) or form(*a))
+    sa = problems.random_band_state(params, 3, 0.3, seed=75)
+    sb = problems.random_band_state(params, 3, 0.3, seed=76)
+    path_distance_upper(sa, sb, 8)
+    assert len(calls) == 8 + 1
+
+
+def test_path_runs_in_model_of_first_state(params):
+    # an endpoint of another model on the same grid enters the path as its density
+    other = make_params(params.grid, params.kernel, 0.4, m0=0.06)
+    sa = problems.random_band_state(params, 3, 0.3, seed=77)
+    sb = problems.random_band_state(other, 3, 0.3, seed=78)
+    same = SimState.from_density(0.0, sb.n, params)
+    assert path_distance_upper(sa, sb, 8).value_sq == path_distance_upper(sa, same, 8).value_sq
