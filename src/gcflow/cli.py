@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, dynamics, experiments, fieldio, kernels, metric, selftest
 from .config import build_band_state, build_initial_state, build_params, load_config
-from .errors import ConfigError, GcflowError, PositivityLoss
+from .errors import ConfigError, GcflowError, PositivityLoss, StabilityViolation
 
 SCHEMA_VERSION = "diagnostics-ndjson/1"
 FIELD_FORMAT = "GCF1"
@@ -74,6 +74,11 @@ def cmd_evolve(args) -> int:
         k_head = 2.0 * np.pi * (cfg.M // 2 - 1) / cfg.L
         h = dynamics.default_h(params, experiments.linearized_rate(k_head, params),
                                cfg.integrator)
+    if cfg.integrator in dynamics._EXPLICIT:  # the cap is decided by the config alone
+        try:
+            dynamics._check_explicit_stability(state, h)
+        except StabilityViolation as exc:
+            raise ConfigError("run.h", str(exc)) from None
     sink = _open_out(cfg.out_dir, "diag.ndjson") if not args.stdout else sys.stdout
     try:  # a failing step raises here; the records written before it stay in the sink
         traj = dynamics.evolve(state, cfg.T, h, cfg.integrator, stride=cfg.stride,

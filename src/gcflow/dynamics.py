@@ -19,9 +19,13 @@ PositivityLoss, naming t, on an N that is not positive everywhere (also one
 that underflows to 0): every state is positive by construction.  A step
 starts in Fourier space: it derives W*N, lap N and div(N grad W*N) from N_hat
 by symbol multiplies, without transforming N again.  Inside a step the density
-is a bare array; each later stage transforms N once, and several fields go
-through one batched transform (IMEX gets N and W*N of the new state from
-one inverse).  So a step validates one field, the N of the state it ends in.
+is a bare array, and several fields go through one batched transform.  IMEX
+gets N and W*N of the new state from one inverse: 4 transforms a step.  The
+grand RK4 marches N in real space and transforms it once a later stage: 17.
+The mass-conserving RK4 marches N_hat: a stage takes N and grad W*N from one
+inverse and its flux spectrum from one forward transform, 9 in all, and its
+rate is 0 on the zero mode, so the mass is kept exactly (bit for bit in
+N_hat).  So a step validates one field, the N of the state it ends in.
 
 `evolve` is the one march loop, for these steppers and for the implicit
 step of `gcflow.jko`.  A step's failure is an ordinary exception, raised by
@@ -131,26 +135,40 @@ def _reaction(p: ModelParams, n: np.ndarray, wn: np.ndarray) -> np.ndarray:
     return -n * np.exp(-half) + np.exp(half)
 
 
-def _rhs(p: ModelParams, n: np.ndarray, nh: np.ndarray, canonical: bool,
+def _rhs(p: ModelParams, n: np.ndarray, nh: np.ndarray,
          wn: np.ndarray | None = None) -> np.ndarray:
-    """lap N + div(N grad w_N), plus the reaction unless canonical, from N and
-    its half spectrum nh.  W*N is taken from `wn` when given; otherwise it
-    comes back with the transport term from one batched inverse transform."""
+    """lap N + div(N grad w_N) plus the reaction, from N and its half spectrum
+    nh.  W*N is taken from `wn` when given; otherwise it comes back with the
+    transport term from one batched inverse transform."""
     g = p.grid
     wh = p.kernel.symbol * nh
     transport_hat = g.lap * nh + spectral.div_n_grad(g, n, wh)
-    if canonical or wn is not None:
+    if wn is not None:
         transport = spectral._real(transport_hat, g)
     else:
         transport, wn = spectral._real(np.stack((transport_hat, wh)), g)
-    if canonical:
-        return transport
     return transport + _reaction(p, n, wn)
 
 
+def _canonical_rate(p: ModelParams, nh: np.ndarray, n: np.ndarray | None = None,
+                    t: float = 0.0) -> np.ndarray:
+    """Half spectrum of lap N + div(N grad w_N), the mass-conserving rate,
+    from the half spectrum nh of N.  N is taken from `n` when given;
+    otherwise it comes back with grad w_N from one batched inverse transform
+    and is checked positive at time t.  The rate is exactly 0 on the zero
+    mode, so it never moves the mass."""
+    g = p.grid
+    grad_hat = g.ik * (p.kernel.symbol * nh)
+    if n is None:
+        fields = spectral._real(np.concatenate((nh[None], grad_hat)), g)
+        n, grad = _positive(fields[0], t), fields[1:]
+    else:
+        grad = spectral._real(grad_hat, g)
+    return g.lap * nh + np.sum(g.ik * spectral._hat(n * grad, g), axis=0)
+
+
 def rhs_grand(state: SimState) -> RealField:
-    return RealField(state.n.grid, _rhs(state.params, state.n.values, state.n_hat,
-                                        canonical=False, wn=state.wn))
+    return RealField(state.n.grid, _rhs(state.params, state.n.values, state.n_hat, state.wn))
 
 
 def rhs_grand_advective(state: SimState) -> RealField:
@@ -184,7 +202,9 @@ def _check_explicit_stability(state: SimState, h: float) -> None:
         )
 
 
-def _rk4(state: SimState, h: float, canonical: bool) -> SimState:
+def step_rk4(state: SimState, h: float) -> SimState:
+    """Classical RK4 for the grand-canonical flow, its stages in real space:
+    17 transforms a step."""
     _check_explicit_stability(state, h)
     p = state.params
     g = p.grid
@@ -192,9 +212,9 @@ def _rk4(state: SimState, h: float, canonical: bool) -> SimState:
 
     def stage(n: np.ndarray, c: float) -> np.ndarray:
         n = _positive(n, state.t + c * h)
-        return _rhs(p, n, spectral._hat(n, g), canonical)
+        return _rhs(p, n, spectral._hat(n, g))
 
-    k1 = _rhs(p, n0, state.n_hat, canonical, state.wn)  # from the cached spectrum
+    k1 = _rhs(p, n0, state.n_hat, state.wn)  # from the cached spectrum
     k2 = stage(n0 + 0.5 * h * k1, 0.5)
     k3 = stage(n0 + 0.5 * h * k2, 0.5)
     k4 = stage(n0 + h * k3, 1.0)
@@ -203,15 +223,25 @@ def _rk4(state: SimState, h: float, canonical: bool) -> SimState:
     return SimState.from_density(state.t + h, RealField(g, _positive(n_new, state.t + h)), p)
 
 
-def step_rk4(state: SimState, h: float) -> SimState:
-    return _rk4(state, h, canonical=False)
-
-
 def step_rk4_canonical(state: SimState, h: float) -> SimState:
-    return _rk4(state, h, canonical=True)
+    """Classical RK4 for the mass-conserving flow, marched on the half
+    spectrum: a stage at N_hat_0 + c h k_hat gets N and grad w_N back from
+    one batched inverse and its flux spectrum from one forward transform,
+    and the step ends in `SimState.from_spectrum`, 9 transforms in all.
+    Every stage rate is 0 on the zero mode, so the zero mode of N_hat (the
+    mass) is carried from step to step unchanged, bit for bit."""
+    _check_explicit_stability(state, h)
+    p = state.params
+    t, nh0 = state.t, state.n_hat
+    k1 = _canonical_rate(p, nh0, state.n.values)  # N from the state
+    k2 = _canonical_rate(p, nh0 + 0.5 * h * k1, t=t + 0.5 * h)
+    k3 = _canonical_rate(p, nh0 + 0.5 * h * k2, t=t + 0.5 * h)
+    k4 = _canonical_rate(p, nh0 + h * k3, t=t + h)
+    return SimState.from_spectrum(t + h, nh0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), p)
 
 
 _STEPPERS = {"imex": step_imex, "rk4": step_rk4, "rk4_canonical": step_rk4_canonical}
+_EXPLICIT = ("rk4", "rk4_canonical")  # steppers that need h max|k|^2 <= 2.7
 
 
 def default_h(params: ModelParams, lam_max: float, integrator: str = "imex") -> float:

@@ -62,8 +62,9 @@ def solve_driving_potential(state: SimState, target_rate: RealField, tol: float 
     relative residual <= tol of the right-hand side, or NoConvergence after
     10 * M^d iterations or at the first non-finite residual.  The search
     direction is carried with its half spectrum, so an iteration transforms
-    it only inside the operator.
+    it only inside the operator.  A target on another grid raises GridMismatch.
     """
+    spectral.same_grid(state.n, target_rate)
     n, om, grid = state.n.values, state.omega, state.n.grid
     precond_symbol = 1.0 / (float(np.mean(n)) * grid.k2 + float(np.mean(om)))
 

@@ -102,9 +102,11 @@ def run_checks() -> list[tuple[str, bool, str]]:
         st = problems.single_mode_state(params, 1, 0.005)
         h = 0.5 * 2.7 / float(np.max(params.grid.k2))
         st1 = dynamics.step_rk4_canonical(st, h)
+        mode = (0,) * params.grid.d  # the zero mode of N_hat is the mass
+        assert st1.n_hat[mode] == st.n_hat[mode], st1.n_hat[mode] - st.n_hat[mode]
         drift = abs(st1.n.integral() - st.n.integral())
         assert drift < 1e-13, drift
-        return f"mass drift {drift:.2e}"
+        return f"mass mode unchanged, mass drift {drift:.2e}"
 
     def jko_uniform():
         st = problems.uniform_state(params)

@@ -237,6 +237,21 @@ def test_evolve_mu_large_activity(tmp_path, capsys, mu):
     assert abs(summary["gap"]) <= 1e-14 * m0**2 and abs(summary["mass"] / m0 - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("integrator", ["rk4", "rk4_canonical"])
+def test_explicit_step_above_cap_exit_2(tmp_path, capsys, integrator):
+    # h max|k|^2 = 1e-4 (64 pi)^2 = 4.04 > 2.7: the config alone decides it,
+    # so evolve stops before it opens diag.ndjson
+    text = BASE.replace("integrator = imex", f"integrator = {integrator}").replace(
+        "h = 0.001", "h = 1e-4")
+    assert main(["evolve", "--config", write_config(tmp_path, text)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith("run.h: h * max|k|^2 = 4.04 > 2.7")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_imports_no_scipy(tmp_path):
     # gcflow needs numpy and the stdlib only: a whole `evolve` run, uniform-state
     # solve included, leaves no scipy module loaded

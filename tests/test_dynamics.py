@@ -65,7 +65,8 @@ def realfield_calls(monkeypatch):
 def test_rhs_vanishes_at_uniform(params):
     st = problems.uniform_state(params)
     assert np.max(np.abs(rhs_grand(st).values)) < 1e-12
-    canonical = dynamics._rhs(params, st.n.values, st.n_hat, canonical=True)
+    canonical = spectral._real(dynamics._canonical_rate(params, st.n_hat, st.n.values),
+                               params.grid)
     assert np.max(np.abs(canonical)) < 1e-12
 
 
@@ -114,8 +115,9 @@ def test_linearized_rate_canonical_vs_fd_jacobian(params):
         pert = np.cos(k * x)
         sp = SimState.from_density(0.0, RealField(grid, params.m0 + t * pert), params)
         sm = SimState.from_density(0.0, RealField(grid, params.m0 - t * pert), params)
-        jac = (dynamics._rhs(params, sp.n.values, sp.n_hat, canonical=True)
-               - dynamics._rhs(params, sm.n.values, sm.n_hat, canonical=True)) / (2 * t)
+        rate_p = dynamics._canonical_rate(params, sp.n_hat, sp.n.values)
+        rate_m = dynamics._canonical_rate(params, sm.n_hat, sm.n.values)
+        jac = spectral._real(rate_p - rate_m, grid) / (2 * t)
         lam = linearized_rate(k, params, canonical=True)
         assert np.max(np.abs(jac + lam * pert)) < 1e-5 * lam
 
@@ -181,6 +183,19 @@ def test_canonical_mass_conservation(params):
     for _ in range(200):
         st = step_rk4_canonical(st, h)
     assert abs(st.n.integral() - mass0) < 1e-13
+
+
+@pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
+def test_canonical_mass_exact(d, M):
+    # every stage rate is 0 on the zero mode, so the mass mode of the
+    # state's spectrum is carried through the steps bit for bit
+    p = model(d, M)
+    st = problems.random_band_state(p, 3, 0.3, seed=45)
+    h = 2.0 / float(np.max(p.grid.k2))
+    mass_mode = st.n_hat[(0,) * d]
+    for _ in range(200):
+        st = step_rk4_canonical(st, h)
+    assert st.n_hat[(0,) * d] == mass_mode
 
 
 def test_grand_does_not_conserve_mass(params):
@@ -350,10 +365,12 @@ def test_record_rejects_underflowed_density(params):
 @pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
 def test_transforms_per_step_and_record(d, M, fft_calls):
     # a step starts from the state's cached spectrum; IMEX gets N and W*N of
-    # the new state from one batched inverse, and a record transforms
-    # (Psi, Phi) forward and grad Phi back in one call each
+    # the new state from one batched inverse; a canonical RK4 stage gets N
+    # and grad W*N from one inverse and its flux spectrum from one forward
+    # (stage 1 takes N from the state), and the step ends in one inverse;
+    # a record transforms (Psi, Phi) forward and grad Phi back in one call each
     st = problems.random_band_state(model(d, M), 3, 0.3, seed=40)
-    for name, count in {"imex": 4, "rk4": 17, "rk4_canonical": 17}.items():
+    for name, count in {"imex": 4, "rk4": 17, "rk4_canonical": 9}.items():
         del fft_calls[:]
         dynamics._STEPPERS[name](st, 1e-5)
         assert len(fft_calls) == count, name

@@ -308,7 +308,8 @@ def test_metric_axiom_battery_enforces_floor(params, monkeypatch):
 
 @pytest.mark.parametrize("L, M", [(2.0, 64), (1.0, 32)], ids=["other-L", "other-M"])
 def test_densities_on_other_grid_rejected(params, L, M):
-    # a state is built on its model's grid, and a path joins states on one grid
+    # a state is built on its model's grid, a path joins states on one grid,
+    # and a driving potential solves for a target rate on the state's grid
     grid = Grid.make(1, L, M)
     other = make_params(grid, make_smoothed_indicator(grid, 1.0, 0.1, 0.04), 0.4, m0=0.05)
     s_other = problems.random_band_state(other, 3, 0.3, seed=73)
@@ -320,6 +321,8 @@ def test_densities_on_other_grid_rejected(params, L, M):
             path_distance_upper(sa, sb, 4)
         with pytest.raises(GridMismatch):
             approx_distance(sa, sb, 1e-3)
+        with pytest.raises(GridMismatch):
+            solve_driving_potential(sa, sb.n)
 
 
 def test_path_forms_omega_once_per_node(params, monkeypatch):
