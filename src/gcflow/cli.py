@@ -65,6 +65,16 @@ def _open_out(out_dir: str, name: str):
         raise ConfigError("run.out_dir", str(exc)) from None
 
 
+def _check_step_cap(integrator: str, state, h: float) -> None:
+    """ConfigError("run.h") when an explicit integrator's h is above the
+    stability cap of the state's grid: the config alone decides it."""
+    if integrator in dynamics._EXPLICIT:
+        try:
+            dynamics._check_explicit_stability(state, h)
+        except StabilityViolation as exc:
+            raise ConfigError("run.h", str(exc)) from None
+
+
 def cmd_evolve(args) -> int:
     cfg = _load_run(args.config)
     params = build_params(cfg)
@@ -74,11 +84,7 @@ def cmd_evolve(args) -> int:
         k_head = 2.0 * np.pi * (cfg.M // 2 - 1) / cfg.L
         h = dynamics.default_h(params, experiments.linearized_rate(k_head, params),
                                cfg.integrator)
-    if cfg.integrator in dynamics._EXPLICIT:  # the cap is decided by the config alone
-        try:
-            dynamics._check_explicit_stability(state, h)
-        except StabilityViolation as exc:
-            raise ConfigError("run.h", str(exc)) from None
+    _check_step_cap(cfg.integrator, state, h)
     sink = _open_out(cfg.out_dir, "diag.ndjson") if not args.stdout else sys.stdout
     try:  # a failing step raises here; the records written before it stay in the sink
         traj = dynamics.evolve(state, cfg.T, h, cfg.integrator, stride=cfg.stride,
@@ -123,6 +129,8 @@ def cmd_sweep(args) -> int:
         box = dataclasses.replace(cfg, L=L, M=M)
         states.append(build_band_state(box, build_params(box)))
     h = cfg.h if cfg.h is not None else 2e-3
+    for state in states:
+        _check_step_cap(cfg.integrator, state, h)
     report = experiments.volume_sweep(states, cfg.T, h, cfg.integrator, cfg.jko)
     print(json.dumps(report.to_dict()))
     return 0

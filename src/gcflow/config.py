@@ -42,13 +42,13 @@ Key names are case-insensitive.  An unknown section or key, a value that does
 not parse (or is not finite) or fails its check, and a missing required key
 raise ConfigError naming `section.key`; so does, in `build_params`, a kernel
 that does not fit the box or an m0/mu without a representable uniform state,
-and, in `build_initial_state`, a single-mode eps that makes the density
-nonpositive, a random-band k_c outside 0..M/2 or a random-band amp that
-underflows the density to 0.  `build_params` is the one builder of a model
-from config values: `gcflow sweep` calls it on each box, a copy of the config
-with `L` from its axis and `M` scaled by L (the config's M is read as points
-per unit length), and builds the box's random-band state with
-`build_band_state`, which checks k_c against the box's M.
+and, in `build_initial_state`, a single-mode mode outside 0..M/2 or eps
+that makes the density nonpositive, a random-band k_c outside 0..M/2 or a
+random-band amp that underflows the density to 0.  `build_params` is the one
+builder of a model from config values: `gcflow sweep` calls it on each box, a
+copy of the config with `L` from its axis and `M` scaled by L (the config's M
+is read as points per unit length), and builds the box's random-band state
+with `build_band_state`, which checks k_c against the box's M.
 """
 
 from __future__ import annotations
@@ -246,6 +246,9 @@ def build_initial_state(cfg: RunConfig, params: ModelParams) -> SimState:
     if ic.kind == "uniform":
         return problems.uniform_state(params)
     if ic.kind == "single_mode":
+        nyquist = params.grid.M // 2
+        if not 0 <= ic.mode <= nyquist:  # a higher mode would alias to a lower one
+            raise ConfigError("initial.mode", f"must lie in 0..M/2 = {nyquist}, got {ic.mode}")
         try:
             return problems.single_mode_state(params, ic.mode, ic.eps)
         except PositivityLoss as exc:  # eps drives the density nonpositive before any step

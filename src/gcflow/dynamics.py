@@ -12,20 +12,23 @@ with w_N = W * N.  Equivalently, in advective form,
 Conservative variant (fixed mass): dN/dt = lap N + div(N grad w_N).
 
 A SimState holds N as its one validated field (a RealField) and caches
-Psi = log N, W*N and the half spectrum N_hat as plain arrays, and Phi_N and
-Omega_N from the first time they are read.  It is built only by
+Psi = log N, W*N and the half spectrum N_hat as plain arrays, and grad W*N,
+Phi_N and Omega_N from the first time they are read.  It is built only by
 `from_density`, `from_psi` or `from_spectrum`, and each raises
 PositivityLoss, naming t, on an N that is not positive everywhere (also one
 that underflows to 0): every state is positive by construction.  A step
 starts in Fourier space: it derives W*N, lap N and div(N grad W*N) from N_hat
 by symbol multiplies, without transforming N again.  Inside a step the density
-is a bare array, and several fields go through one batched transform.  IMEX
-gets N and W*N of the new state from one inverse: 4 transforms a step.  The
-grand RK4 marches N in real space and transforms it once a later stage: 17.
-The mass-conserving RK4 marches N_hat: a stage takes N and grad W*N from one
-inverse and its flux spectrum from one forward transform, 9 in all, and its
-rate is 0 on the zero mode, so the mass is kept exactly (bit for bit in
-N_hat).  So a step validates one field, the N of the state it ends in.
+is a bare array, and several fields go through one batched transform.
+`from_spectrum` gets N, W*N and grad W*N from one inverse, so IMEX sends its
+flux and reaction forward in one call and ends in that inverse: 2 transforms
+a step.  The grand RK4 marches N in real space and transforms it once a later
+stage: 17 (16 from a state that holds grad W*N).  The mass-conserving RK4
+marches N_hat: a later stage takes N and grad W*N from one inverse and its
+flux spectrum from one forward transform, 8 in all, and its rate is 0 on the
+zero mode, so the mass is kept exactly (bit for bit in N_hat).  So a step
+validates one field, the N of the state it ends in.  A record transforms Psi
+forward and grad Phi_N back: 2 transforms, and no Omega_N.
 
 `evolve` is the one march loop, for these steppers and for the implicit
 step of `gcflow.jko`.  A step's failure is an ordinary exception, raised by
@@ -34,9 +37,10 @@ the step that detects it.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -77,11 +81,31 @@ class SimState:
     @staticmethod
     def from_spectrum(t: float, n_hat: np.ndarray, params: ModelParams) -> "SimState":
         """The state whose N has half spectrum n_hat: one batched inverse
-        transform gives N and W*N.  A nonpositive N raises PositivityLoss."""
+        transform gives N, W*N and grad W*N.  A nonpositive N raises
+        PositivityLoss."""
         g = params.grid
-        n, wn = spectral._real(np.stack((n_hat, n_hat * params.kernel.symbol)), g)
-        _positive(n, t)
-        return SimState(t, np.log(n), RealField(g, n), wn, n_hat, params)
+        symbol = params.kernel.symbol
+        # complex products do not commute bit for bit; each field keeps the
+        # order its formula has everywhere else (see `grad_wn`)
+        rows = (n_hat[None], (n_hat * symbol)[None], g.ik * (symbol * n_hat))
+        fields = spectral._real(np.concatenate(rows), g)
+        n = _positive(fields[0], t)
+        state = SimState(t, np.log(n), RealField(g, n), fields[1], n_hat, params)
+        state.__dict__["grad_wn"] = fields[2:]  # the cached_property's slot
+        return state
+
+    def at(self, t: float) -> "SimState":
+        """This state at time t, its cached fields kept (`dataclasses.replace`
+        would drop them)."""
+        state = copy.copy(self)
+        object.__setattr__(state, "t", t)
+        return state
+
+    @cached_property
+    def grad_wn(self) -> np.ndarray:
+        """grad W*N, one row per axis, formed on first use."""
+        g = self.params.grid
+        return spectral._real(g.ik * (self.params.kernel.symbol * self.n_hat), g)
 
     @cached_property
     def phi(self) -> np.ndarray:
@@ -135,40 +159,41 @@ def _reaction(p: ModelParams, n: np.ndarray, wn: np.ndarray) -> np.ndarray:
     return -n * np.exp(-half) + np.exp(half)
 
 
-def _rhs(p: ModelParams, n: np.ndarray, nh: np.ndarray,
-         wn: np.ndarray | None = None) -> np.ndarray:
+def _rhs(p: ModelParams, n: np.ndarray, nh: np.ndarray, wn: np.ndarray | None = None,
+         grad_wn: np.ndarray | None = None) -> np.ndarray:
     """lap N + div(N grad w_N) plus the reaction, from N and its half spectrum
-    nh.  W*N is taken from `wn` when given; otherwise it comes back with the
-    transport term from one batched inverse transform."""
+    nh.  grad w_N is taken from `grad_wn` when given, and W*N from `wn`;
+    otherwise W*N comes back with the transport term from one batched
+    inverse transform."""
     g = p.grid
-    wh = p.kernel.symbol * nh
-    transport_hat = g.lap * nh + spectral.div_n_grad(g, n, wh)
+    transport_hat = _canonical_rate(p, nh, n, grad=grad_wn)
     if wn is not None:
         transport = spectral._real(transport_hat, g)
     else:
-        transport, wn = spectral._real(np.stack((transport_hat, wh)), g)
+        transport, wn = spectral._real(np.stack((transport_hat, p.kernel.symbol * nh)), g)
     return transport + _reaction(p, n, wn)
 
 
 def _canonical_rate(p: ModelParams, nh: np.ndarray, n: np.ndarray | None = None,
-                    t: float = 0.0) -> np.ndarray:
+                    t: float = 0.0, grad: np.ndarray | None = None) -> np.ndarray:
     """Half spectrum of lap N + div(N grad w_N), the mass-conserving rate,
-    from the half spectrum nh of N.  N is taken from `n` when given;
-    otherwise it comes back with grad w_N from one batched inverse transform
-    and is checked positive at time t.  The rate is exactly 0 on the zero
-    mode, so it never moves the mass."""
+    from the half spectrum nh of N: one forward transform of the flux.  N is
+    taken from `n` and grad w_N from `grad` when given; with no `n`, both come
+    back from one batched inverse transform and N is checked positive at
+    time t.  The rate is exactly 0 on the zero mode, so it never moves the
+    mass."""
     g = p.grid
-    grad_hat = g.ik * (p.kernel.symbol * nh)
     if n is None:
-        fields = spectral._real(np.concatenate((nh[None], grad_hat)), g)
+        fields = spectral._real(np.concatenate((nh[None], g.ik * (p.kernel.symbol * nh))), g)
         n, grad = _positive(fields[0], t), fields[1:]
-    else:
-        grad = spectral._real(grad_hat, g)
+    elif grad is None:
+        grad = spectral._real(g.ik * (p.kernel.symbol * nh), g)
     return g.lap * nh + np.sum(g.ik * spectral._hat(n * grad, g), axis=0)
 
 
 def rhs_grand(state: SimState) -> RealField:
-    return RealField(state.n.grid, _rhs(state.params, state.n.values, state.n_hat, state.wn))
+    return RealField(state.n.grid, _rhs(state.params, state.n.values, state.n_hat, state.wn,
+                                        state.grad_wn))
 
 
 def rhs_grand_advective(state: SimState) -> RealField:
@@ -181,16 +206,17 @@ def rhs_grand_advective(state: SimState) -> RealField:
 def step_imex(state: SimState, h: float) -> SimState:
     """Semi-implicit Euler: diffusion implicit via the Helmholtz inverse,
     interaction and reaction terms explicit.  First-order accurate,
-    unconditionally stable in the linear diffusive part.  N_hat of the new
-    state is formed in Fourier space (`SimState.from_spectrum`): four
-    transforms in all."""
+    unconditionally stable in the linear diffusive part.  The flux
+    N grad w_N (from the state's grad W*N) and the reaction go forward in
+    one batched transform, and N_hat of the new state is formed in Fourier
+    space (`SimState.from_spectrum`, one inverse): two transforms in all."""
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
     p = state.params
     g = p.grid
     n, nh = state.n.values, state.n_hat
-    explicit = (spectral.div_n_grad(g, n, p.kernel.symbol * nh)
-                + spectral._hat(_reaction(p, n, state.wn), g))
+    hats = spectral._hat(np.concatenate((n * state.grad_wn, _reaction(p, n, state.wn)[None])), g)
+    explicit = np.sum(g.ik * hats[:-1], axis=0) + hats[-1]
     return SimState.from_spectrum(state.t + h, (nh + h * explicit) / (1.0 - h * g.lap), p)
 
 
@@ -204,7 +230,7 @@ def _check_explicit_stability(state: SimState, h: float) -> None:
 
 def step_rk4(state: SimState, h: float) -> SimState:
     """Classical RK4 for the grand-canonical flow, its stages in real space:
-    17 transforms a step."""
+    17 transforms a step, 16 when the state holds grad W*N."""
     _check_explicit_stability(state, h)
     p = state.params
     g = p.grid
@@ -214,7 +240,7 @@ def step_rk4(state: SimState, h: float) -> SimState:
         n = _positive(n, state.t + c * h)
         return _rhs(p, n, spectral._hat(n, g))
 
-    k1 = _rhs(p, n0, state.n_hat, state.wn)  # from the cached spectrum
+    k1 = _rhs(p, n0, state.n_hat, state.wn, state.grad_wn)  # from the state's caches
     k2 = stage(n0 + 0.5 * h * k1, 0.5)
     k3 = stage(n0 + 0.5 * h * k2, 0.5)
     k4 = stage(n0 + h * k3, 1.0)
@@ -226,14 +252,16 @@ def step_rk4(state: SimState, h: float) -> SimState:
 def step_rk4_canonical(state: SimState, h: float) -> SimState:
     """Classical RK4 for the mass-conserving flow, marched on the half
     spectrum: a stage at N_hat_0 + c h k_hat gets N and grad w_N back from
-    one batched inverse and its flux spectrum from one forward transform,
-    and the step ends in `SimState.from_spectrum`, 9 transforms in all.
+    one batched inverse and its flux spectrum from one forward transform
+    (stage 1 reads both from the state), and the step ends in
+    `SimState.from_spectrum`: 8 transforms in all, 9 when the state does not
+    yet hold grad W*N.
     Every stage rate is 0 on the zero mode, so the zero mode of N_hat (the
     mass) is carried from step to step unchanged, bit for bit."""
     _check_explicit_stability(state, h)
     p = state.params
     t, nh0 = state.t, state.n_hat
-    k1 = _canonical_rate(p, nh0, state.n.values)  # N from the state
+    k1 = _canonical_rate(p, nh0, state.n.values, grad=state.grad_wn)  # from the state
     k2 = _canonical_rate(p, nh0 + 0.5 * h * k1, t=t + 0.5 * h)
     k3 = _canonical_rate(p, nh0 + 0.5 * h * k2, t=t + 0.5 * h)
     k4 = _canonical_rate(p, nh0 + h * k3, t=t + h)
@@ -262,11 +290,12 @@ def diagnostics(step: int, state: SimState, canonical: bool = False,
                 inner_iters: int | None = None,
                 residual: float | None = None) -> DiagnosticsRecord:
     """Per-step observables, in one pass over the state's cached fields with
-    the formulas of `thermo`: one batched forward transform of (Psi, Phi_N)
-    and one batched inverse for grad Phi_N.  The state's N is positive by
-    construction, so nothing is checked here.  gap is measured against the
-    uniform state: m0 for the non-conservative flow, the (conserved) mean
-    density otherwise."""
+    the formulas of `thermo`: one forward transform of Psi and one inverse
+    for grad Phi_N, from Phi_hat = Psi_hat + W_hat N_hat (the constant -mu
+    has no gradient).  The dissipation needs no Omega_N (`thermo._dissipation`).
+    The state's N is positive by construction, so nothing is checked here.
+    gap is measured against the uniform state: m0 for the non-conservative
+    flow, the (conserved) mean density otherwise."""
     p = state.params
     g = p.grid
     n, psi, wn = state.n.values, state.psi, state.wn
@@ -278,9 +307,8 @@ def diagnostics(step: int, state: SimState, canonical: bool = False,
         gap = thermo._free_energy(n, psi, wn, 0.0, cv) - _uniform_energy(p, nbar, 0.0)
     else:
         gap = g_mu - _uniform_energy(p, p.m0, p.mu)
-    phi = state.phi
-    psi_hat, phi_hat = spectral._hat(np.stack((psi, phi)), g)
-    grad_phi = spectral._real(g.ik * phi_hat, g)
+    psi_hat = spectral._hat(psi, g)
+    grad_phi = spectral._real(g.ik * (psi_hat + state.n_hat * p.kernel.symbol), g)
     d0, d1, d2 = spectral._dnorms(g, psi_hat, 2).tolist()
     return DiagnosticsRecord(
         step=step,
@@ -293,7 +321,7 @@ def diagnostics(step: int, state: SimState, canonical: bool = False,
         d2=d2,
         n_min=float(n.min()),
         n_max=float(n.max()),
-        dissipation=thermo._weighted_inner(n, state.omega, phi, phi, grad_phi, grad_phi, cv),
+        dissipation=thermo._dissipation(n, state.phi, grad_phi, cv),
         inner_iters=inner_iters,
         residual=residual,
     )
@@ -341,7 +369,7 @@ def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
         for step in range(1, n_steps + 1):
             last = step == n_steps
             state, report = advance(state, h_last if last else h)
-            state = replace(state, t=t0 + (T if last and not exact else step * h))
+            state = state.at(t0 + (T if last and not exact else step * h))
             if report is not None:
                 traj.psi_d0_bound = max(traj.psi_d0_bound or 0.0, report.d0_psi)
             if step % stride == 0 or last:

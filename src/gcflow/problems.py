@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .dynamics import SimState
@@ -39,9 +41,10 @@ def random_band_state(params: ModelParams, k_c: int, amp: float, seed: int) -> S
 
         Psi0 = log m0 + a0 + sum_{1 <= |n| <= k_c} a_n cos(k_n . x + theta_n)
 
-    with seeded coefficients, rescaled so the corridor kappa m0 < N < m0/kappa
-    holds with a 10% margin.  A density that underflows to 0 (m0 near the
-    float floor) raises PositivityLoss.
+    with seeded coefficients, rescaled so that max |Psi0 - log m0| is |amp|,
+    capped where the corridor kappa m0 < N < m0/kappa holds with a 10%
+    margin; a negative amp flips the sign of the perturbation.  A density
+    that underflows to 0 (m0 near the float floor) raises PositivityLoss.
     """
     g = params.grid
     rng = np.random.default_rng(seed)
@@ -64,5 +67,5 @@ def random_band_state(params: ModelParams, k_c: int, amp: float, seed: int) -> S
         pert = pert + coeff * np.cos(arg)
     sup = float(np.max(np.abs(pert)))
     limit = 0.9 * np.log(1.0 / params.kappa)
-    scale = min(amp, limit) / max(sup, 1e-300)
+    scale = math.copysign(min(abs(amp), limit), amp) / max(sup, 1e-300)
     return SimState.from_psi(0.0, np.log(params.m0) + scale * pert, params)

@@ -16,11 +16,13 @@ driving potential Phi_N = log N - mu + W*N, and the mobility weight is
 Omega_N = sqrt(N) * sinhc(Phi_N / 2) >= sqrt(N) > 0.
 
 Each formula lives in one array-level helper (`_free_energy`, `_potential`,
-`_omega`, `_weighted_inner`).  The public functionals, the reference the
-tests compare against, take a RealField density, check it positive, compute
-log N and W*N themselves and call these helpers.  The simulation and the
-metric take Phi_N and Omega_N from a `dynamics.SimState`, which forms them
-with these helpers from its cached Psi = log N and W*N.
+`_omega`, `_weighted_inner`, `_dissipation`).  The public functionals, the
+reference the tests compare against, take a RealField density, check it
+positive, compute log N and W*N themselves and call these helpers.  The
+simulation and the metric take Phi_N and Omega_N from a `dynamics.SimState`,
+which forms them with these helpers from its cached Psi = log N and W*N.  A
+diagnostics record forms no Omega_N: `_dissipation` writes Omega_N Phi_N as
+2 sqrt(N) sinh(Phi_N / 2).
 """
 
 from __future__ import annotations
@@ -217,6 +219,16 @@ def _weighted_inner(n: np.ndarray, omega_n: np.ndarray, f: np.ndarray, g: np.nda
     """weighted_inner from arrays; the gradients are stacked, one row per axis."""
     grad_dot = np.sum(grad_f * grad_g, axis=0)
     return float(np.sum(n * grad_dot + omega_n * f * g)) * cell_volume
+
+
+def _dissipation(n: np.ndarray, phi: np.ndarray, grad_phi: np.ndarray,
+                 cell_volume: float) -> float:
+    """dissipation from the arrays of N, Phi_N and grad Phi_N (stacked, one
+    row per axis), with Omega_N Phi_N^2 written as 2 sqrt(N) sinh(Phi_N/2)
+    Phi_N: no division and no series branch, and no cancellation as
+    Phi_N -> 0."""
+    grad_sq = np.sum(grad_phi * grad_phi, axis=0)
+    return float(np.sum(n * grad_sq + 2.0 * np.sqrt(n) * np.sinh(0.5 * phi) * phi)) * cell_volume
 
 
 def dissipation(n: RealField, params: ModelParams) -> float:

@@ -198,6 +198,9 @@ def test_bad_config_exit_2(tmp_path, capsys, old, new, field):
     ("evolve", "kind = uniform", "kind = random_band\nk_c = 100000", "initial.k_c"),
     ("evolve", "kind = uniform", "kind = random_band\nk_c = -1", "initial.k_c"),
     ("sweep", "kind = uniform", "kind = random_band\nk_c = 20", "initial.k_c"),
+    # a single mode must lie in 0..M/2 too; mode 100 was sampled as its alias 28
+    ("evolve", "kind = uniform", "kind = single_mode\nmode = 100", "initial.mode"),
+    ("evolve", "kind = uniform", "kind = single_mode\nmode = -1", "initial.mode"),
     # with no interaction (w = 0), m0 = exp(-800) underflows to 0
     ("evolve", ("amplitude = 1.0", "m0 = 0.05"), ("amplitude = 0.0", "mu = -800"), "model.mu"),
     ("evolve", ("amplitude = 1.0", "m0 = 0.05", "kind = uniform"),
@@ -207,6 +210,7 @@ def test_bad_config_exit_2(tmp_path, capsys, old, new, field):
         "sweep-box-too-small", "m0-huge", "mu-huge", "sweep-radius-too-large",
         "sweep-gaussian-too-wide", "sweep-m0-huge", "sweep-mu-huge", "single-mode-nonpositive",
         "band-edge-huge", "band-edge-negative", "sweep-band-edge-above-nyquist",
+        "single-mode-above-nyquist", "single-mode-negative",
         "m0-underflow-uniform", "m0-underflow-band", "sweep-m0-underflow"])
 def test_config_value_failure_exit_2(tmp_path, capsys, command, old, new, field):
     # values that parse but fail later, while building the model, kernels or output;
@@ -250,6 +254,22 @@ def test_explicit_step_above_cap_exit_2(tmp_path, capsys, integrator):
     assert err["error"] == "ConfigError"
     assert err["message"].startswith("run.h: h * max|k|^2 = 4.04 > 2.7")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("h", [None, "1e-4"], ids=["default-h", "h-above-cap"])
+@pytest.mark.parametrize("integrator", ["rk4", "rk4_canonical"])
+def test_sweep_explicit_step_above_cap_exit_2(tmp_path, capsys, integrator, h):
+    # the sweep's step (2e-3 when run.h is unset) against the cap of each
+    # box is decided by the config alone, as in evolve: exit 2 before any step
+    text = BASE.replace("integrator = imex", f"integrator = {integrator}").replace(
+        "kind = uniform", "kind = random_band\nk_c = 3\namp = 0.25").replace(
+        "h = 0.001\n", "" if h is None else f"h = {h}\n")
+    argv = ["sweep", "--config", write_config(tmp_path, text), "--axis", "L=1,2"]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigError" and err["message"].startswith("run.h: h * max|k|^2")
 
 
 def test_cli_run_imports_no_scipy(tmp_path):

@@ -364,13 +364,14 @@ def test_record_rejects_underflowed_density(params):
 
 @pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
 def test_transforms_per_step_and_record(d, M, fft_calls):
-    # a step starts from the state's cached spectrum; IMEX gets N and W*N of
-    # the new state from one batched inverse; a canonical RK4 stage gets N
-    # and grad W*N from one inverse and its flux spectrum from one forward
-    # (stage 1 takes N from the state), and the step ends in one inverse;
-    # a record transforms (Psi, Phi) forward and grad Phi back in one call each
-    st = problems.random_band_state(model(d, M), 3, 0.3, seed=40)
-    for name, count in {"imex": 4, "rk4": 17, "rk4_canonical": 9}.items():
+    # a step starts from the caches of a state made by a step: N_hat, and
+    # grad W*N, which the IMEX step's one inverse gave with N and W*N; IMEX
+    # sends flux and reaction forward in one call; a canonical RK4 stage gets
+    # N and grad W*N from one inverse and its flux spectrum from one forward
+    # (stage 1 reads both from the state), and the step ends in one inverse;
+    # a record transforms Psi forward and grad Phi back in one call each
+    st = step_imex(problems.random_band_state(model(d, M), 3, 0.3, seed=40), 1e-5)
+    for name, count in {"imex": 2, "rk4": 16, "rk4_canonical": 8}.items():
         del fft_calls[:]
         dynamics._STEPPERS[name](st, 1e-5)
         assert len(fft_calls) == count, name
@@ -378,6 +379,15 @@ def test_transforms_per_step_and_record(d, M, fft_calls):
         del fft_calls[:]
         diagnostics(1, st, canonical=canonical)
         assert len(fft_calls) == 2, canonical
+    # an rk4 state does not hold grad W*N, so an rk4 march pays 17 a step
+    del fft_calls[:]
+    step_rk4(step_rk4(st, 1e-5), 1e-5)
+    assert len(fft_calls) == 16 + 17
+    # evolve re-times each state without dropping its caches: 10 IMEX steps
+    # and one record
+    del fft_calls[:]
+    evolve(st, 1e-4, 1e-5, stride=10)
+    assert len(fft_calls) == 10 * 2 + 2
 
 
 @pytest.mark.parametrize("integrator", ["imex", "rk4", "rk4_canonical", "jko"])
@@ -392,6 +402,39 @@ def test_cached_spectrum_matches_density(d, M, integrator):
     fresh = spectral._hat(st.n.values, st.n.grid)
     assert st.n_hat.shape == fresh.shape
     assert np.max(np.abs(st.n_hat - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+
+
+@pytest.mark.parametrize("integrator", ["imex", "rk4", "rk4_canonical", "jko"])
+@pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
+def test_cached_grad_wn_matches_density(d, M, integrator):
+    # grad W*N that from_spectrum gets from its batched inverse, or that a
+    # state forms on first read, against one formed from a fresh spectrum
+    st = problems.random_band_state(model(d, M), 3, 0.3, seed=41)
+    for _ in range(3):
+        if integrator == "jko":
+            st = jko.jko_step(st, 1e-3)[0]
+        else:
+            st = dynamics._STEPPERS[integrator](st, 1e-5)
+    fresh = SimState.from_density(st.t, st.n, st.params).grad_wn
+    assert st.grad_wn.shape == fresh.shape == (d,) + st.n.grid.shape
+    assert np.max(np.abs(st.grad_wn - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+
+
+@pytest.mark.parametrize("state", ["band", "single_mode"])
+@pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
+def test_record_dissipation_matches_reference(d, M, state):
+    # the record's sinh form of the dissipation, from Phi_hat = Psi_hat +
+    # W_hat N_hat, against thermo.dissipation (Omega_N through sinhc), on the
+    # criterion matrix's model; also on a mode of size 1e-8, where Phi_N is
+    # about 2e-7 and Psi_hat's roundoff, about 1e-16 |Psi_hat| in each mode,
+    # is what separates the two routes (5.9e-13 in d = 1)
+    grid = Grid.make(d, 1.0, M)
+    p = make_params(grid, make_smoothed_indicator(grid, 1.0, 0.1, 0.02), 0.4, m0=0.05)
+    st = (problems.random_band_state(p, 3, 0.3, seed=45) if state == "band"
+          else problems.single_mode_state(p, 1, 1e-8))
+    reference = thermo.dissipation(st.n, p)
+    assert reference > 0.0
+    assert abs(diagnostics(0, st).dissipation - reference) <= 1e-12 * reference
 
 
 @pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])

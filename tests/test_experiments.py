@@ -201,3 +201,18 @@ def test_random_band_state_in_corridor(params):
     for seed in range(5):
         st = problems.random_band_state(params, 3, 1.0, seed=seed)
         assert in_corridor(st.n, params)
+
+
+@pytest.mark.parametrize("amp", [-0.3, -1.0, -5.0])
+def test_random_band_state_negative_amp_keeps_corridor(params, amp):
+    # a negative amp flips the band's sign; its size is clamped like a
+    # positive one's (it once bypassed the clamp: amp = -5 gave 5.0)
+    from gcflow.thermo import in_corridor
+
+    limit = 0.9 * np.log(1.0 / params.kappa)
+    log_m0 = np.log(params.m0)
+    st = problems.random_band_state(params, 3, amp, seed=7)
+    flipped = problems.random_band_state(params, 3, -amp, seed=7)
+    assert abs(np.max(np.abs(st.psi - log_m0)) - min(-amp, limit)) <= 1e-14
+    assert np.allclose(st.psi - log_m0, -(flipped.psi - log_m0), rtol=0, atol=1e-15)
+    assert in_corridor(st.n, params)

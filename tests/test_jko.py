@@ -156,8 +156,7 @@ def test_residual_reuses_cached_convolutions(params, monkeypatch):
 
 def test_step_forms_omega_once(params, monkeypatch):
     # Omega_{N0} is formed once per step, for the frozen terms, and the
-    # residual reads it from the state; in a march the record of a state and
-    # the next step's frozen terms share it too
+    # residual reads it from the state; in a march a record does not form it
     calls = []
     form = thermo._omega
     monkeypatch.setattr(thermo, "_omega", lambda *a: calls.append(1) or form(*a))
@@ -166,7 +165,7 @@ def test_step_forms_omega_once(params, monkeypatch):
     assert len(calls) == 1
     del calls[:]
     evolve(problems.random_band_state(params, 3, 0.3, seed=49), 4e-3, 1e-3, "jko", stride=1)
-    assert len(calls) == 4 + 1
+    assert len(calls) == 4
 
 
 def test_jko_evolve_ends_at_T(params):
