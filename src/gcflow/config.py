@@ -40,8 +40,10 @@ Grammar (INI-style)::
 
 Key names are case-insensitive.  An unknown section or key, a value that does
 not parse (or is not finite) or fails its check, and a missing required key
-raise ConfigError naming `section.key`; so does, in `build_params`, a kernel
-that does not fit the box or an m0/mu without a representable uniform state,
+raise ConfigError naming `section.key`; so does, in `build_params`, an L
+whose L^d or largest |k|^4 overflows, a kernel that does not fit the box (or
+a positive-type width whose square under- or overflows) or an m0/mu without a
+representable uniform state,
 and, in `build_initial_state`, a single-mode mode outside 0..M/2 or eps
 that makes the density nonpositive, a random-band k_c outside 0..M/2 or a
 random-band amp that underflows the density to 0.  `build_params` is the one
@@ -217,14 +219,19 @@ def dump_config(cfg: RunConfig) -> str:
     return buf.getvalue()
 
 
-# the [kernel] key behind each kernel geometry error
+# the [kernel] key behind each kernel geometry error; with the amplitude
+# checked, a builder's ValueError is a positive-type width whose 2 width^2
+# underflows to 0 or overflows
 _KERNEL_ERROR_KEYS = {RangeTooLarge: "kernel.radius", BadMollifier: "kernel.mollifier_width",
-                      WidthTooLarge: "kernel.width"}
+                      WidthTooLarge: "kernel.width", ValueError: "kernel.width"}
 
 
 def build_params(cfg: RunConfig) -> ModelParams:
     """The model of `cfg`; a value that cannot make one is a ConfigError."""
-    grid = Grid.make(cfg.d, cfg.L, cfg.M)
+    try:
+        grid = Grid.make(cfg.d, cfg.L, cfg.M)
+    except ValueError as exc:  # d and M passed their checks: L overflows the box's quantities
+        raise ConfigError("grid.L", str(exc)) from None
     k = cfg.kernel
     try:
         if k.family == "smoothed_indicator":

@@ -17,16 +17,14 @@ Phi_N and Omega_N from the first time they are read.  It is built only by
 `from_density`, `from_psi` or `from_spectrum`, and each raises
 PositivityLoss, naming t, on an N that is not positive everywhere (also one
 that underflows to 0): every state is positive by construction.  A step
-starts in Fourier space: it derives W*N, lap N and div(N grad W*N) from N_hat
-by symbol multiplies, without transforming N again.  Inside a step the density
-is a bare array, and several fields go through one batched transform.
-`from_spectrum` gets N, W*N and grad W*N from one inverse, so IMEX sends its
-flux and reaction forward in one call and ends in that inverse: 2 transforms
-a step.  The grand RK4 marches N in real space and transforms it once a later
-stage: 17 (16 from a state that holds grad W*N).  The mass-conserving RK4
-marches N_hat: a later stage takes N and grad W*N from one inverse and its
-flux spectrum from one forward transform, 8 in all, and its rate is 0 on the
-zero mode, so the mass is kept exactly (bit for bit in N_hat).  So a step
+starts in Fourier space and keeps the density a bare array inside: `_invert`
+gets N (checked positive), W*N and grad W*N from N_hat in one batched
+inverse, and `_explicit` sends the flux N grad W*N, with the reaction for the
+grand flow, forward in one batched transform.  IMEX takes one of each
+(`from_spectrum` is `_invert`): 2 transforms a step.  Both RK4 steppers march
+N_hat, one of each a stage: 8 a step, 9 from a `from_density`/`from_psi`
+state, which forms grad W*N when read.  The mass-conserving rate is 0 on the
+zero mode, so the mass is kept exactly (bit for bit in N_hat).  A step
 validates one field, the N of the state it ends in.  A record transforms Psi
 forward and grad Phi_N back: 2 transforms, and no Omega_N.
 
@@ -83,15 +81,9 @@ class SimState:
         """The state whose N has half spectrum n_hat: one batched inverse
         transform gives N, W*N and grad W*N.  A nonpositive N raises
         PositivityLoss."""
-        g = params.grid
-        symbol = params.kernel.symbol
-        # complex products do not commute bit for bit; each field keeps the
-        # order its formula has everywhere else (see `grad_wn`)
-        rows = (n_hat[None], (n_hat * symbol)[None], g.ik * (symbol * n_hat))
-        fields = spectral._real(np.concatenate(rows), g)
-        n = _positive(fields[0], t)
-        state = SimState(t, np.log(n), RealField(g, n), fields[1], n_hat, params)
-        state.__dict__["grad_wn"] = fields[2:]  # the cached_property's slot
+        n, wn, grad_wn = _invert(params, n_hat, t, True)
+        state = SimState(t, np.log(n), RealField(params.grid, n), wn, n_hat, params)
+        state.__dict__["grad_wn"] = grad_wn  # the cached_property's slot
         return state
 
     def at(self, t: float) -> "SimState":
@@ -153,47 +145,41 @@ class Trajectory:
     psi_d0_bound: float | None = None  # running max ||psi||_D0 (implicit runs)
 
 
-def _reaction(p: ModelParams, n: np.ndarray, wn: np.ndarray) -> np.ndarray:
-    """-N exp(-(mu - w_N)/2) + exp((mu - w_N)/2)."""
+def _invert(p: ModelParams, nh: np.ndarray, t: float, grand: bool) -> tuple:
+    """(N, W*N, grad W*N) from the half spectrum nh in one batched inverse
+    transform, N checked positive at time t; W*N only when grand, else None.
+    Complex products do not commute bit for bit, so each row keeps the order
+    its formula has everywhere else (see `SimState.grad_wn`)."""
+    g = p.grid
+    symbol = p.kernel.symbol
+    rows = (nh[None], (nh * symbol)[None]) if grand else (nh[None],)
+    fields = spectral._real(np.concatenate(rows + (g.ik * (symbol * nh),)), g)
+    n = _positive(fields[0], t)
+    return (n, fields[1], fields[2:]) if grand else (n, None, fields[1:])
+
+
+def _explicit(p: ModelParams, n: np.ndarray, wn: np.ndarray | None, grad_wn: np.ndarray,
+              grand: bool) -> np.ndarray:
+    """Half spectrum of div(N grad w_N), plus, when grand, the reaction
+    -N exp(-(mu - w_N)/2) + exp((mu - w_N)/2), sent forward with the flux in
+    one batched transform.  Not grand, it is exactly 0 on the zero mode, so
+    it never moves the mass."""
+    g = p.grid
+    flux = n * grad_wn
+    if not grand:
+        return np.sum(g.ik * spectral._hat(flux, g), axis=0)
     half = 0.5 * (p.mu - wn)
-    return -n * np.exp(-half) + np.exp(half)
-
-
-def _rhs(p: ModelParams, n: np.ndarray, nh: np.ndarray, wn: np.ndarray | None = None,
-         grad_wn: np.ndarray | None = None) -> np.ndarray:
-    """lap N + div(N grad w_N) plus the reaction, from N and its half spectrum
-    nh.  grad w_N is taken from `grad_wn` when given, and W*N from `wn`;
-    otherwise W*N comes back with the transport term from one batched
-    inverse transform."""
-    g = p.grid
-    transport_hat = _canonical_rate(p, nh, n, grad=grad_wn)
-    if wn is not None:
-        transport = spectral._real(transport_hat, g)
-    else:
-        transport, wn = spectral._real(np.stack((transport_hat, p.kernel.symbol * nh)), g)
-    return transport + _reaction(p, n, wn)
-
-
-def _canonical_rate(p: ModelParams, nh: np.ndarray, n: np.ndarray | None = None,
-                    t: float = 0.0, grad: np.ndarray | None = None) -> np.ndarray:
-    """Half spectrum of lap N + div(N grad w_N), the mass-conserving rate,
-    from the half spectrum nh of N: one forward transform of the flux.  N is
-    taken from `n` and grad w_N from `grad` when given; with no `n`, both come
-    back from one batched inverse transform and N is checked positive at
-    time t.  The rate is exactly 0 on the zero mode, so it never moves the
-    mass."""
-    g = p.grid
-    if n is None:
-        fields = spectral._real(np.concatenate((nh[None], g.ik * (p.kernel.symbol * nh))), g)
-        n, grad = _positive(fields[0], t), fields[1:]
-    elif grad is None:
-        grad = spectral._real(g.ik * (p.kernel.symbol * nh), g)
-    return g.lap * nh + np.sum(g.ik * spectral._hat(n * grad, g), axis=0)
+    reaction = -n * np.exp(-half) + np.exp(half)
+    hats = spectral._hat(np.concatenate((flux, reaction[None])), g)
+    return np.sum(g.ik * hats[:-1], axis=0) + hats[-1]
 
 
 def rhs_grand(state: SimState) -> RealField:
-    return RealField(state.n.grid, _rhs(state.params, state.n.values, state.n_hat, state.wn,
-                                        state.grad_wn))
+    """lap N + div(N grad w_N) plus the reaction, from the state's caches."""
+    p = state.params
+    g = p.grid
+    rate = g.lap * state.n_hat + _explicit(p, state.n.values, state.wn, state.grad_wn, True)
+    return RealField(g, spectral._real(rate, g))
 
 
 def rhs_grand_advective(state: SimState) -> RealField:
@@ -206,18 +192,15 @@ def rhs_grand_advective(state: SimState) -> RealField:
 def step_imex(state: SimState, h: float) -> SimState:
     """Semi-implicit Euler: diffusion implicit via the Helmholtz inverse,
     interaction and reaction terms explicit.  First-order accurate,
-    unconditionally stable in the linear diffusive part.  The flux
-    N grad w_N (from the state's grad W*N) and the reaction go forward in
-    one batched transform, and N_hat of the new state is formed in Fourier
-    space (`SimState.from_spectrum`, one inverse): two transforms in all."""
+    unconditionally stable in the linear diffusive part.  The explicit terms
+    go forward in one transform (`_explicit`) and the new N_hat comes back
+    in one (`SimState.from_spectrum`): two transforms in all."""
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
     p = state.params
-    g = p.grid
-    n, nh = state.n.values, state.n_hat
-    hats = spectral._hat(np.concatenate((n * state.grad_wn, _reaction(p, n, state.wn)[None])), g)
-    explicit = np.sum(g.ik * hats[:-1], axis=0) + hats[-1]
-    return SimState.from_spectrum(state.t + h, (nh + h * explicit) / (1.0 - h * g.lap), p)
+    explicit = _explicit(p, state.n.values, state.wn, state.grad_wn, True)
+    n_hat = (state.n_hat + h * explicit) / (1.0 - h * p.grid.lap)
+    return SimState.from_spectrum(state.t + h, n_hat, p)
 
 
 def _check_explicit_stability(state: SimState, h: float) -> None:
@@ -228,44 +211,41 @@ def _check_explicit_stability(state: SimState, h: float) -> None:
         )
 
 
-def step_rk4(state: SimState, h: float) -> SimState:
-    """Classical RK4 for the grand-canonical flow, its stages in real space:
-    17 transforms a step, 16 when the state holds grad W*N."""
-    _check_explicit_stability(state, h)
-    p = state.params
-    g = p.grid
-    n0 = state.n.values
-
-    def stage(n: np.ndarray, c: float) -> np.ndarray:
-        n = _positive(n, state.t + c * h)
-        return _rhs(p, n, spectral._hat(n, g))
-
-    k1 = _rhs(p, n0, state.n_hat, state.wn, state.grad_wn)  # from the state's caches
-    k2 = stage(n0 + 0.5 * h * k1, 0.5)
-    k3 = stage(n0 + 0.5 * h * k2, 0.5)
-    k4 = stage(n0 + h * k3, 1.0)
-    n_new = n0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    # checked before the RealField, which would reject NaN as a ValueError
-    return SimState.from_density(state.t + h, RealField(g, _positive(n_new, state.t + h)), p)
-
-
-def step_rk4_canonical(state: SimState, h: float) -> SimState:
-    """Classical RK4 for the mass-conserving flow, marched on the half
-    spectrum: a stage at N_hat_0 + c h k_hat gets N and grad w_N back from
-    one batched inverse and its flux spectrum from one forward transform
-    (stage 1 reads both from the state), and the step ends in
-    `SimState.from_spectrum`: 8 transforms in all, 9 when the state does not
-    yet hold grad W*N.
-    Every stage rate is 0 on the zero mode, so the zero mode of N_hat (the
-    mass) is carried from step to step unchanged, bit for bit."""
+def _rk4(state: SimState, h: float, grand: bool) -> SimState:
+    """Classical RK4 on the half spectrum, for the grand flow or, not grand,
+    the mass-conserving one.  A stage at N_hat_0 + c h k_hat gets its fields
+    from `_invert` (N checked at the stage time) and k_hat = lap N_hat +
+    `_explicit`; stage 1 reads its fields from the state, and the step ends
+    in `SimState.from_spectrum`."""
     _check_explicit_stability(state, h)
     p = state.params
     t, nh0 = state.t, state.n_hat
-    k1 = _canonical_rate(p, nh0, state.n.values, grad=state.grad_wn)  # from the state
-    k2 = _canonical_rate(p, nh0 + 0.5 * h * k1, t=t + 0.5 * h)
-    k3 = _canonical_rate(p, nh0 + 0.5 * h * k2, t=t + 0.5 * h)
-    k4 = _canonical_rate(p, nh0 + h * k3, t=t + h)
+
+    def rate(nh: np.ndarray, n: np.ndarray, wn: np.ndarray | None, grad_wn: np.ndarray):
+        return p.grid.lap * nh + _explicit(p, n, wn, grad_wn, grand)
+
+    def stage(nh: np.ndarray, c: float) -> np.ndarray:
+        return rate(nh, *_invert(p, nh, t + c * h, grand))
+
+    k1 = rate(nh0, state.n.values, state.wn, state.grad_wn)  # from the state's caches
+    k2 = stage(nh0 + 0.5 * h * k1, 0.5)
+    k3 = stage(nh0 + 0.5 * h * k2, 0.5)
+    k4 = stage(nh0 + h * k3, 1.0)
     return SimState.from_spectrum(t + h, nh0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), p)
+
+
+def step_rk4(state: SimState, h: float) -> SimState:
+    """Classical RK4 for the grand-canonical flow (`_rk4`): 8 transforms a
+    step, 9 from a `from_density`/`from_psi` state."""
+    return _rk4(state, h, True)
+
+
+def step_rk4_canonical(state: SimState, h: float) -> SimState:
+    """Classical RK4 for the mass-conserving flow (`_rk4`): 8 transforms a
+    step, 9 from a `from_density`/`from_psi` state.  Every stage rate
+    is 0 on the zero mode, so the zero mode of N_hat (the mass) is carried
+    from step to step unchanged, bit for bit."""
+    return _rk4(state, h, False)
 
 
 _STEPPERS = {"imex": step_imex, "rk4": step_rk4, "rk4_canonical": step_rk4_canonical}

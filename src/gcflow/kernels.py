@@ -113,12 +113,15 @@ def make_positive_type(grid: Grid, amplitude: float, width: float) -> Kernel:
     s = float(width)
     if s >= grid.L / 8.0:
         raise WidthTooLarge(f"width {s} >= L/8 = {grid.L / 8}")
-    if s <= 0 or amplitude < 0:
-        raise ValueError("width must be positive and amplitude nonnegative")
+    if s <= 0 or not 0.0 < 2.0 * s * s < math.inf or amplitude < 0:  # s^2 may under/overflow
+        raise ValueError(f"width must be positive with 0 < 2 width^2 < inf and amplitude "
+                         f"nonnegative, got {s}, {amplitude}")
     x1 = np.arange(grid.M) * grid.dx
     prof = np.zeros(grid.M)
-    for n in range(-3, 4):
-        prof += np.exp(-((x1 - n * grid.L) ** 2) / (2.0 * s * s))
+    # an image whose squared offset (or its ratio to 2 s^2) overflows adds exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        for n in range(-3, 4):
+            prof += np.exp(-((x1 - n * grid.L) ** 2) / (2.0 * s * s))
     if grid.d == 1:
         values = amplitude * prof
     else:

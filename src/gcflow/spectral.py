@@ -28,18 +28,22 @@ see dnorm().
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GridMismatch
 
+_LOG_MAX = float(np.log(np.finfo(float).max)) - 1.0  # a margin for the roundoff of k
+
 
 @dataclass(frozen=True)
 class Grid:
     """Uniform collocation grid on the d-torus of side L with M points per axis.
 
-    M must be a power of two, M >= 8; d in {1, 2}.
+    M must be a power of two, M >= 8; d in {1, 2}; L > 0, with L^d and the
+    largest |k|^4 = (pi M sqrt(d) / L)^4 finite.
     """
 
     d: int
@@ -61,8 +65,13 @@ class Grid:
             raise ValueError(f"d must be 1 or 2, got {d}")
         if M < 8 or (M & (M - 1)) != 0:
             raise ValueError(f"M must be a power of two >= 8, got {M}")
-        if L <= 0:
+        if not L > 0:
             raise ValueError(f"L must be positive, got {L}")
+        # L^d and the largest |k|^4 (of dnorm_weights) must be finite: checked
+        # in logs, so that nothing overflows or divides by a 0 spacing first
+        log_kmax = math.log(math.pi * M * math.sqrt(d)) - math.log(L)
+        if max(d * math.log(L), 4.0 * log_kmax) >= _LOG_MAX:
+            raise ValueError(f"L = {L} with M = {M} in d = {d}: L^d or |k|^4 overflows")
         k1 = 2.0 * np.pi * np.fft.fftfreq(M, d=L / M)
         kvec = [_half(k) for k in np.meshgrid(*([k1] * d), indexing="ij")]
         k2 = sum(k * k for k in kvec)

@@ -16,7 +16,7 @@ driving potential Phi_N = log N - mu + W*N, and the mobility weight is
 Omega_N = sqrt(N) * sinhc(Phi_N / 2) >= sqrt(N) > 0.
 
 Each formula lives in one array-level helper (`_free_energy`, `_potential`,
-`_omega`, `_weighted_inner`, `_dissipation`).  The public functionals, the
+`_omega`, `_dissipation`).  The public functionals, the
 reference the tests compare against, take a RealField density, check it
 positive, compute log N and W*N themselves and call these helpers.  The
 simulation and the metric take Phi_N and Omega_N from a `dynamics.SimState`,
@@ -210,15 +210,8 @@ def weighted_inner(n: RealField, params: ModelParams, f: RealField, g: RealField
     grid = n.grid
     grad_f = spectral._real(grid.ik * spectral._hat(f.values, grid), grid)
     grad_g = grad_f if g is f else spectral._real(grid.ik * spectral._hat(g.values, grid), grid)
-    return _weighted_inner(n.values, omega_n.values, f.values, g.values, grad_f, grad_g,
-                           grid.cell_volume)
-
-
-def _weighted_inner(n: np.ndarray, omega_n: np.ndarray, f: np.ndarray, g: np.ndarray,
-                    grad_f: np.ndarray, grad_g: np.ndarray, cell_volume: float) -> float:
-    """weighted_inner from arrays; the gradients are stacked, one row per axis."""
-    grad_dot = np.sum(grad_f * grad_g, axis=0)
-    return float(np.sum(n * grad_dot + omega_n * f * g)) * cell_volume
+    density = n.values * np.sum(grad_f * grad_g, axis=0) + omega_n.values * f.values * g.values
+    return float(np.sum(density)) * grid.cell_volume
 
 
 def _dissipation(n: np.ndarray, phi: np.ndarray, grad_phi: np.ndarray,

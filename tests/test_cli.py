@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,10 @@ def test_bad_config_exit_2(tmp_path, capsys, old, new, field):
     assert err["error"] == "ConfigError" and err["message"].startswith(field + ":")
 
 
+SMOOTHED = "family = smoothed_indicator\namplitude = 1.0\nradius = 0.1\nmollifier_width = 0.02"
+GAUSSIAN = "family = positive_type\namplitude = 1.0\nwidth = {}"
+
+
 @pytest.mark.parametrize("command, old, new, field", [
     ("evolve", "out_dir = {out}", "out_dir = {file}/x", "run.out_dir"),
     ("evolve", "radius = 0.1", "radius = 0.3", "kernel.radius"),
@@ -206,15 +211,33 @@ def test_bad_config_exit_2(tmp_path, capsys, old, new, field):
     ("evolve", ("amplitude = 1.0", "m0 = 0.05", "kind = uniform"),
      ("amplitude = 0.0", "mu = -800", "kind = random_band"), "model.mu"),
     ("sweep", ("amplitude = 1.0", "m0 = 0.05"), ("amplitude = 0.0", "mu = -800"), "model.mu"),
+    # a box whose L^d or |k|^4 overflows: 1/spacing divided by 0, a numpy
+    # warning on |k|^2 or |k|^4, or L^2 overflowed under exit 1
+    ("evolve", "L = 1.0", "L = 5e-324", "grid.L"),
+    ("evolve", "L = 1.0", "L = 1e-310", "grid.L"),
+    ("evolve", "L = 1.0", "L = 1e-300", "grid.L"),
+    ("evolve", "L = 1.0", "L = 1e-150", "grid.L"),
+    ("evolve", ("d = 1", "L = 1.0"), ("d = 2", "L = 1e200"), "grid.L"),
+    # a positive-type width whose 2 width^2 underflows to 0 or overflows made
+    # a NaN kernel
+    ("evolve", SMOOTHED, GAUSSIAN.format("1e-200"), "kernel.width"),
+    ("evolve", SMOOTHED, GAUSSIAN.format("5e-324"), "kernel.width"),
+    ("evolve", (SMOOTHED, "L = 1.0"), (GAUSSIAN.format("1e290"), "L = 1e300"), "kernel.width"),
+    # images 1e300 away squared to inf, with a warning; the sampled delta
+    # kernel then has no uniform state at m0
+    ("evolve", (SMOOTHED, "L = 1.0"), (GAUSSIAN.format("0.1"), "L = 1e300"), "model.m0"),
 ], ids=["out-dir-under-file", "radius-too-large", "mollifier-too-wide", "gaussian-too-wide",
         "sweep-box-too-small", "m0-huge", "mu-huge", "sweep-radius-too-large",
         "sweep-gaussian-too-wide", "sweep-m0-huge", "sweep-mu-huge", "single-mode-nonpositive",
         "band-edge-huge", "band-edge-negative", "sweep-band-edge-above-nyquist",
         "single-mode-above-nyquist", "single-mode-negative",
-        "m0-underflow-uniform", "m0-underflow-band", "sweep-m0-underflow"])
+        "m0-underflow-uniform", "m0-underflow-band", "sweep-m0-underflow",
+        "L-5e-324", "L-1e-310", "L-1e-300", "L-1e-150", "d2-L-1e200", "width-1e-200",
+        "width-5e-324", "width-1e290", "L-1e300-width-0.1"])
 def test_config_value_failure_exit_2(tmp_path, capsys, command, old, new, field):
-    # values that parse but fail later, while building the model, kernels or output;
-    # `old` and `new` may be tuples of replacements made in turn
+    # values that parse but fail later, while building the model, kernels or output,
+    # exit 2 with one JSON line and no numpy warning; `old` and `new` may be
+    # tuples of replacements made in turn
     text = BASE
     for o, n in zip(old, new) if isinstance(old, tuple) else [(old, new)]:
         text = text.replace(o, n)
@@ -222,7 +245,9 @@ def test_config_value_failure_exit_2(tmp_path, capsys, command, old, new, field)
     argv = [command, "--config", write_config(tmp_path, text)]
     if command == "sweep":
         argv += ["--axis", "L=0.5,1"]
-    assert main(argv) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0])

@@ -62,12 +62,18 @@ def realfield_calls(monkeypatch):
     return calls
 
 
+def canonical_rate(state):
+    """Half spectrum of the mass-conserving rate lap N + div(N grad w_N), as
+    an RK4 stage forms it from the state's fields."""
+    p = state.params
+    return p.grid.lap * state.n_hat + dynamics._explicit(p, state.n.values, None,
+                                                         state.grad_wn, False)
+
+
 def test_rhs_vanishes_at_uniform(params):
     st = problems.uniform_state(params)
     assert np.max(np.abs(rhs_grand(st).values)) < 1e-12
-    canonical = spectral._real(dynamics._canonical_rate(params, st.n_hat, st.n.values),
-                               params.grid)
-    assert np.max(np.abs(canonical)) < 1e-12
+    assert np.max(np.abs(spectral._real(canonical_rate(st), params.grid))) < 1e-12
 
 
 def test_rhs_assemblies_agree(params):
@@ -115,9 +121,7 @@ def test_linearized_rate_canonical_vs_fd_jacobian(params):
         pert = np.cos(k * x)
         sp = SimState.from_density(0.0, RealField(grid, params.m0 + t * pert), params)
         sm = SimState.from_density(0.0, RealField(grid, params.m0 - t * pert), params)
-        rate_p = dynamics._canonical_rate(params, sp.n_hat, sp.n.values)
-        rate_m = dynamics._canonical_rate(params, sm.n_hat, sm.n.values)
-        jac = spectral._real(rate_p - rate_m, grid) / (2 * t)
+        jac = spectral._real(canonical_rate(sp) - canonical_rate(sm), grid) / (2 * t)
         lam = linearized_rate(k, params, canonical=True)
         assert np.max(np.abs(jac + lam * pert)) < 1e-5 * lam
 
@@ -311,14 +315,31 @@ def test_nan_density_is_positivity_loss(params, monkeypatch):
     st = problems.uniform_state(params)
     calls = []
 
-    def rhs(p, n, *args):
+    def explicit(p, n, *args):
         calls.append(1)
-        return np.full_like(n, np.nan if len(calls) == 4 else 0.0)
+        return np.full(nan_hat.shape, np.nan if len(calls) == 4 else 0.0, complex)
 
-    monkeypatch.setattr(dynamics, "_rhs", rhs)
+    monkeypatch.setattr(dynamics, "_explicit", explicit)
     with pytest.raises(PositivityLoss):
         step_rk4(st, 1e-5)
     assert len(calls) == 4
+
+
+def test_rk4_stage_positivity_loss_names_stage_time(params, monkeypatch):
+    # a rate of -4 N_hat_0 / h on the zero mode: the stage at t + h/2 holds
+    # N_hat_0 - 2 N_hat_0, so N = -m0, and its inverse raises, naming t + h/2
+    st = problems.uniform_state(params).at(0.25)
+    h = 1e-5
+    explicit = dynamics._explicit
+
+    def draining(p, n, wn, grad_wn, grand):
+        out = explicit(p, n, wn, grad_wn, grand)
+        out[0] -= 4.0 * st.n_hat[0] / h
+        return out
+
+    monkeypatch.setattr(dynamics, "_explicit", draining)
+    with pytest.raises(PositivityLoss, match=r"-5\.000e-02 at t = 0\.250005$"):
+        step_rk4(st, h)
 
 
 @pytest.mark.parametrize("canonical", [False, True], ids=["grand", "canonical"])
@@ -366,12 +387,13 @@ def test_record_rejects_underflowed_density(params):
 def test_transforms_per_step_and_record(d, M, fft_calls):
     # a step starts from the caches of a state made by a step: N_hat, and
     # grad W*N, which the IMEX step's one inverse gave with N and W*N; IMEX
-    # sends flux and reaction forward in one call; a canonical RK4 stage gets
-    # N and grad W*N from one inverse and its flux spectrum from one forward
-    # (stage 1 reads both from the state), and the step ends in one inverse;
-    # a record transforms Psi forward and grad Phi back in one call each
+    # sends flux and reaction forward in one call; an RK4 stage gets N (and
+    # W*N when grand) and grad W*N from one inverse and its flux (and
+    # reaction) spectrum from one forward (stage 1 reads the fields from the
+    # state), and the step ends in one inverse; a record transforms Psi
+    # forward and grad Phi back in one call each
     st = step_imex(problems.random_band_state(model(d, M), 3, 0.3, seed=40), 1e-5)
-    for name, count in {"imex": 2, "rk4": 16, "rk4_canonical": 8}.items():
+    for name, count in {"imex": 2, "rk4": 8, "rk4_canonical": 8}.items():
         del fft_calls[:]
         dynamics._STEPPERS[name](st, 1e-5)
         assert len(fft_calls) == count, name
@@ -379,10 +401,10 @@ def test_transforms_per_step_and_record(d, M, fft_calls):
         del fft_calls[:]
         diagnostics(1, st, canonical=canonical)
         assert len(fft_calls) == 2, canonical
-    # an rk4 state does not hold grad W*N, so an rk4 march pays 17 a step
+    # an rk4 state holds grad W*N too, so an rk4 march pays 8 a step
     del fft_calls[:]
     step_rk4(step_rk4(st, 1e-5), 1e-5)
-    assert len(fft_calls) == 16 + 17
+    assert len(fft_calls) == 8 + 8
     # evolve re-times each state without dropping its caches: 10 IMEX steps
     # and one record
     del fft_calls[:]
