@@ -12,21 +12,21 @@ with w_N = W * N.  Equivalently, in advective form,
 Conservative variant (fixed mass): dN/dt = lap N + div(N grad w_N).
 
 A SimState holds N as its one validated field (a RealField) and caches
-Psi = log N, W*N and the half spectrum N_hat as plain arrays, and grad W*N,
+Psi = log N, W*N, grad W*N and the half spectrum N_hat as plain arrays, and
 Phi_N and Omega_N from the first time they are read.  It is built only by
-`from_density`, `from_psi` or `from_spectrum`, and each raises
-PositivityLoss, naming t, on an N that is not positive everywhere (also one
-that underflows to 0): every state is positive by construction.  A step
-starts in Fourier space and keeps the density a bare array inside: `_invert`
-gets N (checked positive), W*N and grad W*N from N_hat in one batched
-inverse, and `_explicit` sends the flux N grad W*N, with the reaction for the
-grand flow, forward in one batched transform.  IMEX takes one of each
-(`from_spectrum` is `_invert`): 2 transforms a step.  Both RK4 steppers march
-N_hat, one of each a stage: 8 a step, 9 from a `from_density`/`from_psi`
-state, which forms grad W*N when read.  The mass-conserving rate is 0 on the
-zero mode, so the mass is kept exactly (bit for bit in N_hat).  A step
-validates one field, the N of the state it ends in.  A record transforms Psi
-forward and grad Phi_N back: 2 transforms, and no Omega_N.
+`from_density` or `from_psi` (N_hat forward, W*N and grad W*N back: 2
+transforms) or `from_spectrum`, and each raises PositivityLoss, naming t, on
+an N that is not positive everywhere (also one that underflows to 0): every
+state is positive by construction.  A step starts in Fourier space and keeps
+the density a bare array inside: `_invert` gets N (checked positive), W*N
+and grad W*N from N_hat in one batched inverse, and `_explicit` sends the
+flux N grad W*N, with the reaction for the grand flow, forward in one
+batched transform.  IMEX takes one of each (`from_spectrum` is `_invert`): 2
+transforms a step.  Both RK4 steppers march N_hat, one of each a stage: 8 a
+step.  The mass-conserving rate is 0 on the zero mode, so the mass is kept
+exactly (bit for bit in N_hat).  A step validates one field, the N of the
+state it ends in.  A record transforms Psi forward and grad Phi_N back: 2
+transforms, and no Omega_N.
 
 `evolve` is the one march loop, for these steppers and for the implicit
 step of `gcflow.jko`.  A step's failure is an ordinary exception, raised by
@@ -35,10 +35,9 @@ the step that detects it.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -55,6 +54,7 @@ class SimState:
     psi: np.ndarray  # log N, cached
     n: RealField  # the density, validated
     wn: np.ndarray  # W * N, cached
+    grad_wn: np.ndarray  # grad W*N, one row per axis, cached
     n_hat: np.ndarray  # half spectrum (raw DFT) of N, cached
     params: ModelParams
 
@@ -62,19 +62,13 @@ class SimState:
     def from_density(t: float, n: RealField, params: ModelParams) -> "SimState":
         """The state of density n; PositivityLoss unless n > 0, GridMismatch off-grid."""
         spectral.same_grid(n, params)
-        v = _positive(n.values, t)
-        n_hat = spectral._hat(v, n.grid)
-        wn = spectral._real(n_hat * params.kernel.symbol, n.grid)
-        return SimState(t, np.log(v), n, wn, n_hat, params)
+        return _state(t, np.log(_positive(n.values, t)), n, params)
 
     @staticmethod
     def from_psi(t: float, psi: np.ndarray, params: ModelParams) -> "SimState":
         """The state of log-density psi (an array); an N = exp(psi) that
         underflows to 0 raises PositivityLoss."""
-        n = RealField(params.grid, _positive(np.exp(psi), t))
-        n_hat = spectral._hat(n.values, n.grid)
-        wn = spectral._real(n_hat * params.kernel.symbol, n.grid)
-        return SimState(t, psi, n, wn, n_hat, params)
+        return _state(t, psi, RealField(params.grid, _positive(np.exp(psi), t)), params)
 
     @staticmethod
     def from_spectrum(t: float, n_hat: np.ndarray, params: ModelParams) -> "SimState":
@@ -82,22 +76,7 @@ class SimState:
         transform gives N, W*N and grad W*N.  A nonpositive N raises
         PositivityLoss."""
         n, wn, grad_wn = _invert(params, n_hat, t, True)
-        state = SimState(t, np.log(n), RealField(params.grid, n), wn, n_hat, params)
-        state.__dict__["grad_wn"] = grad_wn  # the cached_property's slot
-        return state
-
-    def at(self, t: float) -> "SimState":
-        """This state at time t, its cached fields kept (`dataclasses.replace`
-        would drop them)."""
-        state = copy.copy(self)
-        object.__setattr__(state, "t", t)
-        return state
-
-    @cached_property
-    def grad_wn(self) -> np.ndarray:
-        """grad W*N, one row per axis, formed on first use."""
-        g = self.params.grid
-        return spectral._real(g.ik * (self.params.kernel.symbol * self.n_hat), g)
+        return SimState(t, np.log(n), RealField(params.grid, n), wn, grad_wn, n_hat, params)
 
     @cached_property
     def phi(self) -> np.ndarray:
@@ -108,6 +87,17 @@ class SimState:
     def omega(self) -> np.ndarray:
         """Mobility Omega_N = sqrt(N) sinhc(Phi_N / 2), formed on first use."""
         return thermo._omega(self.n.values, self.phi)
+
+
+def _state(t: float, psi: np.ndarray, n: RealField, params: ModelParams) -> SimState:
+    """The state of the positive density n with log n = psi: N_hat forward,
+    then W*N and grad W*N back in one batched inverse, with the product
+    order of `_invert`."""
+    g = params.grid
+    symbol = params.kernel.symbol
+    n_hat = spectral._hat(n.values, g)
+    back = spectral._real(np.concatenate(((n_hat * symbol)[None], g.ik * (symbol * n_hat))), g)
+    return SimState(t, psi, n, back[0], back[1:], n_hat, params)
 
 
 def _positive(n: np.ndarray, t: float) -> np.ndarray:
@@ -149,7 +139,7 @@ def _invert(p: ModelParams, nh: np.ndarray, t: float, grand: bool) -> tuple:
     """(N, W*N, grad W*N) from the half spectrum nh in one batched inverse
     transform, N checked positive at time t; W*N only when grand, else None.
     Complex products do not commute bit for bit, so each row keeps the order
-    its formula has everywhere else (see `SimState.grad_wn`)."""
+    its formula has everywhere else (`_state`, `jko._freeze`)."""
     g = p.grid
     symbol = p.kernel.symbol
     rows = (nh[None], (nh * symbol)[None]) if grand else (nh[None],)
@@ -236,15 +226,14 @@ def _rk4(state: SimState, h: float, grand: bool) -> SimState:
 
 def step_rk4(state: SimState, h: float) -> SimState:
     """Classical RK4 for the grand-canonical flow (`_rk4`): 8 transforms a
-    step, 9 from a `from_density`/`from_psi` state."""
+    step."""
     return _rk4(state, h, True)
 
 
 def step_rk4_canonical(state: SimState, h: float) -> SimState:
     """Classical RK4 for the mass-conserving flow (`_rk4`): 8 transforms a
-    step, 9 from a `from_density`/`from_psi` state.  Every stage rate
-    is 0 on the zero mode, so the zero mode of N_hat (the mass) is carried
-    from step to step unchanged, bit for bit."""
+    step.  Every stage rate is 0 on the zero mode, so the zero mode of N_hat
+    (the mass) is carried from step to step unchanged, bit for bit."""
     return _rk4(state, h, False)
 
 
@@ -266,7 +255,6 @@ def _uniform_energy(p: ModelParams, c: float, mu: float) -> float:
 
 
 def diagnostics(step: int, state: SimState, canonical: bool = False,
-                ref_density: float | None = None,
                 inner_iters: int | None = None,
                 residual: float | None = None) -> DiagnosticsRecord:
     """Per-step observables, in one pass over the state's cached fields with
@@ -275,7 +263,9 @@ def diagnostics(step: int, state: SimState, canonical: bool = False,
     has no gradient).  The dissipation needs no Omega_N (`thermo._dissipation`).
     The state's N is positive by construction, so nothing is checked here.
     gap is measured against the uniform state: m0 for the non-conservative
-    flow, the (conserved) mean density otherwise."""
+    flow; otherwise the mean density of N_hat's zero mode, which the
+    mass-conserving flow carries bit for bit, with the canonical energy
+    G_mu + mu mass."""
     p = state.params
     g = p.grid
     n, psi, wn = state.n.values, state.psi, state.wn
@@ -283,8 +273,8 @@ def diagnostics(step: int, state: SimState, canonical: bool = False,
     mass = float(n.sum()) * cv
     g_mu = thermo._free_energy(n, psi, wn, p.mu, cv)
     if canonical:
-        nbar = ref_density if ref_density is not None else mass / g.volume
-        gap = thermo._free_energy(n, psi, wn, 0.0, cv) - _uniform_energy(p, nbar, 0.0)
+        nbar = float(state.n_hat.flat[0].real) * cv / g.volume
+        gap = g_mu + p.mu * mass - _uniform_energy(p, nbar, 0.0)
     else:
         gap = g_mu - _uniform_energy(p, p.m0, p.mu)
     psi_hat = spectral._hat(psi, g)
@@ -335,7 +325,6 @@ def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
         def advance(s, hk):
             return stepper(s, hk), None
     canonical = integrator.endswith("canonical")
-    ref_density = state.n.integral() / state.n.grid.volume if canonical else None
     n_steps = max(1, round(T / h))
     exact = abs(T / h - n_steps) <= 1e-9 * (T / h)
     if not exact:
@@ -349,11 +338,11 @@ def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
         for step in range(1, n_steps + 1):
             last = step == n_steps
             state, report = advance(state, h_last if last else h)
-            state = state.at(t0 + (T if last and not exact else step * h))
+            state = replace(state, t=t0 + (T if last and not exact else step * h))
             if report is not None:
                 traj.psi_d0_bound = max(traj.psi_d0_bound or 0.0, report.d0_psi)
             if step % stride == 0 or last:
-                rec = diagnostics(step, state, canonical=canonical, ref_density=ref_density,
+                rec = diagnostics(step, state, canonical=canonical,
                                   inner_iters=report.inner_iters if report else None,
                                   residual=report.residual if report else None)
                 traj.records.append(rec)

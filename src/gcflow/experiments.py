@@ -6,11 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, problems, thermo
+from . import dynamics, problems, spectral, thermo
 from .dynamics import SimState, Trajectory
 from .errors import ConfigError, InsufficientData
 from .jko import JkoConfig
-from .spectral import RealField, dnorm, l2_norm
+from .spectral import RealField, l2_norm
 from .thermo import ModelParams
 
 GAP_FLOOR = 1e-13
@@ -283,9 +283,11 @@ def jko_convergence_study(
 ) -> JkoStudyReport:
     """First-order convergence of the variational integrator (tolerances
     `jko`) against a fine IMEX reference with step min(h) / 20.  Errors are
-    D0/D1 norms of the density difference at the common comparison times
-    j * max(h); ConfigError unless the steps are two or more distinct values
-    in (0, T], each dividing the largest."""
+    D0/D1 norms of the density difference, taken on the states' N_hat, at
+    the common comparison times j * max(h); ConfigError unless the steps are
+    two or more distinct values in (0, T], each dividing the largest, and
+    InsufficientData when an endpoint D0 error is at most GAP_FLOOR, where
+    the fitted order would be a fit to roundoff."""
     g = state0.params.grid
     h_max = max(h_values)
     if not (len(set(h_values)) > 1 and all(0 < h <= T for h in h_values)
@@ -302,11 +304,14 @@ def jko_convergence_study(
         traj = dynamics.evolve(state0, T, h, "jko", stride=per_h, snapshot_every=per_h,
                                jko=jko)
         b0 = max(b0, traj.psi_d0_bound)
-        diffs = [RealField(g, s.n.values - r.n.values)
-                 for s, r in zip(traj.snapshots, ref.snapshots)]
-        end = diffs[-1]
-        points.append(JkoStudyPoint(h, dnorm(end, 0), dnorm(end, 1),
-                                    max(dnorm(e, 0) for e in diffs)))
+        errs = np.array([spectral._dnorms(g, s.n_hat - r.n_hat, 1)
+                         for s, r in zip(traj.snapshots, ref.snapshots)])
+        points.append(JkoStudyPoint(h, float(errs[-1, 0]), float(errs[-1, 1]),
+                                    float(errs[:, 0].max())))
+    floor = min(points, key=lambda p: p.endpoint_d0)
+    if floor.endpoint_d0 <= GAP_FLOOR:
+        raise InsufficientData(f"endpoint D0 error {floor.endpoint_d0:.3e} at h = {floor.h:g} "
+                               f"is at most {GAP_FLOOR:g}: no order to fit")
 
     hs = np.log([p.h for p in points])
     errs = np.log([p.endpoint_d0 for p in points])

@@ -68,15 +68,15 @@ class _Frozen:
 
 
 def _freeze(state: SimState) -> _Frozen:
-    """Three batched transforms: Psi0 and w0 forward, their gradients back,
-    and the pointwise part of A forward."""
+    """Three transforms: Psi0 forward, its gradient back, and the pointwise
+    part of A forward.  W*N0 enters through the state's N_hat and grad W*N."""
     g = state.n.grid
-    psi0, w0 = state.psi, state.wn
-    hats = spectral._hat(np.stack((psi0, w0)), g)
-    psi0_hat, w0_hat = hats
-    grad_psi0, grad_w0 = spectral._real(g.ik * hats[:, None], g)
+    psi0 = state.psi
+    psi0_hat = spectral._hat(psi0, g)
+    grad_psi0 = spectral._real(g.ik * psi0_hat, g)
     omega0 = np.exp(-psi0) * state.omega
-    local = np.sum(grad_psi0 * (grad_psi0 + grad_w0), axis=0) - state.phi * omega0
+    local = np.sum(grad_psi0 * (grad_psi0 + state.grad_wn), axis=0) - state.phi * omega0
+    w0_hat = state.n_hat * state.params.kernel.symbol
     a_hat = g.lap * (psi0_hat + w0_hat) + spectral._hat(local, g)
     return _Frozen(grad_psi0=grad_psi0, omega0=omega0, a_hat=a_hat)
 

@@ -573,6 +573,33 @@ def test_jko_study_honours_jko_section(tmp_path, capsys, key, value, error):
     assert len(lines) == 1 and json.loads(lines[0])["error"] == error
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("old, new", [
+    ("m0 = 0.05", "m0 = 1.0"),
+    ("m0 = 0.05", "mu = -2.0"),
+    ("kind = uniform", "kind = random_band\nk_c = 3\namp = 0"),
+], ids=["uniform-m0", "uniform-mu", "band-amp-0"])
+def test_jko_study_at_equilibrium_exit_1(tmp_path, capsys, old, new, d):
+    # from a stationary state every JKO error is roundoff, so no order can be
+    # fitted: exit 1 with one strict-JSON line and no warning, not a log-of-0
+    # warning and "order_d0": NaN on stdout
+    text = BASE.replace(old, new).replace("T = 0.05", "T = 0.004")
+    if d == 2:
+        text = text.replace("d = 1\nL = 1.0\nM = 64", "d = 2\nL = 1.0\nM = 32")
+    argv = ["jko-study", "--config", write_config(tmp_path, text), "--h-list", "2e-3,1e-3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1
+    assert json.loads(lines[0], parse_constant=_reject_constant)["error"] == "InsufficientData"
+
+
 @pytest.mark.parametrize("old, new", [
     ("m0 = 0.05", "mu = -2.0"),
     ("family = smoothed_indicator\namplitude = 1.0\nradius = 0.1\nmollifier_width = 0.02",

@@ -1,5 +1,6 @@
 """Direct time-stepping: right-hand sides, integrators, diagnostics."""
 
+import dataclasses
 import inspect
 import json
 
@@ -42,13 +43,13 @@ def model(d, M):
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Counts calls of numpy's real transforms, which gcflow looks up on
-    np.fft at each call, so the patch sees every one."""
+    """Records the input shape of each call of numpy's real transforms,
+    which gcflow looks up on np.fft at each call, so the patch sees every one."""
     calls = []
     for name in ("rfft", "irfft", "rfftn", "irfftn"):
         transform = getattr(np.fft, name)
-        monkeypatch.setattr(np.fft, name,
-                            lambda *a, _t=transform, **k: calls.append(1) or _t(*a, **k))
+        monkeypatch.setattr(np.fft, name, lambda *a, _t=transform, **k:
+                            calls.append(np.shape(a[0])) or _t(*a, **k))
     return calls
 
 
@@ -328,7 +329,7 @@ def test_nan_density_is_positivity_loss(params, monkeypatch):
 def test_rk4_stage_positivity_loss_names_stage_time(params, monkeypatch):
     # a rate of -4 N_hat_0 / h on the zero mode: the stage at t + h/2 holds
     # N_hat_0 - 2 N_hat_0, so N = -m0, and its inverse raises, naming t + h/2
-    st = problems.uniform_state(params).at(0.25)
+    st = dataclasses.replace(problems.uniform_state(params), t=0.25)
     h = 1e-5
     explicit = dynamics._explicit
 
@@ -410,6 +411,27 @@ def test_transforms_per_step_and_record(d, M, fft_calls):
     del fft_calls[:]
     evolve(st, 1e-4, 1e-5, stride=10)
     assert len(fft_calls) == 10 * 2 + 2
+    # a from_density or from_psi build sends N forward and gets W*N and
+    # grad W*N back in one call, so an RK4 step from it reads them: 8 calls
+    for build in (lambda: SimState.from_density(0.0, st.n, st.params),
+                  lambda: SimState.from_psi(0.0, st.psi, st.params)):
+        del fft_calls[:]
+        built = build()
+        assert len(fft_calls) == 2
+        for name in ("rk4", "rk4_canonical"):
+            del fft_calls[:]
+            dynamics._STEPPERS[name](built, 1e-5)
+            assert len(fft_calls) == 8, name
+    # the JKO step's frozen terms read W_hat N_hat and grad W*N from the
+    # state: Psi0 forward, its d gradient rows back, the local part of A
+    # forward; a JKO step is 10 calls plus 4 per inner iteration
+    grid, half = st.n.grid.shape, st.n_hat.shape
+    del fft_calls[:]
+    jko._freeze(st)
+    assert fft_calls == [grid, (d,) + half, grid]
+    del fft_calls[:]
+    report = jko.jko_step(st, 1e-3)[1]
+    assert len(fft_calls) == 10 + 4 * report.inner_iters
 
 
 @pytest.mark.parametrize("integrator", ["imex", "rk4", "rk4_canonical", "jko"])
@@ -429,8 +451,8 @@ def test_cached_spectrum_matches_density(d, M, integrator):
 @pytest.mark.parametrize("integrator", ["imex", "rk4", "rk4_canonical", "jko"])
 @pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
 def test_cached_grad_wn_matches_density(d, M, integrator):
-    # grad W*N that from_spectrum gets from its batched inverse, or that a
-    # state forms on first read, against one formed from a fresh spectrum
+    # grad W*N that from_spectrum gets from its batched inverse, or that
+    # from_psi builds, against one formed from a fresh spectrum
     st = problems.random_band_state(model(d, M), 3, 0.3, seed=41)
     for _ in range(3):
         if integrator == "jko":
@@ -501,6 +523,14 @@ def test_state_caches_follow_density(d, M, built_from):
     assert np.max(np.abs(st.wn - wn)) <= 1e-14 * np.max(np.abs(wn))
     fresh = spectral._hat(st.n.values, p.grid)
     assert np.max(np.abs(st.n_hat - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+    # grad W*N comes from the state's own N_hat, bit for bit as a lone inverse
+    assert np.array_equal(st.grad_wn,
+                          spectral._real(p.grid.ik * (p.kernel.symbol * st.n_hat), p.grid))
+    # re-timing keeps every field but t as the same object
+    moved = dataclasses.replace(st, t=0.25)
+    assert moved.t == 0.25
+    for f in dataclasses.fields(st):
+        assert f.name == "t" or getattr(moved, f.name) is getattr(st, f.name), f.name
 
 
 @pytest.mark.parametrize("family", ["smoothed_indicator", "positive_type"])
