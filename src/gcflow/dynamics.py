@@ -15,18 +15,19 @@ A SimState holds N as its one validated field (a RealField) and caches
 Psi = log N, W*N, grad W*N and the half spectrum N_hat as plain arrays, and
 Phi_N and Omega_N from the first time they are read.  It is built only by
 `from_density` or `from_psi` (N_hat forward, W*N and grad W*N back: 2
-transforms) or `from_spectrum`, and each raises PositivityLoss, naming t, on
-an N that is not positive everywhere (also one that underflows to 0): every
-state is positive by construction.  A step starts in Fourier space and keeps
-the density a bare array inside: `_invert` gets N (checked positive), W*N
-and grad W*N from N_hat in one batched inverse, and `_explicit` sends the
-flux N grad W*N, with the reaction for the grand flow, forward in one
-batched transform.  IMEX takes one of each (`from_spectrum` is `_invert`): 2
-transforms a step.  Both RK4 steppers march N_hat, one of each a stage: 8 a
-step.  The mass-conserving rate is 0 on the zero mode, so the mass is kept
-exactly (bit for bit in N_hat).  A step validates one field, the N of the
-state it ends in.  A record transforms Psi forward and grad Phi_N back: 2
-transforms, and no Omega_N.
+transforms), `from_spectrum` or `_mix` (a distance-path node, no transform),
+and each raises PositivityLoss, naming t, on an N that is not positive
+everywhere (also one that underflows to 0): every state is positive by
+construction.  A step starts in Fourier space and keeps the density a bare
+array inside: `_invert` gets N (checked positive), W*N and grad W*N from
+N_hat in one batched inverse, and `_explicit` sends the flux N grad W*N,
+with the reaction for the grand flow, forward in one batched transform.
+IMEX takes one of each (`from_spectrum` is `_invert`): 2 transforms a step.
+Both RK4 steppers march N_hat, one of each a stage: 8 a step.  The
+mass-conserving rate is 0 on the zero mode, so the mass is kept exactly (bit
+for bit in N_hat).  A step validates one field, the N of the state it ends
+in.  A record transforms Psi forward and grad Phi_N back: 2 transforms, and
+no Omega_N.
 
 `evolve` is the one march loop, for these steppers and for the implicit
 step of `gcflow.jko`.  A step's failure is an ordinary exception, raised by
@@ -98,6 +99,16 @@ def _state(t: float, psi: np.ndarray, n: RealField, params: ModelParams) -> SimS
     n_hat = spectral._hat(n.values, g)
     back = spectral._real(np.concatenate(((n_hat * symbol)[None], g.ik * (symbol * n_hat))), g)
     return SimState(t, psi, n, back[0], back[1:], n_hat, params)
+
+
+def _mix(s0: SimState, s1: SimState, s: float) -> SimState:
+    """The state at t = 0 of (1 - s) N0 + s N1 for states of one model: N_hat,
+    W*N and grad W*N are linear in N, so each is that mixture of the states'
+    fields, and only Psi = log N is formed pointwise.  No transform."""
+    n = _positive((1.0 - s) * s0.n.values + s * s1.n.values, 0.0)
+    wn, grad_wn, n_hat = ((1.0 - s) * getattr(s0, k) + s * getattr(s1, k)
+                          for k in ("wn", "grad_wn", "n_hat"))
+    return SimState(0.0, np.log(n), RealField(s0.params.grid, n), wn, grad_wn, n_hat, s0.params)
 
 
 def _positive(n: np.ndarray, t: float) -> np.ndarray:
@@ -172,11 +183,18 @@ def rhs_grand(state: SimState) -> RealField:
     return RealField(g, spectral._real(rate, g))
 
 
-def rhs_grand_advective(state: SimState) -> RealField:
-    """div(N grad Phi_N) - Omega_N Phi_N; algebraically equal to rhs_grand."""
+def _onsager(state: SimState, f: np.ndarray, f_hat: np.ndarray) -> np.ndarray:
+    """The Onsager operator K_N f = Omega_N f - div(N grad f) of the flow
+    (dN/dt = -K_N Phi_N), the implicit step and the metric, at the state's N,
+    from f and its half spectrum f_hat: two transforms."""
     g = state.n.grid
-    div = spectral._real(spectral.div_n_grad(g, state.n.values, spectral._hat(state.phi, g)), g)
-    return RealField(g, div - state.omega * state.phi)
+    return state.omega * f - spectral._real(spectral.div_n_grad(g, state.n.values, f_hat), g)
+
+
+def rhs_grand_advective(state: SimState) -> RealField:
+    """div(N grad Phi_N) - Omega_N Phi_N = -K_N Phi_N; equal to rhs_grand."""
+    phi = state.phi
+    return RealField(state.n.grid, -_onsager(state, phi, spectral._hat(phi, state.n.grid)))
 
 
 def step_imex(state: SimState, h: float) -> SimState:

@@ -25,12 +25,8 @@ class NoConvergence(GcflowError):
     """Iterative solve failed to reach tolerance within the cap."""
 
 
-class NonpositiveDensity(GcflowError):
-    """Density must be strictly positive pointwise."""
-
-
 class PositivityLoss(GcflowError):
-    """A time step produced a nonpositive density (h too large)."""
+    """A density, given or made by a time step (h too large), is not positive."""
 
 
 class StabilityViolation(GcflowError):

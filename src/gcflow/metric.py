@@ -2,14 +2,15 @@
 
 The tangent-space correspondence is the elliptic equation
 
-    M = div(N grad Q) - Omega_N Q
+    M = div(N grad Q) - Omega_N Q = -K_N Q
 
 mapping a prescribed rate of change M to its driving potential Q.  The
-operator is symmetric negative definite (Omega_N > 0 kills the kernel); we
-solve with conjugate gradients on the negated operator, preconditioned by
-the constant-coefficient surrogate (mean(N) * (-lap) + mean(Omega_N))^{-1},
-which is diagonal in Fourier space.  Densities are `dynamics.SimState`s,
-which carry their model and Omega_N; so is each node of a path.
+operator K_N (`dynamics._onsager`) is symmetric positive definite
+(Omega_N > 0 kills the kernel); we solve with conjugate gradients on it,
+preconditioned by the constant-coefficient surrogate
+(mean(N) * (-lap) + mean(Omega_N))^{-1}, which is diagonal in Fourier space.
+Densities are `dynamics.SimState`s, which carry their model and Omega_N; so
+is each path node, mixed from the endpoint states without a transform.
 
 The short-time (approximate) squared distance between N0 and N1 is
 h^2 * <<grad Q, grad Q>>_{N0} for the static Q driven by (N1 - N0)/h.  An
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
+from . import dynamics, spectral
 from .dynamics import SimState
 from .errors import NoConvergence
 from .spectral import RealField
@@ -68,10 +69,6 @@ def solve_driving_potential(state: SimState, target_rate: RealField, tol: float 
     n, om, grid = state.n.values, state.omega, state.n.grid
     precond_symbol = 1.0 / (float(np.mean(n)) * grid.k2 + float(np.mean(om)))
 
-    def apply_m(v: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
-        """-( div(N grad Q) - Omega Q ), the positive-definite form."""
-        return om * v - spectral._real(spectral.div_n_grad(grid, n, v_hat), grid)
-
     def apply_pre(v: np.ndarray) -> tuple:
         """The preconditioned vector and its half spectrum."""
         z_hat = spectral._hat(v, grid) * precond_symbol
@@ -90,7 +87,7 @@ def solve_driving_potential(state: SimState, target_rate: RealField, tol: float 
         return rel
 
     x = np.zeros(grid.shape) if x0 is None else x0.copy()
-    r = rhs - apply_m(x, spectral._hat(x, grid))
+    r = rhs - dynamics._onsager(state, x, spectral._hat(x, grid))
     rel = residual(r, 0)
     if rel <= tol:
         return RealField(grid, x), EllipticSolveReport(0, rel)
@@ -98,7 +95,7 @@ def solve_driving_potential(state: SimState, target_rate: RealField, tol: float 
     rz = float(np.sum(r * p))
     max_iter = 10 * grid.M**grid.d
     for it in range(1, max_iter + 1):
-        ap = apply_m(p, p_hat)
+        ap = dynamics._onsager(state, p, p_hat)
         alpha = rz / float(np.sum(p * ap))
         x += alpha * p
         r -= alpha * ap
@@ -120,7 +117,9 @@ def approx_distance(s0: SimState, s1: SimState, h: float) -> tuple:
     the path energy), and the EllipticSolveReport of its solve.  The value
     does not depend on h (up to rounding): it is `PathDistanceResult.d_a` of
     any path from N0 to N1, which `gcflow distance` reports without this
-    extra solve.  GridMismatch for states on two grids."""
+    extra solve.  GridMismatch for states on two grids; ValueError unless h > 0."""
+    if not h > 0:
+        raise ValueError(f"h must be positive, got {h}")
     spectral.same_grid(s0.n, s1.n)
     rate = RealField(s0.n.grid, (s1.n.values - s0.n.values) / h)
     q, report = solve_driving_potential(s0, rate)
@@ -145,8 +144,10 @@ def path_distance_upper(s0: SimState, s1: SimState, segments: int) -> PathDistan
 
     Discretizes s in [0, 1] at segments+1 nodes; at each node solves the
     elliptic equation with the constant target N1 - N0 at the state
-    N_s = (1-s) N0 + s N1 (the given states at s = 0 and 1, unless N1 is of
-    another model), once, and integrates the energy by the trapezoid rule.
+    N_s = (1-s) N0 + s N1, once, and integrates the energy by the trapezoid
+    rule.  The nodes at s = 0 and 1 are the given states (N1 rebuilt once in
+    the model of N0 when it is of another); those between are mixed from
+    them (`dynamics._mix`).
     Node 0's solve starts from zero and gives `d_a`; each later one starts
     from the cubic (at nodes 1-3 the highest available degree)
     extrapolation of the last four nodes' Q (Fischer 1998, Comput. Methods
@@ -156,13 +157,12 @@ def path_distance_upper(s0: SimState, s1: SimState, segments: int) -> PathDistan
     if segments < 2:
         raise ValueError(f"need at least 2 segments, got {segments}")
     spectral.same_grid(s0.n, s1.n)
-    params, n0, n1 = s0.params, s0.n.values, s1.n.values
-    target = RealField(params.grid, n1 - n0)
+    if s1.params is not s0.params:  # W*N of N1 in the model of N0
+        s1 = SimState.from_density(0.0, s1.n, s0.params)
+    target = RealField(s0.n.grid, s1.n.values - s0.n.values)
     energies, reports, history = [], [], []
     for i in range(segments + 1):
-        s = i / segments
-        ns = (s0 if i == 0 else s1 if i == segments and s1.params is params else
-              SimState.from_density(0.0, RealField(params.grid, (1.0 - s) * n0 + s * n1), params))
+        ns = s0 if i == 0 else s1 if i == segments else dynamics._mix(s0, s1, i / segments)
         x0 = _extrapolate(history) if history else None
         q, report = solve_driving_potential(ns, target, x0=x0)
         history = history[-3:] + [q.values]

@@ -201,16 +201,11 @@ def _dnorms(grid: Grid, f_hat: np.ndarray, m_max: int) -> np.ndarray:
     return grid.dnorm_weights[: m_max + 1] @ np.abs(f_hat).ravel()
 
 
-def _dnorm(grid: Grid, f_hat: np.ndarray, m: int) -> float:
-    """dnorm from the half spectrum of the field."""
-    return float(_dnorms(grid, f_hat, m)[m])
-
-
 def dnorm(f: RealField, m: int) -> float:
     """Weighted l1 Fourier norm (1/L^d) sum_k |k|^m |f_hat(k)|, m in 0..4."""
     if m not in (0, 1, 2, 3, 4):
         raise ValueError(f"m must be in 0..4, got {m}")
-    return _dnorm(f.grid, _hat(f.values, f.grid), m)
+    return float(_dnorms(f.grid, _hat(f.values, f.grid), m)[m])
 
 
 def l2_norm(f: RealField) -> float:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import NoConvergence, NonpositiveDensity
+from .errors import NoConvergence, PositivityLoss
 from .kernels import Kernel
 from .spectral import Grid, RealField
 
@@ -137,7 +137,7 @@ def rate_constants(params: ModelParams) -> RateConstants:
 
 def _require_positive(n: RealField) -> None:
     if np.min(n.values) <= 0.0:
-        raise NonpositiveDensity(f"min density {np.min(n.values):.3e}")
+        raise PositivityLoss(f"min density {np.min(n.values):.3e}")
 
 
 def interaction_energy(n: RealField, kernel: Kernel) -> float:
@@ -183,15 +183,10 @@ def _potential(log_n: np.ndarray, wn: np.ndarray, mu: float) -> np.ndarray:
 
 
 def sinhc_half(phi: np.ndarray) -> np.ndarray:
-    """sinh(phi/2) / (phi/2), series near 0 to dodge cancellation."""
+    """sinh(phi/2) / (phi/2), and 1 at phi = 0; libm's sinh is accurate near 0,
+    so the quotient needs no series branch."""
     x = 0.5 * phi
-    small = np.abs(x) < 1e-4
-    out = np.empty_like(x)
-    xs = x[small]
-    out[small] = 1.0 + xs * xs / 6.0 + xs**4 / 120.0
-    xl = x[~small]
-    out[~small] = np.sinh(xl) / xl
-    return out
+    return np.divide(np.sinh(x), x, out=np.ones_like(x), where=x != 0)
 
 
 def omega(n: RealField, params: ModelParams) -> RealField:

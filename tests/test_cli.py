@@ -537,13 +537,17 @@ def test_underflowing_band_exit_2(tmp_path, capsys, command):
 
 
 def test_sweep_runs_jko(tmp_path, capsys):
-    # the sweep runs [run] integrator: the implicit scheme's rate is volume independent
+    # the sweep runs [run] integrator: on the criterion-06 problem (random
+    # band k_c = 3, amp 0.25, seed 7; L = 1, 2, 4) the implicit scheme's rate
+    # is volume independent and above 0.95 lambda_dagger, as the IMEX one is
     text = (BASE.replace("integrator = imex", "integrator = jko").replace("h = 0.001", "h = 0.01")
-            .replace("T = 0.05", "T = 1.5"))
-    assert main(["sweep", "--config", write_config(tmp_path, text), "--axis", "L=1,2"]) == 0
+            .replace("T = 0.05", "T = 1.5").replace("stride = 10", "stride = 10\nseed = 7"))
+    assert main(["sweep", "--config", write_config(tmp_path, text), "--axis", "L=1,2,4"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert [p["L"] for p in report["points"]] == [1.0, 2.0]
+    assert [p["L"] for p in report["points"]] == [1.0, 2.0, 4.0]
     assert report["max_ratio"] <= 1.10
+    for point in report["points"]:
+        assert point["lambda_hat"] >= 0.95 * point["lambda_dagger"], point["label"]
 
 
 @pytest.mark.parametrize("integrator, T", [("jko", 3e-3), ("imex", 3e-6), ("rk4", 3e-6)])

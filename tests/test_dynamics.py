@@ -422,6 +422,11 @@ def test_transforms_per_step_and_record(d, M, fft_calls):
             del fft_calls[:]
             dynamics._STEPPERS[name](built, 1e-5)
             assert len(fft_calls) == 8, name
+    # a distance-path node mixes N_hat, W*N and grad W*N of its endpoints
+    other = SimState.from_density(0.0, RealField(st.n.grid, st.n.values[::-1].copy()), st.params)
+    del fft_calls[:]
+    dynamics._mix(st, other, 0.25)
+    assert fft_calls == []
     # the JKO step's frozen terms read W_hat N_hat and grad W*N from the
     # state: Psi0 forward, its d gradient rows back, the local part of A
     # forward; a JKO step is 10 calls plus 4 per inner iteration
@@ -462,6 +467,25 @@ def test_cached_grad_wn_matches_density(d, M, integrator):
     fresh = SimState.from_density(st.t, st.n, st.params).grad_wn
     assert st.grad_wn.shape == fresh.shape == (d,) + st.n.grid.shape
     assert np.max(np.abs(st.grad_wn - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+
+
+@pytest.mark.parametrize("s", [1 / 32, 0.5, 31 / 32])
+@pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
+def test_mixed_node_matches_density(d, M, s):
+    # a path node mixed from its endpoint states holds the fields that
+    # from_density makes for the same mixture
+    p = model(d, M)
+    s0 = problems.random_band_state(p, 3, 0.3, seed=42)
+    s1 = problems.random_band_state(p, 3, 0.3, seed=43)
+    node = dynamics._mix(s0, s1, s)
+    ref = SimState.from_density(0.0, RealField(p.grid, (1 - s) * s0.n.values
+                                               + s * s1.n.values), p)
+    assert node.t == ref.t and node.params is ref.params
+    for name in ("n_hat", "wn", "grad_wn", "psi", "phi", "omega"):
+        a, b = getattr(node, name), getattr(ref, name)
+        assert a.shape == b.shape, name
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
+    assert np.array_equal(node.n.values, ref.n.values)
 
 
 @pytest.mark.parametrize("state", ["band", "single_mode"])

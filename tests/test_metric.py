@@ -1,6 +1,7 @@
 """Transport-with-reaction metric: elliptic solve and path distance."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -323,6 +324,17 @@ def test_densities_on_other_grid_rejected(params, L, M):
             approx_distance(sa, sb, 1e-3)
         with pytest.raises(GridMismatch):
             solve_driving_potential(sa, sb.n)
+
+
+@pytest.mark.parametrize("h", [-1e-3, 0.0, -0.0])
+def test_approx_distance_rejects_nonpositive_step(params, h):
+    # a negative h would give a negative "distance", h = 0 a division by 0
+    sa = problems.random_band_state(params, 3, 0.3, seed=71)
+    sb = problems.random_band_state(params, 3, 0.3, seed=72)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="h must be positive"):
+            approx_distance(sa, sb, h)
 
 
 def test_path_forms_omega_once_per_node(params, monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
 from gcflow import thermo
-from gcflow.errors import GridMismatch, NoConvergence, NonpositiveDensity
+from gcflow.errors import GridMismatch, NoConvergence, PositivityLoss
 from gcflow.kernels import make_positive_type, make_smoothed_indicator
 from gcflow.spectral import Grid, RealField, convolve
 from gcflow.thermo import (
@@ -190,7 +191,7 @@ def test_free_energy_rejects_nonpositive(setup):
     grid, _, params = setup
     vals = np.full(grid.shape, 0.05)
     vals[3] = -1e-3
-    with pytest.raises(NonpositiveDensity):
+    with pytest.raises(PositivityLoss):
         free_energy_grand(RealField(grid, vals), params)
 
 
@@ -227,13 +228,20 @@ def test_sinhc_half_values():
     # phi = 2: sinh(1)/1 = 1.1752011936438014
     assert abs(sinhc_half(np.array([2.0]))[0] - 1.1752011936438014) < 1e-12
     assert abs(sinhc_half(np.array([0.0]))[0] - 1.0) < 1e-15
+    # exactly 1 at +-0 and at the smallest subnormal, without a 0/0 warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = sinhc_half(np.array([0.0, -0.0, 5e-324]))
+    assert values.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_sinhc_half_series_matches_direct():
-    # the small-argument series branch must agree with the direct formula
+    # near 0 the direct quotient must agree with the series 1 + x^2/6 + x^4/120
+    # (x = phi/2; the next term is below 1e-23 here)
     phi = np.array([1e-5, 5e-5, 9e-5, 2e-4, 1e-3])
-    direct = np.sinh(phi / 2) / (phi / 2)
-    assert np.max(np.abs(sinhc_half(phi) - direct)) < 1e-14
+    x = phi / 2
+    series = 1.0 + x * x / 6.0 + x**4 / 120.0
+    assert np.max(np.abs(sinhc_half(phi) - series)) < 1e-14
 
 
 def test_omega_lower_bound(setup):
