@@ -66,13 +66,12 @@ def _open_out(out_dir: str, name: str):
 
 
 def _check_step_cap(integrator: str, state, h: float) -> None:
-    """ConfigError("run.h") when an explicit integrator's h is above the
-    stability cap of the state's grid: the config alone decides it."""
-    if integrator in dynamics._EXPLICIT:
-        try:
-            dynamics._check_explicit_stability(state, h)
-        except StabilityViolation as exc:
-            raise ConfigError("run.h", str(exc)) from None
+    """ConfigError("run.h") when h fails `dynamics._check_step`, an explicit
+    integrator's cap on the state's grid included: the config alone decides it."""
+    try:
+        dynamics._check_step(h, state if integrator in dynamics._EXPLICIT else None)
+    except (ValueError, StabilityViolation) as exc:
+        raise ConfigError("run.h", str(exc)) from None
 
 
 def cmd_evolve(args) -> int:
@@ -80,10 +79,11 @@ def cmd_evolve(args) -> int:
     params = build_params(cfg)
     state = build_initial_state(cfg, params)
     h = cfg.h
-    if h is None:
-        k_head = 2.0 * np.pi * (cfg.M // 2 - 1) / cfg.L
-        h = dynamics.default_h(params, experiments.linearized_rate(k_head, params),
-                               cfg.integrator)
+    if h is None and cfg.integrator == "jko":
+        h = 1e-3  # the stiffest mode does not bound the implicit step
+    elif h is None:  # min(0.1 dx, 0.01 / lambda(k_max)), k_max below Nyquist
+        lam = experiments.linearized_rate(2.0 * np.pi * (cfg.M // 2 - 1) / cfg.L, params)
+        h = min(0.1 * params.grid.dx, 0.01 / max(lam, 1e-30))
     _check_step_cap(cfg.integrator, state, h)
     sink = _open_out(cfg.out_dir, "diag.ndjson") if not args.stdout else sys.stdout
     try:  # a failing step raises here; the records written before it stay in the sink
@@ -226,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("ConfigError", str(exc), 2)
     except GcflowError as exc:
         return _fail(type(exc).__name__, str(exc), 1)
-    except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError, OverflowError, MemoryError) as exc:
         return _fail(type(exc).__name__, str(exc), 1)
 
 

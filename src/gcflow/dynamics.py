@@ -27,7 +27,8 @@ Both RK4 steppers march N_hat, one of each a stage: 8 a step.  The
 mass-conserving rate is 0 on the zero mode, so the mass is kept exactly (bit
 for bit in N_hat).  A step validates one field, the N of the state it ends
 in.  A record transforms Psi forward and grad Phi_N back: 2 transforms, and
-no Omega_N.
+no Omega_N.  Every step, `jko.jko_step`'s too, checks its h by one rule,
+`_check_step`.
 
 `evolve` is the one march loop, for these steppers and for the implicit
 step of `gcflow.jko`.  A step's failure is an ordinary exception, raised by
@@ -109,6 +110,16 @@ def _mix(s0: SimState, s1: SimState, s: float) -> SimState:
     wn, grad_wn, n_hat = ((1.0 - s) * getattr(s0, k) + s * getattr(s1, k)
                           for k in ("wn", "grad_wn", "n_hat"))
     return SimState(0.0, np.log(n), RealField(s0.params.grid, n), wn, grad_wn, n_hat, s0.params)
+
+
+def _check_step(h: float, explicit: SimState | None = None) -> None:
+    """ValueError unless 0 < h < inf (NaN fails it too); for an explicit step
+    from the state `explicit`, StabilityViolation unless h max|k|^2 <= 2.7."""
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
+    if explicit is not None and h * (kmax2 := float(np.max(explicit.n.grid.k2))) > 2.7:
+        raise StabilityViolation(f"h * max|k|^2 = {h * kmax2:.3g} > 2.7; "
+                                 f"reduce h below {2.7 / kmax2:.3g}")
 
 
 def _positive(n: np.ndarray, t: float) -> np.ndarray:
@@ -203,20 +214,11 @@ def step_imex(state: SimState, h: float) -> SimState:
     unconditionally stable in the linear diffusive part.  The explicit terms
     go forward in one transform (`_explicit`) and the new N_hat comes back
     in one (`SimState.from_spectrum`): two transforms in all."""
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
+    _check_step(h)
     p = state.params
     explicit = _explicit(p, state.n.values, state.wn, state.grad_wn, True)
     n_hat = (state.n_hat + h * explicit) / (1.0 - h * p.grid.lap)
     return SimState.from_spectrum(state.t + h, n_hat, p)
-
-
-def _check_explicit_stability(state: SimState, h: float) -> None:
-    kmax2 = float(np.max(state.n.grid.k2))
-    if h * kmax2 > 2.7:
-        raise StabilityViolation(
-            f"h * max|k|^2 = {h * kmax2:.3g} > 2.7; reduce h below {2.7 / kmax2:.3g}"
-        )
 
 
 def _rk4(state: SimState, h: float, grand: bool) -> SimState:
@@ -225,7 +227,7 @@ def _rk4(state: SimState, h: float, grand: bool) -> SimState:
     from `_invert` (N checked at the stage time) and k_hat = lap N_hat +
     `_explicit`; stage 1 reads its fields from the state, and the step ends
     in `SimState.from_spectrum`."""
-    _check_explicit_stability(state, h)
+    _check_step(h, state)
     p = state.params
     t, nh0 = state.t, state.n_hat
 
@@ -257,14 +259,6 @@ def step_rk4_canonical(state: SimState, h: float) -> SimState:
 
 _STEPPERS = {"imex": step_imex, "rk4": step_rk4, "rk4_canonical": step_rk4_canonical}
 _EXPLICIT = ("rk4", "rk4_canonical")  # steppers that need h max|k|^2 <= 2.7
-
-
-def default_h(params: ModelParams, lam_max: float, integrator: str = "imex") -> float:
-    """h = min(0.1 dx, 0.01 / lambda(k_max)), or 1e-3 for "jko", whose implicit
-    step the stiffest mode does not bound; overridable via config."""
-    if integrator == "jko":
-        return 1e-3
-    return min(0.1 * params.grid.dx, 0.01 / max(lam_max, 1e-30))
 
 
 def _uniform_energy(p: ModelParams, c: float, mu: float) -> float:
@@ -329,9 +323,10 @@ def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
     record as it is made, so the records made before a failure are kept by
     the caller.  A JKO step's report gives its `d0_psi` to `psi_d0_bound`
     and its `inner_iters`/`residual` to the records; a direct step has none.
-    """
-    if T <= 0 or h <= 0:
-        raise ValueError("T and h must be positive")
+    ValueError unless 0 < T < inf and h passes `_check_step`."""
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
+    _check_step(h)
     if integrator == "jko":
         from . import jko as implicit  # jko imports this module
 
@@ -346,7 +341,7 @@ def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
     n_steps = max(1, round(T / h))
     exact = abs(T / h - n_steps) <= 1e-9 * (T / h)
     if not exact:
-        n_steps = math.ceil(T / h)
+        n_steps = max(1, math.ceil(T / h))  # T / h may underflow to 0
     h_last = h if exact else T - (n_steps - 1) * h
     t0 = state.t
     traj = Trajectory()

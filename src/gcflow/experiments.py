@@ -314,6 +314,6 @@ def jko_convergence_study(
                                f"is at most {GAP_FLOOR:g}: no order to fit")
 
     hs = np.log([p.h for p in points])
-    errs = np.log([p.endpoint_d0 for p in points])
-    order = float(np.polyfit(hs, errs, 1)[0])
-    return JkoStudyReport(tuple(points), order, h_ref, b0)
+    fit = _log_linear_fit(hs, np.array([p.endpoint_d0 for p in points]),
+                          (float(hs.min()), float(hs.max())))
+    return JkoStudyReport(tuple(points), -fit.lambda_hat, h_ref, b0)

@@ -111,11 +111,10 @@ def jko_step(state: SimState, h: float, cfg: JkoConfig | None = None) -> tuple:
     consecutive iterations (the step size is too large for the contraction),
     or after max_inner iterations, PositivityLoss when N1 underflows to 0,
     and ResidualTooLarge when the converged step fails the weak-residual
-    acceptance bound.  `cfg` holds the solver tolerances (JkoConfig defaults
-    when None).
+    acceptance bound; ValueError unless 0 < h < inf (`dynamics._check_step`).
+    `cfg` holds the solver tolerances (JkoConfig defaults when None).
     """
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
+    dynamics._check_step(h)
     cfg = cfg or JkoConfig()
     g = state.n.grid
     helmholtz = 1.0 / (1.0 - h * g.lap)

@@ -13,11 +13,10 @@ Densities are `dynamics.SimState`s, which carry their model and Omega_N; so
 is each path node, mixed from the endpoint states without a transform.
 
 The short-time (approximate) squared distance between N0 and N1 is
-h^2 * <<grad Q, grad Q>>_{N0} for the static Q driven by (N1 - N0)/h.  An
-upper bound on the full squared distance is obtained by integrating the
-same energy along the straight-line path between the endpoints.  The
-path's first node solves for h Q, driven by N1 - N0, so it gives the
-short-time distance too.
+<<grad Q, grad Q>>_{N0} for the static Q driven by N1 - N0: no step size
+enters.  Integrating the same energy along the straight-line path between
+the endpoints bounds the full squared distance from above; the path's first
+node solves the same equation, so it gives the short-time distance too.
 """
 
 from __future__ import annotations
@@ -48,8 +47,7 @@ class PathDistanceResult:
     @property
     def d_a(self) -> float:
         """The short-time distance sqrt(E_0): node 0 solves the equation of
-        `approx_distance` with its right-hand side scaled by h, so E_0 is
-        the squared short-time distance for every h."""
+        `approx_distance`, driven by N1 - N0, so E_0 is its square."""
         return float(np.sqrt(max(self.per_segment_energy[0], 0.0)))
 
 
@@ -111,20 +109,17 @@ def solve_driving_potential(state: SimState, target_rate: RealField, tol: float 
     raise NoConvergence(f"PCG stalled at relative residual {rel:.3e} after {max_iter} iterations")
 
 
-def approx_distance(s0: SimState, s1: SimState, h: float) -> tuple:
-    """Short-time distance h * <<grad Q, grad Q>>_{N0}^{1/2} from state N0 to
-    state N1 with Q driven by the rate (N1 - N0)/h (the static minimizer of
-    the path energy), and the EllipticSolveReport of its solve.  The value
-    does not depend on h (up to rounding): it is `PathDistanceResult.d_a` of
-    any path from N0 to N1, which `gcflow distance` reports without this
-    extra solve.  GridMismatch for states on two grids; ValueError unless h > 0."""
-    if not h > 0:
-        raise ValueError(f"h must be positive, got {h}")
+def approx_distance(s0: SimState, s1: SimState) -> tuple:
+    """Short-time distance <<grad Q, grad Q>>_{N0}^{1/2} from state N0 to
+    state N1, Q driven by N1 - N0 (the static minimizer of the path energy),
+    and the EllipticSolveReport of its solve: `PathDistanceResult.d_a` of any
+    path from N0 to N1, which `gcflow distance` reports without this extra
+    solve.  GridMismatch for states on two grids."""
     spectral.same_grid(s0.n, s1.n)
-    rate = RealField(s0.n.grid, (s1.n.values - s0.n.values) / h)
-    q, report = solve_driving_potential(s0, rate)
-    energy = 0.0 - spectral.inner_l2(rate, q)  # <<grad Q, grad Q>>_{N0}; +0.0 when Q = 0
-    return h * float(np.sqrt(max(energy, 0.0))), report
+    target = RealField(s0.n.grid, s1.n.values - s0.n.values)
+    q, report = solve_driving_potential(s0, target)
+    energy = 0.0 - spectral.inner_l2(target, q)  # <<grad Q, grad Q>>_{N0}; +0.0 when Q = 0
+    return float(np.sqrt(max(energy, 0.0))), report
 
 
 # Lagrange weights, oldest first, that extrapolate values at 1, 2, 3 or 4

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -13,12 +14,12 @@ import numpy as np
 import pytest
 
 import gcflow
-from gcflow import dynamics, fieldio, metric, problems
+from gcflow import fieldio, metric, problems
 from gcflow.cli import main
 from gcflow.config import build_params, dump_config, load_config, parse_config
 from gcflow.errors import ConfigError
 from gcflow.experiments import linearized_rate
-from gcflow.spectral import RealField
+from gcflow.spectral import Grid, RealField
 
 BASE = """
 [grid]
@@ -442,6 +443,52 @@ def test_distance_nonpositive_field_exit_2(tmp_path, capsys, which, value):
     assert f"{value:.3e}" in error["message"] and "t =" not in error["message"]
 
 
+@pytest.mark.parametrize("which", ["a.bin", "b.csv"])
+def test_distance_field_header_beyond_file_exit_2(tmp_path, capsys, monkeypatch, which):
+    # a header claiming d = 2, M = 2^20 over 8 samples is an input error
+    # named by its file; a grid that large is never built (a Grid.make of
+    # more than 64 points per axis fails the test instead of allocating)
+    cfgp = write_config(tmp_path)
+    params = build_params(load_config(cfgp))
+    paths = {"a.bin": str(tmp_path / "a.bin"), "b.csv": str(tmp_path / "b.csv")}
+    fieldio.save_binary(paths["a.bin"], problems.single_mode_state(params, 1, 0.003).n)
+    fieldio.save_csv(paths["b.csv"], problems.single_mode_state(params, 2, 0.003).n)
+    if which == "a.bin":
+        open(paths[which], "wb").write(b"GCF1" + struct.pack("<IId", 2, 2**20, 1.0)
+                                       + b"\x00" * 76)
+    else:
+        open(paths[which], "w").write("2\n1.0\n1048576\nn\n" + "1.0\n" * 8)
+    make = Grid.make
+
+    def small_only(d, L, M):
+        assert M <= 64, f"Grid.make({d}, {L}, {M}) called"
+        return make(d, L, M)
+
+    monkeypatch.setattr(Grid, "make", staticmethod(small_only))
+    assert main(["distance", paths["a.bin"], paths["b.csv"], "--config", cfgp]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ConfigError"
+    assert error["message"] == f"{paths[which]}: expected 1099511627776 samples, found 8"
+
+
+@pytest.mark.parametrize("command", ["evolve", "kernel-info"])
+def test_memory_error_exit_1(tmp_path, capsys, monkeypatch, command):
+    # a valid grid too large for memory is one JSON line, not a traceback;
+    # Grid.make raises as numpy would, without allocating anything
+    def no_memory(d, L, M):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    cfgp = write_config(tmp_path)
+    monkeypatch.setattr(Grid, "make", staticmethod(no_memory))
+    assert main([command, "--config", cfgp]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "MemoryError",
+                                    "message": "Unable to allocate 8.00 TiB"}
+
+
 def test_distance_nonfinite_fails_fast(tmp_path):
     # a field of 1e300 overflows the solve: one JSON error line, exit 1, no
     # warning text, at once rather than after 10 M^d NaN iterations
@@ -552,13 +599,14 @@ def test_sweep_runs_jko(tmp_path, capsys):
 
 @pytest.mark.parametrize("integrator, T", [("jko", 3e-3), ("imex", 3e-6), ("rk4", 3e-6)])
 def test_evolve_default_h(tmp_path, capsys, integrator, T):
-    # without [run] h, jko steps at 1e-3 and the direct steppers at dynamics.default_h
+    # without [run] h, jko steps at 1e-3 and the direct steppers at
+    # min(0.1 dx, 0.01 / lambda(k_max)), k_max the last mode below Nyquist
     text = BASE.replace("integrator = imex", f"integrator = {integrator}").replace(
         "h = 0.001\n", "").replace("T = 0.05", f"T = {T}").replace("stride = 10", "stride = 1")
     cfgp = write_config(tmp_path, text)
     params = build_params(load_config(cfgp))
     lam = linearized_rate(2.0 * np.pi * 31, params)
-    h = 1e-3 if integrator == "jko" else dynamics.default_h(params, lam)
+    h = 1e-3 if integrator == "jko" else min(0.1 * params.grid.dx, 0.01 / lam)
     assert main(["evolve", "--config", cfgp, "--stdout"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
     assert records[0]["t"] == h

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,30 @@ def test_rk4_stability_guard(params):
         step_rk4(st, 3.0 / kmax2)
 
 
+@pytest.mark.parametrize("h", [-1e-5, 0.0, float("nan"), float("inf")],
+                         ids=["negative", "zero", "nan", "inf"])
+@pytest.mark.parametrize("stepper", [step_imex, step_rk4, step_rk4_canonical, jko.jko_step],
+                         ids=["imex", "rk4", "rk4_canonical", "jko"])
+def test_steppers_reject_bad_step(params, stepper, h):
+    # one rule for every stepper: 0 < h < inf, checked before anything is
+    # computed, so no warning is raised and no state at t <= 0 is returned
+    st = perturbed_state(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            stepper(st, h)
+
+
+@pytest.mark.parametrize("T, h", [(0.01, float("nan")), (0.01, float("inf")), (0.01, 0.0),
+                                  (float("nan"), 1e-3), (float("inf"), 1e-3), (0.0, 1e-3)])
+def test_evolve_rejects_bad_T_or_h(params, T, h):
+    # no march of no steps and no bare float conversion error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            evolve(perturbed_state(params), T, h)
+
+
 def test_canonical_mass_conservation(params):
     st = problems.single_mode_state(params, 1, 0.01)
     h = 2.0 / float(np.max(params.grid.k2))
@@ -276,12 +301,6 @@ def test_steppers_are_public_functions():
         assert not fn.__name__.startswith("_") and getattr(dynamics, fn.__name__) is fn, name
 
 
-def test_default_h(params):
-    lam = linearized_rate(2 * np.pi * 31, params)
-    h = dynamics.default_h(params, lam)
-    assert h == min(0.1 * params.grid.dx, 0.01 / lam)
-
-
 @pytest.mark.parametrize("T, h, steps", [(1.0, 0.3, 4), (0.01, 0.5, 1), (1.0, 1e-3, 1000)])
 def test_evolve_ends_at_T(params, T, h, steps):
     # a non-integer T/h shortens the last step; an integer one keeps every
@@ -289,6 +308,12 @@ def test_evolve_ends_at_T(params, T, h, steps):
     traj = evolve(problems.uniform_state(params), T, h, stride=steps)
     assert traj.records[-1].step == steps
     assert traj.records[-1].t == T
+
+
+def test_evolve_T_far_below_h(params):
+    # T / h underflows to 0: one step of T, not a march of no steps
+    traj = evolve(problems.uniform_state(params), 5e-324, 1e300)
+    assert [(r.step, r.t) for r in traj.records] == [(1, 5e-324)]
 
 
 @pytest.mark.parametrize("error", [TypeError, PositivityLoss],

@@ -88,3 +88,36 @@ def test_csv_wrong_count(tmp_path, field):
     open(p, "w").write("\n".join(lines[:-2]) + "\n")
     with pytest.raises(ConfigError):
         load_csv(p)
+
+
+def _refuse_grid(monkeypatch):
+    """Grid.make fails the test instead of allocating a grid."""
+    def refuse(d, L, M):
+        raise AssertionError(f"Grid.make({d}, {L}, {M}) called")
+    monkeypatch.setattr(Grid, "make", staticmethod(refuse))
+
+
+def test_binary_header_beyond_file_rejected_before_grid(tmp_path, monkeypatch):
+    # a 96-byte file whose header claims d = 2, M = 2^20 (8 TiB of samples):
+    # the count is compared with the file size before any grid is built
+    p = str(tmp_path / "big.bin")
+    open(p, "wb").write(b"GCF1" + struct.pack("<IId", 2, 2**20, 1.0) + b"\x00" * 12
+                        + b"\x00" * 64)
+    _refuse_grid(monkeypatch)
+    with pytest.raises(ConfigError, match=r"expected 1099511627776 samples, found 8"):
+        load_binary(p)
+
+
+def test_csv_header_beyond_file_rejected_before_grid(tmp_path, monkeypatch):
+    p = str(tmp_path / "big.csv")
+    open(p, "w").write("2\n1.0\n1048576\nn\n" + "1.0\n" * 8)
+    _refuse_grid(monkeypatch)
+    with pytest.raises(ConfigError, match=r"expected 1099511627776 samples, found 8"):
+        load_csv(p)
+
+
+def test_binary_bytes_past_samples_ignored(tmp_path, field):
+    p = str(tmp_path / "long.bin")
+    save_binary(p, field)
+    open(p, "ab").write(b"\x01" * 13)
+    assert np.array_equal(load_binary(p).values, field.values)

@@ -217,6 +217,6 @@ def test_step_energy_inequality_and_rate(family):
                 assert g0 - g1 >= da_sq / h
                 assert (g1 - g_eq) / (g0 - g_eq) * (1.0 + 2.0 * lam * h) <= 1.0
                 if step < 2:
-                    d_a, _ = metric.approx_distance(st, st1, h)
+                    d_a, _ = metric.approx_distance(st, st1)
                     assert abs(d_a**2 - da_sq) <= 1e-10 * da_sq
                 st, g0 = st1, g1
