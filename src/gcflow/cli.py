@@ -65,13 +65,19 @@ def _open_out(out_dir: str, name: str):
         raise ConfigError("run.out_dir", str(exc)) from None
 
 
-def _check_step_cap(integrator: str, state, h: float) -> None:
+def _check_march(integrator: str, state, T: float, h: float) -> None:
     """ConfigError("run.h") when h fails `dynamics._check_step`, an explicit
-    integrator's cap on the state's grid included: the config alone decides it."""
+    integrator's cap on the state's grid included, and ConfigError("run.T")
+    when the march to T fails `dynamics._step_count`: the config alone
+    decides both, so they are checked before any output opens."""
     try:
         dynamics._check_step(h, state if integrator in dynamics._EXPLICIT else None)
     except (ValueError, StabilityViolation) as exc:
         raise ConfigError("run.h", str(exc)) from None
+    try:
+        dynamics._step_count(T, h)
+    except ValueError as exc:
+        raise ConfigError("run.T", str(exc)) from None
 
 
 def cmd_evolve(args) -> int:
@@ -84,7 +90,7 @@ def cmd_evolve(args) -> int:
     elif h is None:  # min(0.1 dx, 0.01 / lambda(k_max)), k_max below Nyquist
         lam = experiments.linearized_rate(2.0 * np.pi * (cfg.M // 2 - 1) / cfg.L, params)
         h = min(0.1 * params.grid.dx, 0.01 / max(lam, 1e-30))
-    _check_step_cap(cfg.integrator, state, h)
+    _check_march(cfg.integrator, state, cfg.T, h)
     sink = _open_out(cfg.out_dir, "diag.ndjson") if not args.stdout else sys.stdout
     try:  # a failing step raises here; the records written before it stay in the sink
         traj = dynamics.evolve(state, cfg.T, h, cfg.integrator, stride=cfg.stride,
@@ -130,7 +136,7 @@ def cmd_sweep(args) -> int:
         states.append(build_band_state(box, build_params(box)))
     h = cfg.h if cfg.h is not None else 2e-3
     for state in states:
-        _check_step_cap(cfg.integrator, state, h)
+        _check_march(cfg.integrator, state, cfg.T, h)
     report = experiments.volume_sweep(states, cfg.T, h, cfg.integrator, cfg.jko)
     print(json.dumps(report.to_dict()))
     return 0

@@ -202,6 +202,18 @@ def _onsager(state: SimState, f: np.ndarray, f_hat: np.ndarray) -> np.ndarray:
     return state.omega * f - spectral._real(spectral.div_n_grad(g, state.n.values, f_hat), g)
 
 
+def _decay_symbol(p: ModelParams, m: float, grand: bool = True) -> np.ndarray:
+    """The linearized decay symbol on the half spectrum: about the uniform
+    density m, a small mode decays as dN_hat/dt = -symbol N_hat, with
+
+        grand flow:           (|k|^2 + m^{-1/2}) (1 + m W_hat(k)),
+        mass-conserving flow:  |k|^2 (1 + m W_hat(k)),
+
+    the latter exactly 0 on the zero mode."""
+    mult = 1.0 + m * p.kernel.symbol.real
+    return ((p.grid.k2 + m ** -0.5) if grand else p.grid.k2) * mult
+
+
 def rhs_grand_advective(state: SimState) -> RealField:
     """div(N grad Phi_N) - Omega_N Phi_N = -K_N Phi_N; equal to rhs_grand."""
     phi = state.phi
@@ -309,6 +321,21 @@ def diagnostics(step: int, state: SimState, canonical: bool = False,
     )
 
 
+def _step_count(T: float, h: float) -> tuple:
+    """(n, exact): n steps of h (h > 0) march to T, all of h when T/h is
+    an integer n to 1e-9 relative (exact), else with the last one shortened
+    to end at T; T/h may underflow to 0, which takes one step.  ValueError
+    unless 0 < T < inf and T/h is finite (T = 1e300, h = 1e-300 is not)."""
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
+    if not math.isfinite(ratio := T / h):
+        raise ValueError(f"T / h = {T:g} / {h:g} overflows: too many steps")
+    n_steps = max(1, round(ratio))
+    if abs(ratio - n_steps) <= 1e-9 * ratio:
+        return n_steps, True
+    return max(1, math.ceil(ratio)), False
+
+
 def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
            stride: int = 1, emit=None, snapshot_every: int | None = None,
            jko=None) -> Trajectory:
@@ -323,10 +350,9 @@ def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
     record as it is made, so the records made before a failure are kept by
     the caller.  A JKO step's report gives its `d0_psi` to `psi_d0_bound`
     and its `inner_iters`/`residual` to the records; a direct step has none.
-    ValueError unless 0 < T < inf and h passes `_check_step`."""
-    if not 0.0 < T < math.inf:
-        raise ValueError(f"T must be positive and finite, got {T}")
+    ValueError unless h passes `_check_step` and T `_step_count`."""
     _check_step(h)
+    n_steps, exact = _step_count(T, h)
     if integrator == "jko":
         from . import jko as implicit  # jko imports this module
 
@@ -338,10 +364,6 @@ def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
         def advance(s, hk):
             return stepper(s, hk), None
     canonical = integrator.endswith("canonical")
-    n_steps = max(1, round(T / h))
-    exact = abs(T / h - n_steps) <= 1e-9 * (T / h)
-    if not exact:
-        n_steps = max(1, math.ceil(T / h))  # T / h may underflow to 0
     h_last = h if exact else T - (n_steps - 1) * h
     t0 = state.t
     traj = Trajectory()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,9 +65,10 @@ def _half_index(grid, n: tuple) -> tuple:
 
 
 def linearized_rate(k, params: ModelParams, canonical: bool = False) -> float:
-    """Decay rate of the mode with wavenumber k about the uniform state.
+    """Decay rate about the uniform state m0 of the grid mode nearest the
+    wavenumber k: that mode of `dynamics._decay_symbol`,
 
-    Grand-canonical: (|k|^2 + m0^{-1/2}) (1 + m0 What(k));
+    grand-canonical: (|k|^2 + m0^{-1/2}) (1 + m0 What(k));
     canonical:        |k|^2 (1 + m0 What(k)).
 
     A scalar k is the wavenumber along the first axis.
@@ -75,12 +77,7 @@ def linearized_rate(k, params: ModelParams, canonical: bool = False) -> float:
     if np.isscalar(k):
         k = (float(k),) + (0.0,) * (g.d - 1)
     idx = _half_index(g, tuple(int(round(ki * g.L / (2.0 * np.pi))) for ki in k))
-    what = float(params.kernel.symbol[idx].real)
-    k2 = float(sum(ki * ki for ki in k))
-    mult = 1.0 + params.m0 * what
-    if canonical:
-        return k2 * mult
-    return (k2 + params.m0 ** -0.5) * mult
+    return float(dynamics._decay_symbol(params, params.m0, not canonical)[idx])
 
 
 def measure_mode_decay(
@@ -95,7 +92,7 @@ def measure_mode_decay(
     state = problems.single_mode_state(params, mode, eps)
     g = params.grid
     idx = _half_index(g, (mode,) + (0,) * (g.d - 1))
-    n = max(1, round(T / h))  # stride n: the fit reads snapshots, not records
+    n = dynamics._step_count(T, h)[0]  # stride n: the fit reads snapshots, not records
     traj = dynamics.evolve(state, T, h, integrator=integrator, stride=n,
                            snapshot_every=max(1, n // 400))
     ts, amps = [], []
@@ -285,16 +282,19 @@ def jko_convergence_study(
     `jko`) against a fine IMEX reference with step min(h) / 20.  Errors are
     D0/D1 norms of the density difference, taken on the states' N_hat, at
     the common comparison times j * max(h); ConfigError unless the steps are
-    two or more distinct values in (0, T], each dividing the largest, and
-    InsufficientData when an endpoint D0 error is at most GAP_FLOOR, where
-    the fitted order would be a fit to roundoff."""
+    two or more distinct values in (0, T], each dividing the largest, with a
+    finite step count T / h_ref for the reference march (then every march's
+    count is finite), and InsufficientData when an endpoint D0 error is at
+    most GAP_FLOOR, where the fitted order would be a fit to roundoff."""
     g = state0.params.grid
     h_max = max(h_values)
+    h_ref = min(h_values) / 20
     if not (len(set(h_values)) > 1 and all(0 < h <= T for h in h_values)
+            and math.isfinite(T / h_ref)
             and all(abs(h_max / h - round(h_max / h)) <= 1e-9 * h_max / h for h in h_values)):
         raise ConfigError("h_values", "expected two or more distinct steps in (0, T], "
-                                      "each dividing the largest")
-    h_ref = min(h_values) / 20
+                                      "each dividing the largest, and finitely many "
+                                      "reference steps of min / 20 to T")
     per = round(h_max / h_ref)
     ref = dynamics.evolve(state0, T, h_ref, stride=per, snapshot_every=per)
     points = []

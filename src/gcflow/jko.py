@@ -5,9 +5,9 @@ One step solves the implicit relation
     N1 - N0 = h [ div(N0 grad Phi_{N1}) - Omega_{N0} Phi_{N1} ]
 
 for N1 = exp(Psi0 + h psi).  Written out for the increment psi, the
-equation becomes a fixed point
+equation becomes
 
-    psi = Hinv_h( A + h B(psi) - E2(h psi) / h ),    Hinv_h = (1 - h lap)^{-1}
+    (1 - h lap) psi = A + h B(psi) - E2(h psi) / h
 
 with E2(x) = e^x - 1 - x and
 
@@ -17,11 +17,23 @@ with E2(x) = e^x - 1 - x and
              - psi Omega0 - w_psi Omega0,
 
 where Omega0 = exp(-Psi0) Omega_{N0}, Phi0 = Psi0 - mu + w0 and
-h w_psi = W * ( exp(Psi0) (exp(h psi) - 1) ).  The solve starts at
-psi = Hinv_h(A) and accelerates the fixed-point map by Anderson mixing; a
-guard on growth of the fixed-point residual flags divergence (h too large).
-A equals exp(-Psi0) * rhs(N0), so uniform equilibrium gives A == 0 and the
-step is an exact fixed point there.
+h w_psi = W * ( exp(Psi0) (exp(h psi) - 1) ).  About a uniform density m
+the psi-linear part of the right side is -h C psi, with
+C = |k|^2 m W_hat + m^{-1/2} (1 + m W_hat), and 1 - h lap + h C is
+1 + h lambda_m, lambda_m the grand decay symbol (`dynamics._decay_symbol`).
+Adding h C psi to both sides gives the fixed point
+
+    psi = P_h( A + h B(psi) - E2(h psi) / h + h C psi ),
+    P_h = (1 + h lambda_m)^{-1},
+
+with the same solution: the reaction and the interaction, stiff at low k
+and more so in a larger box, are implicit to first order, where the
+Helmholtz inverse (1 - h lap)^{-1} left them explicit.  m is min N0, so
+that m^{-1/2} bounds the reaction stiffness N0^{-1/2} from above.  The
+solve starts at psi = P_h(A) and accelerates the fixed-point map by
+Anderson mixing; a guard on growth of the fixed-point residual flags
+divergence (h too large).  A equals exp(-Psi0) * rhs(N0), so uniform
+equilibrium gives A == 0 and the step is an exact fixed point there.
 """
 
 from __future__ import annotations
@@ -100,13 +112,15 @@ def _fixed_point_rhs(frozen: _Frozen, state: SimState, psi: np.ndarray,
 def jko_step(state: SimState, h: float, cfg: JkoConfig | None = None) -> tuple:
     """One implicit step of size h; returns (new state, JkoStepReport).
 
-    Solves psi = G(psi), G(psi) = Hinv_h(A + h B(psi) - E2(h psi) / h), by
-    Anderson mixing of depth _ANDERSON_DEPTH (Walker & Ni 2011, SIAM J.
-    Numer. Anal. 49:1715) on a real view of the half spectrum of psi: the
-    next iterate is G(x) minus the combination of recent map-output
-    differences whose residual differences best cancel the residual
-    G(x) - x in least squares.  The step converges when D0(G(x) - x) <=
-    inner_tol and takes G(x) as psi.  Raises InnerDivergence when an iterate
+    Solves psi = G(psi), G(psi) = P_h(A + h B(psi) - E2(h psi) / h + h C psi)
+    (module docstring; P_h and h C are arrays on the half spectrum, so the
+    map costs the transforms of `_fixed_point_rhs` and no more), by Anderson
+    mixing of depth _ANDERSON_DEPTH (Walker & Ni 2011, SIAM J. Numer. Anal.
+    49:1715) on a real view of the half spectrum of psi: the next iterate
+    is G(x) minus the combination of recent map-output differences whose
+    residual differences best cancel the residual G(x) - x in least
+    squares.  The step converges when D0(G(x) - x) <= inner_tol and takes
+    G(x) as psi.  Raises InnerDivergence when an iterate
     stops being finite, when the residual D0(G(x) - x) grows for five
     consecutive iterations (the step size is too large for the contraction),
     or after max_inner iterations, PositivityLoss when N1 underflows to 0,
@@ -117,17 +131,21 @@ def jko_step(state: SimState, h: float, cfg: JkoConfig | None = None) -> tuple:
     dynamics._check_step(h)
     cfg = cfg or JkoConfig()
     g = state.n.grid
-    helmholtz = 1.0 / (1.0 - h * g.lap)
+    # at min N0, not the mean: with the mean, steps from states far from
+    # uniform diverge (test_far_from_uniform_step_converges)
+    lam = dynamics._decay_symbol(state.params, float(state.n.values.min()))
+    precond = 1.0 / (1.0 + h * lam)
+    h_c = h * (lam + g.lap)
     frozen = _freeze(state)
-    x_hat = frozen.a_hat * helmholtz
+    x_hat = frozen.a_hat * precond
     outs, resids = [], []  # real views of the last map outputs G(x) and residuals G(x) - x
     prev_delta = np.inf
     growth_streak = 0
     # an overflowing iterate is caught by the isfinite check as InnerDivergence
     with np.errstate(over="ignore", invalid="ignore"):
         for iters in range(1, cfg.max_inner + 1):
-            psi_hat = helmholtz * _fixed_point_rhs(
-                frozen, state, spectral._real(x_hat, g), x_hat, h)
+            psi_hat = precond * (_fixed_point_rhs(
+                frozen, state, spectral._real(x_hat, g), x_hat, h) + h_c * x_hat)
             resid_hat = psi_hat - x_hat
             delta = float(spectral._dnorms(g, resid_hat, 0)[0])
             if not np.isfinite(delta):

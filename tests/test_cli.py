@@ -282,6 +282,25 @@ def test_explicit_step_above_cap_exit_2(tmp_path, capsys, integrator):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["evolve", "sweep", "jko-study"])
+def test_overflowing_step_count_exit_2(tmp_path, capsys, command):
+    # T / h beyond float range is no step count: the config alone decides it,
+    # so the command stops with one ConfigError line before any output opens
+    text = BASE.replace("h = 0.001", "h = 1e-300").replace("T = 0.05", "T = 1e300")
+    argv = [command, "--config", write_config(tmp_path, text)]
+    argv += {"evolve": [], "sweep": ["--axis", "L=1,2"],
+             "jko-study": ["--h-list", "2e-300,1e-300"]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    field = "h_values" if command == "jko-study" else "run.T"
+    assert err["error"] == "ConfigError" and err["message"].startswith(field + ":")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("h", [None, "1e-4"], ids=["default-h", "h-above-cap"])
 @pytest.mark.parametrize("integrator", ["rk4", "rk4_canonical"])
 def test_sweep_explicit_step_above_cap_exit_2(tmp_path, capsys, integrator, h):
@@ -537,15 +556,21 @@ def test_evolve_ndjson_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("old, new, error", [
-    # h = 100 overflows the inner iterate of the implicit step
-    ("integrator = imex\nh = 0.001\nT = 0.05", "integrator = jko\nh = 100.0\nT = 100.0",
-     "InnerDivergence"),
+    # h = 100 from a band of amp 5 (a corridor kappa = 1e-3 allows it)
+    # overflows the inner iterate of the implicit step
+    (("kappa = 0.4", "integrator = imex\nh = 0.001\nT = 0.05", "kind = uniform"),
+     ("kappa = 0.001", "integrator = jko\nh = 100.0\nT = 100.0",
+      "kind = random_band\nk_c = 3\namp = 5"), "InnerDivergence"),
     # the interaction term overflows an IMEX step
     ("amplitude = 1.0", "amplitude = 1e6", "PositivityLoss"),
 ], ids=["jko-h100", "imex-amplitude-1e6"])
 def test_jko_divergence_prints_one_line(tmp_path, old, new, error):
-    # a numerical failure puts its JSON error line, and nothing else, on stderr
-    text = BASE.replace(old, new).replace("stride = 10", "stride = 10\nseed = 0").replace(
+    # a numerical failure puts its JSON error line, and nothing else, on
+    # stderr; `old` and `new` may be tuples of replacements made in turn
+    text = BASE
+    for o, n in zip(old, new) if isinstance(old, tuple) else [(old, new)]:
+        text = text.replace(o, n)
+    text = text.replace("stride = 10", "stride = 10\nseed = 0").replace(
         "kind = uniform", "kind = random_band\nk_c = 3\namp = 0.3")
     src = os.path.dirname(os.path.dirname(gcflow.__file__))
     proc = subprocess.run(

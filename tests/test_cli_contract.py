@@ -7,7 +7,7 @@ import json
 import tempfile
 import warnings
 
-from hypothesis import HealthCheck, configuration, given, settings
+from hypothesis import HealthCheck, configuration, example, given, settings
 from hypothesis import strategies as st
 
 from gcflow import config
@@ -98,9 +98,33 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+# T / h beyond float range: no step count, which is a config error
+OVERFLOWING_STEPS = (["evolve"], """[grid]
+d = 1
+L = 1.0
+M = 16
+[model]
+m0 = 0.05
+kappa = 0.4
+[kernel]
+family = smoothed_indicator
+amplitude = 1.0
+radius = 0.1
+mollifier_width = 0.02
+[run]
+integrator = imex
+h = 1e-300
+T = 1e300
+out_dir = {out}
+[initial]
+kind = uniform
+""")
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(runs())
+@example(OVERFLOWING_STEPS)
 def test_cli_contract(run):
     argv, text = run
     with tempfile.TemporaryDirectory() as tmp:

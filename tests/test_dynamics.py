@@ -196,6 +196,35 @@ def test_steppers_reject_bad_step(params, stepper, h):
             stepper(st, h)
 
 
+def test_evolve_rejects_overflowing_step_count(params):
+    # T / h = 1e600 is no step count: a ValueError, not an OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            evolve(perturbed_state(params), 1e300, 1e-300)
+
+
+@pytest.mark.parametrize("canonical", [False, True], ids=["grand", "canonical"])
+@pytest.mark.parametrize("d, M", [(1, 64), (2, 16)])
+def test_decay_symbol_matches_linearized_rate(d, M, canonical):
+    # every half-spectrum mode of the symbol is linearized_rate at its
+    # wavenumber and the formula written out; the canonical zero mode is 0
+    grid = Grid.make(d, 2.0, M)
+    p = make_params(grid, make_smoothed_indicator(grid, 1.0, 0.1, 0.02), 0.4, m0=0.05)
+    symbol = dynamics._decay_symbol(p, p.m0, not canonical)
+    assert symbol.shape == grid.k2.shape
+    for idx in np.ndindex(symbol.shape):
+        n = [i - M if i > M // 2 else i for i in idx[:-1]] + [idx[-1]]
+        k = tuple(2 * np.pi * ni / grid.L for ni in n)
+        mult = 1 + p.m0 * p.kernel.symbol[idx].real
+        k2 = sum(ki * ki for ki in k)
+        formula = k2 * mult if canonical else (k2 + p.m0**-0.5) * mult
+        for ref in (linearized_rate(k if d == 2 else k[0], p, canonical), formula):
+            assert abs(symbol[idx] - ref) <= 1e-12 * abs(ref), idx
+    if canonical:
+        assert symbol.flat[0] == 0.0
+
+
 @pytest.mark.parametrize("T, h", [(0.01, float("nan")), (0.01, float("inf")), (0.01, 0.0),
                                   (float("nan"), 1e-3), (float("inf"), 1e-3), (0.0, 1e-3)])
 def test_evolve_rejects_bad_T_or_h(params, T, h):

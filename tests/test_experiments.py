@@ -175,9 +175,11 @@ def test_jko_study_matches_hand_stepping(params):
 
 
 @pytest.mark.parametrize("T, hs", [(0.002, (4e-3, 2e-3)), (0.01, (2e-3,)),
-                                   (0.01, (3e-3, 2e-3)), (0.01, (2e-3, -1e-3))])
+                                   (0.01, (3e-3, 2e-3)), (0.01, (2e-3, -1e-3)),
+                                   (1e300, (2e-300, 1e-300))])
 def test_jko_study_rejects_bad_steps(params, T, hs):
-    # a step beyond T used to end in an IndexError; one step fitted no order
+    # a step beyond T used to end in an IndexError; one step fitted no order;
+    # T / h beyond float range was an OverflowError
     st = problems.single_mode_state(params, 1, 1e-3)
     with pytest.raises(ConfigError, match="h_values"):
         jko_convergence_study(st, T, hs)
@@ -187,6 +189,12 @@ def test_mode_decay_window_ends_at_T(params):
     # T / h = 16.67 is not an integer: the last step is shortened to end at T
     fit = experiments.measure_mode_decay(params, 1, 1e-4, T=0.05, h=0.003, integrator="imex")
     assert fit.window[1] == 0.05
+
+
+def test_mode_decay_rejects_overflowing_step_count(params):
+    # T / h = 1e600 is no step count: a ValueError, not an OverflowError
+    with pytest.raises(ValueError, match="overflows"):
+        experiments.measure_mode_decay(params, 1, 1e-4, T=1e300, h=1e-300, integrator="imex")
 
 
 def test_volume_sweep_reproducible(params):

@@ -120,12 +120,52 @@ def test_max_inner_raises(params):
         jko_step(st, 1e-3, JkoConfig(inner_tol=1e-30, max_inner=2))
 
 
+def far_state(params, a):
+    """N0 = m0 exp(a cos 2 pi x): a density ratio e^{2a} across the box."""
+    x = params.grid.points()[0]
+    return jko.SimState.from_psi(0.0, np.log(params.m0) + a * np.cos(2 * np.pi * x), params)
+
+
 def test_large_step_is_inner_divergence(params):
-    # h = 100 overflows the inner iterate; that is a divergence, not a crash
-    st = problems.random_band_state(params, 3, 0.3, seed=0)
+    # h = 100 from a state far from uniform overflows the inner iterate; that
+    # is a divergence, not a crash
+    st = far_state(params, 5.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(InnerDivergence):
+        with pytest.raises(InnerDivergence, match="blew up"):
             jko_step(st, 100.0)
+
+
+def test_large_step_from_band_converges(params):
+    # the symbol preconditioner keeps the reaction implicit: from a band
+    # inside the corridor, even h = 100 converges to an accepted step
+    st = problems.random_band_state(params, 3, 0.3, seed=0)
+    st1, rep = jko_step(st, 100.0)
+    assert rep.residual <= JkoConfig().residual_tol
+    assert rep.inner_iters < 30
+
+
+@pytest.mark.parametrize("h", [0.01, 0.1, 1.0])
+def test_far_from_uniform_step_converges(params, h):
+    # N0 spans a factor e^4: the preconditioner's symbol at min N0 keeps the
+    # low-density regions implicit, and Anderson mixing the nonlinear part
+    st1, rep = jko_step(far_state(params, 2.0), h)
+    assert rep.residual <= JkoConfig().residual_tol
+    assert rep.inner_iters < 60
+
+
+def test_inner_iterations_independent_of_volume():
+    # criterion model, h = 1, T = 3, M = 64 L, bands of amp 1.0: every run
+    # converges, and the mean inner iterations a step stay under one bound at
+    # every L (preconditioned by (1 - h lap)^{-1} alone, the map takes 12, 26
+    # and 86 at L = 1, 4, 16, and 3 of the 18 runs diverge)
+    for L in (1, 4, 16):
+        grid = Grid.make(1, float(L), 64 * L)
+        p = make_params(grid, make_smoothed_indicator(grid, 1.0, 0.1, 0.02), 0.4, m0=0.05)
+        iters = []
+        for seed in range(6):
+            traj = evolve(problems.random_band_state(p, 3, 1.0, seed=seed), 3.0, 1.0, "jko")
+            iters += [r.inner_iters for r in traj.records]
+        assert np.mean(iters) < 12, L
 
 
 @pytest.mark.parametrize("h", [0.5, 1.0])
@@ -152,6 +192,21 @@ def test_residual_reuses_cached_convolutions(params, monkeypatch):
     cached = residual_implicit(st, st1, 1e-3)
     assert len(calls) == 4
     assert abs(cached - recomputed) <= 1e-14 * recomputed
+
+
+@pytest.mark.parametrize("h", [1e-3, 1.0])
+def test_step_transforms_per_inner_iteration(params, monkeypatch, h):
+    # a step costs 10 transforms (d = 1: 3 frozen terms, psi back, N1's
+    # state 2, the residual 4) and 4 an inner iteration; the preconditioner
+    # is an array on the half spectrum and adds none
+    st = problems.random_band_state(params, 3, 0.3, seed=49)
+    calls = []
+    for name in ("_hat", "_real"):
+        transform = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name,
+                            lambda *a, _t=transform: calls.append(1) or _t(*a))
+    _, rep = jko_step(st, h)
+    assert len(calls) == 10 + 4 * rep.inner_iters
 
 
 def test_step_forms_omega_once(params, monkeypatch):
