@@ -19,9 +19,13 @@ transforms), `from_spectrum` or `_mix` (a distance-path node, no transform),
 and each raises PositivityLoss, naming t, on an N that is not positive
 everywhere (also one that underflows to 0): every state is positive by
 construction.  A step starts in Fourier space and keeps the density a bare
-array inside: `_invert` gets N (checked positive), W*N and grad W*N from
-N_hat in one batched inverse, and `_explicit` sends the flux N grad W*N,
-with the reaction for the grand flow, forward in one batched transform.
+array inside.  `_invert` gets N (checked positive), grad W*N and W*N from
+N_hat times the rows [1, i k W_hat, W_hat] of the model's cached
+`inverse_multiplier` in one inverse transform; `_state` and the
+mass-conserving flow take a run of those rows, so every builder and stage
+forms W*N and grad W*N alike, bit for bit.  `_explicit` writes the flux
+N grad W*N, with the reaction for the grand flow, into one array and sends
+it forward in one transform.
 IMEX takes one of each (`from_spectrum` is `_invert`): 2 transforms a step.
 Both RK4 steppers march N_hat, one of each a stage: 8 a step.  The
 mass-conserving rate is 0 on the zero mode, so the mass is kept exactly (bit
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -69,8 +73,12 @@ class SimState:
     @staticmethod
     def from_psi(t: float, psi: np.ndarray, params: ModelParams) -> "SimState":
         """The state of log-density psi (an array); an N = exp(psi) that
-        underflows to 0 raises PositivityLoss."""
-        return _state(t, psi, RealField(params.grid, _positive(np.exp(psi), t)), params)
+        underflows to 0 or overflows raises PositivityLoss."""
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            n = _positive(np.exp(psi), t)
+        if not n.max() < math.inf:
+            raise PositivityLoss(f"density overflowed at t = {t:.6g}")
+        return _state(t, psi, RealField(params.grid, n), params)
 
     @staticmethod
     def from_spectrum(t: float, n_hat: np.ndarray, params: ModelParams) -> "SimState":
@@ -93,13 +101,11 @@ class SimState:
 
 def _state(t: float, psi: np.ndarray, n: RealField, params: ModelParams) -> SimState:
     """The state of the positive density n with log n = psi: N_hat forward,
-    then W*N and grad W*N back in one batched inverse, with the product
-    order of `_invert`."""
-    g = params.grid
-    symbol = params.kernel.symbol
-    n_hat = spectral._hat(n.values, g)
-    back = spectral._real(np.concatenate(((n_hat * symbol)[None], g.ik * (symbol * n_hat))), g)
-    return SimState(t, psi, n, back[0], back[1:], n_hat, params)
+    then grad W*N and W*N back in one inverse of the last rows of
+    `ModelParams.inverse_multiplier` times N_hat, the rows `_invert` uses."""
+    n_hat = spectral._hat(n.values, params.grid)
+    back = spectral._real(params.inverse_multiplier[1:] * n_hat, params.grid)
+    return SimState(t, psi, n, back[-1], back[:-1], n_hat, params)
 
 
 def _mix(s0: SimState, s1: SimState, s: float) -> SimState:
@@ -158,32 +164,32 @@ class Trajectory:
 
 
 def _invert(p: ModelParams, nh: np.ndarray, t: float, grand: bool) -> tuple:
-    """(N, W*N, grad W*N) from the half spectrum nh in one batched inverse
-    transform, N checked positive at time t; W*N only when grand, else None.
-    Complex products do not commute bit for bit, so each row keeps the order
-    its formula has everywhere else (`_state`, `jko._freeze`)."""
-    g = p.grid
-    symbol = p.kernel.symbol
-    rows = (nh[None], (nh * symbol)[None]) if grand else (nh[None],)
-    fields = spectral._real(np.concatenate(rows + (g.ik * (symbol * nh),)), g)
+    """(N, W*N, grad W*N) from the half spectrum nh: the rows of
+    `ModelParams.inverse_multiplier` times nh, in one inverse transform, N
+    checked positive at time t.  Not grand, the W*N row is left out and W*N
+    is None."""
+    mult = p.inverse_multiplier
+    fields = spectral._real((mult if grand else mult[:1 + p.grid.d]) * nh, p.grid)
     n = _positive(fields[0], t)
-    return (n, fields[1], fields[2:]) if grand else (n, None, fields[1:])
+    return (n, fields[-1], fields[1:-1]) if grand else (n, None, fields[1:])
 
 
 def _explicit(p: ModelParams, n: np.ndarray, wn: np.ndarray | None, grad_wn: np.ndarray,
               grand: bool) -> np.ndarray:
     """Half spectrum of div(N grad w_N), plus, when grand, the reaction
-    -N exp(-(mu - w_N)/2) + exp((mu - w_N)/2), sent forward with the flux in
-    one batched transform.  Not grand, it is exactly 0 on the zero mode, so
-    it never moves the mass."""
+    exp((mu - w_N)/2) - N exp(-(mu - w_N)/2): both are written into one
+    array and sent forward in one transform, whose flux rows take i k in
+    place before the rows are summed.  Not grand, it is exactly 0 on the
+    zero mode, so it never moves the mass."""
     g = p.grid
-    flux = n * grad_wn
-    if not grand:
-        return np.sum(g.ik * spectral._hat(flux, g), axis=0)
-    half = 0.5 * (p.mu - wn)
-    reaction = -n * np.exp(-half) + np.exp(half)
-    hats = spectral._hat(np.concatenate((flux, reaction[None])), g)
-    return np.sum(g.ik * hats[:-1], axis=0) + hats[-1]
+    fields = np.empty((g.d + 1 if grand else g.d,) + g.shape)
+    np.multiply(n, grad_wn, out=fields[:g.d])
+    if grand:  # two exponentials: one, e - n/e, divides by 0 when e underflows
+        half = 0.5 * (p.mu - wn)
+        np.subtract(np.exp(half), n * np.exp(-half), out=fields[g.d])
+    hats = spectral._hat(fields, g)
+    hats[:g.d] *= g.ik
+    return hats.sum(axis=0)
 
 
 def rhs_grand(state: SimState) -> RealField:
@@ -321,15 +327,21 @@ def diagnostics(step: int, state: SimState, canonical: bool = False,
     )
 
 
+_MAX_STEPS = 10**9  # far above any march that can finish: 11 h at 40 us a step
+
+
 def _step_count(T: float, h: float) -> tuple:
     """(n, exact): n steps of h (h > 0) march to T, all of h when T/h is
     an integer n to 1e-9 relative (exact), else with the last one shortened
     to end at T; T/h may underflow to 0, which takes one step.  ValueError
-    unless 0 < T < inf and T/h is finite (T = 1e300, h = 1e-300 is not)."""
+    unless 0 < T < inf and T/h is finite (T = 1e300, h = 1e-300 is not) and
+    at most _MAX_STEPS (T = 1e300, h = 1e-3 is not)."""
     if not 0.0 < T < math.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
     if not math.isfinite(ratio := T / h):
         raise ValueError(f"T / h = {T:g} / {h:g} overflows: too many steps")
+    if ratio > _MAX_STEPS:
+        raise ValueError(f"T / h = {T:g} / {h:g} is more than {_MAX_STEPS:g} steps")
     n_steps = max(1, round(ratio))
     if abs(ratio - n_steps) <= 1e-9 * ratio:
         return n_steps, True
@@ -372,8 +384,10 @@ def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
             last = step == n_steps
-            state, report = advance(state, h_last if last else h)
-            state = replace(state, t=t0 + (T if last and not exact else step * h))
+            s, report = advance(state, h_last if last else h)
+            # built directly: dataclasses.replace costs a tenth of a d = 1 step
+            state = SimState(t0 + (T if last and not exact else step * h),
+                             s.psi, s.n, s.wn, s.grad_wn, s.n_hat, s.params)
             if report is not None:
                 traj.psi_d0_bound = max(traj.psi_d0_bound or 0.0, report.d0_psi)
             if step % stride == 0 or last:

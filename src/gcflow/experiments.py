@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,18 +282,21 @@ def jko_convergence_study(
     D0/D1 norms of the density difference, taken on the states' N_hat, at
     the common comparison times j * max(h); ConfigError unless the steps are
     two or more distinct values in (0, T], each dividing the largest, with a
-    finite step count T / h_ref for the reference march (then every march's
-    count is finite), and InsufficientData when an endpoint D0 error is at
-    most GAP_FLOOR, where the fitted order would be a fit to roundoff."""
+    step count T / h_ref for the reference march that `dynamics._step_count`
+    accepts (then every march's count is accepted), and InsufficientData
+    when an endpoint D0 error is at most GAP_FLOOR, where the fitted order
+    would be a fit to roundoff."""
     g = state0.params.grid
     h_max = max(h_values)
     h_ref = min(h_values) / 20
     if not (len(set(h_values)) > 1 and all(0 < h <= T for h in h_values)
-            and math.isfinite(T / h_ref)
             and all(abs(h_max / h - round(h_max / h)) <= 1e-9 * h_max / h for h in h_values)):
         raise ConfigError("h_values", "expected two or more distinct steps in (0, T], "
-                                      "each dividing the largest, and finitely many "
-                                      "reference steps of min / 20 to T")
+                                      "each dividing the largest")
+    try:  # the reference march has the most steps
+        dynamics._step_count(T, h_ref)
+    except ValueError as exc:
+        raise ConfigError("h_values", f"reference steps of min / 20: {exc}") from None
     per = round(h_max / h_ref)
     ref = dynamics.evolve(state0, T, h_ref, stride=per, snapshot_every=per)
     points = []

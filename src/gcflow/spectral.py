@@ -132,7 +132,7 @@ class RealField:
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.grid.shape:
             raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
+        if not (-math.inf < v.min() and v.max() < math.inf):  # NaN fails both
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", v)
 

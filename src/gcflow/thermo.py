@@ -3,7 +3,9 @@
 The problem instance is (grid, kernel, chemical potential mu, corridor
 parameter kappa).  The uniform equilibrium density m0 solves the fixed-point
 relation m0 = exp(mu - w*m0) with w the kernel integral; either mu or a
-target m0 may be prescribed (the other is derived).
+target m0 may be prescribed (the other is derived).  A ModelParams also
+keeps the stacked Fourier multiplier that the stages of `dynamics` read,
+formed on first use.
 
 The grand free energy is
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +58,19 @@ class ModelParams:
         resid = abs(self.m0 - math.exp(self.mu - self.kernel.w * self.m0))
         if resid > 1e-12 * self.m0:
             raise ValueError(f"(mu, m0) inconsistent: fixed-point residual {resid:.3e}")
+
+    @cached_property
+    def inverse_multiplier(self) -> np.ndarray:
+        """[1, i k W_hat (one row per axis), W_hat] on the half spectrum,
+        stacked: times N_hat, the half spectra of N, grad W*N and W*N, which
+        the stages of `dynamics` send back in one transform.  A contiguous
+        run of rows is a view, so a stage takes the rows it needs without a
+        copy.  Formed on first use and kept in this instance's own __dict__;
+        it refers to nothing that refers back, so reference counting frees
+        it with the instance."""
+        w_hat = self.kernel.symbol
+        return np.concatenate((np.ones((1,) + w_hat.shape, complex),
+                               self.grid.ik * w_hat, w_hat[None]))
 
 
 def make_params(grid: Grid, kernel: Kernel, kappa: float, mu: float | None = None,

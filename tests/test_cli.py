@@ -301,6 +301,25 @@ def test_overflowing_step_count_exit_2(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["evolve", "sweep", "jko-study"])
+def test_huge_step_count_exit_2(tmp_path, capsys, command):
+    # T / h = 1e303 (1e300 / 1e-3, or the jko-study reference step) is finite
+    # but would march for ever: a ConfigError line before any output opens
+    text = BASE.replace("T = 0.05", "T = 1e300")
+    argv = [command, "--config", write_config(tmp_path, text)]
+    argv += ["--axis", "L=1,2"] if command == "sweep" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    field = "h_values" if command == "jko-study" else "run.T"
+    assert err["error"] == "ConfigError" and err["message"].startswith(field + ":")
+    assert "more than 1e+09 steps" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("h", [None, "1e-4"], ids=["default-h", "h-above-cap"])
 @pytest.mark.parametrize("integrator", ["rk4", "rk4_canonical"])
 def test_sweep_explicit_step_above_cap_exit_2(tmp_path, capsys, integrator, h):
@@ -606,6 +625,23 @@ def test_underflowing_band_exit_2(tmp_path, capsys, command):
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert err["error"] == "ConfigError" and err["message"].startswith("initial.amp:")
+
+
+@pytest.mark.parametrize("command", ["evolve", "sweep", "jko-study"])
+def test_overflowing_band_exit_2(tmp_path, capsys, command):
+    # m0 = 1e300 with a band of amplitude 100 (capped at 0.9 log(1/kappa),
+    # about 20.7) overflows N = exp(Psi0) to inf before any step: a
+    # ConfigError line, with no overflow warning and no traceback
+    text = (BASE.replace("kappa = 0.4\nm0 = 0.05", "kappa = 1e-10\nm0 = 1e300")
+            .replace("amplitude = 1.0", "amplitude = 1e-300")
+            .replace("kind = uniform", "kind = random_band\nk_c = 3\namp = 100"))
+    argv = [command, "--config", write_config(tmp_path, text)]
+    assert main(argv + (["--axis", "L=1,2"] if command == "sweep" else [])) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigError" and err["message"].startswith("initial.amp:")
+    assert "overflowed" in err["message"]
 
 
 def test_sweep_runs_jko(tmp_path, capsys):

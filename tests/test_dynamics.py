@@ -1,9 +1,11 @@
 """Direct time-stepping: right-hand sides, integrators, diagnostics."""
 
 import dataclasses
+import gc
 import inspect
 import json
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -202,6 +204,13 @@ def test_evolve_rejects_overflowing_step_count(params):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflows"):
             evolve(perturbed_state(params), 1e300, 1e-300)
+
+
+def test_evolve_rejects_huge_step_count(params):
+    # T / h = 1e303 is finite but would march for ever: a ValueError at once
+    with pytest.raises(ValueError, match="more than 1e\\+09 steps"):
+        evolve(perturbed_state(params), 1e300, 1e-3)
+    assert dynamics._step_count(1e6, 1e-3) == (10**9, True)  # the cap itself passes
 
 
 @pytest.mark.parametrize("canonical", [False, True], ids=["grand", "canonical"])
@@ -601,14 +610,50 @@ def test_state_caches_follow_density(d, M, built_from):
     assert np.max(np.abs(st.wn - wn)) <= 1e-14 * np.max(np.abs(wn))
     fresh = spectral._hat(st.n.values, p.grid)
     assert np.max(np.abs(st.n_hat - fresh)) <= 1e-12 * np.max(np.abs(fresh))
-    # grad W*N comes from the state's own N_hat, bit for bit as a lone inverse
+    # grad W*N comes from the state's own N_hat times the stacked multiplier's
+    # i k W_hat rows, bit for bit as a lone inverse
     assert np.array_equal(st.grad_wn,
-                          spectral._real(p.grid.ik * (p.kernel.symbol * st.n_hat), p.grid))
+                          spectral._real(p.inverse_multiplier[1:1 + d] * st.n_hat, p.grid))
     # re-timing keeps every field but t as the same object
     moved = dataclasses.replace(st, t=0.25)
     assert moved.t == 0.25
     for f in dataclasses.fields(st):
         assert f.name == "t" or getattr(moved, f.name) is getattr(st, f.name), f.name
+
+
+@pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
+def test_builders_and_stage_share_one_multiplier(d, M):
+    # every state builder and an RK4 stage take W*N and grad W*N from the
+    # same rows of the one stacked multiplier: bit for bit from one N_hat
+    p = model(d, M)
+    base = problems.random_band_state(p, 3, 0.3, seed=45)
+    n_hat = spectral._hat(base.n.values, p.grid)
+    built = [SimState.from_density(0.0, base.n, p), SimState.from_psi(0.0, base.psi, p),
+             SimState.from_spectrum(0.0, n_hat, p)]
+    n, wn, grad_wn = dynamics._invert(p, n_hat, 0.0, True)
+    for st in built:
+        assert np.array_equal(st.n_hat, n_hat)
+        assert np.array_equal(st.wn, wn) and np.array_equal(st.grad_wn, grad_wn)
+    # the mass-conserving stage reads the same N and grad W*N rows
+    n_c, wn_c, grad_c = dynamics._invert(p, n_hat, 0.0, False)
+    assert wn_c is None and np.array_equal(n_c, n) and np.array_equal(grad_c, grad_wn)
+
+
+def test_stepped_params_freed_by_reference_counting():
+    # the stage multiplier cached on a ModelParams forms no reference cycle:
+    # with the cycle collector off, the model dies with its last reference
+    p = model(1, 32)
+    st = problems.random_band_state(p, 3, 0.3, seed=46)
+    for name in ("imex", "rk4", "rk4_canonical"):
+        st = dynamics._STEPPERS[name](st, 1e-5)
+    assert "inverse_multiplier" in vars(p)
+    ref = weakref.ref(p)
+    gc.disable()
+    try:
+        del p, st
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("family", ["smoothed_indicator", "positive_type"])
