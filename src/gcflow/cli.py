@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -178,7 +179,9 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache  # built once a process: a build costs about 30 parses
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser; `main` runs the `cmd_*` function its subcommand names."""
     p = argparse.ArgumentParser(prog="gcflow")
     p.add_argument("--version", action="version",
                    version=f"gcflow {__version__} "
@@ -189,45 +192,38 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True)
     sp.add_argument("--stdout", action="store_true",
                     help="write NDJSON diagnostics to stdout instead of out_dir")
-    sp.set_defaults(fn=cmd_evolve)
 
     sp = sub.add_parser("jko-study", help="h-refinement study of the variational integrator")
     sp.add_argument("--config", required=True)
     sp.add_argument("--h-list", default="4e-3,2e-3,1e-3")
-    sp.set_defaults(fn=cmd_jko_study)
 
     sp = sub.add_parser("sweep", help="volume sweep experiment")
     sp.add_argument("--config", required=True)
     sp.add_argument("--axis", default="L=1,2,4")
-    sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("distance", help="metric between two stored fields")
     sp.add_argument("field_a")
     sp.add_argument("field_b")
     sp.add_argument("--config", required=True)
     sp.add_argument("--segments", type=int, default=16)
-    sp.set_defaults(fn=cmd_distance)
 
     sp = sub.add_parser("kernel-info", help="print kernel statistics as JSON")
     sp.add_argument("--config", required=True)
-    sp.set_defaults(fn=cmd_kernel_info)
 
-    sp = sub.add_parser("check", help="run the self-test battery")
-    sp.set_defaults(fn=cmd_check)
+    sub.add_parser("check", help="run the self-test battery")
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0) and 2
     if getattr(args, "command", None) is None:
         return _fail("UsageError", "no subcommand given", 2)
-    try:
-        return args.fn(args)
+    try:  # looked up per call, so a patched cmd_* is seen
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ConfigError as exc:
         return _fail("ConfigError", str(exc), 2)
     except GcflowError as exc:

@@ -244,33 +244,52 @@ def build_params(cfg: RunConfig) -> ModelParams:
     try:
         return thermo.make_params(grid, kern, cfg.kappa, mu=cfg.mu, m0=cfg.m0)
     except (ValueError, ArithmeticError, NoConvergence) as exc:  # no uniform state fits
-        raise ConfigError("model.mu" if cfg.mu is not None else "model.m0",
-                          str(exc)) from None
+        raise ConfigError(_model_key(cfg), str(exc)) from None
+
+
+def _model_key(cfg: RunConfig) -> str:
+    """The key that sets the model's uniform state: mu or m0, as the config chose."""
+    return "model.mu" if cfg.mu is not None else "model.m0"
+
+
+def _initial_key(cfg: RunConfig, params: ModelParams, key: str) -> str:
+    """The key to report when the initial state fails to build (PositivityLoss):
+    `key`, the initial-state value at fault, unless the uniform density m0
+    alone sums past float range over the grid; then the model's key."""
+    g = params.grid
+    return key if params.m0 * g.M ** g.d < math.inf else _model_key(cfg)
 
 
 def build_initial_state(cfg: RunConfig, params: ModelParams) -> SimState:
+    """The initial state of `cfg`, or ConfigError: on `initial.mode` outside
+    0..M/2, on `initial.eps` when eps drives the single-mode density
+    nonpositive or its sum past float range, and on the model's m0 (or mu)
+    when the uniform density m0 does (`_initial_key`)."""
     ic = cfg.initial
-    if ic.kind == "uniform":
-        return problems.uniform_state(params)
-    if ic.kind == "single_mode":
-        nyquist = params.grid.M // 2
-        if not 0 <= ic.mode <= nyquist:  # a higher mode would alias to a lower one
-            raise ConfigError("initial.mode", f"must lie in 0..M/2 = {nyquist}, got {ic.mode}")
-        try:
-            return problems.single_mode_state(params, ic.mode, ic.eps)
-        except PositivityLoss as exc:  # eps drives the density nonpositive before any step
-            raise ConfigError("initial.eps", str(exc)) from None
-    return build_band_state(cfg, params)
+    if ic.kind == "random_band":
+        return build_band_state(cfg, params)
+    nyquist = params.grid.M // 2
+    if ic.kind == "single_mode" and not 0 <= ic.mode <= nyquist:
+        # a higher mode would alias to a lower one
+        raise ConfigError("initial.mode", f"must lie in 0..M/2 = {nyquist}, got {ic.mode}")
+    try:
+        if ic.kind == "uniform":
+            return problems.uniform_state(params)
+        return problems.single_mode_state(params, ic.mode, ic.eps)
+    except PositivityLoss as exc:
+        key = "initial.eps" if ic.kind == "single_mode" else _model_key(cfg)
+        raise ConfigError(_initial_key(cfg, params, key), str(exc)) from None
 
 
 def build_band_state(cfg: RunConfig, params: ModelParams) -> SimState:
     """The random-band state of `cfg` on the grid of `params`; the band edge
     k_c must lie in 0..M/2, the grid's Nyquist mode, and the density must not
-    underflow to 0, or ConfigError."""
+    underflow to 0 or overflow, or ConfigError (on `initial.amp`, or the
+    model's key when m0 is at fault, `_initial_key`)."""
     k_c, nyquist = cfg.initial.k_c, params.grid.M // 2
     if not 0 <= k_c <= nyquist:
         raise ConfigError("initial.k_c", f"must lie in 0..M/2 = {nyquist}, got {k_c}")
     try:
         return problems.random_band_state(params, k_c, cfg.initial.amp, cfg.seed)
     except PositivityLoss as exc:  # amp drives the density to 0 before any step
-        raise ConfigError("initial.amp", str(exc)) from None
+        raise ConfigError(_initial_key(cfg, params, "initial.amp"), str(exc)) from None

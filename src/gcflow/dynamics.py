@@ -30,13 +30,17 @@ IMEX takes one of each (`from_spectrum` is `_invert`): 2 transforms a step.
 Both RK4 steppers march N_hat, one of each a stage: 8 a step.  The
 mass-conserving rate is 0 on the zero mode, so the mass is kept exactly (bit
 for bit in N_hat).  A step validates one field, the N of the state it ends
-in.  A record transforms Psi forward and grad Phi_N back: 2 transforms, and
-no Omega_N.  Every step, `jko.jko_step`'s too, checks its h by one rule,
-`_check_step`.
+in.  A full record (`diagnostics`, the NDJSON one) transforms Psi forward
+and grad Phi_N back: 2 transforms, and no Omega_N.  A gap record
+(`gap_record`) holds only the free-energy gap, the one field a rate fit
+reads: one free-energy pass and no transform.  Both take the gap from
+`_gap`, so they agree bit for bit.  Every step, `jko.jko_step`'s too,
+checks its h by one rule, `_check_step`.
 
 `evolve` is the one march loop, for these steppers and for the implicit
-step of `gcflow.jko`.  A step's failure is an ordinary exception, raised by
-the step that detects it.
+step of `gcflow.jko`; its caller picks the record it reads (`record`, full
+by default).  A step's failure is an ordinary exception, raised by the step
+that detects it.
 """
 
 from __future__ import annotations
@@ -102,8 +106,14 @@ class SimState:
 def _state(t: float, psi: np.ndarray, n: RealField, params: ModelParams) -> SimState:
     """The state of the positive density n with log n = psi: N_hat forward,
     then grad W*N and W*N back in one inverse of the last rows of
-    `ModelParams.inverse_multiplier` times N_hat, the rows `_invert` uses."""
-    n_hat = spectral._hat(n.values, params.grid)
+    `ModelParams.inverse_multiplier` times N_hat, the rows `_invert` uses.
+    PositivityLoss when the sum of n overflows: N > 0 gives |N_hat_k| <=
+    N_hat_0, so a finite zero mode keeps every mode finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        n_hat = spectral._hat(n.values, params.grid)
+    if not n_hat.flat[0].real < math.inf:  # also rejects NaN
+        raise PositivityLoss(f"density overflowed: its sum over the grid is not finite "
+                             f"at t = {t:.6g}")
     back = spectral._real(params.inverse_multiplier[1:] * n_hat, params.grid)
     return SimState(t, psi, n, back[-1], back[:-1], n_hat, params)
 
@@ -154,6 +164,16 @@ class DiagnosticsRecord:
 
     def to_json(self) -> str:
         return json.dumps(vars(self))
+
+
+@dataclass
+class GapRecord:
+    """The record of a march that reads only the free-energy gap
+    (`gap_record`)."""
+
+    step: int
+    t: float
+    gap: float
 
 
 @dataclass
@@ -284,29 +304,49 @@ def _uniform_energy(p: ModelParams, c: float, mu: float) -> float:
     return p.grid.volume * (c * math.log(c) - (1.0 + mu) * c + 0.5 * p.kernel.w * c * c)
 
 
+def _mass(state: SimState) -> float:
+    return float(state.n.values.sum()) * state.params.grid.cell_volume
+
+
+def _gap(state: SimState, canonical: bool, mass: float | None) -> tuple:
+    """(G_mu, gap) of the state in one free-energy pass, the gap measured
+    against the uniform state: m0 for the non-conservative flow; otherwise
+    the mean density of N_hat's zero mode, which the mass-conserving flow
+    carries bit for bit, with the canonical energy G_mu + mu mass (`mass`,
+    the state's, is read only then).  No transform."""
+    p = state.params
+    g = p.grid
+    g_mu = thermo._free_energy(state.n.values, state.psi, state.wn, p.mu, g.cell_volume)
+    if not canonical:
+        return g_mu, g_mu - _uniform_energy(p, p.m0, p.mu)
+    nbar = float(state.n_hat.flat[0].real) * g.cell_volume / g.volume
+    return g_mu, g_mu + p.mu * mass - _uniform_energy(p, nbar, 0.0)
+
+
+def gap_record(step: int, state: SimState, canonical: bool = False,
+               inner_iters: int | None = None, residual: float | None = None) -> GapRecord:
+    """The free-energy gap of the state, the one field a rate fit reads: one
+    free-energy pass, plus the mass sum when canonical, and no transform.
+    Its gap is `diagnostics`'s, bit for bit (both take it from `_gap`).
+    `inner_iters` and `residual` are accepted, as `evolve` passes them to
+    any record, and dropped."""
+    return GapRecord(step, state.t, _gap(state, canonical, _mass(state) if canonical else None)[1])
+
+
 def diagnostics(step: int, state: SimState, canonical: bool = False,
                 inner_iters: int | None = None,
                 residual: float | None = None) -> DiagnosticsRecord:
     """Per-step observables, in one pass over the state's cached fields with
-    the formulas of `thermo`: one forward transform of Psi and one inverse
-    for grad Phi_N, from Phi_hat = Psi_hat + W_hat N_hat (the constant -mu
-    has no gradient).  The dissipation needs no Omega_N (`thermo._dissipation`).
-    The state's N is positive by construction, so nothing is checked here.
-    gap is measured against the uniform state: m0 for the non-conservative
-    flow; otherwise the mean density of N_hat's zero mode, which the
-    mass-conserving flow carries bit for bit, with the canonical energy
-    G_mu + mu mass."""
+    the formulas of `thermo`: the gap of `_gap`, one forward transform of
+    Psi and one inverse for grad Phi_N, from Phi_hat = Psi_hat + W_hat N_hat
+    (the constant -mu has no gradient).  The dissipation needs no Omega_N
+    (`thermo._dissipation`).  The state's N is positive by construction, so
+    nothing is checked here."""
     p = state.params
     g = p.grid
-    n, psi, wn = state.n.values, state.psi, state.wn
-    cv = g.cell_volume
-    mass = float(n.sum()) * cv
-    g_mu = thermo._free_energy(n, psi, wn, p.mu, cv)
-    if canonical:
-        nbar = float(state.n_hat.flat[0].real) * cv / g.volume
-        gap = g_mu + p.mu * mass - _uniform_energy(p, nbar, 0.0)
-    else:
-        gap = g_mu - _uniform_energy(p, p.m0, p.mu)
+    n, psi = state.n.values, state.psi
+    mass = _mass(state)
+    g_mu, gap = _gap(state, canonical, mass)
     psi_hat = spectral._hat(psi, g)
     grad_phi = spectral._real(g.ik * (psi_hat + state.n_hat * p.kernel.symbol), g)
     d0, d1, d2 = spectral._dnorms(g, psi_hat, 2).tolist()
@@ -321,7 +361,7 @@ def diagnostics(step: int, state: SimState, canonical: bool = False,
         d2=d2,
         n_min=float(n.min()),
         n_max=float(n.max()),
-        dissipation=thermo._dissipation(n, state.phi, grad_phi, cv),
+        dissipation=thermo._dissipation(n, state.phi, grad_phi, g.cell_volume),
         inner_iters=inner_iters,
         residual=residual,
     )
@@ -350,8 +390,8 @@ def _step_count(T: float, h: float) -> tuple:
 
 def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
            stride: int = 1, emit=None, snapshot_every: int | None = None,
-           jko=None) -> Trajectory:
-    """March to time T making a DiagnosticsRecord every `stride` steps.
+           jko=None, record=None) -> Trajectory:
+    """March to time T making a record every `stride` steps and at the end.
 
     `integrator` is a key of _STEPPERS or "jko" (`jko.jko_step` with the
     JkoConfig `jko`).  When T/h is an integer to 1e-9 relative, that many
@@ -362,6 +402,10 @@ def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
     record as it is made, so the records made before a failure are kept by
     the caller.  A JKO step's report gives its `d0_psi` to `psi_d0_bound`
     and its `inner_iters`/`residual` to the records; a direct step has none.
+    `record` makes each record from (step, state, canonical, inner_iters,
+    residual); None is `diagnostics`, the full NDJSON record (2 transforms),
+    read when `evolve` runs, so a patched `dynamics.diagnostics` is seen.
+    A caller that reads only the gap passes `gap_record` (no transform).
     ValueError unless h passes `_check_step` and T `_step_count`."""
     _check_step(h)
     n_steps, exact = _step_count(T, h)
@@ -375,6 +419,8 @@ def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
 
         def advance(s, hk):
             return stepper(s, hk), None
+    if record is None:
+        record = diagnostics
     canonical = integrator.endswith("canonical")
     h_last = h if exact else T - (n_steps - 1) * h
     t0 = state.t
@@ -391,9 +437,9 @@ def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
             if report is not None:
                 traj.psi_d0_bound = max(traj.psi_d0_bound or 0.0, report.d0_psi)
             if step % stride == 0 or last:
-                rec = diagnostics(step, state, canonical=canonical,
-                                  inner_iters=report.inner_iters if report else None,
-                                  residual=report.residual if report else None)
+                rec = record(step, state, canonical,
+                             report.inner_iters if report else None,
+                             report.residual if report else None)
                 traj.records.append(rec)
                 if emit:
                     emit(rec)

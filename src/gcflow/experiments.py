@@ -93,7 +93,7 @@ def measure_mode_decay(
     idx = _half_index(g, (mode,) + (0,) * (g.d - 1))
     n = dynamics._step_count(T, h)[0]  # stride n: the fit reads snapshots, not records
     traj = dynamics.evolve(state, T, h, integrator=integrator, stride=n,
-                           snapshot_every=max(1, n // 400))
+                           snapshot_every=max(1, n // 400), record=dynamics.gap_record)
     ts, amps = [], []
     for s in [state] + traj.snapshots:
         if mode == 0:
@@ -148,8 +148,10 @@ def _sweep_report(points: list[SweepPoint]) -> SweepReport:
 
 def _run_point(label: str, state: SimState, T: float, h: float, integrator: str,
                stride: int, jko: JkoConfig | None = None) -> SweepPoint:
-    """Evolve to T and fit the gap decay rate."""
-    traj = dynamics.evolve(state, T, h, integrator, stride=stride, jko=jko)
+    """Evolve to T and fit the gap decay rate, from gap records: the fit
+    reads no other field."""
+    traj = dynamics.evolve(state, T, h, integrator, stride=stride, jko=jko,
+                           record=dynamics.gap_record)
     p = state.params
     return SweepPoint(label, p.grid.L, p.grid.M, fit_decay_rate(traj), thermo.rate_constants(p))
 
@@ -217,6 +219,9 @@ class CorridorReport:
 
 
 def corridor_check(traj: Trajectory, params: ModelParams) -> CorridorReport:
+    """Whether the records' min and max of N stayed inside the corridor
+    kappa m0 < N < m0 / kappa; reads `n_min`/`n_max`, so `traj` needs full
+    records (`evolve`'s default `diagnostics`), not gap records."""
     lo, hi = params.kappa * params.m0, params.m0 / params.kappa
     worst_min = min(r.n_min for r in traj.records)
     worst_max = max(r.n_max for r in traj.records)
@@ -240,7 +245,9 @@ class RateGuaranteeReport:
 
 def rate_guarantee_check(traj: Trajectory, params: ModelParams) -> RateGuaranteeReport:
     """Check the certified relaxation rate lambda_dagger = sigma g^-2 against a
-    trajectory.  Not applicable when sigma <= 0 or the corridor was left."""
+    trajectory.  Not applicable when sigma <= 0 or the corridor was left.
+    The corridor is checked on the records (`corridor_check`), so `traj`
+    needs full records, not gap records."""
     rates = thermo.rate_constants(params)
     corr = corridor_check(traj, params)
     if rates.sigma_nonpositive or not corr.ok:
@@ -298,13 +305,15 @@ def jko_convergence_study(
     except ValueError as exc:
         raise ConfigError("h_values", f"reference steps of min / 20: {exc}") from None
     per = round(h_max / h_ref)
-    ref = dynamics.evolve(state0, T, h_ref, stride=per, snapshot_every=per)
+    # the study reads the marches' snapshots and psi_d0_bound: gap records suffice
+    ref = dynamics.evolve(state0, T, h_ref, stride=per, snapshot_every=per,
+                          record=dynamics.gap_record)
     points = []
     b0 = 0.0
     for h in h_values:
         per_h = round(h_max / h)
         traj = dynamics.evolve(state0, T, h, "jko", stride=per_h, snapshot_every=per_h,
-                               jko=jko)
+                               jko=jko, record=dynamics.gap_record)
         b0 = max(b0, traj.psi_d0_bound)
         errs = np.array([spectral._dnorms(g, s.n_hat - r.n_hat, 1)
                          for s, r in zip(traj.snapshots, ref.snapshots)])

@@ -97,12 +97,15 @@ def _fixed_point_rhs(frozen: _Frozen, state: SimState, psi: np.ndarray,
                      psi_hat: np.ndarray, h: float) -> np.ndarray:
     """Half spectrum of A + h B(psi) - E2(h psi) / h, with B written as
     lap w_psi + grad u . grad Psi0 - u Omega0 for u = psi + w_psi.  w_psi
-    and grad u come back from one batched inverse transform."""
+    and grad u come back from one batched inverse transform of one array,
+    its row 0 w_psi's half spectrum and its d rows i k u_hat."""
     g = state.n.grid
     e = np.expm1(h * psi)
-    wp_hat = state.params.kernel.symbol * spectral._hat(state.n.values * e / h, g)
-    u_hat = psi_hat + wp_hat
-    back = spectral._real(np.concatenate((wp_hat[None], g.ik * u_hat)), g)
+    rows = np.empty((1 + g.d,) + psi_hat.shape, complex)
+    wp_hat = np.multiply(state.params.kernel.symbol,
+                         spectral._hat(state.n.values * e / h, g), out=rows[0])
+    np.multiply(g.ik, psi_hat + wp_hat, out=rows[1:])
+    back = spectral._real(rows, g)
     u = psi + back[0]
     dot = np.sum(back[1:] * frozen.grad_psi0, axis=0)
     local = h * (dot - u * frozen.omega0) - (e - h * psi) / h

@@ -3,16 +3,16 @@
 The benchmark's own tests are not part of this suite, so these checks keep
 its entry points in place: the density of a state is a RealField with
 `integral()`, it round-trips through both field formats, RealField
-validation is a patchable method, the implicit step reaches its residual
-and `distance` its elliptic solves through the module attributes the tracer
-times, and each solve returns the report whose `.iterations` the tracer
-reads.
+validation is a patchable method, `evolve` reaches its default record, the
+implicit step its residual and `distance` its elliptic solves through the
+module attributes the tracer times, and each solve returns the report whose
+`.iterations` the tracer reads.
 """
 
 import numpy as np
 import pytest
 
-from gcflow import cli, fieldio, jko, metric, problems
+from gcflow import cli, dynamics, fieldio, jko, metric, problems
 from gcflow.kernels import make_smoothed_indicator
 from gcflow.spectral import Grid, RealField
 from gcflow.thermo import make_params
@@ -40,6 +40,16 @@ def test_state_density_round_trips(state, tmp_path):
 
 def test_realfield_validation_is_a_method():
     assert "__post_init__" in vars(RealField)
+
+
+def test_evolve_calls_diagnostics_through_module(state, monkeypatch):
+    # the default record is looked up when evolve runs, not bound when it is defined
+    calls = []
+    diagnostics = dynamics.diagnostics
+    monkeypatch.setattr(dynamics, "diagnostics",
+                        lambda *a: calls.append(1) or diagnostics(*a))
+    traj = dynamics.evolve(state, 4e-3, 1e-3, stride=2)
+    assert len(calls) == len(traj.records) == 2
 
 
 def test_jko_step_calls_residual_through_module(state, monkeypatch):

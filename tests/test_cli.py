@@ -15,7 +15,7 @@ import pytest
 
 import gcflow
 from gcflow import fieldio, metric, problems
-from gcflow.cli import main
+from gcflow.cli import build_parser, main
 from gcflow.config import build_params, dump_config, load_config, parse_config
 from gcflow.errors import ConfigError
 from gcflow.experiments import linearized_rate
@@ -227,6 +227,20 @@ GAUSSIAN = "family = positive_type\namplitude = 1.0\nwidth = {}"
     # images 1e300 away squared to inf, with a warning; the sampled delta
     # kernel then has no uniform state at m0
     ("evolve", (SMOOTHED, "L = 1.0"), (GAUSSIAN.format("0.1"), "L = 1e300"), "model.m0"),
+    # every sample finite, but their sum over the grid past float range: the
+    # zero mode of N's transform overflows before any step
+    ("evolve", ("m0 = 0.05", "amplitude = 1.0"), ("m0 = 1e307", "amplitude = 1e-320"),
+     "model.m0"),
+    ("jko-study", ("m0 = 0.05", "amplitude = 1.0"), ("mu = 706.9", "amplitude = 1e-320"),
+     "model.mu"),
+    ("evolve", ("m0 = 0.05", "amplitude = 1.0", "kind = uniform"),
+     ("m0 = 1e307", "amplitude = 1e-320", "kind = single_mode\nmode = 1\neps = 0.01"),
+     "model.m0"),
+    ("evolve", ("amplitude = 1.0", "kind = uniform"),
+     ("amplitude = 1e-320", "kind = single_mode\nmode = 0\neps = 1e307"), "initial.eps"),
+    ("sweep", ("m0 = 0.05", "amplitude = 1.0", "kind = uniform"),
+     ("m0 = 1e307", "amplitude = 1e-320", "kind = random_band\nk_c = 3\namp = 0.1"),
+     "model.m0"),
 ], ids=["out-dir-under-file", "radius-too-large", "mollifier-too-wide", "gaussian-too-wide",
         "sweep-box-too-small", "m0-huge", "mu-huge", "sweep-radius-too-large",
         "sweep-gaussian-too-wide", "sweep-m0-huge", "sweep-mu-huge", "single-mode-nonpositive",
@@ -234,7 +248,9 @@ GAUSSIAN = "family = positive_type\namplitude = 1.0\nwidth = {}"
         "single-mode-above-nyquist", "single-mode-negative",
         "m0-underflow-uniform", "m0-underflow-band", "sweep-m0-underflow",
         "L-5e-324", "L-1e-310", "L-1e-300", "L-1e-150", "d2-L-1e200", "width-1e-200",
-        "width-5e-324", "width-1e290", "L-1e300-width-0.1"])
+        "width-5e-324", "width-1e290", "L-1e300-width-0.1", "m0-sum-overflows",
+        "jko-study-mu-sum-overflows", "single-mode-m0-sum-overflows",
+        "single-mode-eps-sum-overflows", "sweep-band-m0-sum-overflows"])
 def test_config_value_failure_exit_2(tmp_path, capsys, command, old, new, field):
     # values that parse but fail later, while building the model, kernels or output,
     # exit 2 with one JSON line and no numpy warning; `old` and `new` may be
@@ -642,6 +658,21 @@ def test_overflowing_band_exit_2(tmp_path, capsys, command):
     err = json.loads(lines[0])
     assert err["error"] == "ConfigError" and err["message"].startswith("initial.amp:")
     assert "overflowed" in err["message"]
+
+
+def test_parser_reused_across_calls(tmp_path, capsys):
+    # one parser serves every call in a process: a usage error leaves it as
+    # it was, and a valid call then prints what a fresh process prints
+    assert build_parser() is build_parser()
+    argv = ["kernel-info", "--config", write_config(tmp_path)]
+    assert main(["kernel-info", "--bogus"]) == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    src = os.path.join(os.path.dirname(gcflow.__file__), os.pardir)
+    fresh = subprocess.run([sys.executable, "-m", "gcflow.cli"] + argv, capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert fresh.returncode == 0
+    assert capsys.readouterr().out == fresh.stdout
 
 
 def test_sweep_runs_jko(tmp_path, capsys):

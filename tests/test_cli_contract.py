@@ -120,11 +120,18 @@ out_dir = {out}
 kind = uniform
 """)
 
+# every sample finite, their sum over the grid not: the transform of N overflows
+OVERFLOWING_SUM = (["evolve"], OVERFLOWING_STEPS[1]
+                   .replace("M = 16", "M = 64").replace("m0 = 0.05", "m0 = 1e307")
+                   .replace("amplitude = 1.0", "amplitude = 1e-320")
+                   .replace("h = 1e-300\nT = 1e300", "h = 1e-3\nT = 0.01"))
+
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(runs())
 @example(OVERFLOWING_STEPS)
+@example(OVERFLOWING_SUM)
 def test_cli_contract(run):
     argv, text = run
     with tempfile.TemporaryDirectory() as tmp:

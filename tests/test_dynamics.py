@@ -10,11 +10,12 @@ import weakref
 import numpy as np
 import pytest
 
-from gcflow import dynamics, jko, problems, spectral, thermo
+from gcflow import dynamics, experiments, jko, problems, spectral, thermo
 from gcflow.dynamics import (
     SimState,
     diagnostics,
     evolve,
+    gap_record,
     rhs_grand,
     rhs_grand_advective,
     step_imex,
@@ -439,6 +440,23 @@ def test_record_matches_reference_functionals(d, M, built_from, canonical):
     assert abs(rec.gap - gap) <= 1e-14 * abs(g_mu)
 
 
+@pytest.mark.parametrize("integrator", ["imex", "rk4_canonical", "jko"])
+@pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
+def test_gap_record_matches_diagnostics(d, M, integrator):
+    # both records take the gap from one helper: equal bit for bit, with the
+    # canonical reference density for the mass-conserving flow
+    p = model(d, M)
+    h = {"imex": 1e-3, "rk4_canonical": 1e-5, "jko": 1e-3}[integrator]
+    canonical = integrator == "rk4_canonical"
+    traj = evolve(problems.random_band_state(p, 3, 0.3, seed=11), 3 * h, h, integrator,
+                  snapshot_every=1, record=gap_record)
+    assert len(traj.snapshots) == 3 and len(traj.records) == 3
+    for step, (s, rec) in enumerate(zip(traj.snapshots, traj.records), 1):
+        full = diagnostics(step, s, canonical)
+        assert vars(rec) == {"step": step, "t": s.t, "gap": full.gap}
+        assert gap_record(step, s, canonical, 7, 1e-12).gap == full.gap
+
+
 def test_record_rejects_underflowed_density(params):
     # no state holds N = 0: from_psi rejects an underflowing psi, naming t
     psi = np.full(params.grid.shape, np.log(params.m0))
@@ -465,6 +483,10 @@ def test_transforms_per_step_and_record(d, M, fft_calls):
         del fft_calls[:]
         diagnostics(1, st, canonical=canonical)
         assert len(fft_calls) == 2, canonical
+        # a gap record reads the free energy (and the mass) from the state
+        del fft_calls[:]
+        gap_record(1, st, canonical)
+        assert fft_calls == [], canonical
     # an rk4 state holds grad W*N too, so an rk4 march pays 8 a step
     del fft_calls[:]
     step_rk4(step_rk4(st, 1e-5), 1e-5)
@@ -474,6 +496,11 @@ def test_transforms_per_step_and_record(d, M, fft_calls):
     del fft_calls[:]
     evolve(st, 1e-4, 1e-5, stride=10)
     assert len(fft_calls) == 10 * 2 + 2
+    # a sweep point's march of n IMEX steps, stride 5, records the gap alone:
+    # 2 n calls, and its fit and rate constants make none
+    del fft_calls[:]
+    experiments.volume_sweep([st], 100 * 1e-5, 1e-5)
+    assert len(fft_calls) == 100 * 2
     # a from_density or from_psi build sends N forward and gets W*N and
     # grad W*N back in one call, so an RK4 step from it reads them: 8 calls
     for build in (lambda: SimState.from_density(0.0, st.n, st.params),

@@ -203,6 +203,18 @@ def test_volume_sweep_reproducible(params):
     assert a.points[0].fit.lambda_hat == b.points[0].fit.lambda_hat
 
 
+@pytest.mark.parametrize("integrator, h", [("imex", 2e-3), ("jko", 4e-3)])
+def test_volume_sweep_fit_matches_full_records(params, integrator, h):
+    # the sweep fits gap records; the gap is the full record's, bit for bit
+    st = problems.random_band_state(params, 3, 0.25, 9)
+    point = experiments.volume_sweep([st], T=0.6, h=h, integrator=integrator).points[0]
+    traj = dynamics.evolve(st, 0.6, h, integrator, stride=5)
+    assert isinstance(traj.records[0], DiagnosticsRecord)
+    full = fit_decay_rate(traj)
+    assert point.fit.lambda_hat == full.lambda_hat
+    assert point.fit.r_squared == full.r_squared
+
+
 def test_random_band_state_in_corridor(params):
     from gcflow.thermo import in_corridor
 
