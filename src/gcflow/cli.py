@@ -93,9 +93,14 @@ def cmd_evolve(args) -> int:
         h = min(0.1 * params.grid.dx, 0.01 / max(lam, 1e-30))
     _check_march(cfg.integrator, state, cfg.T, h)
     sink = _open_out(cfg.out_dir, "diag.ndjson") if not args.stdout else sys.stdout
+
+    def record(step, state, canonical, report):  # written as made, kept for the summary
+        rec = dynamics.diagnostics(step, state, canonical, report)  # looked up per call
+        print(rec.to_json(), file=sink)
+        return rec
     try:  # a failing step raises here; the records written before it stay in the sink
         traj = dynamics.evolve(state, cfg.T, h, cfg.integrator, stride=cfg.stride,
-                               emit=lambda rec: print(rec.to_json(), file=sink), jko=cfg.jko)
+                               jko=cfg.jko, record=record)
     finally:
         if sink is not sys.stdout:
             sink.close()

@@ -38,9 +38,9 @@ reads: one free-energy pass and no transform.  Both take the gap from
 checks its h by one rule, `_check_step`.
 
 `evolve` is the one march loop, for these steppers and for the implicit
-step of `gcflow.jko`; its caller picks the record it reads (`record`, full
-by default).  A step's failure is an ordinary exception, raised by the step
-that detects it.
+step of `gcflow.jko`; its one output is what its caller's `record` returns
+(a full record by default).  A step's failure is an ordinary exception,
+raised by the step that detects it.
 """
 
 from __future__ import annotations
@@ -178,8 +178,7 @@ class GapRecord:
 
 @dataclass
 class Trajectory:
-    records: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)  # optional SimStates
+    records: list = field(default_factory=list)  # what `evolve`'s record returned
     psi_d0_bound: float | None = None  # running max ||psi||_D0 (implicit runs)
 
 
@@ -324,24 +323,22 @@ def _gap(state: SimState, canonical: bool, mass: float | None) -> tuple:
 
 
 def gap_record(step: int, state: SimState, canonical: bool = False,
-               inner_iters: int | None = None, residual: float | None = None) -> GapRecord:
+               report=None) -> GapRecord:
     """The free-energy gap of the state, the one field a rate fit reads: one
     free-energy pass, plus the mass sum when canonical, and no transform.
-    Its gap is `diagnostics`'s, bit for bit (both take it from `_gap`).
-    `inner_iters` and `residual` are accepted, as `evolve` passes them to
-    any record, and dropped."""
+    Its gap is `diagnostics`'s, bit for bit (both take it from `_gap`).  The
+    step's `report`, which `evolve` passes to any record, is not read."""
     return GapRecord(step, state.t, _gap(state, canonical, _mass(state) if canonical else None)[1])
 
 
 def diagnostics(step: int, state: SimState, canonical: bool = False,
-                inner_iters: int | None = None,
-                residual: float | None = None) -> DiagnosticsRecord:
+                report=None) -> DiagnosticsRecord:
     """Per-step observables, in one pass over the state's cached fields with
     the formulas of `thermo`: the gap of `_gap`, one forward transform of
     Psi and one inverse for grad Phi_N, from Phi_hat = Psi_hat + W_hat N_hat
     (the constant -mu has no gradient).  The dissipation needs no Omega_N
-    (`thermo._dissipation`).  The state's N is positive by construction, so
-    nothing is checked here."""
+    (`thermo._dissipation`); `inner_iters`/`residual` come from a JKO step's
+    `report`.  The state's N is positive by construction: nothing is checked."""
     p = state.params
     g = p.grid
     n, psi = state.n.values, state.psi
@@ -362,8 +359,8 @@ def diagnostics(step: int, state: SimState, canonical: bool = False,
         n_min=float(n.min()),
         n_max=float(n.max()),
         dissipation=thermo._dissipation(n, state.phi, grad_phi, g.cell_volume),
-        inner_iters=inner_iters,
-        residual=residual,
+        inner_iters=report.inner_iters if report else None,
+        residual=report.residual if report else None,
     )
 
 
@@ -389,24 +386,23 @@ def _step_count(T: float, h: float) -> tuple:
 
 
 def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
-           stride: int = 1, emit=None, snapshot_every: int | None = None,
-           jko=None, record=None) -> Trajectory:
-    """March to time T making a record every `stride` steps and at the end.
+           stride: int = 1, jko=None, record=None) -> Trajectory:
+    """March to time T, calling `record` every `stride` steps and at the end.
 
     `integrator` is a key of _STEPPERS or "jko" (`jko.jko_step` with the
     JkoConfig `jko`).  When T/h is an integer to 1e-9 relative, that many
     steps of h are taken; otherwise the last step is shortened to end at T.
     Step k ends at t0 + k h.  The march runs without overflow/invalid
     warnings: a step's own checks report the failure, and its GcflowError
-    propagates from that step.  `emit`, when given, is called with each
-    record as it is made, so the records made before a failure are kept by
-    the caller.  A JKO step's report gives its `d0_psi` to `psi_d0_bound`
-    and its `inner_iters`/`residual` to the records; a direct step has none.
-    `record` makes each record from (step, state, canonical, inner_iters,
-    residual); None is `diagnostics`, the full NDJSON record (2 transforms),
-    read when `evolve` runs, so a patched `dynamics.diagnostics` is seen.
-    A caller that reads only the gap passes `gap_record` (no transform).
-    ValueError unless h passes `_check_step` and T `_step_count`."""
+    propagates from that step.  `record(step, state, canonical, report)`,
+    `report` the step's `jko.JkoStepReport` (None after a direct step), is
+    the one output: what it returns, unless None, is kept in `records`, and
+    a caller that writes its records out as made keeps those before a
+    failure.  None is `diagnostics`, the full NDJSON record (2 transforms),
+    read when `evolve` runs, so a patched `dynamics.diagnostics` is seen;
+    `gap_record` makes no transform.  A JKO step's report also gives its
+    `d0_psi` to `psi_d0_bound`.  ValueError unless h passes `_check_step`
+    and T `_step_count`."""
     _check_step(h)
     n_steps, exact = _step_count(T, h)
     if integrator == "jko":
@@ -436,13 +432,7 @@ def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
                              s.psi, s.n, s.wn, s.grad_wn, s.n_hat, s.params)
             if report is not None:
                 traj.psi_d0_bound = max(traj.psi_d0_bound or 0.0, report.d0_psi)
-            if step % stride == 0 or last:
-                rec = record(step, state, canonical,
-                             report.inner_iters if report else None,
-                             report.residual if report else None)
+            if (step % stride == 0 or last) and (
+                    rec := record(step, state, canonical, report)) is not None:
                 traj.records.append(rec)
-                if emit:
-                    emit(rec)
-            if snapshot_every and step % snapshot_every == 0:
-                traj.snapshots.append(state)
     return traj

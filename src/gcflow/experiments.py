@@ -79,6 +79,12 @@ def linearized_rate(k, params: ModelParams, canonical: bool = False) -> float:
     return float(dynamics._decay_symbol(params, params.m0, not canonical)[idx])
 
 
+def _states_every(k: int):
+    """The `dynamics.evolve` record that keeps the state of every k-th step,
+    and none of a shortened last step whose number k does not divide."""
+    return lambda step, state, canonical, report: state if step % k == 0 else None
+
+
 def measure_mode_decay(
     params: ModelParams,
     mode: int,
@@ -91,11 +97,10 @@ def measure_mode_decay(
     state = problems.single_mode_state(params, mode, eps)
     g = params.grid
     idx = _half_index(g, (mode,) + (0,) * (g.d - 1))
-    n = dynamics._step_count(T, h)[0]  # stride n: the fit reads snapshots, not records
-    traj = dynamics.evolve(state, T, h, integrator=integrator, stride=n,
-                           snapshot_every=max(1, n // 400), record=dynamics.gap_record)
+    every = _states_every(max(1, dynamics._step_count(T, h)[0] // 400))
+    traj = dynamics.evolve(state, T, h, integrator, record=every)
     ts, amps = [], []
-    for s in [state] + traj.snapshots:
+    for s in [state] + traj.records:
         if mode == 0:
             amp = abs(float(np.mean(s.n.values)) - params.m0)
         else:
@@ -195,10 +200,11 @@ def canonical_contrast(
         T_can = T_canonical * (L / L_base) ** 2
         canon.append(_run_point(
             f"canonical L={L}", problems.single_mode_state(params, 1, eps), T_can,
-            h_canonical, "rk4_canonical", max(1, int(round(T_can / h_canonical)) // 600)))
+            h_canonical, "rk4_canonical",
+            max(1, dynamics._step_count(T_can, h_canonical)[0] // 600)))
         ctrl.append(_run_point(
             f"control L={L}", problems.shifted_mode_state(params, 1, eps), T_control,
-            h_control, "imex", max(1, int(round(T_control / h_control)) // 600)))
+            h_control, "imex", max(1, dynamics._step_count(T_control, h_control)[0] // 600)))
     return ContrastReport(
         tuple(canon),
         tuple(ctrl),
@@ -221,7 +227,7 @@ class CorridorReport:
 def corridor_check(traj: Trajectory, params: ModelParams) -> CorridorReport:
     """Whether the records' min and max of N stayed inside the corridor
     kappa m0 < N < m0 / kappa; reads `n_min`/`n_max`, so `traj` needs full
-    records (`evolve`'s default `diagnostics`), not gap records."""
+    records (`evolve`'s default `diagnostics`)."""
     lo, hi = params.kappa * params.m0, params.m0 / params.kappa
     worst_min = min(r.n_min for r in traj.records)
     worst_max = max(r.n_max for r in traj.records)
@@ -240,25 +246,23 @@ class RateGuaranteeReport:
     rates: thermo.RateConstants
     fit: RateFit | None
     guarantee_ok: bool | None  # fitted rate >= 0.95 * lambda_dagger
-    l2_bound_ok: bool | None  # sigma * ||N - m0||_L2^2 <= gap(t) at snapshots
+    l2_bound_ok: bool | None  # sigma * ||N - m0||_L2^2 <= gap(t) at every state
 
 
-def rate_guarantee_check(traj: Trajectory, params: ModelParams) -> RateGuaranteeReport:
-    """Check the certified relaxation rate lambda_dagger = sigma g^-2 against a
-    trajectory.  Not applicable when sigma <= 0 or the corridor was left.
-    The corridor is checked on the records (`corridor_check`), so `traj`
-    needs full records, not gap records."""
+def rate_guarantee_check(states: list[SimState], params: ModelParams) -> RateGuaranteeReport:
+    """Check the certified relaxation rate lambda_dagger = sigma g^-2 against
+    the states of a grand-canonical march: their `diagnostics` records give
+    the corridor and the fitted rate, and the L2 bound is replayed at each
+    state.  Not applicable when sigma <= 0 or the corridor was left."""
     rates = thermo.rate_constants(params)
+    traj = Trajectory([dynamics.diagnostics(step, s) for step, s in enumerate(states)])
     corr = corridor_check(traj, params)
     if rates.sigma_nonpositive or not corr.ok:
         return RateGuaranteeReport(False, corr, rates, None, None, None)
     fit = fit_decay_rate(traj)
     ok = fit.lambda_hat >= 0.95 * rates.lambda_dagger
-    l2_ok: bool | None = None
-    if traj.snapshots:  # each snapshot's gap from the snapshot itself
-        l2_ok = all(rates.sigma * l2_norm(RealField(params.grid, s.n.values - params.m0)) ** 2
-                    <= dynamics.diagnostics(0, s).gap * (1.0 + 1e-8) + 1e-15
-                    for s in traj.snapshots)
+    l2_ok = all(rates.sigma * l2_norm(RealField(params.grid, s.n.values - params.m0)) ** 2
+                <= r.gap * (1.0 + 1e-8) + 1e-15 for s, r in zip(states, traj.records))
     return RateGuaranteeReport(True, corr, rates, fit, ok, l2_ok)
 
 
@@ -304,19 +308,16 @@ def jko_convergence_study(
         dynamics._step_count(T, h_ref)
     except ValueError as exc:
         raise ConfigError("h_values", f"reference steps of min / 20: {exc}") from None
-    per = round(h_max / h_ref)
-    # the study reads the marches' snapshots and psi_d0_bound: gap records suffice
-    ref = dynamics.evolve(state0, T, h_ref, stride=per, snapshot_every=per,
-                          record=dynamics.gap_record)
+    # each march keeps its states at the comparison times
+    ref = dynamics.evolve(state0, T, h_ref, record=_states_every(round(h_max / h_ref)))
     points = []
     b0 = 0.0
     for h in h_values:
-        per_h = round(h_max / h)
-        traj = dynamics.evolve(state0, T, h, "jko", stride=per_h, snapshot_every=per_h,
-                               jko=jko, record=dynamics.gap_record)
+        traj = dynamics.evolve(state0, T, h, "jko", jko=jko,
+                               record=_states_every(round(h_max / h)))
         b0 = max(b0, traj.psi_d0_bound)
         errs = np.array([spectral._dnorms(g, s.n_hat - r.n_hat, 1)
-                         for s, r in zip(traj.snapshots, ref.snapshots)])
+                         for s, r in zip(traj.records, ref.records)])
         points.append(JkoStudyPoint(h, float(errs[-1, 0]), float(errs[-1, 1]),
                                     float(errs[:, 0].max())))
     floor = min(points, key=lambda p: p.endpoint_d0)

@@ -125,8 +125,9 @@ def test_criterion_05_rate_bound_positive_type():
     expect = 0.5 * (KAPPA / M0) * np.sqrt(KAPPA * M0)
     assert abs(rc.lambda_dagger - expect) < 1e-12
     st = problems.random_band_state(p, 3, 0.3, seed=103)
-    traj = evolve(st, 1.5, 1e-3, stride=5, snapshot_every=50)
-    rep = rate_guarantee_check(traj, p)
+    # every stride-5 state: its record for the fit, the L2 bound replayed at it
+    states = evolve(st, 1.5, 1e-3, stride=5, record=lambda step, s, canonical, rep: s).records
+    rep = rate_guarantee_check(states, p)
     ok = (rep.applicable and rep.guarantee_ok and rep.l2_bound_ok)
     report(5, "certified rate bound", ok,
            f"lambda_hat={rep.fit.lambda_hat:.4f} >= 0.95*{rc.lambda_dagger:.4f}, "

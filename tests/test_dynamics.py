@@ -307,12 +307,26 @@ def test_dissipation_identity_first_order(params):
         assert 0.4 < b / a < 0.6
 
 
-def test_evolve_records_and_snapshots(params):
+def test_evolve_records_every_stride(params):
+    # the record is called every stride steps and at the last, and what it
+    # returns is kept: full records by default, or any object it makes
     st = perturbed_state(params, seed=36)
-    traj = evolve(st, 0.05, 1e-3, stride=10, snapshot_every=25)
-    assert len(traj.records) == 5
-    assert len(traj.snapshots) == 2
-    assert traj.records[-1].step == 50
+    traj = evolve(st, 0.05, 1e-3, stride=10)
+    assert [r.step for r in traj.records] == [10, 20, 30, 40, 50]
+    calls = []
+    traj = evolve(st, 0.045, 1e-3, stride=10,
+                  record=lambda step, s, canonical, report: calls.append(step) or s)
+    assert calls == [10, 20, 30, 40, 45]
+    assert [round(s.t, 12) for s in traj.records] == [0.01, 0.02, 0.03, 0.04, 0.045]
+
+
+def test_evolve_drops_none_records(params):
+    # a record that returns None keeps nothing for that step
+    st = perturbed_state(params, seed=36)
+    traj = evolve(st, 0.01, 1e-3, stride=2,
+                  record=lambda step, s, canonical, report: step if step % 4 == 0 else None)
+    assert traj.records == [4, 8]
+    assert evolve(st, 0.01, 1e-3, record=lambda *args: None).records == []
 
 
 def test_diagnostics_record_json(params):
@@ -324,6 +338,19 @@ def test_diagnostics_record_json(params):
         assert key in payload
     assert payload["step"] == 3
     assert payload["inner_iters"] is None
+
+
+def test_diagnostics_reads_jko_report(params):
+    # a JKO step's report gives its inner iterations and residual to the
+    # record; with no report (a direct step) both are None
+    st, report = jko.jko_step(perturbed_state(params, seed=37), 1e-3)
+    rec = diagnostics(1, st, False, report)
+    assert (rec.inner_iters, rec.residual) == (report.inner_iters, report.residual)
+    assert rec.inner_iters >= 1 and rec.residual <= 1e-9
+    assert vars(rec) == {**vars(diagnostics(1, st)), "inner_iters": report.inner_iters,
+                         "residual": report.residual}
+    traj = evolve(perturbed_state(params, seed=37), 2e-3, 1e-3, "jko")
+    assert all(r.inner_iters is not None and r.residual is not None for r in traj.records)
 
 
 def test_evolve_reproducible(params):
@@ -358,8 +385,8 @@ def test_evolve_T_far_below_h(params):
 @pytest.mark.parametrize("error", [TypeError, PositivityLoss],
                          ids=["TypeError", "PositivityLoss"])
 def test_evolve_propagates_programming_errors(params, monkeypatch, error):
-    # a step's exception leaves evolve as raised; emit has seen every record
-    # made before the failing step (steps 2 and 4 of a stride-2 run)
+    # a step's exception leaves evolve as raised; the record has made every
+    # record before the failing step (steps 2 and 4 of a stride-2 run)
     def broken(state, h):
         if state.t >= 5e-3 - 1e-12:
             raise error("raised by step 6")
@@ -367,8 +394,12 @@ def test_evolve_propagates_programming_errors(params, monkeypatch, error):
 
     monkeypatch.setitem(dynamics._STEPPERS, "imex", broken)
     seen = []
+
+    def record(step, state, canonical, report):
+        seen.append(rec := diagnostics(step, state, canonical, report))
+        return rec
     with pytest.raises(error, match="step 6"):
-        evolve(problems.uniform_state(params), 0.01, 1e-3, stride=2, emit=seen.append)
+        evolve(problems.uniform_state(params), 0.01, 1e-3, stride=2, record=record)
     assert [rec.step for rec in seen] == [2, 4]
 
 
@@ -449,12 +480,13 @@ def test_gap_record_matches_diagnostics(d, M, integrator):
     h = {"imex": 1e-3, "rk4_canonical": 1e-5, "jko": 1e-3}[integrator]
     canonical = integrator == "rk4_canonical"
     traj = evolve(problems.random_band_state(p, 3, 0.3, seed=11), 3 * h, h, integrator,
-                  snapshot_every=1, record=gap_record)
-    assert len(traj.snapshots) == 3 and len(traj.records) == 3
-    for step, (s, rec) in enumerate(zip(traj.snapshots, traj.records), 1):
-        full = diagnostics(step, s, canonical)
+                  record=lambda *args: (gap_record(*args), args))
+    assert len(traj.records) == 3
+    for step, (rec, args) in enumerate(traj.records, 1):
+        s = args[1]
+        full = diagnostics(*args)
+        assert args[:3] == (step, s, canonical)
         assert vars(rec) == {"step": step, "t": s.t, "gap": full.gap}
-        assert gap_record(step, s, canonical, 7, 1e-12).gap == full.gap
 
 
 def test_record_rejects_underflowed_density(params):

@@ -26,6 +26,10 @@ def params():
     return make_params(grid, kernel, 0.4, m0=0.05)
 
 
+def keep_state(step, state, canonical, report):
+    return state
+
+
 def synthetic_traj(lam, n=100, dt=0.01, amp=1.0):
     recs = [
         DiagnosticsRecord(i, i * dt, 1.0, 0.0, amp * np.exp(-lam * i * dt),
@@ -106,26 +110,26 @@ def test_rate_guarantee_positive_type():
     kernel = make_positive_type(grid, 1.0, 0.05)
     params = make_params(grid, kernel, 0.4, m0=0.05)
     st = problems.random_band_state(params, 3, 0.3, seed=72)
-    traj = dynamics.evolve(st, 1.2, 1e-3, stride=5, snapshot_every=100)
-    rep = rate_guarantee_check(traj, params)
+    traj = dynamics.evolve(st, 1.2, 1e-3, stride=5, record=keep_state)
+    assert len(traj.records) == 240
+    rep = rate_guarantee_check(traj.records, params)
     assert rep.applicable
     assert rep.fit.lambda_hat >= 0.95 * rep.rates.lambda_dagger
     assert rep.l2_bound_ok
 
 
-def test_rate_guarantee_checks_unrecorded_snapshots(monkeypatch):
-    # a snapshot every 37 steps on a stride-2 run has no record at its time;
-    # it is still checked: a sigma too large for the L2 bound must fail it
+def test_rate_guarantee_l2_bound_fails_at_some_state(monkeypatch):
+    # the L2 bound is replayed at every state: a sigma too large for it
+    # fails it, and the fit is still made
     grid = Grid.make(1, 1.0, 64)
     params = make_params(grid, make_positive_type(grid, 1.0, 0.05), 0.4, m0=0.05)
     st = problems.random_band_state(params, 3, 0.3, seed=3)
-    traj = dynamics.evolve(st, 0.07, 1e-3, stride=2, snapshot_every=37)
-    assert [round(s.t, 12) for s in traj.snapshots] == [0.037]
-    assert 0.037 not in {round(r.t, 12) for r in traj.records}
+    states = dynamics.evolve(st, 0.07, 1e-3, record=keep_state).records
     huge = thermo.RateConstants(sigma=1e6, gsq=1.0, lambda_dagger=0.0, sigma_nonpositive=False)
     monkeypatch.setattr(thermo, "rate_constants", lambda p: huge)
-    rep = rate_guarantee_check(traj, params)
+    rep = rate_guarantee_check(states, params)
     assert rep.applicable and rep.l2_bound_ok is False
+    assert rep.fit is not None and rep.fit.n_points == 42  # the last 60% of 70 states
 
 
 def test_rate_guarantee_not_applicable_sigma(params):
@@ -134,8 +138,8 @@ def test_rate_guarantee_not_applicable_sigma(params):
     kernel = params.kernel
     big = make_params(grid, kernel, 0.4, m0=2.0 * 0.4 * kernel.stats.theta_sharp)
     st = problems.uniform_state(big)
-    traj = dynamics.evolve(st, 0.05, 1e-3, stride=5)
-    rep = rate_guarantee_check(traj, big)
+    traj = dynamics.evolve(st, 0.05, 1e-3, stride=5, record=keep_state)
+    rep = rate_guarantee_check(traj.records, big)
     assert not rep.applicable
     assert rep.fit is None
 
@@ -183,6 +187,18 @@ def test_jko_study_rejects_bad_steps(params, T, hs):
     st = problems.single_mode_state(params, 1, 1e-3)
     with pytest.raises(ConfigError, match="h_values"):
         jko_convergence_study(st, T, hs)
+
+
+def test_states_every_drops_shortened_last_step(params):
+    # T / h = 10.5: 11 steps, the last one shortened to end at T; every 5th
+    # step's state is kept, and step 11 (no multiple of 5) is not
+    st = problems.random_band_state(params, 3, 0.2, seed=74)
+    traj = dynamics.evolve(st, 0.0105, 1e-3, record=experiments._states_every(5))
+    assert [round(s.t, 12) for s in traj.records] == [0.005, 0.01]
+    assert all(isinstance(s, dynamics.SimState) for s in traj.records)
+    # a multiple of k at the last step keeps it
+    traj = dynamics.evolve(st, 0.0105, 1e-3, record=experiments._states_every(11))
+    assert [s.t for s in traj.records] == [0.0105]
 
 
 def test_mode_decay_window_ends_at_T(params):
