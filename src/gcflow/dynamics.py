@@ -299,36 +299,37 @@ _EXPLICIT = ("rk4", "rk4_canonical")  # steppers that need h max|k|^2 <= 2.7
 
 
 def _uniform_energy(p: ModelParams, c: float, mu: float) -> float:
-    """Free energy of the uniform density c: grand at mu, canonical at mu = 0."""
-    return p.grid.volume * (c * math.log(c) - (1.0 + mu) * c + 0.5 * p.kernel.w * c * c)
+    """Free energy of the uniform density c: grand at mu, canonical at mu = 0,
+    factored like `thermo._free_energy`, so that c log c never overflows."""
+    return p.grid.volume * c * (math.log(c) - (1.0 + mu) + 0.5 * p.kernel.w * c)
 
 
 def _mass(state: SimState) -> float:
     return float(state.n.values.sum()) * state.params.grid.cell_volume
 
 
-def _gap(state: SimState, canonical: bool, mass: float | None) -> tuple:
+def _gap(state: SimState, canonical: bool) -> tuple:
     """(G_mu, gap) of the state in one free-energy pass, the gap measured
     against the uniform state: m0 for the non-conservative flow; otherwise
     the mean density of N_hat's zero mode, which the mass-conserving flow
-    carries bit for bit, with the canonical energy G_mu + mu mass (`mass`,
-    the state's, is read only then).  No transform."""
+    carries bit for bit.  The canonical energy G_mu + mu mass differs from
+    G_mu by mu times the mass, which that uniform state shares, so both
+    gaps are differences of G_mu, and neither forms a c log c or mu mass
+    that overflows where the gap does not.  No transform."""
     p = state.params
     g = p.grid
     g_mu = thermo._free_energy(state.n.values, state.psi, state.wn, p.mu, g.cell_volume)
-    if not canonical:
-        return g_mu, g_mu - _uniform_energy(p, p.m0, p.mu)
-    nbar = float(state.n_hat.flat[0].real) * g.cell_volume / g.volume
-    return g_mu, g_mu + p.mu * mass - _uniform_energy(p, nbar, 0.0)
+    c = float(state.n_hat.flat[0].real) * g.cell_volume / g.volume if canonical else p.m0
+    return g_mu, g_mu - _uniform_energy(p, c, p.mu)
 
 
 def gap_record(step: int, state: SimState, canonical: bool = False,
                report=None) -> GapRecord:
     """The free-energy gap of the state, the one field a rate fit reads: one
-    free-energy pass, plus the mass sum when canonical, and no transform.
-    Its gap is `diagnostics`'s, bit for bit (both take it from `_gap`).  The
-    step's `report`, which `evolve` passes to any record, is not read."""
-    return GapRecord(step, state.t, _gap(state, canonical, _mass(state) if canonical else None)[1])
+    free-energy pass and no transform.  Its gap is `diagnostics`'s, bit for
+    bit (both take it from `_gap`).  The step's `report`, which `evolve`
+    passes to any record, is not read."""
+    return GapRecord(step, state.t, _gap(state, canonical)[1])
 
 
 def diagnostics(step: int, state: SimState, canonical: bool = False,
@@ -343,7 +344,7 @@ def diagnostics(step: int, state: SimState, canonical: bool = False,
     g = p.grid
     n, psi = state.n.values, state.psi
     mass = _mass(state)
-    g_mu, gap = _gap(state, canonical, mass)
+    g_mu, gap = _gap(state, canonical)
     psi_hat = spectral._hat(psi, g)
     grad_phi = spectral._real(g.ik * (psi_hat + state.n_hat * p.kernel.symbol), g)
     d0, d1, d2 = spectral._dnorms(g, psi_hat, 2).tolist()

@@ -283,6 +283,21 @@ def test_evolve_mu_large_activity(tmp_path, capsys, mu):
     assert abs(summary["gap"]) <= 1e-14 * m0**2 and abs(summary["mass"] / m0 - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("integrator, h", [("imex", "0.001"), ("rk4_canonical", "5e-05")])
+def test_evolve_huge_uniform_state_writes_finite_gaps(tmp_path, capsys, integrator, h):
+    # m0 = 1e306: the density sum is finite, but m0 log m0 and mu times the
+    # mass are not; every record and the summary still carry a finite gap,
+    # the roundoff of free energies of order 1e306
+    text = (BASE.replace("m0 = 0.05", "m0 = 1e306").replace("amplitude = 1.0", "amplitude = 1e-320")
+            .replace("integrator = imex", f"integrator = {integrator}")
+            .replace("h = 0.001", f"h = {h}").replace("T = 0.05", "T = 0.005"))
+    assert main(["evolve", "--stdout", "--config", write_config(tmp_path, text)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == (2 if integrator == "imex" else 11)
+    for line in lines:
+        assert abs(json.loads(line, parse_constant=_reject_constant)["gap"]) <= 1e-14 * 1e306
+
+
 @pytest.mark.parametrize("integrator", ["rk4", "rk4_canonical"])
 def test_explicit_step_above_cap_exit_2(tmp_path, capsys, integrator):
     # h max|k|^2 = 1e-4 (64 pi)^2 = 4.04 > 2.7: the config alone decides it,

@@ -515,7 +515,7 @@ def test_transforms_per_step_and_record(d, M, fft_calls):
         del fft_calls[:]
         diagnostics(1, st, canonical=canonical)
         assert len(fft_calls) == 2, canonical
-        # a gap record reads the free energy (and the mass) from the state
+        # a gap record reads the free energy from the state
         del fft_calls[:]
         gap_record(1, st, canonical)
         assert fft_calls == [], canonical
