@@ -11,27 +11,27 @@ with w_N = W * N.  Equivalently, in advective form,
 
 Conservative variant (fixed mass): dN/dt = lap N + div(N grad w_N).
 
-A SimState holds N as its one validated field (a RealField) and caches
-Psi = log N, W*N, grad W*N and the half spectrum N_hat as plain arrays, and
-Phi_N and Omega_N from the first time they are read.  It is built only by
-`from_density` or `from_psi` (N_hat forward, W*N and grad W*N back: 2
-transforms), `from_spectrum` or `_mix` (a distance-path node, no transform),
-and each raises PositivityLoss, naming t, on an N that is not positive
-everywhere (also one that underflows to 0): every state is positive by
-construction.  A step starts in Fourier space and keeps the density a bare
-array inside.  `_invert` gets N (checked positive), grad W*N and W*N from
-N_hat times the rows [1, i k W_hat, W_hat] of the model's cached
-`inverse_multiplier` in one inverse transform; `_state` and the
-mass-conserving flow take a run of those rows, so every builder and stage
-forms W*N and grad W*N alike, bit for bit.  `_explicit` writes the flux
-N grad W*N, with the reaction for the grand flow, into one array and sends
-it forward in one transform.
-IMEX takes one of each (`from_spectrum` is `_invert`): 2 transforms a step.
-Both RK4 steppers march N_hat, one of each a stage: 8 a step.  The
-mass-conserving rate is 0 on the zero mode, so the mass is kept exactly (bit
-for bit in N_hat).  A step validates one field, the N of the state it ends
-in.  A full record (`diagnostics`, the NDJSON one) transforms Psi forward
-and grad Phi_N back: 2 transforms, and no Omega_N.  A gap record
+A SimState holds N as a RealField and caches Psi = log N, W*N, grad W*N
+and the half spectrum N_hat as plain arrays, and Phi_N and Omega_N from the
+first time they are read.  It is built only by `from_density` or `from_psi`
+(N_hat forward, W*N and grad W*N back: 2 transforms), `from_spectrum` or
+`_mix` (a distance-path node, no transform), and each checks its N once
+(`_positive`): PositivityLoss, naming t, unless every value is > 0 and
+< inf, so every state is positive and finite by construction, and its
+RealField is made from the checked array with no second scan.  A step
+starts in Fourier space and keeps the density a bare array inside.
+`_invert` gets N (checked), grad W*N and W*N from N_hat times the rows
+[1, i k W_hat, W_hat] of the model's cached `inverse_multiplier` in one
+inverse transform; `_state` and the mass-conserving flow take a run of
+those rows, so every builder and stage forms W*N and grad W*N alike, bit
+for bit.  `_explicit` writes the flux N grad W*N, with the reaction for the
+grand flow, into one array and sends it forward in one transform.  IMEX
+takes one of each (`from_spectrum` is `_invert`) and divides by the model's
+cached 1 - h lap: 2 transforms a step.  Both RK4 steppers march N_hat, one
+of each a stage: 8 a step.  The mass-conserving rate is 0 on the zero mode,
+so the mass is kept exactly (bit for bit in N_hat).  A step validates no
+RealField.  A full record (`diagnostics`, the NDJSON one) transforms Psi
+forward and grad Phi_N back: 2 transforms, and no Omega_N.  A gap record
 (`gap_record`) holds only the free-energy gap, the one field a rate fit
 reads: one free-energy pass and no transform.  Both take the gap from
 `_gap`, so they agree bit for bit.  Every step, `jko.jko_step`'s too,
@@ -78,19 +78,18 @@ class SimState:
     def from_psi(t: float, psi: np.ndarray, params: ModelParams) -> "SimState":
         """The state of log-density psi (an array); an N = exp(psi) that
         underflows to 0 or overflows raises PositivityLoss."""
-        with np.errstate(over="ignore"):  # an overflow is reported below
+        with np.errstate(over="ignore"):  # an overflow is reported by _positive
             n = _positive(np.exp(psi), t)
-        if not n.max() < math.inf:
-            raise PositivityLoss(f"density overflowed at t = {t:.6g}")
-        return _state(t, psi, RealField(params.grid, n), params)
+        return _state(t, psi, RealField._checked(params.grid, n), params)
 
     @staticmethod
     def from_spectrum(t: float, n_hat: np.ndarray, params: ModelParams) -> "SimState":
         """The state whose N has half spectrum n_hat: one batched inverse
-        transform gives N, W*N and grad W*N.  A nonpositive N raises
-        PositivityLoss."""
+        transform gives N, W*N and grad W*N.  An N that is not positive and
+        finite raises PositivityLoss."""
         n, wn, grad_wn = _invert(params, n_hat, t, True)
-        return SimState(t, np.log(n), RealField(params.grid, n), wn, grad_wn, n_hat, params)
+        return SimState(t, np.log(n), RealField._checked(params.grid, n), wn, grad_wn, n_hat,
+                        params)
 
     @cached_property
     def phi(self) -> np.ndarray:
@@ -125,7 +124,8 @@ def _mix(s0: SimState, s1: SimState, s: float) -> SimState:
     n = _positive((1.0 - s) * s0.n.values + s * s1.n.values, 0.0)
     wn, grad_wn, n_hat = ((1.0 - s) * getattr(s0, k) + s * getattr(s1, k)
                           for k in ("wn", "grad_wn", "n_hat"))
-    return SimState(0.0, np.log(n), RealField(s0.params.grid, n), wn, grad_wn, n_hat, s0.params)
+    return SimState(0.0, np.log(n), RealField._checked(s0.params.grid, n), wn, grad_wn, n_hat,
+                    s0.params)
 
 
 def _check_step(h: float, explicit: SimState | None = None) -> None:
@@ -133,16 +133,17 @@ def _check_step(h: float, explicit: SimState | None = None) -> None:
     from the state `explicit`, StabilityViolation unless h max|k|^2 <= 2.7."""
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
-    if explicit is not None and h * (kmax2 := float(np.max(explicit.n.grid.k2))) > 2.7:
+    if explicit is not None and h * (kmax2 := explicit.n.grid.k2_max) > 2.7:
         raise StabilityViolation(f"h * max|k|^2 = {h * kmax2:.3g} > 2.7; "
                                  f"reduce h below {2.7 / kmax2:.3g}")
 
 
 def _positive(n: np.ndarray, t: float) -> np.ndarray:
-    """n, the density at time t; PositivityLoss unless every value is > 0."""
-    n_min = n.min()
-    if not n_min > 0.0:  # also rejects NaN
-        raise PositivityLoss(f"density hit {n_min:.3e} at t = {t:.6g}")
+    """n, the density at time t; PositivityLoss unless every value is > 0 and < inf."""
+    if not n.min() > 0.0:  # also rejects NaN
+        raise PositivityLoss(f"density hit {n.min():.3e} at t = {t:.6g}")
+    if not n.max() < math.inf:
+        raise PositivityLoss(f"density overflowed at t = {t:.6g}")
     return n
 
 
@@ -198,8 +199,8 @@ def _explicit(p: ModelParams, n: np.ndarray, wn: np.ndarray | None, grad_wn: np.
     """Half spectrum of div(N grad w_N), plus, when grand, the reaction
     exp((mu - w_N)/2) - N exp(-(mu - w_N)/2): both are written into one
     array and sent forward in one transform, whose flux rows take i k in
-    place before the rows are summed.  Not grand, it is exactly 0 on the
-    zero mode, so it never moves the mass."""
+    place before the rows are summed (at d = 1 by one add, not a reduction).
+    Not grand, it is exactly 0 on the zero mode, so it never moves the mass."""
     g = p.grid
     fields = np.empty((g.d + 1 if grand else g.d,) + g.shape)
     np.multiply(n, grad_wn, out=fields[:g.d])
@@ -208,7 +209,7 @@ def _explicit(p: ModelParams, n: np.ndarray, wn: np.ndarray | None, grad_wn: np.
         np.subtract(np.exp(half), n * np.exp(-half), out=fields[g.d])
     hats = spectral._hat(fields, g)
     hats[:g.d] *= g.ik
-    return hats.sum(axis=0)
+    return hats[0] + hats[1] if g.d == 1 and grand else hats.sum(axis=0)
 
 
 def rhs_grand(state: SimState) -> RealField:
@@ -246,15 +247,15 @@ def rhs_grand_advective(state: SimState) -> RealField:
 
 
 def step_imex(state: SimState, h: float) -> SimState:
-    """Semi-implicit Euler: diffusion implicit via the Helmholtz inverse,
-    interaction and reaction terms explicit.  First-order accurate,
-    unconditionally stable in the linear diffusive part.  The explicit terms
-    go forward in one transform (`_explicit`) and the new N_hat comes back
-    in one (`SimState.from_spectrum`): two transforms in all."""
+    """Semi-implicit Euler: diffusion implicit, a division by the model's
+    cached 1 - h lap, interaction and reaction terms explicit.  First-order
+    accurate, unconditionally stable in the linear diffusive part.  The
+    explicit terms go forward in one transform (`_explicit`) and the new
+    N_hat comes back in one (`SimState.from_spectrum`): two in all."""
     _check_step(h)
     p = state.params
     explicit = _explicit(p, state.n.values, state.wn, state.grad_wn, True)
-    n_hat = (state.n_hat + h * explicit) / (1.0 - h * p.grid.lap)
+    n_hat = (state.n_hat + h * explicit) / p._imex_denominator(h)
     return SimState.from_spectrum(state.t + h, n_hat, p)
 
 
@@ -427,10 +428,11 @@ def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
             last = step == n_steps
-            s, report = advance(state, h_last if last else h)
-            # built directly: dataclasses.replace costs a tenth of a d = 1 step
-            state = SimState(t0 + (T if last and not exact else step * h),
-                             s.psi, s.n, s.wn, s.grad_wn, s.n_hat, s.params)
+            state, report = advance(state, h_last if last else h)
+            # rebuilt only when t0 + k h is not its t; directly: replace costs 1/10 of a step
+            if (t := t0 + (T if last and not exact else step * h)) != state.t:
+                state = SimState(t, state.psi, state.n, state.wn, state.grad_wn,
+                                 state.n_hat, state.params)
             if report is not None:
                 traj.psi_d0_bound = max(traj.psi_d0_bound or 0.0, report.d0_psi)
             if (step % stride == 0 or last) and (

@@ -191,7 +191,7 @@ def metric_axiom_checks(states: list, segments: int = 32, tol: float = 1e-8) -> 
             na, nb = sa.n.values, sb.n.values
             dn_l2 = spectral._l2_norm(nb - na, sa.n.grid)
             n_max = float(max(np.max(na), np.max(nb)))
-            k2max = float(np.max(sa.n.grid.k2))
+            k2max = sa.n.grid.k2_max
             omega_max = float(np.max(np.maximum(sa.omega, sb.omega)))
             floor = dn_l2**2 / (n_max * k2max + omega_max)
             entry = {

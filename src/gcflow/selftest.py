@@ -100,7 +100,7 @@ def run_checks() -> list[tuple[str, bool, str]]:
 
     def mass_conserving_step():
         st = problems.single_mode_state(params, 1, 0.005)
-        h = 0.5 * 2.7 / float(np.max(params.grid.k2))
+        h = 0.5 * 2.7 / params.grid.k2_max
         st1 = dynamics.step_rk4_canonical(st, h)
         mode = (0,) * params.grid.d  # the zero mode of N_hat is the mass
         assert st1.n_hat[mode] == st.n_hat[mode], st1.n_hat[mode] - st.n_hat[mode]

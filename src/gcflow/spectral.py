@@ -52,6 +52,7 @@ class Grid:
     # half-spectrum |k|^2; derivative symbols i k (shape (d, ...), one row per
     # axis) and -|k|^2, both zero on every mode with an axis index M/2
     k2: np.ndarray = field(repr=False, compare=False, default=None)
+    k2_max: float = field(repr=False, compare=False, default=None)  # the largest |k|^2
     ik: np.ndarray = field(repr=False, compare=False, default=None)
     lap: np.ndarray = field(repr=False, compare=False, default=None)
     # row m (0..4): |k|^m times the number of full-spectrum modes each
@@ -82,6 +83,7 @@ class Grid:
         g = Grid(d, float(L), M)
         scale = copies * g.cell_volume / g.volume
         object.__setattr__(g, "k2", k2)
+        object.__setattr__(g, "k2_max", float(np.max(k2)))
         object.__setattr__(g, "ik", np.stack([1j * k * keep for k in kvec]))
         object.__setattr__(g, "lap", -k2 * keep)
         object.__setattr__(g, "dnorm_weights",
@@ -135,6 +137,12 @@ class RealField:
         if not (-math.inf < v.min() and v.max() < math.inf):  # NaN fails both
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _checked(cls, grid: Grid, values: np.ndarray) -> "RealField":
+        """The field of float values its caller checked finite: no second scan."""
+        (f := object.__new__(cls)).__dict__.update(grid=grid, values=values)
+        return f
 
     def integral(self) -> float:
         """Collocation quadrature of the field over the box."""

@@ -5,7 +5,7 @@ parameter kappa).  The uniform equilibrium density m0 solves the fixed-point
 relation m0 = exp(mu - w*m0) with w the kernel integral; either mu or a
 target m0 may be prescribed (the other is derived).  A ModelParams also
 keeps the stacked Fourier multiplier that the stages of `dynamics` read,
-formed on first use.
+formed on first use, and an IMEX step's 1 - h lap for its last two h.
 
 The grand free energy is
 
@@ -71,6 +71,16 @@ class ModelParams:
         w_hat = self.kernel.symbol
         return np.concatenate((np.ones((1,) + w_hat.shape, complex),
                                self.grid.ik * w_hat, w_hat[None]))
+
+    def _imex_denominator(self, h: float) -> np.ndarray:
+        """1 - h lap on the half spectrum, an IMEX step's denominator, kept in
+        __dict__ for the last two h (a march's step and its shortened last)."""
+        cache = self.__dict__.setdefault("_imex_denominators", {})
+        if (den := cache.get(h)) is None:
+            if len(cache) == 2:
+                del cache[next(iter(cache))]
+            den = cache[h] = 1.0 - h * self.grid.lap
+        return den
 
 
 def make_params(grid: Grid, kernel: Kernel, kappa: float, mu: float | None = None,

@@ -126,13 +126,16 @@ OVERFLOWING_SUM = (["evolve"], OVERFLOWING_STEPS[1]
                    .replace("amplitude = 1.0", "amplitude = 1e-320")
                    .replace("h = 1e-300\nT = 1e300", "h = 1e-3\nT = 0.01"))
 
+# every sample and mode of N finite, the first IMEX step's inverse transform not
+OVERFLOWING_DENSITY = (["evolve", "--stdout"], OVERFLOWING_STEPS[1]
+                       .replace("M = 16", "M = 8").replace("m0 = 0.05", "m0 = 2e307")
+                       .replace("amplitude = 1.0", "amplitude = 1e-320")
+                       .replace("h = 1e-300\nT = 1e300", "h = 1e-4\nT = 1e-3")
+                       .replace("kind = uniform", "kind = single_mode\nmode = 1\neps = 1e307"))
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(runs())
-@example(OVERFLOWING_STEPS)
-@example(OVERFLOWING_SUM)
-def test_cli_contract(run):
+
+def _run(run):
+    """(exit code, stdout, stderr lines, warnings caught) of one CLI call."""
     argv, text = run
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/c.ini"
@@ -143,13 +146,30 @@ def test_cli_contract(run):
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
             code = main(argv + ["--config", path])
+    return code, out.getvalue(), err.getvalue().splitlines(), caught
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(runs())
+@example(OVERFLOWING_STEPS)
+@example(OVERFLOWING_SUM)
+@example(OVERFLOWING_DENSITY)
+def test_cli_contract(run):
+    code, out, lines, caught = _run(run)
     assert not caught, [str(w.message) for w in caught]
     assert code in (0, 1, 2)
-    for line in out.getvalue().splitlines():
+    for line in out.splitlines():
         json.loads(line, parse_constant=_reject_constant)
-    lines = err.getvalue().splitlines()
     if code == 0:
         assert lines == []
     else:
         assert len(lines) == 1
         assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+def test_overflowing_density_is_positivity_loss():
+    # the state's one check reports the overflow, naming the step's end time
+    code, out, lines, caught = _run(OVERFLOWING_DENSITY)
+    assert (code, out, caught) == (1, "", [])
+    assert lines == ['{"error": "PositivityLoss", "message": "density overflowed at t = 0.0001"}']

@@ -421,6 +421,41 @@ def test_nan_density_is_positivity_loss(params, monkeypatch):
     assert len(calls) == 4
 
 
+def test_overflowing_spectrum_is_positivity_loss(params):
+    # every mode finite and N positive, its inverse transform not: the state's
+    # one check reports it (the march silences the transform's overflow warning)
+    n_hat = np.zeros(params.grid.M // 2 + 1, complex)
+    n_hat[:2] = 1.6e308, 4e307
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(PositivityLoss, match=r"^density overflowed at t = 0\.5$"):
+        SimState.from_spectrum(0.5, n_hat, params)
+
+
+def test_imex_denominator_cache_is_exact_and_bounded(params):
+    # evolve's IMEX steps, each dividing by the model's cached 1 - h lap, are
+    # bit for bit steps by hand with the uncached formula, the shortened last
+    # step included, at two step sizes on one model; the cache keeps two h
+    st = perturbed_state(params)
+    for h, T in ((3e-3, 0.01), (7e-4, 0.005)):
+        n_steps, exact = dynamics._step_count(T, h)
+        assert not exact
+        by_hand, s = [], st
+        for k in range(1, n_steps + 1):
+            hk = h if k < n_steps else T - (n_steps - 1) * h
+            ex = dynamics._explicit(params, s.n.values, s.wn, s.grad_wn, True)
+            s = SimState.from_spectrum(s.t + hk, (s.n_hat + hk * ex) / (1.0 - hk * params.grid.lap),
+                                       params)
+            by_hand.append(s)
+        marched = evolve(st, T, h, "imex", record=lambda step, state, *_: state).records
+        assert len(marched) == n_steps
+        for a, b in zip(marched, by_hand):
+            assert np.array_equal(a.n_hat, b.n_hat) and np.array_equal(a.n.values, b.n.values)
+        assert marched[-1].t == T
+    for h in np.geomspace(1e-6, 1e-1, 100):
+        params._imex_denominator(h)
+    assert len(params.__dict__["_imex_denominators"]) == 2
+
+
 def test_rk4_stage_positivity_loss_names_stage_time(params, monkeypatch):
     # a rate of -4 N_hat_0 / h on the zero mode: the stage at t + h/2 holds
     # N_hat_0 - 2 N_hat_0, so N = -m0, and its inverse raises, naming t + h/2
@@ -628,24 +663,29 @@ def test_record_dissipation_matches_reference(d, M, state):
 
 
 @pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
-def test_one_validation_per_step(d, M, realfield_calls):
-    # N is a state's one validated field; a step validates the N it ends in,
-    # and a diagnostics record validates nothing
+def test_one_check_per_built_state(d, M, realfield_calls, monkeypatch):
+    # a march step validates no RealField: each state it builds gets one
+    # positivity-and-finiteness check (`_positive`), and an RK4 step one more
+    # for each of its three stage densities; a record checks nothing
+    checks = []
+    positive = dynamics._positive
+    monkeypatch.setattr(dynamics, "_positive", lambda *a: checks.append(1) or positive(*a))
     st = problems.random_band_state(model(d, M), 3, 0.3, seed=42)
-    for name in ("imex", "rk4", "rk4_canonical"):
-        del realfield_calls[:]
-        dynamics._STEPPERS[name](st, 1e-5)
-        assert len(realfield_calls) == 1, name
-    del realfield_calls[:]
+    for name, count in (("imex", 1), ("rk4", 4), ("rk4_canonical", 4)):
+        del realfield_calls[:], checks[:]
+        assert isinstance(dynamics._STEPPERS[name](st, 1e-5).n, RealField)
+        assert (len(realfield_calls), len(checks)) == (0, count), name
+    del realfield_calls[:], checks[:]
     jko.jko_step(st, 1e-3)
-    assert len(realfield_calls) == 1
+    assert (len(realfield_calls), len(checks)) == (0, 1)
     for canonical in (False, True):
-        del realfield_calls[:]
+        del realfield_calls[:], checks[:]
         diagnostics(1, st, canonical=canonical)
-        assert not realfield_calls, canonical
-    del realfield_calls[:]
+        assert not realfield_calls and not checks, canonical
+    del realfield_calls[:], checks[:]
     traj = evolve(st, 1e-4, 1e-5, stride=1)
-    assert len(traj.records) == 10 and len(realfield_calls) == 10
+    assert len(traj.records) == 10
+    assert (len(realfield_calls), len(checks)) == (0, 10)
 
 
 @pytest.mark.parametrize("built_from", ["density", "psi", "spectrum"])

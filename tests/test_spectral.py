@@ -52,12 +52,14 @@ def test_grid_derived_quantities(grid):
     assert grid.volume == 1.0
     assert grid.cell_volume == grid.dx
     assert grid.shape == (64,)
+    assert type(grid.k2_max) is float and grid.k2_max == np.max(grid.k2) == (32 * 2 * np.pi) ** 2
 
 
 def test_grid_2d(grid2d):
     assert grid2d.volume == 4.0
     assert grid2d.cell_volume == (2.0 / 32) ** 2
     assert grid2d.shape == (32, 32)
+    assert grid2d.k2_max == np.max(grid2d.k2)
 
 
 def test_roundtrip_1d(grid):
