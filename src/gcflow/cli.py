@@ -99,14 +99,14 @@ def cmd_evolve(args) -> int:
         print(rec.to_json(), file=sink)
         return rec
     try:  # a failing step raises here; the records written before it stay in the sink
-        traj = dynamics.evolve(state, cfg.T, h, cfg.integrator, stride=cfg.stride,
-                               jko=cfg.jko, record=record)
+        records = dynamics.evolve(state, cfg.T, h, cfg.integrator, stride=cfg.stride,
+                                  jko=cfg.jko, record=record)
     finally:
         if sink is not sys.stdout:
             sink.close()
-    final = traj.records[-1]
+    final = records[-1]
     print(json.dumps({"t": final.t, "gap": final.gap, "mass": final.mass,
-                      "records": len(traj.records)}))
+                      "records": len(records)}))
     return 0
 
 

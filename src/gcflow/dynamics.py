@@ -38,16 +38,16 @@ reads: one free-energy pass and no transform.  Both take the gap from
 checks its h by one rule, `_check_step`.
 
 `evolve` is the one march loop, for these steppers and for the implicit
-step of `gcflow.jko`; its one output is what its caller's `record` returns
-(a full record by default).  A step's failure is an ordinary exception,
-raised by the step that detects it.
+step of `gcflow.jko`; it returns the list of what its caller's `record`
+returned (full records by default).  A step's failure is an ordinary
+exception, raised by the step that detects it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -175,12 +175,6 @@ class GapRecord:
     step: int
     t: float
     gap: float
-
-
-@dataclass
-class Trajectory:
-    records: list = field(default_factory=list)  # what `evolve`'s record returned
-    psi_d0_bound: float | None = None  # running max ||psi||_D0 (implicit runs)
 
 
 def _invert(p: ModelParams, nh: np.ndarray, t: float, grand: bool) -> tuple:
@@ -388,7 +382,7 @@ def _step_count(T: float, h: float) -> tuple:
 
 
 def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
-           stride: int = 1, jko=None, record=None) -> Trajectory:
+           stride: int = 1, jko=None, record=None) -> list:
     """March to time T, calling `record` every `stride` steps and at the end.
 
     `integrator` is a key of _STEPPERS or "jko" (`jko.jko_step` with the
@@ -398,13 +392,12 @@ def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
     warnings: a step's own checks report the failure, and its GcflowError
     propagates from that step.  `record(step, state, canonical, report)`,
     `report` the step's `jko.JkoStepReport` (None after a direct step), is
-    the one output: what it returns, unless None, is kept in `records`, and
-    a caller that writes its records out as made keeps those before a
-    failure.  None is `diagnostics`, the full NDJSON record (2 transforms),
-    read when `evolve` runs, so a patched `dynamics.diagnostics` is seen;
-    `gap_record` makes no transform.  A JKO step's report also gives its
-    `d0_psi` to `psi_d0_bound`.  ValueError unless h passes `_check_step`
-    and T `_step_count`."""
+    the one output: `evolve` returns the list of what it returned, Nones
+    left out, and a caller that writes its records out as made keeps those
+    before a failure.  None is `diagnostics`, the full NDJSON record (2
+    transforms), read when `evolve` runs, so a patched
+    `dynamics.diagnostics` is seen; `gap_record` makes no transform.
+    ValueError unless h passes `_check_step` and T `_step_count`."""
     _check_step(h)
     n_steps, exact = _step_count(T, h)
     if integrator == "jko":
@@ -422,7 +415,7 @@ def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
     canonical = integrator.endswith("canonical")
     h_last = h if exact else T - (n_steps - 1) * h
     t0 = state.t
-    traj = Trajectory()
+    records = []
     # entered once: per step, np.errstate cost 5-10 us, 4-8% of a d = 1 IMEX
     # step; records only see states that passed the step's checks
     with np.errstate(over="ignore", invalid="ignore"):
@@ -433,9 +426,7 @@ def evolve(state: SimState, T: float, h: float, integrator: str = "imex",
             if (t := t0 + (T if last and not exact else step * h)) != state.t:
                 state = SimState(t, state.psi, state.n, state.wn, state.grad_wn,
                                  state.n_hat, state.params)
-            if report is not None:
-                traj.psi_d0_bound = max(traj.psi_d0_bound or 0.0, report.d0_psi)
             if (step % stride == 0 or last) and (
                     rec := record(step, state, canonical, report)) is not None:
-                traj.records.append(rec)
-    return traj
+                records.append(rec)
+    return records

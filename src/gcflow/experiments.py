@@ -7,10 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, problems, spectral, thermo
-from .dynamics import SimState, Trajectory
+from .dynamics import SimState
 from .errors import ConfigError, InsufficientData
 from .jko import JkoConfig
-from .spectral import RealField, l2_norm
 from .thermo import ModelParams
 
 GAP_FLOOR = 1e-13
@@ -26,11 +25,12 @@ class RateFit:
     n_points: int
 
 
-def fit_decay_rate(traj: Trajectory, window: tuple[float, float] | None = None) -> RateFit:
-    """Fit log(gap) = a - lambda_hat * t over `window` (default: last 60% of
-    the trajectory).  Records with gap <= 1e-13 are dropped."""
-    ts = np.array([r.t for r in traj.records])
-    gaps = np.array([r.gap for r in traj.records])
+def fit_decay_rate(records: list, window: tuple[float, float] | None = None) -> RateFit:
+    """Fit log(gap) = a - lambda_hat * t to a march's records over `window`
+    (default: the last 60% of their times).  Records with gap <= 1e-13 are
+    dropped."""
+    ts = np.array([r.t for r in records])
+    gaps = np.array([r.gap for r in records])
     if window is None:
         t0 = ts[0] + 0.4 * (ts[-1] - ts[0])
         window = (float(t0), float(ts[-1]))
@@ -98,9 +98,8 @@ def measure_mode_decay(
     g = params.grid
     idx = _half_index(g, (mode,) + (0,) * (g.d - 1))
     every = _states_every(max(1, dynamics._step_count(T, h)[0] // 400))
-    traj = dynamics.evolve(state, T, h, integrator, record=every)
     ts, amps = [], []
-    for s in [state] + traj.records:
+    for s in [state] + dynamics.evolve(state, T, h, integrator, record=every):
         if mode == 0:
             amp = abs(float(np.mean(s.n.values)) - params.m0)
         else:
@@ -155,10 +154,11 @@ def _run_point(label: str, state: SimState, T: float, h: float, integrator: str,
                stride: int, jko: JkoConfig | None = None) -> SweepPoint:
     """Evolve to T and fit the gap decay rate, from gap records: the fit
     reads no other field."""
-    traj = dynamics.evolve(state, T, h, integrator, stride=stride, jko=jko,
-                           record=dynamics.gap_record)
+    records = dynamics.evolve(state, T, h, integrator, stride=stride, jko=jko,
+                              record=dynamics.gap_record)
     p = state.params
-    return SweepPoint(label, p.grid.L, p.grid.M, fit_decay_rate(traj), thermo.rate_constants(p))
+    return SweepPoint(label, p.grid.L, p.grid.M, fit_decay_rate(records),
+                      thermo.rate_constants(p))
 
 
 def volume_sweep(states: list[SimState], T: float, h: float, integrator: str = "imex",
@@ -224,15 +224,15 @@ class CorridorReport:
     first_violation_t: float | None
 
 
-def corridor_check(traj: Trajectory, params: ModelParams) -> CorridorReport:
+def corridor_check(records: list, params: ModelParams) -> CorridorReport:
     """Whether the records' min and max of N stayed inside the corridor
-    kappa m0 < N < m0 / kappa; reads `n_min`/`n_max`, so `traj` needs full
+    kappa m0 < N < m0 / kappa; reads `n_min`/`n_max`, so it needs full
     records (`evolve`'s default `diagnostics`)."""
     lo, hi = params.kappa * params.m0, params.m0 / params.kappa
-    worst_min = min(r.n_min for r in traj.records)
-    worst_max = max(r.n_max for r in traj.records)
+    worst_min = min(r.n_min for r in records)
+    worst_max = max(r.n_max for r in records)
     first = None
-    for r in traj.records:
+    for r in records:
         if r.n_min <= lo or r.n_max >= hi:
             first = r.t
             break
@@ -255,14 +255,14 @@ def rate_guarantee_check(states: list[SimState], params: ModelParams) -> RateGua
     the corridor and the fitted rate, and the L2 bound is replayed at each
     state.  Not applicable when sigma <= 0 or the corridor was left."""
     rates = thermo.rate_constants(params)
-    traj = Trajectory([dynamics.diagnostics(step, s) for step, s in enumerate(states)])
-    corr = corridor_check(traj, params)
+    records = [dynamics.diagnostics(step, s) for step, s in enumerate(states)]
+    corr = corridor_check(records, params)
     if rates.sigma_nonpositive or not corr.ok:
         return RateGuaranteeReport(False, corr, rates, None, None, None)
-    fit = fit_decay_rate(traj)
+    fit = fit_decay_rate(records)
     ok = fit.lambda_hat >= 0.95 * rates.lambda_dagger
-    l2_ok = all(rates.sigma * l2_norm(RealField(params.grid, s.n.values - params.m0)) ** 2
-                <= r.gap * (1.0 + 1e-8) + 1e-15 for s, r in zip(states, traj.records))
+    l2_ok = all(rates.sigma * spectral._l2_norm(s.n.values - params.m0, params.grid) ** 2
+                <= r.gap * (1.0 + 1e-8) + 1e-15 for s, r in zip(states, records))
     return RateGuaranteeReport(True, corr, rates, fit, ok, l2_ok)
 
 
@@ -311,13 +311,13 @@ def jko_convergence_study(
     # each march keeps its states at the comparison times
     ref = dynamics.evolve(state0, T, h_ref, record=_states_every(round(h_max / h_ref)))
     points = []
-    b0 = 0.0
+    d0 = [0.0]  # every JKO step's D0 log-density increment, recorded or not
     for h in h_values:
-        traj = dynamics.evolve(state0, T, h, "jko", jko=jko,
-                               record=_states_every(round(h_max / h)))
-        b0 = max(b0, traj.psi_d0_bound)
+        keep = _states_every(round(h_max / h))  # a[3] below is the step's JkoStepReport
+        states = dynamics.evolve(state0, T, h, "jko", jko=jko,
+                                 record=lambda *a: d0.append(a[3].d0_psi) or keep(*a))
         errs = np.array([spectral._dnorms(g, s.n_hat - r.n_hat, 1)
-                         for s, r in zip(traj.records, ref.records)])
+                         for s, r in zip(states, ref)])
         points.append(JkoStudyPoint(h, float(errs[-1, 0]), float(errs[-1, 1]),
                                     float(errs[:, 0].max())))
     floor = min(points, key=lambda p: p.endpoint_d0)
@@ -328,4 +328,4 @@ def jko_convergence_study(
     hs = np.log([p.h for p in points])
     fit = _log_linear_fit(hs, np.array([p.endpoint_d0 for p in points]),
                           (float(hs.min()), float(hs.max())))
-    return JkoStudyReport(tuple(points), -fit.lambda_hat, h_ref, b0)
+    return JkoStudyReport(tuple(points), -fit.lambda_hat, h_ref, max(d0))

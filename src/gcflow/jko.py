@@ -178,8 +178,8 @@ def jko_step(state: SimState, h: float, cfg: JkoConfig | None = None) -> tuple:
     psi = spectral._real(psi_hat, g)
     new_state = SimState.from_psi(state.t + h, state.psi + h * psi, state.params)
     resid = residual_implicit(state, new_state, h)
-    if resid > cfg.residual_tol:
-        raise ResidualTooLarge(f"weak residual {resid:.3e} > {cfg.residual_tol:.3e}")
+    if not resid <= cfg.residual_tol:  # also rejects NaN
+        raise ResidualTooLarge(f"weak residual {resid:.3e} is not <= {cfg.residual_tol:.3e}")
     d0, _, d2 = spectral._dnorms(g, psi_hat, 2).tolist()
     return new_state, JkoStepReport(inner_iters=iters, d0_psi=d0, residual=resid,
                                     norm_delta_d2=h * d2)

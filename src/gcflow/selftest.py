@@ -12,7 +12,7 @@ import tempfile
 import numpy as np
 
 from . import dynamics, experiments, fieldio, jko, kernels, metric, problems, thermo
-from .dynamics import DiagnosticsRecord, Trajectory
+from .dynamics import DiagnosticsRecord
 from .spectral import Grid, RealField, _hat, _real, convolve, gradient, l2_norm
 
 
@@ -134,7 +134,7 @@ def run_checks() -> list[tuple[str, bool, str]]:
             DiagnosticsRecord(i, 0.01 * i, 1.0, 0.0, np.exp(-3.0 * 0.01 * i), 0, 0, 0, 1, 1, 0.0)
             for i in range(100)
         ]
-        fit = experiments.fit_decay_rate(Trajectory(records=recs))
+        fit = experiments.fit_decay_rate(recs)
         assert abs(fit.lambda_hat - 3.0) < 1e-10
         return f"lambda_hat {fit.lambda_hat:.6f}"
 

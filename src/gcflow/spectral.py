@@ -150,7 +150,9 @@ class RealField:
 
 
 def same_grid(a, b) -> None:
-    if a.grid is not b.grid and (a.grid.d, a.grid.L, a.grid.M) != (b.grid.d, b.grid.L, b.grid.M):
+    """GridMismatch unless a and b lie on equal grids: `Grid` equality
+    compares (d, L, M), its arrays being compare=False."""
+    if a.grid != b.grid:
         raise GridMismatch(f"{a.grid} vs {b.grid}")
 
 

@@ -47,16 +47,16 @@ def test_criterion_01_stationarity(params):
     st = problems.uniform_state(params)
     traj = evolve(st, 1.0, 1e-3, integrator="imex", stride=100)
     devs["imex"] = max(
-        max(abs(r.n_min - M0), abs(r.n_max - M0)) for r in traj.records
+        max(abs(r.n_min - M0), abs(r.n_max - M0)) for r in traj
     )
     h_rk4 = 5e-5
     traj = evolve(st, 1.0, h_rk4, integrator="rk4", stride=2000)
     devs["rk4"] = max(
-        max(abs(r.n_min - M0), abs(r.n_max - M0)) for r in traj.records
+        max(abs(r.n_min - M0), abs(r.n_max - M0)) for r in traj
     )
     traj = evolve(st, 1.0, 1e-2, "jko", stride=10)
     devs["jko"] = max(
-        max(abs(r.n_min - M0), abs(r.n_max - M0)) for r in traj.records
+        max(abs(r.n_min - M0), abs(r.n_max - M0)) for r in traj
     )
     ok = all(v <= 1e-10 for v in devs.values())
     report(1, "stationarity", ok,
@@ -73,7 +73,7 @@ def test_criterion_02_free_energy_monotone(params):
     runs.append(("jko", evolve(st, 0.2, 2e-3, "jko", stride=1)))
     worst = 0.0
     for _, traj in runs:
-        g = np.array([r.g_mu for r in traj.records])
+        g = np.array([r.g_mu for r in traj])
         rel = np.diff(g) / np.maximum(1.0, np.abs(g[:-1]))
         worst = max(worst, float(np.max(rel, initial=-np.inf)))
     ok = worst <= 1e-10
@@ -126,7 +126,7 @@ def test_criterion_05_rate_bound_positive_type():
     assert abs(rc.lambda_dagger - expect) < 1e-12
     st = problems.random_band_state(p, 3, 0.3, seed=103)
     # every stride-5 state: its record for the fit, the L2 bound replayed at it
-    states = evolve(st, 1.5, 1e-3, stride=5, record=lambda step, s, canonical, rep: s).records
+    states = evolve(st, 1.5, 1e-3, stride=5, record=lambda step, s, canonical, rep: s)
     rep = rate_guarantee_check(states, p)
     ok = (rep.applicable and rep.guarantee_ok and rep.l2_bound_ok)
     report(5, "certified rate bound", ok,

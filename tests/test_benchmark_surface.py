@@ -49,7 +49,7 @@ def test_evolve_calls_diagnostics_through_module(state, monkeypatch):
     monkeypatch.setattr(dynamics, "diagnostics",
                         lambda *a: calls.append(1) or diagnostics(*a))
     traj = dynamics.evolve(state, 4e-3, 1e-3, stride=2)
-    assert len(calls) == len(traj.records) == 2
+    assert len(calls) == len(traj) == 2
 
 
 def test_jko_step_calls_residual_through_module(state, monkeypatch):

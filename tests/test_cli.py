@@ -298,6 +298,21 @@ def test_evolve_huge_uniform_state_writes_finite_gaps(tmp_path, capsys, integrat
         assert abs(json.loads(line, parse_constant=_reject_constant)["gap"]) <= 1e-14 * 1e306
 
 
+def test_evolve_jko_nan_residual_exit_1(tmp_path, capsys):
+    # at m0 = 1e306 the weak residual of step 1 is NaN: the step is rejected,
+    # not recorded with a "residual": NaN that is not strict JSON
+    text = (BASE.replace("m0 = 0.05", "m0 = 1e306").replace("amplitude = 1.0", "amplitude = 1e-320")
+            .replace("integrator = imex", "integrator = jko").replace("h = 0.001", "h = 5e-4")
+            .replace("T = 0.05", "T = 0.005").replace("stride = 10", "stride = 1"))
+    assert main(["evolve", "--stdout", "--config", write_config(tmp_path, text)]) == 1
+    out, err = capsys.readouterr()
+    for line in out.splitlines():
+        json.loads(line, parse_constant=_reject_constant)
+    assert out == ""  # step 1 fails: no record is written
+    err = json.loads(err.strip().splitlines()[-1])
+    assert err["error"] == "ResidualTooLarge" and "nan" in err["message"]
+
+
 @pytest.mark.parametrize("integrator", ["rk4", "rk4_canonical"])
 def test_explicit_step_above_cap_exit_2(tmp_path, capsys, integrator):
     # h max|k|^2 = 1e-4 (64 pi)^2 = 4.04 > 2.7: the config alone decides it,

@@ -272,20 +272,20 @@ def test_grand_does_not_conserve_mass(params):
     st = problems.single_mode_state(params, 0, 0.01)
     mass0 = st.n.integral()
     traj = evolve(st, 0.2, 1e-3, integrator="imex", stride=10)
-    assert abs(traj.records[-1].mass * params.grid.volume - mass0) > 1e-4
+    assert abs(traj[-1].mass * params.grid.volume - mass0) > 1e-4
 
 
 def test_free_energy_monotone_along_run(params):
     st = perturbed_state(params, seed=33, amp=0.3)
     traj = evolve(st, 0.5, 1e-3, integrator="imex", stride=1)
-    g = np.array([r.g_mu for r in traj.records])
+    g = np.array([r.g_mu for r in traj])
     assert np.all(np.diff(g) <= 1e-10 * np.maximum(1.0, np.abs(g[:-1])))
 
 
 def test_gap_nonnegative_and_decaying(params):
     st = perturbed_state(params, seed=34, amp=0.3)
     traj = evolve(st, 1.0, 1e-3, integrator="imex", stride=10)
-    gaps = np.array([r.gap for r in traj.records])
+    gaps = np.array([r.gap for r in traj])
     assert np.all(gaps >= -1e-13)
     assert gaps[-1] < gaps[0] * 1e-2
 
@@ -312,12 +312,12 @@ def test_evolve_records_every_stride(params):
     # returns is kept: full records by default, or any object it makes
     st = perturbed_state(params, seed=36)
     traj = evolve(st, 0.05, 1e-3, stride=10)
-    assert [r.step for r in traj.records] == [10, 20, 30, 40, 50]
+    assert [r.step for r in traj] == [10, 20, 30, 40, 50]
     calls = []
     traj = evolve(st, 0.045, 1e-3, stride=10,
                   record=lambda step, s, canonical, report: calls.append(step) or s)
     assert calls == [10, 20, 30, 40, 45]
-    assert [round(s.t, 12) for s in traj.records] == [0.01, 0.02, 0.03, 0.04, 0.045]
+    assert [round(s.t, 12) for s in traj] == [0.01, 0.02, 0.03, 0.04, 0.045]
 
 
 def test_evolve_drops_none_records(params):
@@ -325,8 +325,8 @@ def test_evolve_drops_none_records(params):
     st = perturbed_state(params, seed=36)
     traj = evolve(st, 0.01, 1e-3, stride=2,
                   record=lambda step, s, canonical, report: step if step % 4 == 0 else None)
-    assert traj.records == [4, 8]
-    assert evolve(st, 0.01, 1e-3, record=lambda *args: None).records == []
+    assert traj == [4, 8]
+    assert evolve(st, 0.01, 1e-3, record=lambda *args: None) == []
 
 
 def test_diagnostics_record_json(params):
@@ -350,14 +350,14 @@ def test_diagnostics_reads_jko_report(params):
     assert vars(rec) == {**vars(diagnostics(1, st)), "inner_iters": report.inner_iters,
                          "residual": report.residual}
     traj = evolve(perturbed_state(params, seed=37), 2e-3, 1e-3, "jko")
-    assert all(r.inner_iters is not None and r.residual is not None for r in traj.records)
+    assert all(r.inner_iters is not None and r.residual is not None for r in traj)
 
 
 def test_evolve_reproducible(params):
     st = perturbed_state(params, seed=38)
     a = evolve(st, 0.05, 1e-3, stride=5)
     b = evolve(st, 0.05, 1e-3, stride=5)
-    assert [r.to_json() for r in a.records] == [r.to_json() for r in b.records]
+    assert [r.to_json() for r in a] == [r.to_json() for r in b]
 
 
 def test_steppers_are_public_functions():
@@ -372,14 +372,14 @@ def test_evolve_ends_at_T(params, T, h, steps):
     # a non-integer T/h shortens the last step; an integer one keeps every
     # step at h, and t is t0 + k h rather than a running sum
     traj = evolve(problems.uniform_state(params), T, h, stride=steps)
-    assert traj.records[-1].step == steps
-    assert traj.records[-1].t == T
+    assert traj[-1].step == steps
+    assert traj[-1].t == T
 
 
 def test_evolve_T_far_below_h(params):
     # T / h underflows to 0: one step of T, not a march of no steps
     traj = evolve(problems.uniform_state(params), 5e-324, 1e300)
-    assert [(r.step, r.t) for r in traj.records] == [(1, 5e-324)]
+    assert [(r.step, r.t) for r in traj] == [(1, 5e-324)]
 
 
 @pytest.mark.parametrize("error", [TypeError, PositivityLoss],
@@ -446,7 +446,7 @@ def test_imex_denominator_cache_is_exact_and_bounded(params):
             s = SimState.from_spectrum(s.t + hk, (s.n_hat + hk * ex) / (1.0 - hk * params.grid.lap),
                                        params)
             by_hand.append(s)
-        marched = evolve(st, T, h, "imex", record=lambda step, state, *_: state).records
+        marched = evolve(st, T, h, "imex", record=lambda step, state, *_: state)
         assert len(marched) == n_steps
         for a, b in zip(marched, by_hand):
             assert np.array_equal(a.n_hat, b.n_hat) and np.array_equal(a.n.values, b.n.values)
@@ -516,8 +516,8 @@ def test_gap_record_matches_diagnostics(d, M, integrator):
     canonical = integrator == "rk4_canonical"
     traj = evolve(problems.random_band_state(p, 3, 0.3, seed=11), 3 * h, h, integrator,
                   record=lambda *args: (gap_record(*args), args))
-    assert len(traj.records) == 3
-    for step, (rec, args) in enumerate(traj.records, 1):
+    assert len(traj) == 3
+    for step, (rec, args) in enumerate(traj, 1):
         s = args[1]
         full = diagnostics(*args)
         assert args[:3] == (step, s, canonical)
@@ -684,7 +684,7 @@ def test_one_check_per_built_state(d, M, realfield_calls, monkeypatch):
         assert not realfield_calls and not checks, canonical
     del realfield_calls[:], checks[:]
     traj = evolve(st, 1e-4, 1e-5, stride=1)
-    assert len(traj.records) == 10
+    assert len(traj) == 10
     assert (len(realfield_calls), len(checks)) == (0, 10)
 
 

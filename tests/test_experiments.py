@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gcflow import dynamics, experiments, problems, thermo
-from gcflow.dynamics import DiagnosticsRecord, Trajectory
+from gcflow.dynamics import DiagnosticsRecord
 from gcflow.errors import ConfigError, InsufficientData
 from gcflow.experiments import (
     corridor_check,
@@ -31,12 +31,11 @@ def keep_state(step, state, canonical, report):
 
 
 def synthetic_traj(lam, n=100, dt=0.01, amp=1.0):
-    recs = [
+    return [
         DiagnosticsRecord(i, i * dt, 1.0, 0.0, amp * np.exp(-lam * i * dt),
                           0, 0, 0, 0.05, 0.05, 0.0)
         for i in range(n)
     ]
-    return Trajectory(records=recs)
 
 
 def test_fit_exact_exponential():
@@ -52,7 +51,7 @@ def test_fit_window_selects_tail():
         t = i * 0.01
         gap = np.exp(-1.0 * t) if t < 1.0 else np.exp(-1.0) * np.exp(-4.0 * (t - 1.0))
         recs.append(DiagnosticsRecord(i, t, 1.0, 0.0, gap, 0, 0, 0, 0.05, 0.05, 0.0))
-    fit = fit_decay_rate(Trajectory(records=recs), window=(1.2, 1.99))
+    fit = fit_decay_rate(recs, window=(1.2, 1.99))
     assert abs(fit.lambda_hat - 4.0) < 1e-8
 
 
@@ -111,8 +110,8 @@ def test_rate_guarantee_positive_type():
     params = make_params(grid, kernel, 0.4, m0=0.05)
     st = problems.random_band_state(params, 3, 0.3, seed=72)
     traj = dynamics.evolve(st, 1.2, 1e-3, stride=5, record=keep_state)
-    assert len(traj.records) == 240
-    rep = rate_guarantee_check(traj.records, params)
+    assert len(traj) == 240
+    rep = rate_guarantee_check(traj, params)
     assert rep.applicable
     assert rep.fit.lambda_hat >= 0.95 * rep.rates.lambda_dagger
     assert rep.l2_bound_ok
@@ -124,7 +123,7 @@ def test_rate_guarantee_l2_bound_fails_at_some_state(monkeypatch):
     grid = Grid.make(1, 1.0, 64)
     params = make_params(grid, make_positive_type(grid, 1.0, 0.05), 0.4, m0=0.05)
     st = problems.random_band_state(params, 3, 0.3, seed=3)
-    states = dynamics.evolve(st, 0.07, 1e-3, record=keep_state).records
+    states = dynamics.evolve(st, 0.07, 1e-3, record=keep_state)
     huge = thermo.RateConstants(sigma=1e6, gsq=1.0, lambda_dagger=0.0, sigma_nonpositive=False)
     monkeypatch.setattr(thermo, "rate_constants", lambda p: huge)
     rep = rate_guarantee_check(states, params)
@@ -139,7 +138,7 @@ def test_rate_guarantee_not_applicable_sigma(params):
     big = make_params(grid, kernel, 0.4, m0=2.0 * 0.4 * kernel.stats.theta_sharp)
     st = problems.uniform_state(big)
     traj = dynamics.evolve(st, 0.05, 1e-3, stride=5, record=keep_state)
-    rep = rate_guarantee_check(traj.records, big)
+    rep = rate_guarantee_check(traj, big)
     assert not rep.applicable
     assert rep.fit is None
 
@@ -178,6 +177,21 @@ def test_jko_study_matches_hand_stepping(params):
         assert point.sup_d0 == pytest.approx(sup, rel=1e-13)
 
 
+def test_jko_study_b0_covers_every_step(params):
+    # b0 is the max of d0_psi over every step of every JKO march, replayed here
+    # by hand; the 2e-3 march keeps only every 2nd state, and its step 1, the
+    # largest increment, is not kept (over kept steps only, b0 reads 15.2, not 18.6)
+    st0 = problems.random_band_state(params, 2, 0.2, seed=73)
+    T, hs = 0.02, (4e-3, 2e-3)
+    d0 = []
+    for h in hs:
+        st = st0
+        for _ in range(round(T / h)):
+            st, rep = jko_step(st, h)
+            d0.append(rep.d0_psi)
+    assert jko_convergence_study(st0, T, hs).b0 == max(d0)
+
+
 @pytest.mark.parametrize("T, hs", [(0.002, (4e-3, 2e-3)), (0.01, (2e-3,)),
                                    (0.01, (3e-3, 2e-3)), (0.01, (2e-3, -1e-3)),
                                    (1e300, (2e-300, 1e-300))])
@@ -194,11 +208,11 @@ def test_states_every_drops_shortened_last_step(params):
     # step's state is kept, and step 11 (no multiple of 5) is not
     st = problems.random_band_state(params, 3, 0.2, seed=74)
     traj = dynamics.evolve(st, 0.0105, 1e-3, record=experiments._states_every(5))
-    assert [round(s.t, 12) for s in traj.records] == [0.005, 0.01]
-    assert all(isinstance(s, dynamics.SimState) for s in traj.records)
+    assert [round(s.t, 12) for s in traj] == [0.005, 0.01]
+    assert all(isinstance(s, dynamics.SimState) for s in traj)
     # a multiple of k at the last step keeps it
     traj = dynamics.evolve(st, 0.0105, 1e-3, record=experiments._states_every(11))
-    assert [s.t for s in traj.records] == [0.0105]
+    assert [s.t for s in traj] == [0.0105]
 
 
 def test_mode_decay_window_ends_at_T(params):
@@ -225,7 +239,7 @@ def test_volume_sweep_fit_matches_full_records(params, integrator, h):
     st = problems.random_band_state(params, 3, 0.25, 9)
     point = experiments.volume_sweep([st], T=0.6, h=h, integrator=integrator).points[0]
     traj = dynamics.evolve(st, 0.6, h, integrator, stride=5)
-    assert isinstance(traj.records[0], DiagnosticsRecord)
+    assert isinstance(traj[0], DiagnosticsRecord)
     full = fit_decay_rate(traj)
     assert point.fit.lambda_hat == full.lambda_hat
     assert point.fit.r_squared == full.r_squared
