@@ -30,12 +30,23 @@ takes one of each (`from_spectrum` is `_invert`) and divides by the model's
 cached 1 - h lap: 2 transforms a step.  Both RK4 steppers march N_hat, one
 of each a stage: 8 a step.  The mass-conserving rate is 0 on the zero mode,
 so the mass is kept exactly (bit for bit in N_hat).  A step validates no
-RealField.  A full record (`diagnostics`, the NDJSON one) transforms Psi
-forward and grad Phi_N back: 2 transforms, and no Omega_N.  A gap record
-(`gap_record`) holds only the free-energy gap, the one field a rate fit
-reads: one free-energy pass and no transform.  Both take the gap from
-`_gap`, so they agree bit for bit.  Every step, `jko.jko_step`'s too,
-checks its h by one rule, `_check_step`.
+RealField.
+
+A step's large intermediates live in the model's `ModelParams.stage_buffers`,
+which it overwrites: the rows of `inverse_multiplier` times N_hat (every
+`_invert`), an RK4 stage's N, W*N and grad W*N, and `_explicit`'s flux and
+reaction fields, their half spectra and the reaction's exponentials.  What a
+step returns is fresh: `_explicit`'s summed spectrum, each stage rate and,
+from `from_spectrum` and every other builder, each array a state holds, so
+no state, record or Phi_N and Omega_N formed from a state shares memory with
+a buffer.  A model's steps must not run on two threads at once.
+
+A full record (`diagnostics`, the NDJSON one) transforms Psi forward and
+grad Phi_N back: 2 transforms, and no Omega_N.  A gap record (`gap_record`)
+holds only the free-energy gap, the one field a rate fit reads: one
+free-energy pass and no transform.  Both take the gap from `_gap`, so they
+agree bit for bit.  Every step, `jko.jko_step`'s too, checks its h by one
+rule, `_check_step`.
 
 `evolve` is the one march loop, for these steppers and for the implicit
 step of `gcflow.jko`; it returns the list of what its caller's `record`
@@ -177,13 +188,18 @@ class GapRecord:
     gap: float
 
 
-def _invert(p: ModelParams, nh: np.ndarray, t: float, grand: bool) -> tuple:
+def _invert(p: ModelParams, nh: np.ndarray, t: float, grand: bool,
+            out: np.ndarray | None = None) -> tuple:
     """(N, W*N, grad W*N) from the half spectrum nh: the rows of
-    `ModelParams.inverse_multiplier` times nh, in one inverse transform, N
-    checked positive at time t.  Not grand, the W*N row is left out and W*N
-    is None."""
-    mult = p.inverse_multiplier
-    fields = spectral._real((mult if grand else mult[:1 + p.grid.d]) * nh, p.grid)
+    `ModelParams.inverse_multiplier` times nh, formed in the model's
+    `inverse_hat` buffer, in one inverse transform, N checked positive at
+    time t.  Not grand, the W*N row is left out and W*N is None.  The fields
+    are written into the leading rows of `out` when it is given (an RK4
+    stage's `inverse_real` buffer), else into a fresh array, which a state
+    may keep."""
+    rows = 2 + p.grid.d if grand else 1 + p.grid.d
+    product = np.multiply(p.inverse_multiplier[:rows], nh, out=p.stage_buffers.inverse_hat[:rows])
+    fields = spectral._real(product, p.grid, out=None if out is None else out[:rows])
     n = _positive(fields[0], t)
     return (n, fields[-1], fields[1:-1]) if grand else (n, None, fields[1:])
 
@@ -191,17 +207,23 @@ def _invert(p: ModelParams, nh: np.ndarray, t: float, grand: bool) -> tuple:
 def _explicit(p: ModelParams, n: np.ndarray, wn: np.ndarray | None, grad_wn: np.ndarray,
               grand: bool) -> np.ndarray:
     """Half spectrum of div(N grad w_N), plus, when grand, the reaction
-    exp((mu - w_N)/2) - N exp(-(mu - w_N)/2): both are written into one
-    array and sent forward in one transform, whose flux rows take i k in
-    place before the rows are summed (at d = 1 by one add, not a reduction).
-    Not grand, it is exactly 0 on the zero mode, so it never moves the mass."""
+    exp((mu - w_N)/2) - N exp(-(mu - w_N)/2): both are written into the
+    model's `forward_real` buffer (the reaction formed in its `reaction`
+    rows) and sent forward in one transform into its `forward_hat`, whose
+    flux rows take i k in place before the rows are summed (at d = 1 by one
+    add, not a reduction) into a fresh array.  Not grand, it is exactly 0 on
+    the zero mode, so it never moves the mass."""
     g = p.grid
-    fields = np.empty((g.d + 1 if grand else g.d,) + g.shape)
+    buf = p.stage_buffers
+    rows = g.d + 1 if grand else g.d
+    fields = buf.forward_real[:rows]
     np.multiply(n, grad_wn, out=fields[:g.d])
     if grand:  # two exponentials: one, e - n/e, divides by 0 when e underflows
-        half = 0.5 * (p.mu - wn)
-        np.subtract(np.exp(half), n * np.exp(-half), out=fields[g.d])
-    hats = spectral._hat(fields, g)
+        half, decay = buf.reaction  # 0.5 (mu - w_N), then exp of it; n exp(-half)
+        np.multiply(np.subtract(p.mu, wn, out=half), 0.5, out=half)
+        np.multiply(n, np.exp(np.negative(half, out=decay), out=decay), out=decay)
+        np.subtract(np.exp(half, out=half), decay, out=fields[g.d])
+    hats = spectral._hat(fields, g, out=buf.forward_hat[:rows])
     hats[:g.d] *= g.ik
     return hats[0] + hats[1] if g.d == 1 and grand else hats.sum(axis=0)
 
@@ -256,18 +278,19 @@ def step_imex(state: SimState, h: float) -> SimState:
 def _rk4(state: SimState, h: float, grand: bool) -> SimState:
     """Classical RK4 on the half spectrum, for the grand flow or, not grand,
     the mass-conserving one.  A stage at N_hat_0 + c h k_hat gets its fields
-    from `_invert` (N checked at the stage time) and k_hat = lap N_hat +
-    `_explicit`; stage 1 reads its fields from the state, and the step ends
-    in `SimState.from_spectrum`."""
+    from `_invert` (N checked at the stage time) in the model's
+    `inverse_real` buffer and k_hat = lap N_hat + `_explicit`; stage 1 reads
+    its fields from the state, and the step ends in `SimState.from_spectrum`."""
     _check_step(h, state)
     p = state.params
     t, nh0 = state.t, state.n_hat
+    fields = p.stage_buffers.inverse_real
 
     def rate(nh: np.ndarray, n: np.ndarray, wn: np.ndarray | None, grad_wn: np.ndarray):
         return p.grid.lap * nh + _explicit(p, n, wn, grad_wn, grand)
 
     def stage(nh: np.ndarray, c: float) -> np.ndarray:
-        return rate(nh, *_invert(p, nh, t + c * h, grand))
+        return rate(nh, *_invert(p, nh, t + c * h, grand, fields))
 
     k1 = rate(nh0, state.n.values, state.wn, state.grad_wn)  # from the state's caches
     k2 = stage(nh0 + 0.5 * h * k1, 0.5)

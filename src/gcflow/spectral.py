@@ -161,19 +161,21 @@ def _half(a: np.ndarray) -> np.ndarray:
     return a[..., : a.shape[-1] // 2 + 1]
 
 
-def _hat(values: np.ndarray, grid: Grid) -> np.ndarray:
+def _hat(values: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """Half spectrum (raw DFT) of real samples over the grid's axes, which
-    come last: a leading batch axis transforms each field in one call."""
+    come last: a leading batch axis transforms each field in one call.  With
+    `out`, a complex array of the result's shape, the result is written there."""
     if grid.d == 1:
-        return np.fft.rfft(values)
-    return np.fft.rfftn(values, axes=(-2, -1))
+        return np.fft.rfft(values, out=out)
+    return np.fft.rfftn(values, axes=(-2, -1), out=out)
 
 
-def _real(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Real samples of a half spectrum; inverse of `_hat`, batched alike."""
+def _real(coeffs: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """Real samples of a half spectrum; inverse of `_hat`, batched alike, and
+    written into `out` when it is given."""
     if grid.d == 1:
-        return np.fft.irfft(coeffs, n=grid.M)
-    return np.fft.irfftn(coeffs, s=grid.shape, axes=(-2, -1))
+        return np.fft.irfft(coeffs, n=grid.M, out=out)
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=(-2, -1), out=out)
 
 
 def gradient(f: RealField) -> tuple:

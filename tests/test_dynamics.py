@@ -755,6 +755,113 @@ def test_stepped_params_freed_by_reference_counting():
         gc.enable()
 
 
+def _state_arrays(st: SimState) -> list:
+    return [st.psi, st.n.values, st.wn, st.grad_wn, st.n_hat]
+
+
+@pytest.mark.parametrize("name", ["imex", "rk4", "rk4_canonical"])
+@pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
+def test_stage_buffers_never_escape(d, M, name):
+    # a step writes its intermediates into the model's stage buffers, but
+    # no array of a state it returns (nor of a record, nor Phi_N or Omega_N
+    # formed from the state) is a view of them, and a state keeps its bits
+    # while later steps overwrite the buffers; the grand flow (imex, rk4)
+    # and the mass-conserving one (rk4_canonical)
+    p = model(d, M)
+    kept = []
+
+    def record(step, st, canonical, report):
+        rec = diagnostics(step, st, canonical)
+        kept.append((st, [a.copy() for a in _state_arrays(st)], rec))
+        return rec
+
+    evolve(problems.random_band_state(p, 3, 0.3, seed=47), 4e-5, 1e-5, name, record=record)
+    assert len(kept) == 4 and "stage_buffers" in vars(p)
+    buffers = list(p.stage_buffers)
+    for st, bits, rec in kept:
+        arrays = _state_arrays(st) + [st.phi, st.omega] + [
+            v for v in vars(rec).values() if isinstance(v, np.ndarray)]
+        for a in arrays:
+            assert not any(np.shares_memory(a, b) for b in buffers)
+        for a, b in zip(_state_arrays(st), bits):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
+def test_stage_buffers_live_with_their_model(d, M):
+    # the buffers belong to the model: after every stepper has used them,
+    # the model and each buffer die with the model's last reference, so no
+    # cache elsewhere (keyed by the model or its id) holds them
+    p = model(d, M)
+    st = problems.random_band_state(p, 3, 0.3, seed=48)
+    for name in ("imex", "rk4", "rk4_canonical"):
+        st = dynamics._STEPPERS[name](st, 1e-5)
+    refs = [weakref.ref(p)] + [weakref.ref(b) for b in p.stage_buffers]
+    del p, st
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def _fresh_fields(p, nh, grand):
+    """(N, W*N, grad W*N) of a stage, each product and transform in a fresh array."""
+    mult = p.inverse_multiplier
+    fields = spectral._real((mult if grand else mult[:1 + p.grid.d]) * nh, p.grid)
+    return (fields[0], fields[-1], fields[1:-1]) if grand else (fields[0], None, fields[1:])
+
+
+def _fresh_explicit(p, n, wn, grad_wn, grand):
+    """The explicit terms' half spectrum, every intermediate a fresh array."""
+    g = p.grid
+    fields = np.empty((g.d + 1 if grand else g.d,) + g.shape)
+    np.multiply(n, grad_wn, out=fields[:g.d])
+    if grand:
+        half = 0.5 * (p.mu - wn)
+        np.subtract(np.exp(half), n * np.exp(-half), out=fields[g.d])
+    hats = spectral._hat(fields, g)
+    hats[:g.d] *= g.ik
+    return hats[0] + hats[1] if g.d == 1 and grand else hats.sum(axis=0)
+
+
+def _fresh_imex(st, h):
+    p = st.params
+    explicit = _fresh_explicit(p, st.n.values, st.wn, st.grad_wn, True)
+    return (st.n_hat + h * explicit) / (1.0 - h * p.grid.lap)
+
+
+def _fresh_rk4(st, h, grand):
+    p = st.params
+    nh0 = st.n_hat
+
+    def rate(nh, n, wn, grad_wn):
+        return p.grid.lap * nh + _fresh_explicit(p, n, wn, grad_wn, grand)
+
+    def stage(nh):
+        return rate(nh, *_fresh_fields(p, nh, grand))
+
+    k1 = rate(nh0, st.n.values, st.wn, st.grad_wn)
+    k2 = stage(nh0 + 0.5 * h * k1)
+    k3 = stage(nh0 + 0.5 * h * k2)
+    k4 = stage(nh0 + h * k3)
+    return nh0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
+def test_buffered_steps_match_fresh_allocation_bit_for_bit(d, M):
+    # each stepper, writing into the model's stage buffers, gives the N_hat
+    # of the same formulas with every intermediate freshly allocated, bit for
+    # bit, over successive steps that reuse the buffers
+    p = model(d, M)
+    h = 0.5 * 2.7 / p.grid.k2_max
+    fresh = {"imex": _fresh_imex, "rk4": lambda st, h: _fresh_rk4(st, h, True),
+             "rk4_canonical": lambda st, h: _fresh_rk4(st, h, False)}
+    for name, reference in fresh.items():
+        st = step_imex(problems.random_band_state(p, 3, 0.3, seed=49), h)
+        for _ in range(3):
+            expected = reference(st, h)
+            st = dynamics._STEPPERS[name](st, h)
+            assert np.array_equal(st.n_hat, expected), name
+
+
 @pytest.mark.parametrize("family", ["smoothed_indicator", "positive_type"])
 @pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
 def test_state_phi_omega_match_reference(d, M, family):
