@@ -236,12 +236,16 @@ def rhs_grand(state: SimState) -> RealField:
     return RealField(g, spectral._real(rate, g))
 
 
-def _onsager(state: SimState, f: np.ndarray, f_hat: np.ndarray) -> np.ndarray:
+def _onsager(state: SimState, f: np.ndarray, f_hat: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
     """The Onsager operator K_N f = Omega_N f - div(N grad f) of the flow
     (dN/dt = -K_N Phi_N), the implicit step and the metric, at the state's N,
-    from f and its half spectrum f_hat: two transforms."""
+    from f and its half spectrum f_hat: three transforms.  Written into `out`
+    (a real array of the grid's shape, not f) when it is given."""
     g = state.n.grid
-    return state.omega * f - spectral._real(spectral.div_n_grad(g, state.n.values, f_hat), g)
+    k_f = np.multiply(state.omega, f, out=out)
+    k_f -= spectral._real(spectral.div_n_grad(g, state.n.values, f_hat), g)
+    return k_f
 
 
 def _decay_symbol(p: ModelParams, m: float, grand: bool = True) -> np.ndarray:

@@ -34,11 +34,20 @@ solve starts at psi = P_h(A) and accelerates the fixed-point map by
 Anderson mixing; a guard on growth of the fixed-point residual flags
 divergence (h too large).  A equals exp(-Psi0) * rhs(N0), so uniform
 equilibrium gives A == 0 and the step is an exact fixed point there.
+
+The mixing keeps its at most 3 differences of successive map outputs and
+of residuals as the rows of two arrays made once per step, newest first,
+and solves the k x k Gram system of the residual differences by
+`np.linalg.lstsq`, which also answers when exactly repeated differences
+make that matrix singular.  The map writes its intermediates into work
+arrays made once per step (`_Work`): 4 transforms an inner iteration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +67,11 @@ class JkoConfig:
     residual_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.inner_tol <= 0 or self.residual_tol <= 0:
-            raise ValueError("inner_tol, residual_tol must be positive")
+        for name in ("inner_tol", "residual_tol"):
+            if not 0.0 < (tol := getattr(self, name)) < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be positive and finite, got {tol}")
+        if not self.max_inner >= 1:
+            raise ValueError(f"max_inner must be at least 1, got {self.max_inner}")
 
 
 @dataclass
@@ -93,23 +105,66 @@ def _freeze(state: SimState) -> _Frozen:
     return _Frozen(grad_psi0=grad_psi0, omega0=omega0, a_hat=a_hat)
 
 
+class _Work(NamedTuple):
+    """The arrays `_fixed_point_rhs` writes into, made once per step."""
+
+    psi: np.ndarray  # psi, back from x_hat, then u = psi + w_psi
+    h_psi: np.ndarray  # h psi, then E2(h psi) / h
+    e: np.ndarray  # exp(h psi) - 1
+    local: np.ndarray  # N0 e / h, then the pointwise part of the map
+    hat: np.ndarray  # the half spectrum of N0 e / h, then of the pointwise part
+    rows: np.ndarray  # (1 + d) half spectra: w_psi's, then i k u_hat
+    back: np.ndarray  # (1 + d) fields: w_psi, then grad u (times grad Psi0)
+    rhs: np.ndarray  # psi_hat + w_psi's half spectrum, then the map's right side
+
+
+def _work(g: spectral.Grid) -> _Work:
+    real, half = g.shape, g.lap.shape
+    return _Work(psi=np.empty(real), h_psi=np.empty(real), e=np.empty(real),
+                 local=np.empty(real), hat=np.empty(half, complex),
+                 rows=np.empty((1 + g.d,) + half, complex), back=np.empty((1 + g.d,) + real),
+                 rhs=np.empty(half, complex))
+
+
 def _fixed_point_rhs(frozen: _Frozen, state: SimState, psi: np.ndarray,
-                     psi_hat: np.ndarray, h: float) -> np.ndarray:
+                     psi_hat: np.ndarray, h: float, h_lap: np.ndarray, w: _Work) -> np.ndarray:
     """Half spectrum of A + h B(psi) - E2(h psi) / h, with B written as
-    lap w_psi + grad u . grad Psi0 - u Omega0 for u = psi + w_psi.  w_psi
-    and grad u come back from one batched inverse transform of one array,
-    its row 0 w_psi's half spectrum and its d rows i k u_hat."""
+    lap w_psi + grad u . grad Psi0 - u Omega0 for u = psi + w_psi, formed in
+    the step's work arrays `w` and returned in `w.rhs`; h_lap is h lap.
+    w_psi and grad u come back from one batched inverse transform of one
+    array, its row 0 w_psi's half spectrum and its d rows i k u_hat."""
     g = state.n.grid
-    e = np.expm1(h * psi)
-    rows = np.empty((1 + g.d,) + psi_hat.shape, complex)
-    wp_hat = np.multiply(state.params.kernel.symbol,
-                         spectral._hat(state.n.values * e / h, g), out=rows[0])
-    np.multiply(g.ik, psi_hat + wp_hat, out=rows[1:])
-    back = spectral._real(rows, g)
-    u = psi + back[0]
-    dot = np.sum(back[1:] * frozen.grad_psi0, axis=0)
-    local = h * (dot - u * frozen.omega0) - (e - h * psi) / h
-    return frozen.a_hat + h * g.lap * wp_hat + spectral._hat(local, g)
+    h_psi = np.multiply(psi, h, out=w.h_psi)
+    e = np.expm1(h_psi, out=w.e)
+    n_e = np.multiply(state.n.values, e, out=w.local)
+    n_e /= h  # N0 e / h, not N0 / h e: N0 / h overflows at huge N0
+    wp_hat = np.multiply(state.params.kernel.symbol, spectral._hat(n_e, g, out=w.hat),
+                         out=w.rows[0])
+    np.multiply(g.ik, np.add(psi_hat, wp_hat, out=w.rhs), out=w.rows[1:])
+    back = spectral._real(w.rows, g, out=w.back)
+    u = np.add(psi, back[0], out=w.psi)
+    grads = np.multiply(back[1:], frozen.grad_psi0, out=back[1:])
+    local = np.sum(grads, axis=0, out=w.local)
+    local -= np.multiply(u, frozen.omega0, out=u)
+    local *= h
+    local -= np.divide(np.subtract(e, h_psi, out=h_psi), h, out=h_psi)
+    rhs = np.multiply(h_lap, wp_hat, out=w.rhs)
+    rhs += frozen.a_hat
+    rhs += spectral._hat(local, g, out=w.hat)
+    return rhs
+
+
+def _anderson(out: np.ndarray, resid: np.ndarray, d_out: np.ndarray,
+              d_res: np.ndarray) -> np.ndarray:
+    """The Anderson-mixed iterate: the map output `out` minus the combination
+    gamma of the rows of `d_out` (differences of map outputs) whose rows of
+    `d_res` (the matching residual differences) best cancel the residual
+    `resid` in least squares.  gamma solves the k x k Gram system
+    (d_res d_res^T) gamma = d_res resid by `np.linalg.lstsq`, which takes
+    the minimum-norm gamma when the Gram matrix is singular (repeated
+    differences), where `np.linalg.solve` raises."""
+    gamma = np.linalg.lstsq(d_res @ d_res.T, d_res @ resid, rcond=None)[0]
+    return out - gamma @ d_out
 
 
 def jko_step(state: SimState, h: float, cfg: JkoConfig | None = None) -> tuple:
@@ -122,8 +177,8 @@ def jko_step(state: SimState, h: float, cfg: JkoConfig | None = None) -> tuple:
     49:1715) on a real view of the half spectrum of psi: the next iterate
     is G(x) minus the combination of recent map-output differences whose
     residual differences best cancel the residual G(x) - x in least
-    squares.  The step converges when D0(G(x) - x) <= inner_tol and takes
-    G(x) as psi.  Raises InnerDivergence when an iterate
+    squares (`_anderson`).  The step converges when D0(G(x) - x) <=
+    inner_tol and takes G(x) as psi.  Raises InnerDivergence when an iterate
     stops being finite, when the residual D0(G(x) - x) grows for five
     consecutive iterations (the step size is too large for the contraction),
     or after max_inner iterations, PositivityLoss when N1 underflows to 0,
@@ -139,16 +194,24 @@ def jko_step(state: SimState, h: float, cfg: JkoConfig | None = None) -> tuple:
     lam = dynamics._decay_symbol(state.params, float(state.n.values.min()))
     precond = 1.0 / (1.0 + h * lam)
     h_c = h * (lam + g.lap)
+    h_lap = h * g.lap
     frozen = _freeze(state)
+    work = _work(g)
     x_hat = frozen.a_hat * precond
-    outs, resids = [], []  # real views of the last map outputs G(x) and residuals G(x) - x
+    # the last _ANDERSON_DEPTH differences of successive map outputs G(x) and
+    # of residuals G(x) - x, real views of the half spectrum, newest in row 0
+    d_out = np.empty((_ANDERSON_DEPTH, 2 * x_hat.size))
+    d_res = np.empty_like(d_out)
+    prev_out = prev_res = None  # real views of the last map output and residual
     prev_delta = np.inf
     growth_streak = 0
     # an overflowing iterate is caught by the isfinite check as InnerDivergence
     with np.errstate(over="ignore", invalid="ignore"):
         for iters in range(1, cfg.max_inner + 1):
-            psi_hat = precond * (_fixed_point_rhs(
-                frozen, state, spectral._real(x_hat, g), x_hat, h) + h_c * x_hat)
+            rhs = _fixed_point_rhs(frozen, state, spectral._real(x_hat, g, out=work.psi),
+                                   x_hat, h, h_lap, work)
+            rhs += np.multiply(h_c, x_hat, out=work.hat)
+            psi_hat = precond * rhs
             resid_hat = psi_hat - x_hat
             delta = float(spectral._dnorms(g, resid_hat, 0)[0])
             if not np.isfinite(delta):
@@ -165,12 +228,15 @@ def jko_step(state: SimState, h: float, cfg: JkoConfig | None = None) -> tuple:
             else:
                 growth_streak = 0
             prev_delta = delta
-            outs = (outs + [psi_hat.view(float).ravel()])[-_ANDERSON_DEPTH - 1:]
-            resids = (resids + [resid_hat.view(float).ravel()])[-_ANDERSON_DEPTH - 1:]
-            x = outs[-1]
-            if len(outs) > 1:
-                gamma = np.linalg.lstsq(np.diff(resids, axis=0).T, resids[-1], rcond=None)[0]
-                x = x - np.diff(outs, axis=0).T @ gamma
+            out, res = psi_hat.view(float).ravel(), resid_hat.view(float).ravel()
+            x = out
+            if prev_out is not None:
+                d_out[1:], d_res[1:] = d_out[:-1], d_res[:-1]  # the oldest row drops out
+                np.subtract(out, prev_out, out=d_out[0])
+                np.subtract(res, prev_res, out=d_res[0])
+                k = min(iters - 1, _ANDERSON_DEPTH)
+                x = _anderson(out, res, d_out[:k], d_res[:k])
+            prev_out, prev_res = out, res
             x_hat = x.view(complex).reshape(psi_hat.shape)
         else:
             raise InnerDivergence(f"no inner convergence within {cfg.max_inner} iterations")

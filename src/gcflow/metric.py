@@ -9,6 +9,9 @@ operator K_N (`dynamics._onsager`) is symmetric positive definite
 (Omega_N > 0 kills the kernel); we solve with conjugate gradients on it,
 preconditioned by the constant-coefficient surrogate
 (mean(N) * (-lap) + mean(Omega_N))^{-1}, which is diagonal in Fourier space.
+The iteration updates its vectors in place and applies K_N through the
+`dynamics._onsager` that the flow's advective form and the JKO residual
+share, writing into one work array: 5 transforms an iteration.
 Densities are `dynamics.SimState`s, which carry their model and Omega_N; so
 is each path node, mixed from the endpoint states without a transform.
 
@@ -21,6 +24,7 @@ node solves the same equation, so it gives the short-time distance too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,52 +63,66 @@ def solve_driving_potential(state: SimState, target_rate: RealField, tol: float 
 
     Preconditioned CG from the starting guess x0, an array (zero when None);
     relative residual <= tol of the right-hand side, or NoConvergence after
-    10 * M^d iterations or at the first non-finite residual.  The search
-    direction is carried with its half spectrum, so an iteration transforms
-    it only inside the operator.  A target on another grid raises GridMismatch.
+    10 * M^d iterations or at the first non-finite residual.  ValueError
+    unless 0 < tol < inf; a target on another grid raises GridMismatch.
+
+    The iterate x, residual r and search direction p, carried with its half
+    spectrum, are updated in place, and each iteration applies K_N through
+    `dynamics._onsager` into one work array and the preconditioner into
+    another: 5 transforms an iteration, 3 in the operator and 2 in the
+    preconditioner.
     """
+    if not 0.0 < tol < math.inf:  # also rejects NaN
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     spectral.same_grid(state.n, target_rate)
     n, om, grid = state.n.values, state.omega, state.n.grid
     precond_symbol = 1.0 / (float(np.mean(n)) * grid.k2 + float(np.mean(om)))
-
-    def apply_pre(v: np.ndarray) -> tuple:
-        """The preconditioned vector and its half spectrum."""
-        z_hat = spectral._hat(v, grid) * precond_symbol
-        return spectral._real(z_hat, grid), z_hat
-
     rhs = -target_rate.values
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return RealField(grid, np.zeros(grid.shape)), EllipticSolveReport(0, 0.0)
 
-    def residual(r: np.ndarray, it: int) -> float:
-        """The relative residual; NoConvergence once it is not finite."""
-        rel = float(np.linalg.norm(r)) / rhs_norm
-        if not np.isfinite(rel):
+    x = np.zeros(grid.shape) if x0 is None else x0.copy()
+    r = rhs - dynamics._onsager(state, x, spectral._hat(x, grid))
+    r_flat = r.reshape(-1)  # a view: r is updated in place
+
+    def residual(it: int) -> float:
+        """The relative residual of r; NoConvergence once it is not finite."""
+        rel = math.sqrt(r_flat.dot(r_flat)) / rhs_norm  # np.linalg.norm(r), bit for bit
+        if not math.isfinite(rel):
             raise NoConvergence(f"PCG residual is not finite at iteration {it}")
         return rel
 
-    x = np.zeros(grid.shape) if x0 is None else x0.copy()
-    r = rhs - dynamics._onsager(state, x, spectral._hat(x, grid))
-    rel = residual(r, 0)
+    rel = residual(0)
     if rel <= tol:
         return RealField(grid, x), EllipticSolveReport(0, rel)
-    p, p_hat = apply_pre(r)
-    rz = float(np.sum(r * p))
+    p_hat = spectral._hat(r, grid)
+    p_hat *= precond_symbol
+    p = spectral._real(p_hat, grid)
+    z, z_hat = np.empty_like(p), np.empty_like(p_hat)  # the preconditioned residual
+    ap, work = np.empty_like(p), np.empty_like(p)  # K_N p and a product's terms
+
+    def dot(a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.multiply(a, b, out=work).sum())
+
+    rz = dot(r, p)
     max_iter = 10 * grid.M**grid.d
     for it in range(1, max_iter + 1):
-        ap = dynamics._onsager(state, p, p_hat)
-        alpha = rz / float(np.sum(p * ap))
-        x += alpha * p
-        r -= alpha * ap
-        rel = residual(r, it)
+        dynamics._onsager(state, p, p_hat, out=ap)
+        alpha = rz / dot(p, ap)
+        x += np.multiply(p, alpha, out=work)
+        r -= np.multiply(ap, alpha, out=work)
+        rel = residual(it)
         if rel <= tol:
             return RealField(grid, x), EllipticSolveReport(it, rel)
-        z, z_hat = apply_pre(r)
-        rz_new = float(np.sum(r * z))
+        np.multiply(spectral._hat(r, grid, out=z_hat), precond_symbol, out=z_hat)
+        spectral._real(z_hat, grid, out=z)
+        rz_new = dot(r, z)
         beta = rz_new / rz
-        p = z + beta * p
-        p_hat = z_hat + beta * p_hat
+        p *= beta
+        p += z
+        p_hat *= beta
+        p_hat += z_hat
         rz = rz_new
     raise NoConvergence(f"PCG stalled at relative residual {rel:.3e} after {max_iter} iterations")
 

@@ -10,8 +10,11 @@ realized as the DFT scaled by dx^d.  Wavenumbers are k = (2*pi/L) * n with
 integer n in {-M/2, ..., M/2 - 1} per dimension.  Fields are real, so every
 operator works on the half spectrum of the real-to-complex DFT (last-axis
 indices 0..M/2), through the one transform pair `_hat`/`_real` (raw DFT, no
-dx^d factor).  The pair is chosen by d -- `rfft`/`irfft` in d = 1,
-`rfftn`/`irfftn` over the last two axes in d = 2 -- and takes a leading batch
+dx^d factor).  In d = 1 the pair is `rfft`/`irfft`.  In d = 2 it runs the
+two 1-D passes that `rfftn`/`irfftn` run over the last two axes, without
+their n-D argument handling: `rfft` over the last axis, then `fft` over the
+columns in place; `ifft` over the columns, then `irfft` over the last axis.
+The results are the n-D transforms' bit for bit.  Both take a leading batch
 axis, so that several fields (the d gradient components of `div_n_grad`, N
 and W*N of a step) go through one call.  The derivative symbols `Grid.ik`
 (stacked, one row per axis) and `Grid.lap` zero every mode with an axis
@@ -164,18 +167,20 @@ def _half(a: np.ndarray) -> np.ndarray:
 def _hat(values: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """Half spectrum (raw DFT) of real samples over the grid's axes, which
     come last: a leading batch axis transforms each field in one call.  With
-    `out`, a complex array of the result's shape, the result is written there."""
-    if grid.d == 1:
-        return np.fft.rfft(values, out=out)
-    return np.fft.rfftn(values, axes=(-2, -1), out=out)
+    `out`, a complex array of the result's shape, the result is written there.
+    In d = 2, the two passes of `rfftn`, called directly: `rfft` over the
+    last axis, then `fft` over the columns in place."""
+    half = np.fft.rfft(values, out=out)
+    return half if grid.d == 1 else np.fft.fft(half, axis=-2, out=half)
 
 
 def _real(coeffs: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """Real samples of a half spectrum; inverse of `_hat`, batched alike, and
-    written into `out` when it is given."""
-    if grid.d == 1:
-        return np.fft.irfft(coeffs, n=grid.M, out=out)
-    return np.fft.irfftn(coeffs, s=grid.shape, axes=(-2, -1), out=out)
+    written into `out` when it is given.  In d = 2, the two passes of
+    `irfftn`: `ifft` over the columns into a fresh array, then `irfft`."""
+    if grid.d == 2:
+        coeffs = np.fft.ifft(coeffs, axis=-2)
+    return np.fft.irfft(coeffs, n=grid.M, out=out)
 
 
 def gradient(f: RealField) -> tuple:

@@ -342,3 +342,28 @@ def test_path_runs_in_model_of_first_state(params):
     sb = problems.random_band_state(other, 3, 0.3, seed=78)
     same = SimState.from_density(0.0, sb.n, params)
     assert path_distance_upper(sa, sb, 8).value_sq == path_distance_upper(sa, same, 8).value_sq
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf")])
+def test_bad_tol_rejected(params, tol):
+    # a tol outside (0, inf) is a caller's error, raised at entry: not a
+    # ZeroDivisionError mid-solve (nan, 0, -1), nor Q = 0 at once (inf)
+    st = problems.random_band_state(params, 3, 0.3, seed=79)
+    target = RealField(params.grid, np.random.default_rng(80).standard_normal(params.grid.shape))
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        solve_driving_potential(st, target, tol=tol)
+
+
+def test_pcg_iteration_transforms_d2(transform_calls):
+    # d = 2: an iteration applies K_N (3 transforms) and the preconditioner
+    # (2); the set-up makes 4 for the first residual and 2 for the first
+    # direction, and the last iteration stops before its preconditioner
+    grid = Grid.make(2, 1.0, 16)
+    p = make_params(grid, make_smoothed_indicator(grid, 1.0, 0.1, 0.04), 0.4, m0=0.05)
+    sa = problems.random_band_state(p, 3, 0.3, seed=81)
+    sb = problems.random_band_state(p, 3, 0.3, seed=82)
+    target = RealField(grid, sb.n.values - sa.n.values)
+    del transform_calls[:]
+    _, rep = solve_driving_potential(sa, target)
+    assert rep.iterations > 2
+    assert len(transform_calls) == 4 + 2 + 5 * (rep.iterations - 1) + 3
