@@ -21,25 +21,27 @@ first time they are read.  It is built only by `from_density` or `from_psi`
 RealField is made from the checked array with no second scan.  A step
 starts in Fourier space and keeps the density a bare array inside.
 `_invert` gets N (checked), grad W*N and W*N from N_hat times the rows
-[1, i k W_hat, W_hat] of the model's cached `inverse_multiplier` in one
-inverse transform; `_state` and the mass-conserving flow take a run of
-those rows, so every builder and stage forms W*N and grad W*N alike, bit
-for bit.  `_explicit` writes the flux N grad W*N, with the reaction for the
-grand flow, into one array and sends it forward in one transform.  IMEX
-takes one of each (`from_spectrum` is `_invert`) and divides by the model's
-cached 1 - h lap: 2 transforms a step.  Both RK4 steppers march N_hat, one
-of each a stage: 8 a step.  The mass-conserving rate is 0 on the zero mode,
-so the mass is kept exactly (bit for bit in N_hat).  A step validates no
-RealField.
+[1, i k W_hat, W_hat] of the model's stacked multiplier in one inverse
+transform; `_state` and the mass-conserving flow take a run of those rows,
+so every builder and stage forms W*N and grad W*N alike, bit for bit.
+`_explicit` writes the flux N grad W*N, with the reaction for the grand
+flow, into one array and sends it forward in one transform.  IMEX takes one
+of each (`from_spectrum` is `_invert`) and divides by the model's 1 - h lap:
+2 transforms a step.  Both RK4 steppers march N_hat, one of each a stage:
+8 a step.  The mass-conserving rate is 0 on the zero mode, so the mass is
+kept exactly (bit for bit in N_hat).  A step validates no RealField.
 
-A step's large intermediates live in the model's `ModelParams.stage_buffers`,
-which it overwrites: the rows of `inverse_multiplier` times N_hat (every
-`_invert`), an RK4 stage's N, W*N and grad W*N, and `_explicit`'s flux and
-reaction fields, their half spectra and the reaction's exponentials.  What a
-step returns is fresh: `_explicit`'s summed spectrum, each stage rate and,
-from `from_spectrum` and every other builder, each array a state holds, so
-no state, record or Phi_N and Omega_N formed from a state shares memory with
-a buffer.  A model's steps must not run on two threads at once.
+The multiplier, the stage buffers and the IMEX denominators are a model's
+`_Work`, made on first use by `_work` and kept in the model's own __dict__,
+so they are freed with it; a step fetches it once and hands it to `_invert`
+and `_explicit`.  A step's large intermediates live in the buffers, which
+it overwrites: the multiplier's rows times N_hat (every `_invert`), an RK4
+stage's N, W*N and grad W*N, and `_explicit`'s flux and reaction fields,
+their half spectra and the reaction's exponentials.  What a step returns is
+fresh: `_explicit`'s summed spectrum, each stage rate and, from
+`from_spectrum` and every other builder, each array a state holds, so no
+state, record or Phi_N and Omega_N formed from a state shares memory with a
+buffer.  A model's steps must not run on two threads at once.
 
 A full record (`diagnostics`, the NDJSON one) transforms Psi forward and
 grad Phi_N back: 2 transforms, and no Omega_N.  A gap record (`gap_record`)
@@ -60,6 +62,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,7 +101,7 @@ class SimState:
         """The state whose N has half spectrum n_hat: one batched inverse
         transform gives N, W*N and grad W*N.  An N that is not positive and
         finite raises PositivityLoss."""
-        n, wn, grad_wn = _invert(params, n_hat, t, True)
+        n, wn, grad_wn = _invert(params, _work(params), n_hat, t, True)
         return SimState(t, np.log(n), RealField._checked(params.grid, n), wn, grad_wn, n_hat,
                         params)
 
@@ -113,10 +116,42 @@ class SimState:
         return thermo._omega(self.n.values, self.phi)
 
 
+class _Work(NamedTuple):
+    """The arrays of one model's steps (`_work`), the buffers sized for the
+    grand flow on a grid of dimension d; the mass-conserving flow uses a
+    leading run of rows.  A step reads each buffer before the next write,
+    and no state keeps one."""
+
+    multiplier: np.ndarray  # (2 + d) half spectra: [1, i k W_hat (one row per axis), W_hat]
+    inverse_hat: np.ndarray  # (2 + d) half spectra: the multiplier times N_hat
+    inverse_real: np.ndarray  # (2 + d) fields: N, grad W*N, W*N of an RK4 stage
+    forward_real: np.ndarray  # (1 + d) fields: the flux N grad W*N and the reaction
+    forward_hat: np.ndarray  # (1 + d) half spectra of those
+    reaction: np.ndarray  # (2) fields: the reaction's two exponentials
+    denominators: dict  # h -> 1 - h lap on the half spectrum, for the last two h
+
+
+def _work(p: ModelParams) -> _Work:
+    """The model's `_Work`, made on first use and kept in its own __dict__.
+    Times N_hat, the multiplier gives the half spectra of N, grad W*N and
+    W*N, which a stage sends back in one transform; a contiguous run of its
+    rows is a view.  Nothing in it refers back to the model, so reference
+    counting frees it with the model."""
+    if (work := p.__dict__.get("_work")) is None:
+        w_hat, shape, rows = p.kernel.symbol, p.grid.shape, 1 + p.grid.d
+        half = w_hat.shape
+        multiplier = np.concatenate((np.ones((1,) + half, complex), p.grid.ik * w_hat, w_hat[None]))
+        work = p.__dict__["_work"] = _Work(
+            multiplier, np.empty((rows + 1,) + half, complex), np.empty((rows + 1,) + shape),
+            np.empty((rows,) + shape), np.empty((rows,) + half, complex), np.empty((2,) + shape),
+            {})
+    return work
+
+
 def _state(t: float, psi: np.ndarray, n: RealField, params: ModelParams) -> SimState:
     """The state of the positive density n with log n = psi: N_hat forward,
-    then grad W*N and W*N back in one inverse of the last rows of
-    `ModelParams.inverse_multiplier` times N_hat, the rows `_invert` uses.
+    then grad W*N and W*N back in one inverse of the last rows of the
+    model's multiplier times N_hat, the rows `_invert` uses.
     PositivityLoss when the sum of n overflows: N > 0 gives |N_hat_k| <=
     N_hat_0, so a finite zero mode keeps every mode finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
@@ -124,7 +159,7 @@ def _state(t: float, psi: np.ndarray, n: RealField, params: ModelParams) -> SimS
     if not n_hat.flat[0].real < math.inf:  # also rejects NaN
         raise PositivityLoss(f"density overflowed: its sum over the grid is not finite "
                              f"at t = {t:.6g}")
-    back = spectral._real(params.inverse_multiplier[1:] * n_hat, params.grid)
+    back = spectral._real(_work(params).multiplier[1:] * n_hat, params.grid)
     return SimState(t, psi, n, back[-1], back[:-1], n_hat, params)
 
 
@@ -188,42 +223,41 @@ class GapRecord:
     gap: float
 
 
-def _invert(p: ModelParams, nh: np.ndarray, t: float, grand: bool,
+def _invert(p: ModelParams, work: _Work, nh: np.ndarray, t: float, grand: bool,
             out: np.ndarray | None = None) -> tuple:
-    """(N, W*N, grad W*N) from the half spectrum nh: the rows of
-    `ModelParams.inverse_multiplier` times nh, formed in the model's
+    """(N, W*N, grad W*N) from the half spectrum nh: the rows of the
+    multiplier of `work`, the model's `_Work`, times nh, formed in its
     `inverse_hat` buffer, in one inverse transform, N checked positive at
     time t.  Not grand, the W*N row is left out and W*N is None.  The fields
     are written into the leading rows of `out` when it is given (an RK4
     stage's `inverse_real` buffer), else into a fresh array, which a state
     may keep."""
     rows = 2 + p.grid.d if grand else 1 + p.grid.d
-    product = np.multiply(p.inverse_multiplier[:rows], nh, out=p.stage_buffers.inverse_hat[:rows])
+    product = np.multiply(work.multiplier[:rows], nh, out=work.inverse_hat[:rows])
     fields = spectral._real(product, p.grid, out=None if out is None else out[:rows])
     n = _positive(fields[0], t)
     return (n, fields[-1], fields[1:-1]) if grand else (n, None, fields[1:])
 
 
-def _explicit(p: ModelParams, n: np.ndarray, wn: np.ndarray | None, grad_wn: np.ndarray,
-              grand: bool) -> np.ndarray:
+def _explicit(p: ModelParams, work: _Work, n: np.ndarray, wn: np.ndarray | None,
+              grad_wn: np.ndarray, grand: bool) -> np.ndarray:
     """Half spectrum of div(N grad w_N), plus, when grand, the reaction
     exp((mu - w_N)/2) - N exp(-(mu - w_N)/2): both are written into the
-    model's `forward_real` buffer (the reaction formed in its `reaction`
-    rows) and sent forward in one transform into its `forward_hat`, whose
-    flux rows take i k in place before the rows are summed (at d = 1 by one
-    add, not a reduction) into a fresh array.  Not grand, it is exactly 0 on
+    `forward_real` buffer of `work`, the model's `_Work` (the reaction formed
+    in its `reaction` rows), and sent forward in one transform into its
+    `forward_hat`, whose flux rows take i k in place before the rows are
+    summed (at d = 1 by one add, not a reduction) into a fresh array.  Not grand, it is exactly 0 on
     the zero mode, so it never moves the mass."""
     g = p.grid
-    buf = p.stage_buffers
     rows = g.d + 1 if grand else g.d
-    fields = buf.forward_real[:rows]
+    fields = work.forward_real[:rows]
     np.multiply(n, grad_wn, out=fields[:g.d])
     if grand:  # two exponentials: one, e - n/e, divides by 0 when e underflows
-        half, decay = buf.reaction  # 0.5 (mu - w_N), then exp of it; n exp(-half)
+        half, decay = work.reaction  # 0.5 (mu - w_N), then exp of it; n exp(-half)
         np.multiply(np.subtract(p.mu, wn, out=half), 0.5, out=half)
         np.multiply(n, np.exp(np.negative(half, out=decay), out=decay), out=decay)
         np.subtract(np.exp(half, out=half), decay, out=fields[g.d])
-    hats = spectral._hat(fields, g, out=buf.forward_hat[:rows])
+    hats = spectral._hat(fields, g, out=work.forward_hat[:rows])
     hats[:g.d] *= g.ik
     return hats[0] + hats[1] if g.d == 1 and grand else hats.sum(axis=0)
 
@@ -232,7 +266,8 @@ def rhs_grand(state: SimState) -> RealField:
     """lap N + div(N grad w_N) plus the reaction, from the state's caches."""
     p = state.params
     g = p.grid
-    rate = g.lap * state.n_hat + _explicit(p, state.n.values, state.wn, state.grad_wn, True)
+    rate = g.lap * state.n_hat + _explicit(p, _work(p), state.n.values, state.wn, state.grad_wn,
+                                           True)
     return RealField(g, spectral._real(rate, g))
 
 
@@ -267,34 +302,41 @@ def rhs_grand_advective(state: SimState) -> RealField:
 
 
 def step_imex(state: SimState, h: float) -> SimState:
-    """Semi-implicit Euler: diffusion implicit, a division by the model's
-    cached 1 - h lap, interaction and reaction terms explicit.  First-order
-    accurate, unconditionally stable in the linear diffusive part.  The
-    explicit terms go forward in one transform (`_explicit`) and the new
-    N_hat comes back in one (`SimState.from_spectrum`): two in all."""
+    """Semi-implicit Euler: diffusion implicit, a division by 1 - h lap (the
+    model's, kept for its last two h: a march's step and its shortened
+    last), interaction and reaction terms explicit.  First-order accurate,
+    unconditionally stable in the linear diffusive part.  The explicit terms
+    go forward in one transform (`_explicit`) and the new N_hat comes back
+    in one (`SimState.from_spectrum`): two in all."""
     _check_step(h)
     p = state.params
-    explicit = _explicit(p, state.n.values, state.wn, state.grad_wn, True)
-    n_hat = (state.n_hat + h * explicit) / p._imex_denominator(h)
+    work = _work(p)
+    explicit = _explicit(p, work, state.n.values, state.wn, state.grad_wn, True)
+    cache = work.denominators
+    if (den := cache.get(h)) is None:
+        if len(cache) == 2:
+            del cache[next(iter(cache))]
+        den = cache[h] = 1.0 - h * p.grid.lap
+    n_hat = (state.n_hat + h * explicit) / den
     return SimState.from_spectrum(state.t + h, n_hat, p)
 
 
 def _rk4(state: SimState, h: float, grand: bool) -> SimState:
     """Classical RK4 on the half spectrum, for the grand flow or, not grand,
     the mass-conserving one.  A stage at N_hat_0 + c h k_hat gets its fields
-    from `_invert` (N checked at the stage time) in the model's
-    `inverse_real` buffer and k_hat = lap N_hat + `_explicit`; stage 1 reads
+    from `_invert` (N checked at the stage time) in the `inverse_real` buffer
+    of the model's `_Work`, fetched once a step, and k_hat = lap N_hat + `_explicit`; stage 1 reads
     its fields from the state, and the step ends in `SimState.from_spectrum`."""
     _check_step(h, state)
     p = state.params
     t, nh0 = state.t, state.n_hat
-    fields = p.stage_buffers.inverse_real
+    work = _work(p)
 
     def rate(nh: np.ndarray, n: np.ndarray, wn: np.ndarray | None, grad_wn: np.ndarray):
-        return p.grid.lap * nh + _explicit(p, n, wn, grad_wn, grand)
+        return p.grid.lap * nh + _explicit(p, work, n, wn, grad_wn, grand)
 
     def stage(nh: np.ndarray, c: float) -> np.ndarray:
-        return rate(nh, *_invert(p, nh, t + c * h, grand, fields))
+        return rate(nh, *_invert(p, work, nh, t + c * h, grand, work.inverse_real))
 
     k1 = rate(nh0, state.n.values, state.wn, state.grad_wn)  # from the state's caches
     k2 = stage(nh0 + 0.5 * h * k1, 0.5)
@@ -324,10 +366,6 @@ def _uniform_energy(p: ModelParams, c: float, mu: float) -> float:
     """Free energy of the uniform density c: grand at mu, canonical at mu = 0,
     factored like `thermo._free_energy`, so that c log c never overflows."""
     return p.grid.volume * c * (math.log(c) - (1.0 + mu) + 0.5 * p.kernel.w * c)
-
-
-def _mass(state: SimState) -> float:
-    return float(state.n.values.sum()) * state.params.grid.cell_volume
 
 
 def _gap(state: SimState, canonical: bool) -> tuple:
@@ -365,7 +403,7 @@ def diagnostics(step: int, state: SimState, canonical: bool = False,
     p = state.params
     g = p.grid
     n, psi = state.n.values, state.psi
-    mass = _mass(state)
+    mass = state.n.integral()
     g_mu, gap = _gap(state, canonical)
     psi_hat = spectral._hat(psi, g)
     grad_phi = spectral._real(g.ik * (psi_hat + state.n_hat * p.kernel.symbol), g)

@@ -3,10 +3,7 @@
 The problem instance is (grid, kernel, chemical potential mu, corridor
 parameter kappa).  The uniform equilibrium density m0 solves the fixed-point
 relation m0 = exp(mu - w*m0) with w the kernel integral; either mu or a
-target m0 may be prescribed (the other is derived).  A ModelParams also
-keeps the stacked Fourier multiplier that the stages of `dynamics` read and
-the stage buffers they transform into, both formed on first use, and an
-IMEX step's 1 - h lap for its last two h.
+target m0 may be prescribed (the other is derived).
 
 The grand free energy is
 
@@ -32,8 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,25 +38,11 @@ from .kernels import Kernel
 from .spectral import Grid, RealField
 
 
-class StageBuffers(NamedTuple):
-    """The work arrays of one model's steps, sized for the grand flow on
-    a grid of dimension d; the mass-conserving flow uses a leading run of
-    rows.  A step reads each before the next write, and no state keeps one."""
-
-    inverse_hat: np.ndarray  # (2 + d) half spectra: inverse_multiplier times N_hat
-    inverse_real: np.ndarray  # (2 + d) fields: N, grad W*N, W*N of an RK4 stage
-    forward_real: np.ndarray  # (1 + d) fields: the flux N grad W*N and the reaction
-    forward_hat: np.ndarray  # (1 + d) half spectra of those
-    reaction: np.ndarray  # (2) fields: the reaction's two exponentials
-
-
 @dataclass(frozen=True)
 class ModelParams:
-    """A problem instance.  Its Fourier multiplier, stage buffers and IMEX
-    denominators are made on first use and kept in the instance's own
-    __dict__, so they are freed with it.  The stage buffers make a step of
-    `dynamics` write into arrays its model owns: one model must not be
-    marched on two threads at once."""
+    """A problem instance.  The steps of `dynamics` write into work arrays
+    kept in the instance's own __dict__: one model must not be marched on two
+    threads at once."""
 
     grid: Grid
     kernel: Kernel
@@ -78,39 +59,6 @@ class ModelParams:
         resid = abs(self.m0 - math.exp(self.mu - self.kernel.w * self.m0))
         if resid > 1e-12 * self.m0:
             raise ValueError(f"(mu, m0) inconsistent: fixed-point residual {resid:.3e}")
-
-    @cached_property
-    def inverse_multiplier(self) -> np.ndarray:
-        """[1, i k W_hat (one row per axis), W_hat] on the half spectrum,
-        stacked: times N_hat, the half spectra of N, grad W*N and W*N, which
-        the stages of `dynamics` send back in one transform.  A contiguous
-        run of rows is a view, so a stage takes the rows it needs without a
-        copy.  Formed on first use and kept in this instance's own __dict__;
-        it refers to nothing that refers back, so reference counting frees
-        it with the instance."""
-        w_hat = self.kernel.symbol
-        return np.concatenate((np.ones((1,) + w_hat.shape, complex),
-                               self.grid.ik * w_hat, w_hat[None]))
-
-    @cached_property
-    def stage_buffers(self) -> StageBuffers:
-        """The `StageBuffers` of this model's steps, formed on first use and
-        kept in this instance's own __dict__, like `inverse_multiplier`."""
-        half, shape = self.inverse_multiplier.shape[1:], self.grid.shape
-        rows = 1 + self.grid.d
-        return StageBuffers(np.empty((rows + 1,) + half, complex), np.empty((rows + 1,) + shape),
-                            np.empty((rows,) + shape), np.empty((rows,) + half, complex),
-                            np.empty((2,) + shape))
-
-    def _imex_denominator(self, h: float) -> np.ndarray:
-        """1 - h lap on the half spectrum, an IMEX step's denominator, kept in
-        __dict__ for the last two h (a march's step and its shortened last)."""
-        cache = self.__dict__.setdefault("_imex_denominators", {})
-        if (den := cache.get(h)) is None:
-            if len(cache) == 2:
-                del cache[next(iter(cache))]
-            den = cache[h] = 1.0 - h * self.grid.lap
-        return den
 
 
 def make_params(grid: Grid, kernel: Kernel, kappa: float, mu: float | None = None,

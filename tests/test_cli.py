@@ -827,3 +827,27 @@ def test_bad_cli_input_exit_2(tmp_path, capsys, argv):
     assert main(argv) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("argv, text, pattern", [
+    (["sweep", "--config", "{cfg}", "--axis", "1,2"], BASE,
+     r"--axis: expected L=<comma-separated values>"),
+    (["evolve", "--config", "{cfg}"], BASE.replace("M = 64\n", ""),
+     r"grid\.M: missing required key"),
+    (["evolve", "--config", "{cfg}"], "d = 1\n" + BASE,
+     r"<file>: parse error: File contains no section headers\..*"),
+    (["distance", "{csv}", "{csv}", "--config", "{cfg}"], BASE,
+     r"{csv}: truncated CSV field file"),
+], ids=["axis-without-L", "missing-M", "key-before-section", "truncated-csv"])
+def test_documented_input_error_exit_2(tmp_path, capsys, argv, text, pattern):
+    # each is an input error: exit 2 and one JSON line on stderr, whose
+    # message names the option, key, file or field file at fault
+    paths = {"cfg": write_config(tmp_path, text), "csv": str(tmp_path / "short.csv")}
+    with open(paths["csv"], "w") as fh:
+        fh.write("1\n1.0\n64\n")  # the header's name line and every sample missing
+    assert main([a.format(**paths) for a in argv]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ConfigError"
+    assert re.fullmatch(pattern.format(csv=re.escape(paths["csv"])), error["message"], re.S)

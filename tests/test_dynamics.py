@@ -71,8 +71,8 @@ def canonical_rate(state):
     """Half spectrum of the mass-conserving rate lap N + div(N grad w_N), as
     an RK4 stage forms it from the state's fields."""
     p = state.params
-    return p.grid.lap * state.n_hat + dynamics._explicit(p, state.n.values, None,
-                                                         state.grad_wn, False)
+    explicit = dynamics._explicit(p, dynamics._work(p), state.n.values, None, state.grad_wn, False)
+    return p.grid.lap * state.n_hat + explicit
 
 
 def test_rhs_vanishes_at_uniform(params):
@@ -434,7 +434,8 @@ def test_overflowing_spectrum_is_positivity_loss(params):
 def test_imex_denominator_cache_is_exact_and_bounded(params):
     # evolve's IMEX steps, each dividing by the model's cached 1 - h lap, are
     # bit for bit steps by hand with the uncached formula, the shortened last
-    # step included, at two step sizes on one model; the cache keeps two h
+    # step included, at two step sizes on one model; the cache keeps the last
+    # two h
     st = perturbed_state(params)
     for h, T in ((3e-3, 0.01), (7e-4, 0.005)):
         n_steps, exact = dynamics._step_count(T, h)
@@ -442,7 +443,8 @@ def test_imex_denominator_cache_is_exact_and_bounded(params):
         by_hand, s = [], st
         for k in range(1, n_steps + 1):
             hk = h if k < n_steps else T - (n_steps - 1) * h
-            ex = dynamics._explicit(params, s.n.values, s.wn, s.grad_wn, True)
+            ex = dynamics._explicit(params, dynamics._work(params), s.n.values, s.wn, s.grad_wn,
+                                    True)
             s = SimState.from_spectrum(s.t + hk, (s.n_hat + hk * ex) / (1.0 - hk * params.grid.lap),
                                        params)
             by_hand.append(s)
@@ -451,9 +453,10 @@ def test_imex_denominator_cache_is_exact_and_bounded(params):
         for a, b in zip(marched, by_hand):
             assert np.array_equal(a.n_hat, b.n_hat) and np.array_equal(a.n.values, b.n.values)
         assert marched[-1].t == T
-    for h in np.geomspace(1e-6, 1e-1, 100):
-        params._imex_denominator(h)
-    assert len(params.__dict__["_imex_denominators"]) == 2
+    hs = np.geomspace(1e-6, 1e-1, 100).tolist()
+    for h in hs:
+        step_imex(st, h)
+    assert list(dynamics._work(params).denominators) == hs[-2:]
 
 
 def test_rk4_stage_positivity_loss_names_stage_time(params, monkeypatch):
@@ -463,8 +466,8 @@ def test_rk4_stage_positivity_loss_names_stage_time(params, monkeypatch):
     h = 1e-5
     explicit = dynamics._explicit
 
-    def draining(p, n, wn, grad_wn, grand):
-        out = explicit(p, n, wn, grad_wn, grand)
+    def draining(p, work, n, wn, grad_wn, grand):
+        out = explicit(p, work, n, wn, grad_wn, grand)
         out[0] -= 4.0 * st.n_hat[0] / h
         return out
 
@@ -712,7 +715,7 @@ def test_state_caches_follow_density(d, M, built_from):
     # grad W*N comes from the state's own N_hat times the stacked multiplier's
     # i k W_hat rows, bit for bit as a lone inverse
     assert np.array_equal(st.grad_wn,
-                          spectral._real(p.inverse_multiplier[1:1 + d] * st.n_hat, p.grid))
+                          spectral._real(dynamics._work(p).multiplier[1:1 + d] * st.n_hat, p.grid))
     # re-timing keeps every field but t as the same object
     moved = dataclasses.replace(st, t=0.25)
     assert moved.t == 0.25
@@ -729,30 +732,13 @@ def test_builders_and_stage_share_one_multiplier(d, M):
     n_hat = spectral._hat(base.n.values, p.grid)
     built = [SimState.from_density(0.0, base.n, p), SimState.from_psi(0.0, base.psi, p),
              SimState.from_spectrum(0.0, n_hat, p)]
-    n, wn, grad_wn = dynamics._invert(p, n_hat, 0.0, True)
+    n, wn, grad_wn = dynamics._invert(p, dynamics._work(p), n_hat, 0.0, True)
     for st in built:
         assert np.array_equal(st.n_hat, n_hat)
         assert np.array_equal(st.wn, wn) and np.array_equal(st.grad_wn, grad_wn)
     # the mass-conserving stage reads the same N and grad W*N rows
-    n_c, wn_c, grad_c = dynamics._invert(p, n_hat, 0.0, False)
+    n_c, wn_c, grad_c = dynamics._invert(p, dynamics._work(p), n_hat, 0.0, False)
     assert wn_c is None and np.array_equal(n_c, n) and np.array_equal(grad_c, grad_wn)
-
-
-def test_stepped_params_freed_by_reference_counting():
-    # the stage multiplier cached on a ModelParams forms no reference cycle:
-    # with the cycle collector off, the model dies with its last reference
-    p = model(1, 32)
-    st = problems.random_band_state(p, 3, 0.3, seed=46)
-    for name in ("imex", "rk4", "rk4_canonical"):
-        st = dynamics._STEPPERS[name](st, 1e-5)
-    assert "inverse_multiplier" in vars(p)
-    ref = weakref.ref(p)
-    gc.disable()
-    try:
-        del p, st
-        assert ref() is None
-    finally:
-        gc.enable()
 
 
 def _state_arrays(st: SimState) -> list:
@@ -776,8 +762,9 @@ def test_stage_buffers_never_escape(d, M, name):
         return rec
 
     evolve(problems.random_band_state(p, 3, 0.3, seed=47), 4e-5, 1e-5, name, record=record)
-    assert len(kept) == 4 and "stage_buffers" in vars(p)
-    buffers = list(p.stage_buffers)
+    assert len(kept) == 4 and "_work" in vars(p)
+    work = dynamics._work(p)
+    buffers = list(work[:-1]) + list(work.denominators.values())
     for st, bits, rec in kept:
         arrays = _state_arrays(st) + [st.phi, st.omega] + [
             v for v in vars(rec).values() if isinstance(v, np.ndarray)]
@@ -789,22 +776,30 @@ def test_stage_buffers_never_escape(d, M, name):
 
 @pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
 def test_stage_buffers_live_with_their_model(d, M):
-    # the buffers belong to the model: after every stepper has used them,
-    # the model and each buffer die with the model's last reference, so no
-    # cache elsewhere (keyed by the model or its id) holds them
+    # the work arrays belong to the model and form no reference cycle: after
+    # every stepper has used them, with the cycle collector off, the model,
+    # its multiplier, each buffer and each IMEX denominator die with the
+    # model's last reference, so no cache elsewhere (keyed by the model or
+    # its id) holds them
     p = model(d, M)
     st = problems.random_band_state(p, 3, 0.3, seed=48)
     for name in ("imex", "rk4", "rk4_canonical"):
         st = dynamics._STEPPERS[name](st, 1e-5)
-    refs = [weakref.ref(p)] + [weakref.ref(b) for b in p.stage_buffers]
-    del p, st
-    gc.collect()
-    assert all(r() is None for r in refs)
+    work = vars(p)["_work"]
+    arrays = list(work[:-1]) + list(work.denominators.values())
+    assert len(arrays) == 7
+    refs = [weakref.ref(p)] + [weakref.ref(a) for a in arrays]
+    gc.disable()
+    try:
+        del p, st, work, arrays
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
 
 
 def _fresh_fields(p, nh, grand):
     """(N, W*N, grad W*N) of a stage, each product and transform in a fresh array."""
-    mult = p.inverse_multiplier
+    mult = dynamics._work(p).multiplier
     fields = spectral._real((mult if grand else mult[:1 + p.grid.d]) * nh, p.grid)
     return (fields[0], fields[-1], fields[1:-1]) if grand else (fields[0], None, fields[1:])
 

@@ -104,6 +104,19 @@ def test_corridor_check(params):
     assert rep.lower < rep.worst_min <= rep.worst_max < rep.upper
 
 
+def test_corridor_check_reports_first_violation(params):
+    # n_min reaches kappa m0 at t = 0.2 and both bounds are crossed later:
+    # the check fails at t = 0.2 and reports the worst min and max of all
+    lo, hi = params.kappa * params.m0, params.m0 / params.kappa
+    bounds = [(0.03, 0.08), (0.025, 0.1), (lo, 0.09), (0.01, 0.13), (0.03, 0.08)]
+    records = [DiagnosticsRecord(i, 0.1 * i, 1.0, 0.0, 0.0, 0, 0, 0, n_min, n_max, 0.0)
+               for i, (n_min, n_max) in enumerate(bounds)]
+    rep = corridor_check(records, params)
+    assert not rep.ok and rep.first_violation_t == 0.1 * 2
+    assert (rep.lower, rep.upper) == (lo, hi)
+    assert rep.worst_min == 0.01 and rep.worst_max == 0.13 > hi
+
+
 def test_rate_guarantee_positive_type():
     grid = Grid.make(1, 1.0, 64)
     kernel = make_positive_type(grid, 1.0, 0.05)

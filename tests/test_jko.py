@@ -135,6 +135,23 @@ def test_large_step_is_inner_divergence(params):
             jko_step(st, 100.0)
 
 
+def test_growing_residual_is_inner_divergence():
+    # at m0 = 20 the step h = 10 makes the fixed-point residual grow for five
+    # iterations in a row, which the step reports before any iterate
+    # overflows; from the same state h = 100 overflows first and h = 1
+    # converges
+    grid = Grid.make(1, 1.0, 64)
+    p = make_params(grid, make_smoothed_indicator(grid, 1.0, 0.1, 0.02), 0.4, m0=20.0)
+    st = problems.random_band_state(p, 3, 0.3, seed=1)
+    with pytest.raises(InnerDivergence, match=r"^fixed-point residual grew for 5 consecutive "
+                                              r"iterations \(h = 10\.0 too large\)$"):
+        jko_step(st, 10.0)
+    with pytest.raises(InnerDivergence, match="blew up"):
+        jko_step(st, 100.0)
+    _, rep = jko_step(st, 1.0)
+    assert rep.residual <= JkoConfig().residual_tol
+
+
 def test_large_step_from_band_converges(params):
     # the symbol preconditioner keeps the reaction implicit: from a band
     # inside the corridor, even h = 100 converges to an accepted step
