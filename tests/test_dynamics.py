@@ -741,6 +741,23 @@ def test_builders_and_stage_share_one_multiplier(d, M):
     assert wn_c is None and np.array_equal(n_c, n) and np.array_equal(grad_c, grad_wn)
 
 
+def test_stepped_params_freed_by_reference_counting():
+    # the work arrays cached on a ModelParams form no reference cycle:
+    # with the cycle collector off, the model dies with its last reference
+    p = model(1, 32)
+    st = problems.random_band_state(p, 3, 0.3, seed=46)
+    for name in ("imex", "rk4", "rk4_canonical"):
+        st = dynamics._STEPPERS[name](st, 1e-5)
+    assert "_work" in vars(p)
+    ref = weakref.ref(p)
+    gc.disable()
+    try:
+        del p, st
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def _state_arrays(st: SimState) -> list:
     return [st.psi, st.n.values, st.wn, st.grad_wn, st.n_hat]
 
