@@ -42,8 +42,9 @@ Key names are case-insensitive.  An unknown section or key, a value that does
 not parse (or is not finite) or fails its check, and a missing required key
 raise ConfigError naming `section.key`; so does, in `build_params`, an L
 whose L^d or largest |k|^4 overflows, a kernel that does not fit the box (or
-a positive-type width whose square under- or overflows) or an m0/mu without a
-representable uniform state,
+a positive-type width whose square under- or overflows, or an amplitude whose
+kernel transform overflows; the kernel builders raise these on the `[kernel]`
+key at fault) or an m0/mu without a representable uniform state,
 and, in `build_initial_state`, a single-mode mode outside 0..M/2 or eps
 that makes the density nonpositive, a random-band k_c outside 0..M/2 or a
 random-band amp that underflows the density to 0.  `build_params` is the one
@@ -62,8 +63,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from . import dynamics, kernels, problems, thermo
 from .dynamics import SimState
-from .errors import (BadMollifier, ConfigError, NoConvergence, PositivityLoss,
-                     RangeTooLarge, WidthTooLarge)
+from .errors import ConfigError, NoConvergence, PositivityLoss
 from .jko import JkoConfig
 from .spectral import Grid
 from .thermo import ModelParams
@@ -219,28 +219,17 @@ def dump_config(cfg: RunConfig) -> str:
     return buf.getvalue()
 
 
-# the [kernel] key behind each kernel geometry error; with the amplitude
-# checked, a builder's ValueError is a positive-type width whose 2 width^2
-# underflows to 0 or overflows
-_KERNEL_ERROR_KEYS = {RangeTooLarge: "kernel.radius", BadMollifier: "kernel.mollifier_width",
-                      WidthTooLarge: "kernel.width", ValueError: "kernel.width"}
-
-
 def build_params(cfg: RunConfig) -> ModelParams:
     """The model of `cfg`; a value that cannot make one is a ConfigError."""
     try:
         grid = Grid.make(cfg.d, cfg.L, cfg.M)
     except ValueError as exc:  # d and M passed their checks: L overflows the box's quantities
         raise ConfigError("grid.L", str(exc)) from None
-    k = cfg.kernel
-    try:
-        if k.family == "smoothed_indicator":
-            kern = kernels.make_smoothed_indicator(grid, k.amplitude, k.radius,
-                                                   k.mollifier_width)
-        else:
-            kern = kernels.make_positive_type(grid, k.amplitude, k.width)
-    except tuple(_KERNEL_ERROR_KEYS) as exc:  # the kernel does not fit the box
-        raise ConfigError(_KERNEL_ERROR_KEYS[type(exc)], str(exc)) from None
+    k = cfg.kernel  # a builder refuses a kernel that does not fit the box on its [kernel] key
+    if k.family == "smoothed_indicator":
+        kern = kernels.make_smoothed_indicator(grid, k.amplitude, k.radius, k.mollifier_width)
+    else:
+        kern = kernels.make_positive_type(grid, k.amplitude, k.width)
     try:
         return thermo.make_params(grid, kern, cfg.kappa, mu=cfg.mu, m0=cfg.m0)
     except (ValueError, ArithmeticError, NoConvergence) as exc:  # no uniform state fits

@@ -9,18 +9,6 @@ class GridMismatch(GcflowError):
     """Operands live on different grids."""
 
 
-class RangeTooLarge(GcflowError):
-    """Kernel support does not fit in a quarter period."""
-
-
-class BadMollifier(GcflowError):
-    """Mollifier width outside (0, radius)."""
-
-
-class WidthTooLarge(GcflowError):
-    """Gaussian kernel width too large relative to the box."""
-
-
 class NoConvergence(GcflowError):
     """Iterative solve failed to reach tolerance within the cap."""
 
@@ -46,7 +34,9 @@ class InsufficientData(GcflowError):
 
 
 class ConfigError(GcflowError):
-    """Configuration file failed to parse or validate."""
+    """An input that cannot be used: a config value, a field file or a
+    builder argument.  `field` names it (`section.key`, a path or an
+    option), `reason` says why."""
 
     def __init__(self, field: str, reason: str):
         self.field = field

@@ -27,8 +27,8 @@ class RateFit:
 
 def fit_decay_rate(records: list, window: tuple[float, float] | None = None) -> RateFit:
     """Fit log(gap) = a - lambda_hat * t to a march's records over `window`
-    (default: the last 60% of their times).  Records with gap <= 1e-13 are
-    dropped."""
+    (default: the last 60% of their times).  Records with gap <= GAP_FLOOR
+    are dropped."""
     ts = np.array([r.t for r in records])
     gaps = np.array([r.gap for r in records])
     if window is None:

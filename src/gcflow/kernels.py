@@ -10,7 +10,10 @@ Two families are shipped:
   positive), for which theta_sharp is infinite.
 
 Kernels are grid-resident: they are sampled on the collocation grid and
-all statistics (v_m, theta_sharp, ...) are grid-relative quantities.
+all statistics (v_m, theta_sharp, ...) are grid-relative quantities.  A
+builder refuses an argument with ConfigError on its `[kernel]` key: a
+geometry that does not fit the box, a negative amplitude, or an amplitude
+whose kernel transform overflows.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import BadMollifier, RangeTooLarge, WidthTooLarge
+from .errors import ConfigError
 from .spectral import Grid, RealField
 
 _NEG_TOL = 1e-12
@@ -54,21 +57,26 @@ def _theta_sharp_of(what: np.ndarray) -> float:
 
 
 def _finish(grid: Grid, values: np.ndarray, range_a: float) -> Kernel:
+    """The kernel of sampled `values`; a transform past float range is the
+    amplitude's fault: the builders checked the geometry first."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # sliced from fftn, not rfftn, whose roundoff moves the last digit of simulated masses
+        symbol = spectral._half(np.fft.fftn(values)) * grid.cell_volume
+    if not np.isfinite(symbol).all():
+        raise ConfigError("kernel.amplitude", "kernel transform overflows the float range")
     fld = RealField(grid, values)
-    # sliced from fftn, not rfftn, whose roundoff moves the last digit of simulated masses
-    symbol = spectral._half(np.fft.fftn(values)) * grid.cell_volume
     what = symbol.real  # even real kernel: coefficients real to roundoff
     # a half-spectrum mode stands for itself and its conjugate: sups need no
-    # weights, sums take the copy weights of dnorm
+    # weights, sums take the copy weights of dnorm; a statistic may overflow to inf
     kmod = np.sqrt(grid.k2)
-    v = tuple(float(np.max(kmod**m * np.abs(what))) for m in range(5))
-    stats = KernelStats(
-        v=v,
-        d2norm=float(grid.dnorm_weights[2] @ np.abs(what).ravel()) / grid.cell_volume,
-        theta_sharp=_theta_sharp_of(what),
-        positive_type=bool(np.min(what) >= -_NEG_TOL),
-        pointwise_nonneg=bool(np.min(values) >= -_NEG_TOL),
-    )
+    with np.errstate(over="ignore"):
+        stats = KernelStats(
+            v=tuple(float(np.max(kmod**m * np.abs(what))) for m in range(5)),
+            d2norm=float(grid.dnorm_weights[2] @ np.abs(what).ravel()) / grid.cell_volume,
+            theta_sharp=_theta_sharp_of(what),
+            positive_type=bool(np.min(what) >= -_NEG_TOL),
+            pointwise_nonneg=bool(np.min(values) >= -_NEG_TOL),
+        )
     return Kernel(grid, fld, symbol, w=float(what.flat[0]), range_a=range_a, stats=stats)
 
 
@@ -83,23 +91,25 @@ def make_smoothed_indicator(
     """
     a, eps = float(radius), float(mollifier_width)
     if not (0.0 < eps < a):
-        raise BadMollifier(f"need 0 < mollifier_width < radius, got {eps}, {a}")
+        raise ConfigError("kernel.mollifier_width",
+                          f"need 0 < mollifier_width < radius, got {eps}, {a}")
     if a + eps >= grid.L / 4.0:
-        raise RangeTooLarge(f"radius + mollifier_width = {a + eps} >= L/4 = {grid.L / 4}")
+        raise ConfigError("kernel.radius",
+                          f"radius + mollifier_width = {a + eps} >= L/4 = {grid.L / 4}")
     if amplitude < 0:
-        raise ValueError(f"amplitude must be nonnegative, got {amplitude}")
+        raise ConfigError("kernel.amplitude", f"must be nonnegative, got {amplitude}")
     r = grid.periodic_radius()
     ind = (r <= a).astype(float)
     # smooth compactly-supported bump exp(-1/(1 - (r/eps)^2)) on r < eps
     with np.errstate(divide="ignore", over="ignore"):
         u = np.where(r < eps, r / eps, 1.0)
         bump = np.where(u < 1.0, np.exp(-1.0 / np.maximum(1.0 - u * u, 1e-300)), 0.0)
-    mass = np.sum(bump)
-    if mass <= 0:
-        raise BadMollifier(f"mollifier_width {eps} unresolved on dx = {grid.dx}")
-    bump /= mass  # unit discrete mass: convolution preserves the indicator's integral
+    # unit discrete mass, at least the e^-1 of r = 0: convolution preserves the
+    # indicator's integral
+    bump /= np.sum(bump)
     conv = spectral._real(spectral._hat(ind, grid) * spectral._hat(bump, grid), grid)
-    values = amplitude * np.maximum(conv, 0.0)  # clip FFT roundoff (~1e-16)
+    with np.errstate(over="ignore"):  # a sample past float range is refused by _finish
+        values = amplitude * np.maximum(conv, 0.0)  # clip FFT roundoff (~1e-16)
     return _finish(grid, values, a + eps)
 
 
@@ -111,37 +121,35 @@ def make_positive_type(grid: Grid, amplitude: float, width: float) -> Kernel:
     is of positive type and theta_sharp is infinite.
     """
     s = float(width)
-    if s >= grid.L / 8.0:
-        raise WidthTooLarge(f"width {s} >= L/8 = {grid.L / 8}")
-    if s <= 0 or not 0.0 < 2.0 * s * s < math.inf or amplitude < 0:  # s^2 may under/overflow
-        raise ValueError(f"width must be positive with 0 < 2 width^2 < inf and amplitude "
-                         f"nonnegative, got {s}, {amplitude}")
+    if not (0.0 < s < grid.L / 8.0 and 0.0 < 2.0 * s * s < math.inf):  # s^2 may under/overflow
+        raise ConfigError("kernel.width", f"need 0 < width < L/8 = {grid.L / 8} with "
+                                          f"0 < 2 width^2 < inf, got {s}")
+    if amplitude < 0:
+        raise ConfigError("kernel.amplitude", f"must be nonnegative, got {amplitude}")
     x1 = np.arange(grid.M) * grid.dx
     prof = np.zeros(grid.M)
-    # an image whose squared offset (or its ratio to 2 s^2) overflows adds exp(-inf) = 0
+    # an image whose squared offset (or its ratio to 2 s^2) overflows adds exp(-inf) = 0;
+    # a sample past float range is refused by _finish
     with np.errstate(over="ignore"):
         for n in range(-3, 4):
             prof += np.exp(-((x1 - n * grid.L) ** 2) / (2.0 * s * s))
-    if grid.d == 1:
-        values = amplitude * prof
-    else:
-        values = amplitude * prof.reshape(-1, 1) * prof.reshape(1, -1)
+        if grid.d == 1:
+            values = amplitude * prof
+        else:
+            values = amplitude * prof.reshape(-1, 1) * prof.reshape(1, -1)
     return _finish(grid, values, min(6.0 * s, grid.L / 2.0))
 
 
 def stats_json(kernel: Kernel) -> dict:
-    """KernelStats as a flat JSON-serializable dict (CLI `kernel-info`)."""
+    """KernelStats as a flat JSON-serializable dict (CLI `kernel-info`); a
+    statistic that is not finite (theta_sharp = inf, or a v_m or d2norm past
+    float range) is written as null."""
     s = kernel.stats
+    numbers = {"w": kernel.w, "range": kernel.range_a,
+               **{f"v{m}": vm for m, vm in enumerate(s.v)},
+               "d2norm": s.d2norm, "theta_sharp": s.theta_sharp}
     return {
-        "w": kernel.w,
-        "range": kernel.range_a,
-        "v0": s.v[0],
-        "v1": s.v[1],
-        "v2": s.v[2],
-        "v3": s.v[3],
-        "v4": s.v[4],
-        "d2norm": s.d2norm,
-        "theta_sharp": None if math.isinf(s.theta_sharp) else s.theta_sharp,
+        **{key: x if math.isfinite(x) else None for key, x in numbers.items()},
         "positive_type": s.positive_type,
         "pointwise_nonneg": s.pointwise_nonneg,
         "grid": {"d": kernel.grid.d, "L": kernel.grid.L, "M": kernel.grid.M},

@@ -57,7 +57,7 @@ class ModelParams:
         if not self.m0 > 0.0:  # e.g. exp(mu) underflowed to 0
             raise ValueError(f"uniform density m0 must be positive, got {self.m0}")
         resid = abs(self.m0 - math.exp(self.mu - self.kernel.w * self.m0))
-        if resid > 1e-12 * self.m0:
+        if not resid <= 1e-12 * self.m0:  # NaN when mu = log m0 + w m0 overflowed
             raise ValueError(f"(mu, m0) inconsistent: fixed-point residual {resid:.3e}")
 
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import pathlib
 import re
 import struct
 import subprocess
@@ -145,7 +146,7 @@ def test_zero_end_time_loads(tmp_path, capsys):
 
 
 def test_readme_example_parses():
-    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    readme = pathlib.Path(__file__).parent.parent.joinpath("README.md").read_text()
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
     cfg = parse_config(block)
     assert cfg.initial.kind == "random_band" and cfg.stride == 10
@@ -241,6 +242,20 @@ GAUSSIAN = "family = positive_type\namplitude = 1.0\nwidth = {}"
     ("sweep", ("m0 = 0.05", "amplitude = 1.0", "kind = uniform"),
      ("m0 = 1e307", "amplitude = 1e-320", "kind = random_band\nk_c = 3\namp = 0.1"),
      "model.m0"),
+    # a kernel whose transform overflows: "density hit nan" under exit 1, a
+    # kernel-info of Infinity and NaN, or a key the family does not have
+    *[(command, "amplitude = 1.0", "amplitude = 2e307", "kernel.amplitude")
+      for command in ("evolve", "sweep", "kernel-info")],
+    *[(command, (SMOOTHED, "m0 = 0.05"),
+       (GAUSSIAN.format("0.05").replace("1.0", "1e308"), "mu = 0"), "kernel.amplitude")
+      for command in ("evolve", "sweep", "kernel-info")],
+    *[(command, ("d = 1", old), ("d = 2", new), "kernel.amplitude")
+      for command in ("evolve", "kernel-info")
+      for old, new in [("amplitude = 1.0", "amplitude = 1.7976931348623157e308"),
+                       (SMOOTHED, GAUSSIAN.format("0.1").replace("1.0", "1.7976931348623157e308"))]],
+    # mu = log m0 + w m0 overflows: the fixed-point residual is NaN
+    *[(command, ("m0 = 0.05", "amplitude = 1.0"), ("m0 = 1e300", "amplitude = 1e10"), "model.m0")
+      for command in ("evolve", "sweep", "kernel-info")],
 ], ids=["out-dir-under-file", "radius-too-large", "mollifier-too-wide", "gaussian-too-wide",
         "sweep-box-too-small", "m0-huge", "mu-huge", "sweep-radius-too-large",
         "sweep-gaussian-too-wide", "sweep-m0-huge", "sweep-mu-huge", "single-mode-nonpositive",
@@ -250,7 +265,13 @@ GAUSSIAN = "family = positive_type\namplitude = 1.0\nwidth = {}"
         "L-5e-324", "L-1e-310", "L-1e-300", "L-1e-150", "d2-L-1e200", "width-1e-200",
         "width-5e-324", "width-1e290", "L-1e300-width-0.1", "m0-sum-overflows",
         "jko-study-mu-sum-overflows", "single-mode-m0-sum-overflows",
-        "single-mode-eps-sum-overflows", "sweep-band-m0-sum-overflows"])
+        "single-mode-eps-sum-overflows", "sweep-band-m0-sum-overflows",
+        "amplitude-2e307", "sweep-amplitude-2e307", "kernel-info-amplitude-2e307",
+        "positive-type-amplitude-1e308", "sweep-positive-type-amplitude-1e308",
+        "kernel-info-positive-type-amplitude-1e308", "d2-amplitude-max",
+        "d2-positive-type-amplitude-max", "kernel-info-d2-amplitude-max",
+        "kernel-info-d2-positive-type-amplitude-max", "m0-1e300-mu-overflows",
+        "sweep-m0-1e300-mu-overflows", "kernel-info-m0-1e300-mu-overflows"])
 def test_config_value_failure_exit_2(tmp_path, capsys, command, old, new, field):
     # values that parse but fail later, while building the model, kernels or output,
     # exit 2 with one JSON line and no numpy warning; `old` and `new` may be
@@ -296,6 +317,18 @@ def test_evolve_huge_uniform_state_writes_finite_gaps(tmp_path, capsys, integrat
     assert len(lines) == (2 if integrator == "imex" else 11)
     for line in lines:
         assert abs(json.loads(line, parse_constant=_reject_constant)["gap"]) <= 1e-14 * 1e306
+
+
+def test_kernel_info_overflowed_stats_are_null(tmp_path, capsys):
+    # the symbol is finite, but |k|^m W_hat for m >= 2 and d2norm overflow:
+    # written as null, not as an Infinity that is not JSON, and with no warning
+    text = BASE.replace("amplitude = 1.0", "amplitude = 1e307").replace("m0 = 0.05", "mu = 0")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["kernel-info", "--config", write_config(tmp_path, text)]) == 0
+    stats = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert [stats[key] for key in ("v2", "v3", "v4", "d2norm")] == [None] * 4
+    assert 0 < stats["w"] == stats["v0"] < stats["v1"] < math.inf
 
 
 def test_evolve_jko_nan_residual_exit_1(tmp_path, capsys):
@@ -421,7 +454,7 @@ def test_evolve_stationary_exit_0(tmp_path, capsys):
     summary = json.loads(out.strip().splitlines()[-1])
     assert summary["gap"] <= 1e-13
     # every NDJSON record reports a gap at the floor
-    for line in open(tmp_path / "out" / "diag.ndjson"):
+    for line in (tmp_path / "out" / "diag.ndjson").read_text().splitlines():
         assert json.loads(line)["gap"] <= 1e-13
 
 
@@ -538,10 +571,10 @@ def test_distance_field_header_beyond_file_exit_2(tmp_path, capsys, monkeypatch,
     fieldio.save_binary(paths["a.bin"], problems.single_mode_state(params, 1, 0.003).n)
     fieldio.save_csv(paths["b.csv"], problems.single_mode_state(params, 2, 0.003).n)
     if which == "a.bin":
-        open(paths[which], "wb").write(b"GCF1" + struct.pack("<IId", 2, 2**20, 1.0)
-                                       + b"\x00" * 76)
+        pathlib.Path(paths[which]).write_bytes(b"GCF1" + struct.pack("<IId", 2, 2**20, 1.0)
+                                               + b"\x00" * 76)
     else:
-        open(paths[which], "w").write("2\n1.0\n1048576\nn\n" + "1.0\n" * 8)
+        pathlib.Path(paths[which]).write_text("2\n1.0\n1048576\nn\n" + "1.0\n" * 8)
     make = Grid.make
 
     def small_only(d, L, M):
@@ -614,9 +647,9 @@ def test_evolve_ndjson_deterministic(tmp_path):
     text = BASE.replace("kind = uniform", "kind = random_band\nk_c = 3\namp = 0.25")
     cfgp = write_config(tmp_path, text)
     assert main(["evolve", "--config", cfgp]) == 0
-    first = open(tmp_path / "out" / "diag.ndjson").read()
+    first = (tmp_path / "out" / "diag.ndjson").read_text()
     assert main(["evolve", "--config", cfgp]) == 0
-    second = open(tmp_path / "out" / "diag.ndjson").read()
+    second = (tmp_path / "out" / "diag.ndjson").read_text()
     assert first == second
 
 
@@ -655,7 +688,8 @@ def test_failing_evolve_keeps_records(tmp_path, capsys):
     assert main(["evolve", "--config", write_config(tmp_path, text)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "PositivityLoss"
-    records = [json.loads(line) for line in open(tmp_path / "out" / "diag.ndjson")]
+    records = [json.loads(line)
+               for line in (tmp_path / "out" / "diag.ndjson").read_text().splitlines()]
     assert [r["step"] for r in records] == list(range(2, 15, 2))
 
 
@@ -829,25 +863,49 @@ def test_bad_cli_input_exit_2(tmp_path, capsys, argv):
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"
 
 
-@pytest.mark.parametrize("argv, text, pattern", [
-    (["sweep", "--config", "{cfg}", "--axis", "1,2"], BASE,
+def _field_file(fmt, d, M, L):
+    """The bytes of a `fmt` ("bin" or "csv") field file whose header reads
+    (d, M, L), followed by M^d samples of 1.0."""
+    if fmt == "bin":
+        return (b"GCF1" + struct.pack("<IId", d, M, L) + b"\x00" * 12
+                + np.ones(M**d, dtype="<f8").tobytes())
+    return f"{d}\n{L!r}\n{M}\nn\n".encode() + b"1.0\n" * M**d
+
+
+DISTANCE = ["distance", "{field}", "{field}", "--config", "{cfg}"]
+
+
+@pytest.mark.parametrize("argv, text, field, pattern", [
+    (["sweep", "--config", "{cfg}", "--axis", "1,2"], BASE, None,
      r"--axis: expected L=<comma-separated values>"),
-    (["evolve", "--config", "{cfg}"], BASE.replace("M = 64\n", ""),
+    (["evolve", "--config", "{cfg}"], BASE.replace("M = 64\n", ""), None,
      r"grid\.M: missing required key"),
-    (["evolve", "--config", "{cfg}"], "d = 1\n" + BASE,
+    (["evolve", "--config", "{cfg}"], "d = 1\n" + BASE, None,
      r"<file>: parse error: File contains no section headers\..*"),
-    (["distance", "{csv}", "{csv}", "--config", "{cfg}"], BASE,
-     r"{csv}: truncated CSV field file"),
-], ids=["axis-without-L", "missing-M", "key-before-section", "truncated-csv"])
-def test_documented_input_error_exit_2(tmp_path, capsys, argv, text, pattern):
+    # the header's name line and every sample missing
+    (DISTANCE, BASE, ("csv", b"1\n1.0\n64\n"), r"{field}: truncated CSV field file"),
+    # a header that no grid has, in either field format
+    *[(DISTANCE, BASE, (fmt, _field_file(fmt, d, M, L)), r"{field}: " + reason)
+      for fmt in ("bin", "csv")
+      for d, M, L, reason in [(3, 8, 1.0, "d must be 1 or 2, got 3"),
+                              (1, 12, 1.0, "M must be a power of two >= 8, got 12"),
+                              (1, 8, -1.0, r"L must be positive, got -1\.0"),
+                              (1, 8, math.nan, "L must be positive, got nan")]],
+], ids=["axis-without-L", "missing-M", "key-before-section", "truncated-csv",
+        *[f"{fmt}-header-{what}" for fmt in ("bin", "csv")
+          for what in ("d-3", "M-12", "L-negative", "L-nan")]])
+def test_documented_input_error_exit_2(tmp_path, capsys, argv, text, field, pattern):
     # each is an input error: exit 2 and one JSON line on stderr, whose
     # message names the option, key, file or field file at fault
-    paths = {"cfg": write_config(tmp_path, text), "csv": str(tmp_path / "short.csv")}
-    with open(paths["csv"], "w") as fh:
-        fh.write("1\n1.0\n64\n")  # the header's name line and every sample missing
+    paths = {"cfg": write_config(tmp_path, text)}
+    if field:
+        fmt, content = field
+        (path := tmp_path / f"field.{fmt}").write_bytes(content)
+        paths["field"] = str(path)
     assert main([a.format(**paths) for a in argv]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     error = json.loads(lines[0])
     assert error["error"] == "ConfigError"
-    assert re.fullmatch(pattern.format(csv=re.escape(paths["csv"])), error["message"], re.S)
+    assert re.fullmatch(pattern.format(field=re.escape(paths.get("field", ""))),
+                        error["message"], re.S)

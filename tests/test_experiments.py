@@ -240,6 +240,12 @@ def test_mode_decay_rejects_overflowing_step_count(params):
         experiments.measure_mode_decay(params, 1, 1e-4, T=1e300, h=1e-300, integrator="imex")
 
 
+def test_mode_decay_floored_amplitude_is_insufficient_data(params):
+    # a mode of amplitude 1e-14 starts below GAP_FLOOR: no record is kept to fit
+    with pytest.raises(InsufficientData, match="hit the floor too quickly"):
+        experiments.measure_mode_decay(params, 1, 1e-14, T=0.05, h=1e-3, integrator="imex")
+
+
 def test_volume_sweep_reproducible(params):
     a = experiments.volume_sweep([problems.random_band_state(params, 3, 0.25, 9)], T=0.6, h=2e-3)
     b = experiments.volume_sweep([problems.random_band_state(params, 3, 0.25, 9)], T=0.6, h=2e-3)

@@ -1,6 +1,7 @@
 """Field serialization round trips and format checks."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ def test_csv_roundtrip_exact(tmp_path, field):
 def test_csv_header(tmp_path, field):
     p = str(tmp_path / "f.csv")
     save_csv(p, field, "n")
-    lines = open(p).read().splitlines()
+    lines = Path(p).read_text().splitlines()
     assert lines[0] == "1" and lines[2] == "32" and lines[3] == "n"
     assert float(lines[1]) == 1.0
     assert len(lines) == 4 + 32
@@ -46,7 +47,7 @@ def test_binary_roundtrip_exact(tmp_path, field):
 def test_binary_header_layout(tmp_path, field):
     p = str(tmp_path / "f.bin")
     save_binary(p, field)
-    raw = open(p, "rb").read()
+    raw = Path(p).read_bytes()
     assert len(raw) == 32 + 8 * 32
     assert raw[:4] == b"GCF1"
     d, M, L = struct.unpack("<IId", raw[4:20])
@@ -67,7 +68,7 @@ def test_binary_2d_roundtrip(tmp_path):
 
 def test_binary_bad_magic(tmp_path):
     p = str(tmp_path / "bad.bin")
-    open(p, "wb").write(b"NOPE" + b"\x00" * 300)
+    Path(p).write_bytes(b"NOPE" + b"\x00" * 300)
     with pytest.raises(ConfigError):
         load_binary(p)
 
@@ -75,8 +76,7 @@ def test_binary_bad_magic(tmp_path):
 def test_binary_truncated(tmp_path, field):
     p = str(tmp_path / "t.bin")
     save_binary(p, field)
-    raw = open(p, "rb").read()
-    open(p, "wb").write(raw[:-16])
+    Path(p).write_bytes(Path(p).read_bytes()[:-16])
     with pytest.raises(ConfigError):
         load_binary(p)
 
@@ -84,8 +84,8 @@ def test_binary_truncated(tmp_path, field):
 def test_csv_wrong_count(tmp_path, field):
     p = str(tmp_path / "w.csv")
     save_csv(p, field)
-    lines = open(p).read().splitlines()
-    open(p, "w").write("\n".join(lines[:-2]) + "\n")
+    lines = Path(p).read_text().splitlines()
+    Path(p).write_text("\n".join(lines[:-2]) + "\n")
     with pytest.raises(ConfigError):
         load_csv(p)
 
@@ -101,7 +101,7 @@ def test_binary_header_beyond_file_rejected_before_grid(tmp_path, monkeypatch):
     # a 96-byte file whose header claims d = 2, M = 2^20 (8 TiB of samples):
     # the count is compared with the file size before any grid is built
     p = str(tmp_path / "big.bin")
-    open(p, "wb").write(b"GCF1" + struct.pack("<IId", 2, 2**20, 1.0) + b"\x00" * 12
+    Path(p).write_bytes(b"GCF1" + struct.pack("<IId", 2, 2**20, 1.0) + b"\x00" * 12
                         + b"\x00" * 64)
     _refuse_grid(monkeypatch)
     with pytest.raises(ConfigError, match=r"expected 1099511627776 samples, found 8"):
@@ -110,7 +110,7 @@ def test_binary_header_beyond_file_rejected_before_grid(tmp_path, monkeypatch):
 
 def test_csv_header_beyond_file_rejected_before_grid(tmp_path, monkeypatch):
     p = str(tmp_path / "big.csv")
-    open(p, "w").write("2\n1.0\n1048576\nn\n" + "1.0\n" * 8)
+    Path(p).write_text("2\n1.0\n1048576\nn\n" + "1.0\n" * 8)
     _refuse_grid(monkeypatch)
     with pytest.raises(ConfigError, match=r"expected 1099511627776 samples, found 8"):
         load_csv(p)
@@ -119,5 +119,6 @@ def test_csv_header_beyond_file_rejected_before_grid(tmp_path, monkeypatch):
 def test_binary_bytes_past_samples_ignored(tmp_path, field):
     p = str(tmp_path / "long.bin")
     save_binary(p, field)
-    open(p, "ab").write(b"\x01" * 13)
+    with open(p, "ab") as fh:
+        fh.write(b"\x01" * 13)
     assert np.array_equal(load_binary(p).values, field.values)

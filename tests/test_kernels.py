@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gcflow.errors import RangeTooLarge, WidthTooLarge
+from gcflow.errors import ConfigError
 from gcflow.kernels import make_positive_type, make_smoothed_indicator, stats_json
 from gcflow.spectral import Grid, RealField
 
@@ -118,13 +118,25 @@ def test_d2norm_replay(grid):
 
 
 def test_range_too_large(grid):
-    with pytest.raises(RangeTooLarge):
+    with pytest.raises(ConfigError, match="kernel.radius"):
         make_smoothed_indicator(grid, 1.0, 0.3, 0.02)
 
 
 def test_width_too_large(grid):
-    with pytest.raises(WidthTooLarge):
+    with pytest.raises(ConfigError, match="kernel.width"):
         make_positive_type(grid, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("build", [lambda g, a: make_smoothed_indicator(g, a, 0.1, 0.02),
+                                   lambda g, a: make_positive_type(g, a, 0.05)],
+                         ids=["smoothed", "positive-type"])
+@pytest.mark.parametrize("amplitude", [-1.0, 1.7976931348623157e308])
+def test_builders_refuse_amplitude(grid, build, amplitude):
+    # a negative amplitude, or one whose transform overflows, is refused on
+    # its own key, without a numpy warning
+    with pytest.raises(ConfigError, match="kernel.amplitude") as info:
+        build(grid, amplitude)
+    assert info.value.field == "kernel.amplitude"
 
 
 def test_stats_json_shape(grid):

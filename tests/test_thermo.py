@@ -123,6 +123,15 @@ def test_mu_m0_inverse_map(setup):
     assert abs(params2.m0 - 0.05) < 1e-12
 
 
+def test_make_params_rejects_overflowed_mu(setup):
+    # mu = log m0 + w m0 overflows to inf: the residual |m0 - exp(inf - inf)|
+    # is NaN, which the > check passed
+    grid = setup[0]
+    kernel = make_smoothed_indicator(grid, 1e10, 0.1, 0.02)
+    with pytest.raises(ValueError, match="fixed-point residual nan"):
+        make_params(grid, kernel, 0.4, m0=1e300)
+
+
 def test_make_params_exclusivity(setup):
     grid, kernel, _ = setup
     with pytest.raises(ValueError):
