@@ -2,6 +2,10 @@
 
 Subcommands: evolve, jko-study, sweep, distance, kernel-info, check.
 Exit codes: 0 success, 1 numerical failure, 2 configuration or input error.
+Each command imports the layers that only it runs (`experiments`, `metric`,
+`fieldio`, `selftest`) inside its `cmd_*` function, so that `import
+gcflow.cli` and a config's set-up load only what every command needs: a cold
+start compiles and runs each module it imports.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, dynamics, experiments, fieldio, kernels, metric, selftest
+from . import __version__, dynamics, kernels
 from .config import build_band_state, build_initial_state, build_params, load_config
 from .errors import ConfigError, GcflowError, PositivityLoss, StabilityViolation
 
@@ -38,6 +42,7 @@ def _floats(flag: str, text: str) -> tuple:
 
 def _load_state(path: str, params):
     """The state of the density at `path`, positive and on the model's grid."""
+    from . import fieldio
     try:
         f = fieldio.load_binary(path) if path.endswith(".bin") else fieldio.load_csv(path)[0]
     except (OSError, ValueError) as exc:  # unreadable file or non-finite samples
@@ -89,6 +94,7 @@ def cmd_evolve(args) -> int:
     if h is None and cfg.integrator == "jko":
         h = 1e-3  # the stiffest mode does not bound the implicit step
     elif h is None:  # min(0.1 dx, 0.01 / lambda(k_max)), k_max below Nyquist
+        from . import experiments
         lam = experiments.linearized_rate(2.0 * np.pi * (cfg.M // 2 - 1) / cfg.L, params)
         h = min(0.1 * params.grid.dx, 0.01 / max(lam, 1e-30))
     _check_march(cfg.integrator, state, cfg.T, h)
@@ -111,6 +117,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_jko_study(args) -> int:
+    from . import experiments
     cfg = _load_run(args.config)
     params = build_params(cfg)
     state = build_initial_state(cfg, params)
@@ -129,6 +136,7 @@ def cmd_jko_study(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import experiments
     cfg = _load_run(args.config)
     if not args.axis.startswith("L="):
         raise ConfigError("--axis", "expected L=<comma-separated values>")
@@ -149,6 +157,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    from . import metric
     if args.segments < 2:
         raise ConfigError("--segments", f"need at least 2, got {args.segments}")
     cfg = load_config(args.config)
@@ -174,6 +183,7 @@ def cmd_kernel_info(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import selftest
     results = selftest.run_checks()
     ok = True
     for name, passed, detail in results:

@@ -52,6 +52,10 @@ builder of a model from config values: `gcflow sweep` calls it on each box, a
 copy of the config with `L` from its axis and `M` scaled by L (the config's M
 is read as points per unit length), and builds the box's random-band state
 with `build_band_state`, which checks k_c against the box's M.
+
+`JkoConfig`, the `[jko]` section, is defined here rather than in `gcflow.jko`
+(which re-exports it), so that loading a config imports only the layers that
+build a model and its initial state, not the implicit step.
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ from dataclasses import MISSING, dataclass, field, fields
 from . import dynamics, kernels, problems, thermo
 from .dynamics import SimState
 from .errors import ConfigError, NoConvergence, PositivityLoss
-from .jko import JkoConfig
 from .spectral import Grid
 from .thermo import ModelParams
 
@@ -85,6 +88,22 @@ class InitialSpec:
     eps: float = 1e-3
     k_c: int = 3
     amp: float = 0.25
+
+
+@dataclass(frozen=True)
+class JkoConfig:
+    """Tolerances of the solver of `jko.jko_step`; the step size is an argument."""
+
+    inner_tol: float = 1e-12  # D0 stopping tolerance on psi increments
+    max_inner: int = 200
+    residual_tol: float = 1e-9
+
+    def __post_init__(self):
+        for name in ("inner_tol", "residual_tol"):
+            if not 0.0 < (tol := getattr(self, name)) < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be positive and finite, got {tol}")
+        if not self.max_inner >= 1:
+            raise ValueError(f"max_inner must be at least 1, got {self.max_inner}")
 
 
 @dataclass(frozen=True)

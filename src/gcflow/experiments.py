@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, problems, spectral, thermo
+from .config import JkoConfig
 from .dynamics import SimState
 from .errors import ConfigError, InsufficientData
-from .jko import JkoConfig
 from .thermo import ModelParams
 
 GAP_FLOOR = 1e-13

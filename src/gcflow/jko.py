@@ -41,37 +41,24 @@ and solves the k x k Gram system of the residual differences by
 `np.linalg.lstsq`, which also answers when exactly repeated differences
 make that matrix singular.  The map writes its intermediates into work
 arrays made once per step (`_Work`): 4 transforms an inner iteration.
+
+The solver's tolerances, `JkoConfig`, are the config's `[jko]` section and
+are defined in `gcflow.config`; this module re-exports them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import dynamics, spectral
+from .config import JkoConfig
 from .dynamics import SimState
 from .errors import InnerDivergence, ResidualTooLarge
 
 _ANDERSON_DEPTH = 3  # residual differences kept by the Anderson mixing of jko_step
-
-
-@dataclass(frozen=True)
-class JkoConfig:
-    """Tolerances of the implicit step's solver; the step size is an argument."""
-
-    inner_tol: float = 1e-12  # D0 stopping tolerance on psi increments
-    max_inner: int = 200
-    residual_tol: float = 1e-9
-
-    def __post_init__(self):
-        for name in ("inner_tol", "residual_tol"):
-            if not 0.0 < (tol := getattr(self, name)) < math.inf:  # also rejects NaN
-                raise ValueError(f"{name} must be positive and finite, got {tol}")
-        if not self.max_inner >= 1:
-            raise ValueError(f"max_inner must be at least 1, got {self.max_inner}")
 
 
 @dataclass

@@ -37,12 +37,22 @@ from .errors import NoConvergence, PositivityLoss
 from .kernels import Kernel
 from .spectral import Grid, RealField
 
+# |log m0 + w m0 - mu| of a uniform state, relative to max(1, |mu|, w m0): the
+# size of the terms it is rounded at (about 45 eps)
+_UNIFORM_RTOL = 1e-14
+# largest w m0 of a model, eps w m0 <= sqrt(eps): mu - W*N, the reaction's
+# exponent, is rounded at eps w m0 absolute, so the density exp(mu - W*N) that
+# the reaction drives towards is known only to that relative size; past
+# sqrt(eps) it keeps fewer than half of its digits (at amplitude 1e100 none)
+_MAX_WM0 = 2.0 ** 26
+
 
 @dataclass(frozen=True)
 class ModelParams:
-    """A problem instance.  The steps of `dynamics` write into work arrays
-    kept in the instance's own __dict__: one model must not be marched on two
-    threads at once."""
+    """A problem instance whose uniform state satisfies log m0 + w m0 = mu
+    (`_UNIFORM_RTOL`) with w m0 <= `_MAX_WM0`, or ValueError.  The steps of
+    `dynamics` write into work arrays kept in the instance's own __dict__: one
+    model must not be marched on two threads at once."""
 
     grid: Grid
     kernel: Kernel
@@ -56,9 +66,14 @@ class ModelParams:
             raise ValueError(f"kappa must be in (0, 1/2), got {self.kappa}")
         if not self.m0 > 0.0:  # e.g. exp(mu) underflowed to 0
             raise ValueError(f"uniform density m0 must be positive, got {self.m0}")
-        resid = abs(self.m0 - math.exp(self.mu - self.kernel.w * self.m0))
-        if not resid <= 1e-12 * self.m0:  # NaN when mu = log m0 + w m0 overflowed
-            raise ValueError(f"(mu, m0) inconsistent: fixed-point residual {resid:.3e}")
+        wm0 = self.kernel.w * self.m0
+        if not wm0 <= _MAX_WM0:  # also when w m0 overflowed
+            raise ValueError(f"reaction exponent mu - W*N cannot keep its digits: w m0 = "
+                             f"{wm0:.3e} rounds it at {wm0 * 2.0 ** -52:.1e}, above sqrt(eps)")
+        resid = abs(math.log(self.m0) + wm0 - self.mu)
+        scale = max(1.0, abs(self.mu), wm0)
+        if not (resid <= _UNIFORM_RTOL * scale and scale < math.inf):  # no NaN or infinite mu
+            raise ValueError(f"(mu, m0) inconsistent: log-space residual {resid:.3e}")
 
 
 def make_params(grid: Grid, kernel: Kernel, kappa: float, mu: float | None = None,
@@ -85,8 +100,8 @@ def solve_uniform_density(mu: float, w: float, max_iter: int = 200) -> float:
     that leaves the bracket [mu - log(1 + w e^mu), mu] of the root is replaced
     by bisection.  One Newton step in x then restores the digits that e^t loses
     at large |t|.  The relative residual |log x + w x - mu| is at most
-    1e-14 * max(1, |mu|, w x), the scale of the terms it is rounded at, or
-    NoConvergence.  exp(mu) must be representable (OverflowError otherwise).
+    `_UNIFORM_RTOL` * max(1, |mu|, w x), the scale of the terms it is rounded
+    at, or NoConvergence.  exp(mu) must be representable (OverflowError otherwise).
     """
     if w < 0:
         raise ValueError(f"kernel integral must be nonnegative, got {w}")
@@ -114,7 +129,7 @@ def solve_uniform_density(mu: float, w: float, max_iter: int = 200) -> float:
     x = math.exp(t)
     y = math.exp(mu - w * x)
     x -= (x - y) / (1.0 + w * y)
-    if not (x > 0.0 and abs(math.log(x) + w * x - mu) <= 1e-14 * max(1.0, abs(mu), w * x)):
+    if not (x > 0.0 and abs(math.log(x) + w * x - mu) <= _UNIFORM_RTOL * max(1.0, abs(mu), w * x)):
         raise NoConvergence("uniform-density residual above tolerance")
     return x
 

@@ -179,6 +179,19 @@ def test_bad_config_exit_2(tmp_path, capsys, old, new, field):
     assert err["error"] == "ConfigError" and err["message"].startswith(field + ":")
 
 
+@pytest.mark.parametrize("key, value", [("inner_tol", "0"), ("max_inner", "0"),
+                                        ("residual_tol", "-1e-9")])
+@pytest.mark.parametrize("integrator", ["imex", "rk4", "rk4_canonical", "jko"])
+def test_jko_section_refused_for_every_integrator(tmp_path, capsys, integrator, key, value):
+    # [jko] is read with the rest of the config (its dataclass lives in
+    # gcflow.config), so a bad value exits 2 whichever integrator runs
+    text = (BASE.replace("integrator = imex", f"integrator = {integrator}")
+            + f"[jko]\n{key} = {value}\n")
+    assert main(["evolve", "--config", write_config(tmp_path, text)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and err["message"].startswith(f"jko.{key}:")
+
+
 SMOOTHED = "family = smoothed_indicator\namplitude = 1.0\nradius = 0.1\nmollifier_width = 0.02"
 GAUSSIAN = "family = positive_type\namplitude = 1.0\nwidth = {}"
 
@@ -256,6 +269,9 @@ GAUSSIAN = "family = positive_type\namplitude = 1.0\nwidth = {}"
     # mu = log m0 + w m0 overflows: the fixed-point residual is NaN
     *[(command, ("m0 = 0.05", "amplitude = 1.0"), ("m0 = 1e300", "amplitude = 1e10"), "model.m0")
       for command in ("evolve", "sweep", "kernel-info")],
+    # w m0 = 1e98 rounds mu - W*N at 2e82: no digit of the reaction's exponent is left
+    *[(command, "amplitude = 1.0", "amplitude = 1e100", "model.m0")
+      for command in ("evolve", "sweep", "kernel-info")],
 ], ids=["out-dir-under-file", "radius-too-large", "mollifier-too-wide", "gaussian-too-wide",
         "sweep-box-too-small", "m0-huge", "mu-huge", "sweep-radius-too-large",
         "sweep-gaussian-too-wide", "sweep-m0-huge", "sweep-mu-huge", "single-mode-nonpositive",
@@ -271,7 +287,8 @@ GAUSSIAN = "family = positive_type\namplitude = 1.0\nwidth = {}"
         "kernel-info-positive-type-amplitude-1e308", "d2-amplitude-max",
         "d2-positive-type-amplitude-max", "kernel-info-d2-amplitude-max",
         "kernel-info-d2-positive-type-amplitude-max", "m0-1e300-mu-overflows",
-        "sweep-m0-1e300-mu-overflows", "kernel-info-m0-1e300-mu-overflows"])
+        "sweep-m0-1e300-mu-overflows", "kernel-info-m0-1e300-mu-overflows",
+        "amplitude-1e100", "sweep-amplitude-1e100", "kernel-info-amplitude-1e100"])
 def test_config_value_failure_exit_2(tmp_path, capsys, command, old, new, field):
     # values that parse but fail later, while building the model, kernels or output,
     # exit 2 with one JSON line and no numpy warning; `old` and `new` may be
@@ -290,6 +307,23 @@ def test_config_value_failure_exit_2(tmp_path, capsys, command, old, new, field)
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert err["error"] == "ConfigError" and err["message"].startswith(field + ":")
+
+
+def test_large_interaction_uniform_state_is_a_model(tmp_path, capsys):
+    # amplitude 1e8 (w m0 = 1e6): mu = log m0 + w m0 is rounded at 1e-10, so
+    # the uniform state is judged in log space and kernel-info exits 0, where
+    # |m0 - exp(mu - w m0)| > 1e-12 m0 exited 2 with "(mu, m0) inconsistent";
+    # an IMEX march of that model is a numerical failure, exit 1
+    cfgp = write_config(tmp_path, BASE.replace("amplitude = 1.0", "amplitude = 1e8"))
+    assert main(["kernel-info", "--config", cfgp]) == 0
+    assert json.loads(capsys.readouterr().out)["w"] == pytest.approx(2.03e7, rel=1e-2)
+    assert main(["evolve", "--stdout", "--config", cfgp]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "PositivityLoss"
+    # at 1e100 the refusal says why: the reaction's exponent keeps no digit
+    cfgp = write_config(tmp_path, BASE.replace("amplitude = 1.0", "amplitude = 1e100"))
+    assert main(["kernel-info", "--config", cfgp]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message.startswith("model.m0: reaction exponent mu - W*N cannot keep its digits")
 
 
 @pytest.mark.parametrize("mu", [10.0, 50.0])
@@ -416,18 +450,39 @@ def test_sweep_explicit_step_above_cap_exit_2(tmp_path, capsys, integrator, h):
 
 
 def test_cli_run_imports_no_scipy(tmp_path):
-    # gcflow needs numpy and the stdlib only: a whole `evolve` run, uniform-state
-    # solve included, leaves no scipy module loaded
+    # gcflow needs numpy and the stdlib only: whole `evolve`, `distance` and
+    # `sweep` runs, uniform-state solve included, leave no scipy module loaded;
+    # and each command imports only its own layers, so the set-up of an IMEX
+    # `evolve` (the cold start of every short run) compiles none of the others
     cfgp = write_config(tmp_path, BASE.replace("m0 = 0.05", "mu = -1.0").replace(
         "T = 0.05", "T = 0.002"))
+    sweep_cfg = tmp_path / "sweep.ini"
+    sweep_cfg.write_text(pathlib.Path(cfgp).read_text().replace("T = 0.002", "T = 0.3")
+                         .replace("h = 0.001", "h = 0.002"))
+    params = build_params(load_config(cfgp))
+    a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.csv")
+    fieldio.save_binary(a, problems.single_mode_state(params, 1, 0.003).n)
+    fieldio.save_csv(b, problems.single_mode_state(params, 2, 0.003).n)
+    runs = [["evolve", "--config", cfgp],
+            ["distance", a, b, "--config", cfgp, "--segments", "2"],
+            ["sweep", "--config", str(sweep_cfg), "--axis", "L=1"]]
     script = ("import json, sys\n"
               "from gcflow.cli import main\n"
-              "code = main(['evolve', '--config', sys.argv[1]])\n"
-              "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+              "print(json.dumps([[main(argv), sorted(m for m in sys.modules\n"
+              "                   if m.split('.')[0] in ('gcflow', 'scipy'))]\n"
+              "                  for argv in json.loads(sys.argv[1])]))")
     src = os.path.dirname(os.path.dirname(gcflow.__file__))
-    proc = subprocess.run([sys.executable, "-c", script, cfgp], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    (evolve, after_evolve), (distance, after_distance), (sweep, after_sweep) = (
+        json.loads(proc.stdout.splitlines()[-1]))
+    assert evolve == distance == sweep == 0, proc.stderr
+    assert not {"gcflow.experiments", "gcflow.metric", "gcflow.selftest",
+                "gcflow.jko"} & set(after_evolve)
+    assert {"gcflow.metric", "gcflow.fieldio"} <= set(after_distance)
+    assert "gcflow.experiments" not in after_distance and "gcflow.experiments" in after_sweep
+    assert "gcflow.jko" not in after_sweep  # an IMEX sweep needs no implicit step
+    assert not [m for m in after_sweep if m.split(".")[0] == "scipy"]
 
 
 # -- CLI --------------------------------------------------------------------

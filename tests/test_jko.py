@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gcflow import jko, metric, problems, spectral, thermo
+from gcflow import config, jko, metric, problems, spectral, thermo
 from gcflow.dynamics import evolve, rhs_grand, step_imex
 from gcflow.errors import InnerDivergence, NoConvergence
 from gcflow.experiments import linearized_rate
@@ -276,6 +276,12 @@ def test_step_energy_inequality_and_rate(family):
                     d_a, _ = metric.approx_distance(st, st1)
                     assert abs(d_a**2 - da_sq) <= 1e-10 * da_sq
                 st, g0 = st1, g1
+
+
+def test_jko_config_lives_in_config():
+    # the [jko] section's dataclass is defined with the config, so that loading
+    # a config does not import the implicit step; gcflow.jko re-exports it
+    assert jko.JkoConfig is config.JkoConfig and JkoConfig is config.JkoConfig
 
 
 @pytest.mark.parametrize("field, value", [

@@ -125,11 +125,41 @@ def test_mu_m0_inverse_map(setup):
 
 def test_make_params_rejects_overflowed_mu(setup):
     # mu = log m0 + w m0 overflows to inf: the residual |m0 - exp(inf - inf)|
-    # is NaN, which the > check passed
+    # is NaN, which the > check passed; w m0 = inf keeps no digit of mu - W*N
     grid = setup[0]
     kernel = make_smoothed_indicator(grid, 1e10, 0.1, 0.02)
-    with pytest.raises(ValueError, match="fixed-point residual nan"):
+    with pytest.raises(ValueError, match="cannot keep its digits: w m0 = inf"):
         make_params(grid, kernel, 0.4, m0=1e300)
+
+
+@pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan])
+def test_model_params_rejects_nonfinite_mu(setup, mu):
+    # the log-space scale max(1, |mu|, w m0) is inf too, and inf <= inf
+    grid, kernel, _ = setup
+    with pytest.raises(ValueError, match="inconsistent"):
+        ModelParams(grid, kernel, mu, 0.05, 0.4)
+
+
+def test_uniform_state_judged_in_log_space(setup):
+    # mu = log m0 + w m0 is rounded at the scale of w m0 = 1e6: the residual
+    # |m0 - exp(mu - w m0)| of 1.6e-13 failed an absolute 1e-12 m0 check
+    grid = setup[0]
+    kernel = make_smoothed_indicator(grid, 1e8, 0.1, 0.02)
+    params = make_params(grid, kernel, 0.4, m0=0.05)
+    assert params.m0 == 0.05 and kernel.w * params.m0 > 1e6
+    assert abs(params.m0 - math.exp(params.mu - kernel.w * params.m0)) > 1e-12 * params.m0
+
+
+def test_model_params_rejects_exponent_without_digits(setup):
+    # w m0 = 1e98: mu - W*N is rounded at 2e82, so exp(mu - W*N) keeps no digit;
+    # the log-space residual alone passes such a model
+    grid = setup[0]
+    kernel = make_smoothed_indicator(grid, 1e100, 0.1, 0.02)
+    with pytest.raises(ValueError, match="cannot keep its digits"):
+        make_params(grid, kernel, 0.4, m0=0.05)
+    wm0 = kernel.w * 0.05
+    with pytest.raises(ValueError, match="cannot keep its digits"):
+        ModelParams(grid, kernel, math.log(0.05) + wm0, 0.05, 0.4)
 
 
 def test_make_params_exclusivity(setup):
