@@ -122,6 +122,10 @@ def cmd_jko_study(args) -> int:
     params = build_params(cfg)
     state = build_initial_state(cfg, params)
     h_list = _floats("--h-list", args.h_list)
+    try:  # the study's own check, before any march
+        experiments._check_study_steps(cfg.T, h_list)
+    except ValueError as exc:
+        raise ConfigError("--h-list", str(exc)) from None
     report = experiments.jko_convergence_study(state, cfg.T, h_list, cfg.jko)
     print(json.dumps({
         "h": [p.h for p in report.points],

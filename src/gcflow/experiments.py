@@ -9,7 +9,7 @@ import numpy as np
 from . import dynamics, problems, spectral, thermo
 from .config import JkoConfig
 from .dynamics import SimState
-from .errors import ConfigError, InsufficientData
+from .errors import InsufficientData
 from .thermo import ModelParams
 
 GAP_FLOOR = 1e-13
@@ -282,6 +282,18 @@ class JkoStudyReport:
     b0: float  # max over steps of the per-step D0 log-density increment
 
 
+def _check_study_steps(T: float, h_values: tuple) -> None:
+    """`jko_convergence_study`'s refusal of its steps, run by the CLI before any march."""
+    h_max = max(h_values)
+    if not (len(set(h_values)) > 1 and all(0 < h <= T for h in h_values)
+            and all(abs(h_max / h - round(h_max / h)) <= 1e-9 * h_max / h for h in h_values)):
+        raise ValueError("expected two or more distinct steps in (0, T], each dividing the largest")
+    try:  # the reference march has the most steps
+        dynamics._step_count(T, min(h_values) / 20)
+    except ValueError as exc:
+        raise ValueError(f"reference steps of min / 20: {exc}") from None
+
+
 def jko_convergence_study(
     state0: SimState,
     T: float,
@@ -291,23 +303,16 @@ def jko_convergence_study(
     """First-order convergence of the variational integrator (tolerances
     `jko`) against a fine IMEX reference with step min(h) / 20.  Errors are
     D0/D1 norms of the density difference, taken on the states' N_hat, at
-    the common comparison times j * max(h); ConfigError unless the steps are
+    the common comparison times j * max(h); ValueError unless the steps are
     two or more distinct values in (0, T], each dividing the largest, with a
     step count T / h_ref for the reference march that `dynamics._step_count`
     accepts (then every march's count is accepted), and InsufficientData
     when an endpoint D0 error is at most GAP_FLOOR, where the fitted order
     would be a fit to roundoff."""
     g = state0.params.grid
+    _check_study_steps(T, h_values)
     h_max = max(h_values)
     h_ref = min(h_values) / 20
-    if not (len(set(h_values)) > 1 and all(0 < h <= T for h in h_values)
-            and all(abs(h_max / h - round(h_max / h)) <= 1e-9 * h_max / h for h in h_values)):
-        raise ConfigError("h_values", "expected two or more distinct steps in (0, T], "
-                                      "each dividing the largest")
-    try:  # the reference march has the most steps
-        dynamics._step_count(T, h_ref)
-    except ValueError as exc:
-        raise ConfigError("h_values", f"reference steps of min / 20: {exc}") from None
     # each march keeps its states at the comparison times
     ref = dynamics.evolve(state0, T, h_ref, record=_states_every(round(h_max / h_ref)))
     points = []

@@ -39,8 +39,9 @@ The mixing keeps its at most 3 differences of successive map outputs and
 of residuals as the rows of two arrays made once per step, newest first,
 and solves the k x k Gram system of the residual differences by
 `np.linalg.lstsq`, which also answers when exactly repeated differences
-make that matrix singular.  The map writes its intermediates into work
-arrays made once per step (`_Work`): 4 transforms an inner iteration.
+make that matrix singular.  One object made per step (`_Step`) holds the
+terms frozen at N0, P_h, h C and every array the step writes into; `_map`
+computes G in those arrays, 4 transforms an inner iteration.
 
 The solver's tolerances, `JkoConfig`, are the config's `[jko]` section and
 are defined in `gcflow.config`; this module re-exports them.
@@ -69,76 +70,84 @@ class JkoStepReport:
     norm_delta_d2: float  # D2 norm of the increment Psi1 - Psi0 (= h D2(psi))
 
 
-@dataclass
-class _Frozen:
-    """Per-step quantities that depend only on the starting state."""
+class _Step(NamedTuple):
+    """What one step of size h from `state` reads or writes (`_step`): G's
+    terms frozen at N0, P_h, h C, and the arrays `_map` and the mixing fill."""
 
+    state: SimState  # N0, W_hat and the grid
+    h: float
     grad_psi0: np.ndarray  # stacked, one row per axis
     omega0: np.ndarray  # exp(-Psi0) * Omega_{N0}
     a_hat: np.ndarray  # half spectrum of A
-
-
-def _freeze(state: SimState) -> _Frozen:
-    """Three transforms: Psi0 forward, its gradient back, and the pointwise
-    part of A forward.  W*N0 enters through the state's N_hat and grad W*N."""
-    g = state.n.grid
-    psi0 = state.psi
-    psi0_hat = spectral._hat(psi0, g)
-    grad_psi0 = spectral._real(g.ik * psi0_hat, g)
-    omega0 = np.exp(-psi0) * state.omega
-    local = np.sum(grad_psi0 * (grad_psi0 + state.grad_wn), axis=0) - state.phi * omega0
-    w0_hat = state.n_hat * state.params.kernel.symbol
-    a_hat = g.lap * (psi0_hat + w0_hat) + spectral._hat(local, g)
-    return _Frozen(grad_psi0=grad_psi0, omega0=omega0, a_hat=a_hat)
-
-
-class _Work(NamedTuple):
-    """The arrays `_fixed_point_rhs` writes into, made once per step."""
-
+    precond: np.ndarray  # P_h = (1 + h lambda_m)^{-1}
+    h_c: np.ndarray  # h C = h (lambda_m + lap)
+    h_lap: np.ndarray  # h lap
     psi: np.ndarray  # psi, back from x_hat, then u = psi + w_psi
     h_psi: np.ndarray  # h psi, then E2(h psi) / h
     e: np.ndarray  # exp(h psi) - 1
     local: np.ndarray  # N0 e / h, then the pointwise part of the map
-    hat: np.ndarray  # the half spectrum of N0 e / h, then of the pointwise part
+    hat: np.ndarray  # half spectra: of N0 e / h, of the pointwise part, of h C psi
     rows: np.ndarray  # (1 + d) half spectra: w_psi's, then i k u_hat
     back: np.ndarray  # (1 + d) fields: w_psi, then grad u (times grad Psi0)
     rhs: np.ndarray  # psi_hat + w_psi's half spectrum, then the map's right side
+    # the last _ANDERSON_DEPTH differences of successive map outputs G(x) and
+    # of residuals G(x) - x, real views of the half spectrum, newest in row 0
+    d_out: np.ndarray
+    d_res: np.ndarray
 
 
-def _work(g: spectral.Grid) -> _Work:
-    real, half = g.shape, g.lap.shape
-    return _Work(psi=np.empty(real), h_psi=np.empty(real), e=np.empty(real),
-                 local=np.empty(real), hat=np.empty(half, complex),
-                 rows=np.empty((1 + g.d,) + half, complex), back=np.empty((1 + g.d,) + real),
-                 rhs=np.empty(half, complex))
-
-
-def _fixed_point_rhs(frozen: _Frozen, state: SimState, psi: np.ndarray,
-                     psi_hat: np.ndarray, h: float, h_lap: np.ndarray, w: _Work) -> np.ndarray:
-    """Half spectrum of A + h B(psi) - E2(h psi) / h, with B written as
-    lap w_psi + grad u . grad Psi0 - u Omega0 for u = psi + w_psi, formed in
-    the step's work arrays `w` and returned in `w.rhs`; h_lap is h lap.
-    w_psi and grad u come back from one batched inverse transform of one
-    array, its row 0 w_psi's half spectrum and its d rows i k u_hat."""
+def _step(state: SimState, h: float) -> _Step:
+    """The step's `_Step`.  Three transforms: Psi0 forward, its gradient
+    back, and the pointwise part of A forward.  W*N0 enters through the
+    state's N_hat and grad W*N."""
     g = state.n.grid
-    h_psi = np.multiply(psi, h, out=w.h_psi)
-    e = np.expm1(h_psi, out=w.e)
-    n_e = np.multiply(state.n.values, e, out=w.local)
+    psi0_hat = spectral._hat(state.psi, g)
+    grad_psi0 = spectral._real(g.ik * psi0_hat, g)
+    omega0 = np.exp(-state.psi) * state.omega
+    local = np.sum(grad_psi0 * (grad_psi0 + state.grad_wn), axis=0) - state.phi * omega0
+    w0_hat = state.n_hat * state.params.kernel.symbol
+    a_hat = g.lap * (psi0_hat + w0_hat) + spectral._hat(local, g)
+    # at min N0, not the mean: with the mean, steps from states far from
+    # uniform diverge (test_far_from_uniform_step_converges)
+    lam = dynamics._decay_symbol(state.params, float(state.n.values.min()))
+    real, half, diffs = g.shape, g.lap.shape, (_ANDERSON_DEPTH, 2 * a_hat.size)
+    return _Step(state, h, grad_psi0, omega0, a_hat, precond=1.0 / (1.0 + h * lam),
+                 h_c=h * (lam + g.lap), h_lap=h * g.lap, psi=np.empty(real),
+                 h_psi=np.empty(real), e=np.empty(real), local=np.empty(real),
+                 hat=np.empty(half, complex), rows=np.empty((1 + g.d,) + half, complex),
+                 back=np.empty((1 + g.d,) + real), rhs=np.empty(half, complex),
+                 d_out=np.empty(diffs), d_res=np.empty(diffs))
+
+
+def _map(s: _Step, x_hat: np.ndarray) -> np.ndarray:
+    """G(x) = P_h(A + h B(psi) - E2(h psi) / h + h C psi), a new half
+    spectrum, for psi the field of half spectrum `x_hat`, with B written as
+    lap w_psi + grad u . grad Psi0 - u Omega0 for u = psi + w_psi and every
+    intermediate formed in the arrays of the step `s`.  Four transforms:
+    psi back, N0 e / h forward, w_psi and grad u back in one batched inverse
+    transform of one array (row 0 w_psi's half spectrum, its d rows
+    i k u_hat), and the pointwise part forward."""
+    g, h = s.state.n.grid, s.h
+    psi = spectral._real(x_hat, g, out=s.psi)
+    h_psi = np.multiply(psi, h, out=s.h_psi)
+    e = np.expm1(h_psi, out=s.e)
+    n_e = np.multiply(s.state.n.values, e, out=s.local)
     n_e /= h  # N0 e / h, not N0 / h e: N0 / h overflows at huge N0
-    wp_hat = np.multiply(state.params.kernel.symbol, spectral._hat(n_e, g, out=w.hat),
-                         out=w.rows[0])
-    np.multiply(g.ik, np.add(psi_hat, wp_hat, out=w.rhs), out=w.rows[1:])
-    back = spectral._real(w.rows, g, out=w.back)
-    u = np.add(psi, back[0], out=w.psi)
-    grads = np.multiply(back[1:], frozen.grad_psi0, out=back[1:])
-    local = np.sum(grads, axis=0, out=w.local)
-    local -= np.multiply(u, frozen.omega0, out=u)
+    wp_hat = np.multiply(s.state.params.kernel.symbol, spectral._hat(n_e, g, out=s.hat),
+                         out=s.rows[0])
+    np.multiply(g.ik, np.add(x_hat, wp_hat, out=s.rhs), out=s.rows[1:])
+    back = spectral._real(s.rows, g, out=s.back)
+    u = np.add(psi, back[0], out=s.psi)
+    grads = np.multiply(back[1:], s.grad_psi0, out=back[1:])
+    local = np.sum(grads, axis=0, out=s.local)
+    local -= np.multiply(u, s.omega0, out=u)
     local *= h
     local -= np.divide(np.subtract(e, h_psi, out=h_psi), h, out=h_psi)
-    rhs = np.multiply(h_lap, wp_hat, out=w.rhs)
-    rhs += frozen.a_hat
-    rhs += spectral._hat(local, g, out=w.hat)
-    return rhs
+    rhs = np.multiply(s.h_lap, wp_hat, out=s.rhs)
+    rhs += s.a_hat
+    rhs += spectral._hat(local, g, out=s.hat)
+    rhs += np.multiply(s.h_c, x_hat, out=s.hat)
+    return s.precond * rhs
 
 
 def _anderson(out: np.ndarray, resid: np.ndarray, d_out: np.ndarray,
@@ -158,47 +167,33 @@ def jko_step(state: SimState, h: float, cfg: JkoConfig | None = None) -> tuple:
     """One implicit step of size h; returns (new state, JkoStepReport).
 
     Solves psi = G(psi), G(psi) = P_h(A + h B(psi) - E2(h psi) / h + h C psi)
-    (module docstring; P_h and h C are arrays on the half spectrum, so the
-    map costs the transforms of `_fixed_point_rhs` and no more), by Anderson
-    mixing of depth _ANDERSON_DEPTH (Walker & Ni 2011, SIAM J. Numer. Anal.
-    49:1715) on a real view of the half spectrum of psi: the next iterate
-    is G(x) minus the combination of recent map-output differences whose
-    residual differences best cancel the residual G(x) - x in least
-    squares (`_anderson`).  The step converges when D0(G(x) - x) <=
-    inner_tol and takes G(x) as psi.  Raises InnerDivergence when an iterate
-    stops being finite, when the residual D0(G(x) - x) grows for five
-    consecutive iterations (the step size is too large for the contraction),
-    or after max_inner iterations, PositivityLoss when N1 underflows to 0,
-    and ResidualTooLarge when the converged step fails the weak-residual
+    (module docstring; P_h and h C are arrays on the half spectrum, so G,
+    `_map`, costs its transforms and no more), by Anderson mixing of depth
+    _ANDERSON_DEPTH (Walker & Ni 2011, SIAM J. Numer. Anal. 49:1715) on a
+    real view of the half spectrum of psi: the next iterate is G(x) minus
+    the combination of recent map-output differences whose residual
+    differences best cancel the residual G(x) - x in least squares
+    (`_anderson`).  The step converges when D0(G(x) - x) <= inner_tol and
+    takes G(x) as psi.  Raises InnerDivergence when an iterate stops being
+    finite, when the residual D0(G(x) - x) grows for five consecutive
+    iterations (the step size is too large for the contraction), or after
+    max_inner iterations, PositivityLoss when N1 underflows to 0, and
+    ResidualTooLarge when the converged step fails the weak-residual
     acceptance bound; ValueError unless 0 < h < inf (`dynamics._check_step`).
     `cfg` holds the solver tolerances (JkoConfig defaults when None).
     """
     dynamics._check_step(h)
     cfg = cfg or JkoConfig()
     g = state.n.grid
-    # at min N0, not the mean: with the mean, steps from states far from
-    # uniform diverge (test_far_from_uniform_step_converges)
-    lam = dynamics._decay_symbol(state.params, float(state.n.values.min()))
-    precond = 1.0 / (1.0 + h * lam)
-    h_c = h * (lam + g.lap)
-    h_lap = h * g.lap
-    frozen = _freeze(state)
-    work = _work(g)
-    x_hat = frozen.a_hat * precond
-    # the last _ANDERSON_DEPTH differences of successive map outputs G(x) and
-    # of residuals G(x) - x, real views of the half spectrum, newest in row 0
-    d_out = np.empty((_ANDERSON_DEPTH, 2 * x_hat.size))
-    d_res = np.empty_like(d_out)
+    step = _step(state, h)
+    x_hat = step.a_hat * step.precond
+    d_out, d_res = step.d_out, step.d_res
     prev_out = prev_res = None  # real views of the last map output and residual
-    prev_delta = np.inf
-    growth_streak = 0
+    prev_delta, growth_streak = np.inf, 0
     # an overflowing iterate is caught by the isfinite check as InnerDivergence
     with np.errstate(over="ignore", invalid="ignore"):
         for iters in range(1, cfg.max_inner + 1):
-            rhs = _fixed_point_rhs(frozen, state, spectral._real(x_hat, g, out=work.psi),
-                                   x_hat, h, h_lap, work)
-            rhs += np.multiply(h_c, x_hat, out=work.hat)
-            psi_hat = precond * rhs
+            psi_hat = _map(step, x_hat)
             resid_hat = psi_hat - x_hat
             delta = float(spectral._dnorms(g, resid_hat, 0)[0])
             if not np.isfinite(delta):

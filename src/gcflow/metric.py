@@ -140,15 +140,13 @@ def approx_distance(s0: SimState, s1: SimState) -> tuple:
     return float(np.sqrt(max(energy, 0.0))), report
 
 
-# Lagrange weights, oldest first, that extrapolate values at 1, 2, 3 or 4
-# equispaced nodes to the next node: exact for polynomials of degree 0-3.
-_EXTRAPOLATION = {1: (1.0,), 2: (-1.0, 2.0), 3: (1.0, -3.0, 3.0), 4: (-1.0, 4.0, -6.0, 4.0)}
-
-
 def _extrapolate(history: list) -> np.ndarray:
     """The next value of the sequence whose last (at most 4) arrays are
-    `history`, oldest first, by polynomial extrapolation through all of them."""
-    return sum(c * q for c, q in zip(_EXTRAPOLATION[len(history)], history))
+    `history`, oldest first, by polynomial extrapolation through all of them:
+    the Lagrange weight of the i-th of k equispaced nodes at the next node is
+    (-1)^(k-1-i) C(k, i), exact for polynomials of degree below k."""
+    k = len(history)
+    return sum((-1) ** (k - 1 - i) * math.comb(k, i) * q for i, q in enumerate(history))
 
 
 def path_distance_upper(s0: SimState, s1: SimState, segments: int) -> PathDistanceResult:

@@ -20,10 +20,7 @@ def single_mode_state(params: ModelParams, mode: int, eps: float) -> SimState:
     """N0 = m0 + eps * cos(2 pi mode x1 / L); mode 0 means a uniform shift."""
     g = params.grid
     x = g.points()[0]
-    if mode == 0:
-        pert = np.ones(g.shape) * eps
-    else:
-        pert = eps * np.broadcast_to(np.cos(2.0 * np.pi * mode * x / g.L), g.shape).copy()
+    pert = eps * np.broadcast_to(np.cos(2.0 * np.pi * mode * x / g.L), g.shape)
     return SimState.from_density(0.0, RealField(g, params.m0 + pert), params)
 
 

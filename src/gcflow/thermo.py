@@ -101,13 +101,13 @@ def solve_uniform_density(mu: float, w: float, max_iter: int = 200) -> float:
     by bisection.  One Newton step in x then restores the digits that e^t loses
     at large |t|.  The relative residual |log x + w x - mu| is at most
     `_UNIFORM_RTOL` * max(1, |mu|, w x), the scale of the terms it is rounded
-    at, or NoConvergence.  exp(mu) must be representable (OverflowError otherwise).
+    at, or NoConvergence.  Only w = 0 forms exp(mu), the root itself
+    (OverflowError past the float range); w > 0 needs only mu + log w.
     """
     if w < 0:
         raise ValueError(f"kernel integral must be nonnegative, got {w}")
-    activity = math.exp(mu)  # OverflowError when e^mu is beyond the float range
     if w == 0.0:
-        return activity
+        return math.exp(mu)
     s = mu + math.log(w)
     ell = s + math.log1p(math.exp(-s)) if s > 0 else math.log1p(math.exp(s))  # log(1 + w e^mu)
     lo, hi = mu - ell, mu  # g(lo) <= 0 because W(z) <= log(1 + z); g(mu) = w e^mu >= 0

@@ -205,14 +205,15 @@ GAUSSIAN = "family = positive_type\namplitude = 1.0\nwidth = {}"
      "family = positive_type\namplitude = 1.0\nwidth = 0.2", "kernel.width"),
     ("sweep", "radius = 0.1", "radius = 0.12", "kernel.radius"),  # too wide for L = 0.5
     ("evolve", "m0 = 0.05", "m0 = 1e300", "model.m0"),  # mu is not representable
-    ("evolve", "m0 = 0.05", "mu = 800", "model.mu"),  # exp(mu) overflows
+    # with no interaction (w = 0) the root is exp(mu), which overflows
+    ("evolve", ("amplitude = 1.0", "m0 = 0.05"), ("amplitude = 0.0", "mu = 800"), "model.mu"),
     # the sweep builds each box's model the way evolve builds its one
     ("sweep", "radius = 0.1", "radius = 0.3", "kernel.radius"),
     ("sweep", "family = smoothed_indicator\namplitude = 1.0\nradius = 0.1\n"
               "mollifier_width = 0.02",
      "family = positive_type\namplitude = 1.0\nwidth = 0.2", "kernel.width"),
     ("sweep", "m0 = 0.05", "m0 = 1e300", "model.m0"),
-    ("sweep", "m0 = 0.05", "mu = 800", "model.mu"),
+    ("sweep", ("amplitude = 1.0", "m0 = 0.05"), ("amplitude = 0.0", "mu = 800"), "model.mu"),
     ("evolve", "kind = uniform", "kind = single_mode\neps = -1.0", "initial.eps"),
     # the band edge must lie in 0..M/2; the sweep's L = 0.5 box has M = 32
     ("evolve", "kind = uniform", "kind = random_band\nk_c = 100000", "initial.k_c"),
@@ -326,6 +327,19 @@ def test_large_interaction_uniform_state_is_a_model(tmp_path, capsys):
     assert message.startswith("model.m0: reaction exponent mu - W*N cannot keep its digits")
 
 
+@pytest.mark.parametrize("amplitude, mu, m0", [
+    (1e4, 800.0, 0.3943043112881), (1e8, 1015622.004, 0.05)])
+def test_large_mu_with_interaction_is_a_model(tmp_path, capsys, amplitude, mu, m0):
+    # e^mu overflows but the uniform density is representable: kernel-info
+    # exited 2 with "model.mu: math range error"; the second model is the one
+    # m0 = 0.05 builds at amplitude 1e8, given by its own mu
+    text = BASE.replace("amplitude = 1.0", f"amplitude = {amplitude}")
+    cfgp = write_config(tmp_path, text.replace("m0 = 0.05", f"mu = {mu}"))
+    assert main(["kernel-info", "--config", cfgp]) == 0
+    assert json.loads(capsys.readouterr().out)["w"] == pytest.approx(0.203125 * amplitude)
+    assert build_params(load_config(cfgp)).m0 == pytest.approx(m0, rel=1e-9)
+
+
 @pytest.mark.parametrize("mu", [10.0, 50.0])
 def test_evolve_mu_large_activity(tmp_path, capsys, mu):
     # w e^mu is large: m0 is about 32 and 220; the uniform state's solve once
@@ -409,7 +423,7 @@ def test_overflowing_step_count_exit_2(tmp_path, capsys, command):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0])
-    field = "h_values" if command == "jko-study" else "run.T"
+    field = "--h-list" if command == "jko-study" else "run.T"
     assert err["error"] == "ConfigError" and err["message"].startswith(field + ":")
     assert not (tmp_path / "out").exists()
 
@@ -427,7 +441,7 @@ def test_huge_step_count_exit_2(tmp_path, capsys, command):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0])
-    field = "h_values" if command == "jko-study" else "run.T"
+    field = "--h-list" if command == "jko-study" else "run.T"
     assert err["error"] == "ConfigError" and err["message"].startswith(field + ":")
     assert "more than 1e+09 steps" in err["message"]
     assert not (tmp_path / "out").exists()
@@ -884,6 +898,24 @@ def test_sweep_failure_is_one_json_line(tmp_path, capsys):
     assert main(["sweep", "--config", write_config(tmp_path, text), "--axis", "L=1,2"]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "PositivityLoss"
+
+
+@pytest.mark.parametrize("h_list, message", [
+    ("1e-3,1e-3", "expected two or more distinct steps in (0, T], each dividing the largest"),
+    ("1e-3", "expected two or more distinct steps in (0, T], each dividing the largest"),
+    ("0.1,0.05", "expected two or more distinct steps in (0, T], each dividing the largest"),
+    ("2e-3,1e-3,-1e-3", "expected two or more distinct steps in (0, T], each dividing the largest"),
+    ("2e-12,1e-12", "reference steps of min / 20: "),
+], ids=["repeated", "one", "above-T", "negative", "reference-too-fine"])
+def test_jko_study_bad_steps_name_the_flag(tmp_path, capsys, h_list, message):
+    # the refusal names the flag the steps came from, not the library's
+    # parameter h_values, and comes before any march or output
+    argv = ["jko-study", "--config", write_config(tmp_path), "--h-list", h_list]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "out").exists()
+    err = json.loads(captured.err)
+    assert err["error"] == "ConfigError" and err["message"].startswith("--h-list: " + message)
 
 
 @pytest.mark.parametrize("argv", [

@@ -592,7 +592,7 @@ def test_transforms_per_step_and_record(d, M, fft_calls):
     # forward; a JKO step is 10 calls plus 4 per inner iteration
     grid, half = st.n.grid.shape, st.n_hat.shape
     del fft_calls[:]
-    jko._freeze(st)
+    jko._step(st, 1e-3)
     assert fft_calls == [grid, (d,) + half, grid]
     del fft_calls[:]
     report = jko.jko_step(st, 1e-3)[1]

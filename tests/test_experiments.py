@@ -5,7 +5,7 @@ import pytest
 
 from gcflow import dynamics, experiments, problems, thermo
 from gcflow.dynamics import DiagnosticsRecord
-from gcflow.errors import ConfigError, InsufficientData
+from gcflow.errors import InsufficientData
 from gcflow.experiments import (
     corridor_check,
     fit_decay_rate,
@@ -212,7 +212,7 @@ def test_jko_study_rejects_bad_steps(params, T, hs):
     # a step beyond T used to end in an IndexError; one step fitted no order;
     # T / h beyond float range was an OverflowError
     st = problems.single_mode_state(params, 1, 1e-3)
-    with pytest.raises(ConfigError, match="h_values"):
+    with pytest.raises(ValueError, match="expected two or more distinct steps|reference steps"):
         jko_convergence_study(st, T, hs)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gcflow import config, jko, metric, problems, spectral, thermo
+from gcflow import config, dynamics, jko, metric, problems, spectral, thermo
 from gcflow.dynamics import evolve, rhs_grand, step_imex
 from gcflow.errors import InnerDivergence, NoConvergence
 from gcflow.experiments import linearized_rate
@@ -22,14 +22,14 @@ def params():
 
 def test_assemble_A_zero_at_uniform(params):
     st = problems.uniform_state(params)
-    assert np.max(np.abs(spectral._real(jko._freeze(st).a_hat, params.grid))) < 1e-11
+    assert np.max(np.abs(spectral._real(jko._step(st, 1e-3).a_hat, params.grid))) < 1e-11
 
 
 def test_assemble_A_is_scaled_rhs(params):
     # A = e^{-Psi0} * rhs(N0): the log-variable drift equals the density
     # drift divided by N0
     st = problems.random_band_state(params, 3, 0.3, seed=41)
-    a = spectral._real(jko._freeze(st).a_hat, params.grid)
+    a = spectral._real(jko._step(st, 1e-3).a_hat, params.grid)
     expect = rhs_grand(st).values / st.n.values
     scale = max(1.0, np.max(np.abs(expect)))
     assert np.max(np.abs(a - expect)) < 1e-9 * scale
@@ -230,6 +230,43 @@ def test_step_forms_omega_once(params, monkeypatch):
     del calls[:]
     evolve(problems.random_band_state(params, 3, 0.3, seed=49), 4e-3, 1e-3, "jko", stride=1)
     assert len(calls) == 4
+
+
+def _fresh_map(st, h, x_hat):
+    """G(x) of the module docstring with every intermediate freshly
+    allocated, in the operation order of `jko._step` and `jko._map`."""
+    p, g = st.params, st.n.grid
+    psi0_hat = spectral._hat(st.psi, g)
+    grad_psi0 = spectral._real(g.ik * psi0_hat, g)
+    omega0 = np.exp(-st.psi) * st.omega
+    local0 = np.sum(grad_psi0 * (grad_psi0 + st.grad_wn), axis=0) - st.phi * omega0
+    a_hat = g.lap * (psi0_hat + st.n_hat * p.kernel.symbol) + spectral._hat(local0, g)
+    lam = dynamics._decay_symbol(p, float(st.n.values.min()))
+    psi = spectral._real(x_hat, g)
+    e = np.expm1(psi * h)
+    wp_hat = p.kernel.symbol * spectral._hat(st.n.values * e / h, g)
+    back = spectral._real(np.concatenate([wp_hat[None], g.ik * (x_hat + wp_hat)]), g)
+    local = np.sum(back[1:] * grad_psi0, axis=0) - (psi + back[0]) * omega0
+    local = local * h - (e - psi * h) / h
+    rhs = h * g.lap * wp_hat + a_hat + spectral._hat(local, g) + h * (lam + g.lap) * x_hat
+    return 1.0 / (1.0 + h * lam) * rhs
+
+
+@pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
+def test_map_matches_fresh_allocation_bit_for_bit(d, M):
+    # G written into the step's arrays gives the bits of G written with fresh
+    # arrays, at the first iterate P_h(A) and again at the next, once the
+    # arrays hold the first evaluation's intermediates
+    grid = Grid.make(d, 1.0, M)
+    p = make_params(grid, make_smoothed_indicator(grid, 1.0, 0.1, 0.04), 0.4, m0=0.05)
+    st = problems.random_band_state(p, 3, 0.3, seed=49)
+    h = 0.01
+    step = jko._step(st, h)
+    x_hat = step.a_hat * step.precond
+    for _ in range(2):
+        expected = _fresh_map(st, h, x_hat)
+        x_hat = jko._map(step, x_hat)
+        assert np.array_equal(x_hat, expected)
 
 
 def test_jko_evolve_ends_at_T(params):

@@ -81,8 +81,22 @@ def test_uniform_density_errors():
         solve_uniform_density(0.0, -1.0)
     with pytest.raises(NoConvergence):
         solve_uniform_density(0.0, 1.0, max_iter=0)
-    with pytest.raises(OverflowError):  # e^mu is beyond the float range
-        solve_uniform_density(800.0, 1.0)
+    with pytest.raises(OverflowError):  # w = 0: the root e^mu is beyond the float range
+        solve_uniform_density(800.0, 0.0)
+
+
+@pytest.mark.parametrize("amplitude, mu, m0", [
+    (1e4, 800.0, 0.3943043112881), (1e8, 1015622.004, 0.05)])
+def test_uniform_density_large_mu_needs_no_exp_mu(setup, amplitude, mu, m0):
+    # e^mu overflows, but the root is representable: the solve in t = log x
+    # needs only mu + log w, where forming e^mu first raised OverflowError;
+    # the second model is the one m0 = 0.05 builds at amplitude 1e8
+    grid = setup[0]
+    kernel = make_smoothed_indicator(grid, amplitude, 0.1, 0.02)
+    x = solve_uniform_density(mu, kernel.w)
+    assert abs(math.log(x) + kernel.w * x - mu) <= 1e-14 * max(1.0, abs(mu), kernel.w * x)
+    assert abs(x / m0 - 1.0) <= 1e-9
+    assert make_params(grid, kernel, 0.4, mu=mu).m0 == x
 
 
 @pytest.mark.parametrize("mu, w, m0", [
