@@ -2,10 +2,11 @@
 
 Subcommands: evolve, jko-study, sweep, distance, kernel-info, check.
 Exit codes: 0 success, 1 numerical failure, 2 configuration or input error.
-Each command imports the layers that only it runs (`experiments`, `metric`,
-`fieldio`, `selftest`) inside its `cmd_*` function, so that `import
-gcflow.cli` and a config's set-up load only what every command needs: a cold
-start compiles and runs each module it imports.
+Each command imports the layers that only it runs inside its `cmd_*`
+function (`experiments` in `sweep` and `jko-study`, `metric` and `fieldio` in
+`distance`, `selftest` in `check`), so that `import gcflow.cli` and a
+config's set-up load only what every command needs: a cold start compiles
+and runs each module it imports.
 """
 
 from __future__ import annotations
@@ -93,9 +94,9 @@ def cmd_evolve(args) -> int:
     h = cfg.h
     if h is None and cfg.integrator == "jko":
         h = 1e-3  # the stiffest mode does not bound the implicit step
-    elif h is None:  # min(0.1 dx, 0.01 / lambda(k_max)), k_max below Nyquist
-        from . import experiments
-        lam = experiments.linearized_rate(2.0 * np.pi * (cfg.M // 2 - 1) / cfg.L, params)
+    elif h is None:  # min(0.1 dx, 0.01 / lambda(k_max)), k_max below Nyquist on axis 0
+        mode = (cfg.M // 2 - 1,) + (0,) * (cfg.d - 1)
+        lam = float(dynamics._decay_symbol(params, params.m0)[mode])
         h = min(0.1 * params.grid.dx, 0.01 / max(lam, 1e-30))
     _check_march(cfg.integrator, state, cfg.T, h)
     sink = _open_out(cfg.out_dir, "diag.ndjson") if not args.stdout else sys.stdout

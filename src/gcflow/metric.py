@@ -19,7 +19,8 @@ The short-time (approximate) squared distance between N0 and N1 is
 <<grad Q, grad Q>>_{N0} for the static Q driven by N1 - N0: no step size
 enters.  Integrating the same energy along the straight-line path between
 the endpoints bounds the full squared distance from above; the path's first
-node solves the same equation, so it gives the short-time distance too.
+node solves that equation, so `PathDistanceResult.d_a` gives the short-time
+distance with no solve of its own.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ class PathDistanceResult:
 
     @property
     def d_a(self) -> float:
-        """The short-time distance sqrt(E_0): node 0 solves the equation of
-        `approx_distance`, driven by N1 - N0, so E_0 is its square."""
+        """The short-time distance sqrt(E_0): node 0 solves for the static Q
+        driven by N1 - N0 at N0, so E_0 is its square."""
         return float(np.sqrt(max(self.per_segment_energy[0], 0.0)))
 
 
@@ -125,19 +126,6 @@ def solve_driving_potential(state: SimState, target_rate: RealField, tol: float 
         p_hat += z_hat
         rz = rz_new
     raise NoConvergence(f"PCG stalled at relative residual {rel:.3e} after {max_iter} iterations")
-
-
-def approx_distance(s0: SimState, s1: SimState) -> tuple:
-    """Short-time distance <<grad Q, grad Q>>_{N0}^{1/2} from state N0 to
-    state N1, Q driven by N1 - N0 (the static minimizer of the path energy),
-    and the EllipticSolveReport of its solve: `PathDistanceResult.d_a` of any
-    path from N0 to N1, which `gcflow distance` reports without this extra
-    solve.  GridMismatch for states on two grids."""
-    spectral.same_grid(s0.n, s1.n)
-    target = RealField(s0.n.grid, s1.n.values - s0.n.values)
-    q, report = solve_driving_potential(s0, target)
-    energy = 0.0 - spectral.inner_l2(target, q)  # <<grad Q, grad Q>>_{N0}; +0.0 when Q = 0
-    return float(np.sqrt(max(energy, 0.0))), report
 
 
 def _extrapolate(history: list) -> np.ndarray:

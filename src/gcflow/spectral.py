@@ -189,13 +189,6 @@ def gradient(f: RealField) -> tuple:
     return tuple(RealField(g, c) for c in _real(g.ik * _hat(f.values, g), g))
 
 
-def divergence(fields: tuple) -> RealField:
-    """Spectral divergence of a vector field given componentwise."""
-    g = fields[0].grid
-    flux_hat = _hat(np.stack([f.values for f in fields]), g)
-    return RealField(g, _real(np.sum(g.ik * flux_hat, axis=0), g))
-
-
 def div_n_grad(grid: Grid, n: np.ndarray, f_hat: np.ndarray) -> np.ndarray:
     """Half spectrum of div(n grad f), from the half spectrum of f: the
     transport operator of every flow, metric and residual in the package.

@@ -1,4 +1,5 @@
-"""Thermodynamic functionals, driving potential, mobility, and rate constants.
+"""The model: uniform state, free energy, driving potential, mobility, and
+rate constants.
 
 The problem instance is (grid, kernel, chemical potential mu, corridor
 parameter kappa).  The uniform equilibrium density m0 solves the fixed-point
@@ -10,19 +11,18 @@ The grand free energy is
     G(N) = int N log N - (1 + mu) N dx + (1/2) int (W*N) N dx,
 
 with the interaction term evaluated in real space from W*N, which every
-simulation state caches; `interaction_energy` gives its Fourier form
-(1 / 2 L^d) sum_k W_hat(k) |N_hat(k)|^2.  Its variational derivative is the
-driving potential Phi_N = log N - mu + W*N, and the mobility weight is
+simulation state caches.  Its variational derivative is the driving potential
+Phi_N = log N - mu + W*N, and the mobility weight is
 Omega_N = sqrt(N) * sinhc(Phi_N / 2) >= sqrt(N) > 0.
 
 Each formula lives in one array-level helper (`_free_energy`, `_potential`,
-`_omega`, `_dissipation`).  The public functionals, the
-reference the tests compare against, take a RealField density, check it
-positive, compute log N and W*N themselves and call these helpers.  The
-simulation and the metric take Phi_N and Omega_N from a `dynamics.SimState`,
-which forms them with these helpers from its cached Psi = log N and W*N.  A
-diagnostics record forms no Omega_N: `_dissipation` writes Omega_N Phi_N as
-2 sqrt(N) sinh(Phi_N / 2).
+`_omega`, `_dissipation`).  The simulation and the metric take Phi_N and
+Omega_N from a `dynamics.SimState`, which forms them with these helpers from
+its cached Psi = log N and W*N.  A diagnostics record forms no Omega_N:
+`_dissipation` writes Omega_N Phi_N as 2 sqrt(N) sinh(Phi_N / 2).  The
+functionals of a bare density are no part of the library: the tests hold
+them, written out on their own, as the reference the helpers are checked
+against.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import NoConvergence, PositivityLoss
+from .errors import NoConvergence
 from .kernels import Kernel
-from .spectral import Grid, RealField
+from .spectral import Grid
 
 # |log m0 + w m0 - mu| of a uniform state, relative to max(1, |mu|, w m0): the
 # size of the terms it is rounded at (about 45 eps)
@@ -67,13 +67,18 @@ class ModelParams:
         if not self.m0 > 0.0:  # e.g. exp(mu) underflowed to 0
             raise ValueError(f"uniform density m0 must be positive, got {self.m0}")
         wm0 = self.kernel.w * self.m0
-        if not wm0 <= _MAX_WM0:  # also when w m0 overflowed
-            raise ValueError(f"reaction exponent mu - W*N cannot keep its digits: w m0 = "
-                             f"{wm0:.3e} rounds it at {wm0 * 2.0 ** -52:.1e}, above sqrt(eps)")
+        _require_digits(wm0)
         resid = abs(math.log(self.m0) + wm0 - self.mu)
         scale = max(1.0, abs(self.mu), wm0)
         if not (resid <= _UNIFORM_RTOL * scale and scale < math.inf):  # no NaN or infinite mu
             raise ValueError(f"(mu, m0) inconsistent: log-space residual {resid:.3e}")
+
+
+def _require_digits(wm0: float) -> None:
+    """ValueError unless w m0 <= `_MAX_WM0` (also when w m0 overflowed)."""
+    if not wm0 <= _MAX_WM0:
+        raise ValueError(f"reaction exponent mu - W*N cannot keep its digits: w m0 = "
+                         f"{wm0:.3e} rounds it at {wm0 * 2.0 ** -52:.1e}, above sqrt(eps)")
 
 
 def make_params(grid: Grid, kernel: Kernel, kappa: float, mu: float | None = None,
@@ -97,12 +102,14 @@ def solve_uniform_density(mu: float, w: float, max_iter: int = 200) -> float:
 
     Newton's method in t = log x on g(t) = t + w e^t - mu, which is increasing
     and convex, from Winitzki's approximation of the Lambert W function; a step
-    that leaves the bracket [mu - log(1 + w e^mu), mu] of the root is replaced
-    by bisection.  One Newton step in x then restores the digits that e^t loses
-    at large |t|.  The relative residual |log x + w x - mu| is at most
-    `_UNIFORM_RTOL` * max(1, |mu|, w x), the scale of the terms it is rounded
-    at, or NoConvergence.  Only w = 0 forms exp(mu), the root itself
-    (OverflowError past the float range); w > 0 needs only mu + log w.
+    that leaves the bracket [mu - ell, min(mu, log(ell / w))] of the root,
+    ell = log(1 + w e^mu), is replaced by bisection.  One Newton step in x then
+    restores the digits that e^t loses at large |t|, unless w x > `_MAX_WM0`:
+    such a root is refused first, as ModelParams refuses it (ValueError).  The
+    relative residual |log x + w x - mu| is at most `_UNIFORM_RTOL` *
+    max(1, |mu|, w x), the scale of the terms it is rounded at, or
+    NoConvergence.  Only w = 0 forms exp(mu), the root itself (OverflowError
+    past the float range); w > 0 needs only mu + log w.
     """
     if w < 0:
         raise ValueError(f"kernel integral must be nonnegative, got {w}")
@@ -111,6 +118,8 @@ def solve_uniform_density(mu: float, w: float, max_iter: int = 200) -> float:
     s = mu + math.log(w)
     ell = s + math.log1p(math.exp(-s)) if s > 0 else math.log1p(math.exp(s))  # log(1 + w e^mu)
     lo, hi = mu - ell, mu  # g(lo) <= 0 because W(z) <= log(1 + z); g(mu) = w e^mu >= 0
+    if ell > 0.0:  # w e^t = mu - t <= ell at the root: no step overflows w e^t
+        hi = min(hi, math.log(ell) - math.log(w))
     t = mu - ell * (1.0 - math.log1p(ell) / (2.0 + ell))  # W(w e^mu) to within 2%
     for _ in range(max_iter):
         wx = w * math.exp(t)
@@ -127,6 +136,7 @@ def solve_uniform_density(mu: float, w: float, max_iter: int = 200) -> float:
     else:
         raise NoConvergence(f"uniform density not found in {max_iter} iterations")
     x = math.exp(t)
+    _require_digits(w * x)
     y = math.exp(mu - w * x)
     x -= (x - y) / (1.0 + w * y)
     if not (x > 0.0 and abs(math.log(x) + w * x - mu) <= _UNIFORM_RTOL * max(1.0, abs(mu), w * x)):
@@ -154,46 +164,11 @@ def rate_constants(params: ModelParams) -> RateConstants:
     return RateConstants(sigma=sigma, gsq=gsq, lambda_dagger=lam, sigma_nonpositive=clamped)
 
 
-def _require_positive(n: RealField) -> None:
-    if np.min(n.values) <= 0.0:
-        raise PositivityLoss(f"min density {np.min(n.values):.3e}")
-
-
-def interaction_energy(n: RealField, kernel: Kernel) -> float:
-    """(1 / 2 L^d) sum_k W_hat(k) |N_hat(k)|^2 (equals the double integral)."""
-    g = n.grid
-    what = kernel.symbol.real
-    power = (what * np.abs(spectral._hat(n.values, g)) ** 2).ravel()
-    return 0.5 * g.cell_volume * float(g.dnorm_weights[0] @ power)
-
-
-def free_energy_grand(n: RealField, params: ModelParams) -> float:
-    return _free_energy_of(n, params.kernel, params.mu)
-
-
-def free_energy_canonical(n: RealField, kernel: Kernel) -> float:
-    return _free_energy_of(n, kernel, 0.0)
-
-
-def _free_energy_of(n: RealField, kernel: Kernel, mu: float) -> float:
-    _require_positive(n)
-    wn = spectral.convolve(kernel, n)
-    return _free_energy(n.values, np.log(n.values), wn.values, mu, n.grid.cell_volume)
-
-
 def _free_energy(n: np.ndarray, log_n: np.ndarray, wn: np.ndarray, mu: float,
                  cell_volume: float) -> float:
     """int N log N - (1 + mu) N + (1/2) (W*N) N dx, from the arrays of N,
     log N and W*N."""
     return float(np.sum(n * (log_n - (1.0 + mu) + 0.5 * wn))) * cell_volume
-
-
-def potential_phi(n: RealField, params: ModelParams) -> RealField:
-    """Driving potential Phi_N = log N - mu + W*N (the variational derivative
-    of the grand free energy)."""
-    _require_positive(n)
-    wn = spectral.convolve(params.kernel, n)
-    return RealField(n.grid, _potential(np.log(n.values), wn.values, params.mu))
 
 
 def _potential(log_n: np.ndarray, wn: np.ndarray, mu: float) -> np.ndarray:
@@ -208,24 +183,9 @@ def sinhc_half(phi: np.ndarray) -> np.ndarray:
     return np.divide(np.sinh(x), x, out=np.ones_like(x), where=x != 0)
 
 
-def omega(n: RealField, params: ModelParams) -> RealField:
-    """Mobility Omega_N = sqrt(N) * sinhc(Phi_N / 2); pointwise >= sqrt(N)."""
-    return RealField(n.grid, _omega(n.values, potential_phi(n, params).values))
-
-
 def _omega(n: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Omega_N from the arrays of N and Phi_N."""
     return np.sqrt(n) * sinhc_half(phi)
-
-
-def weighted_inner(n: RealField, params: ModelParams, f: RealField, g: RealField) -> float:
-    """int N (grad f . grad g) + Omega_N f g dx (collocation quadrature)."""
-    omega_n = omega(n, params)
-    grid = n.grid
-    grad_f = spectral._real(grid.ik * spectral._hat(f.values, grid), grid)
-    grad_g = grad_f if g is f else spectral._real(grid.ik * spectral._hat(g.values, grid), grid)
-    density = n.values * np.sum(grad_f * grad_g, axis=0) + omega_n.values * f.values * g.values
-    return float(np.sum(density)) * grid.cell_volume
 
 
 def _dissipation(n: np.ndarray, phi: np.ndarray, grad_phi: np.ndarray,
@@ -236,35 +196,3 @@ def _dissipation(n: np.ndarray, phi: np.ndarray, grad_phi: np.ndarray,
     Phi_N -> 0."""
     grad_sq = np.sum(grad_phi * grad_phi, axis=0)
     return float(np.sum(n * grad_sq + 2.0 * np.sqrt(n) * np.sinh(0.5 * phi) * phi)) * cell_volume
-
-
-def dissipation(n: RealField, params: ModelParams) -> float:
-    """Instantaneous free-energy dissipation rate: the weighted quadratic form
-    of Phi_N with itself."""
-    phi = potential_phi(n, params)
-    return weighted_inner(n, params, phi, phi)
-
-
-def convexity_quadratic_form(n_a: RealField, n_b: RealField, s: float,
-                             params: ModelParams) -> float:
-    """Second derivative of the grand free energy along the segment from n_a
-    to n_b, evaluated at interpolation parameter s:
-
-        int R^2 / N_s dx + int int W(x-y) R(x) R(y) dx dy,  R = n_b - n_a.
-    """
-    _require_positive(n_a)
-    _require_positive(n_b)
-    if not (0.0 <= s <= 1.0):
-        raise ValueError(f"s must be in [0, 1], got {s}")
-    r = n_b.values - n_a.values
-    ns = (1.0 - s) * n_a.values + s * n_b.values
-    first = float(np.sum(r * r / ns)) * n_a.grid.cell_volume
-    rf = RealField(n_a.grid, r)
-    return first + 2.0 * interaction_energy(rf, params.kernel)
-
-
-def in_corridor(n: RealField, params: ModelParams) -> bool:
-    """kappa*m0 < N < m0/kappa pointwise."""
-    lo = params.kappa * params.m0
-    hi = params.m0 / params.kappa
-    return bool(np.min(n.values) > lo and np.max(n.values) < hi)

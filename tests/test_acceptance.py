@@ -7,7 +7,7 @@ machine-grepable PASS/FAIL line.
 import numpy as np
 import pytest
 
-from gcflow import dynamics, experiments, jko, problems, selftest, thermo
+from gcflow import dynamics, experiments, jko, problems, selftest
 from gcflow.dynamics import SimState, evolve, step_imex
 from gcflow.experiments import (
     canonical_contrast,
@@ -22,8 +22,9 @@ from gcflow.experiments import (
 from gcflow.jko import jko_step
 from gcflow.kernels import make_positive_type, make_smoothed_indicator
 from gcflow.metric import path_distance_upper, solve_driving_potential
-from gcflow.spectral import Grid, RealField, divergence, dnorm, gradient, l2_norm
-from gcflow.thermo import free_energy_grand, make_params, omega, rate_constants
+from gcflow.spectral import Grid, RealField, dnorm, gradient, l2_norm
+from gcflow.thermo import make_params, rate_constants
+from oracles import divergence, dissipation, free_energy_grand, in_corridor, omega
 
 KERNEL_KW = dict(amplitude=1.0, radius=0.1, mollifier_width=0.02)
 M0, KAPPA = 0.05, 0.4
@@ -87,7 +88,7 @@ def test_criterion_03_dissipation_identity():
     kernel = make_smoothed_indicator(grid, **KERNEL_KW)
     p = make_params(grid, kernel, KAPPA, m0=M0)
     st0 = problems.random_band_state(p, 3, 0.3, seed=102)
-    d0 = thermo.dissipation(st0.n, p)
+    d0 = dissipation(st0.n, p)
     g0 = free_energy_grand(st0.n, p)
     errs = []
     for h in (1e-3, 5e-4, 2.5e-4, 1.25e-4):
@@ -261,7 +262,7 @@ def test_criterion_11_metric_layer(params):
     for seed in (110, 111, 112):
         s0 = problems.random_band_state(params, 3, 0.5, seed=seed)
         n0 = s0.n
-        assert thermo.in_corridor(n0, params)
+        assert in_corridor(n0, params)
         dev = l2_norm(RealField(params.grid, n0.values - M0))
         val = path_distance_upper(s0, uniform, 16).value_sq
         bound_ok = bound_ok and val <= rc.gsq * dev**2 * 1.02

@@ -340,6 +340,18 @@ def test_large_mu_with_interaction_is_a_model(tmp_path, capsys, amplitude, mu, m
     assert build_params(load_config(cfgp)).m0 == pytest.approx(m0, rel=1e-9)
 
 
+@pytest.mark.parametrize("mu", ["1e18", "1e300"])
+def test_huge_mu_with_interaction_is_refused(tmp_path, capsys, mu):
+    # the root m0 = mu / w is representable, but w m0 keeps no digit of
+    # mu - W*N; a Newton step past the root overflowed w e^t, and the last
+    # step in x formed exp(mu - w m0) from cancelled digits: exit 2 with
+    # "model.mu: math range error" instead of the refusal
+    cfgp = write_config(tmp_path, BASE.replace("m0 = 0.05", f"mu = {mu}"))
+    assert main(["kernel-info", "--config", cfgp]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message.startswith("model.mu: reaction exponent mu - W*N cannot keep its digits")
+
+
 @pytest.mark.parametrize("mu", [10.0, 50.0])
 def test_evolve_mu_large_activity(tmp_path, capsys, mu):
     # w e^mu is large: m0 is about 32 and 220; the uniform state's solve once
@@ -467,17 +479,22 @@ def test_cli_run_imports_no_scipy(tmp_path):
     # gcflow needs numpy and the stdlib only: whole `evolve`, `distance` and
     # `sweep` runs, uniform-state solve included, leave no scipy module loaded;
     # and each command imports only its own layers, so the set-up of an IMEX
-    # `evolve` (the cold start of every short run) compiles none of the others
+    # `evolve` (the cold start of every short run) compiles none of the others,
+    # also when it takes its default step from the linearized decay symbol
     cfgp = write_config(tmp_path, BASE.replace("m0 = 0.05", "mu = -1.0").replace(
         "T = 0.05", "T = 0.002"))
     sweep_cfg = tmp_path / "sweep.ini"
     sweep_cfg.write_text(pathlib.Path(cfgp).read_text().replace("T = 0.002", "T = 0.3")
                          .replace("h = 0.001", "h = 0.002"))
+    default_h_cfg = tmp_path / "default_h.ini"
+    default_h_cfg.write_text(pathlib.Path(cfgp).read_text().replace("T = 0.002", "T = 2e-5")
+                             .replace("h = 0.001\n", ""))
     params = build_params(load_config(cfgp))
     a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.csv")
     fieldio.save_binary(a, problems.single_mode_state(params, 1, 0.003).n)
     fieldio.save_csv(b, problems.single_mode_state(params, 2, 0.003).n)
     runs = [["evolve", "--config", cfgp],
+            ["evolve", "--config", str(default_h_cfg)],
             ["distance", a, b, "--config", cfgp, "--segments", "2"],
             ["sweep", "--config", str(sweep_cfg), "--axis", "L=1"]]
     script = ("import json, sys\n"
@@ -488,11 +505,12 @@ def test_cli_run_imports_no_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(gcflow.__file__))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src})
-    (evolve, after_evolve), (distance, after_distance), (sweep, after_sweep) = (
-        json.loads(proc.stdout.splitlines()[-1]))
-    assert evolve == distance == sweep == 0, proc.stderr
-    assert not {"gcflow.experiments", "gcflow.metric", "gcflow.selftest",
-                "gcflow.jko"} & set(after_evolve)
+    ((evolve, after_evolve), (default_h, after_default_h), (distance, after_distance),
+     (sweep, after_sweep)) = json.loads(proc.stdout.splitlines()[-1])
+    assert evolve == default_h == distance == sweep == 0, proc.stderr
+    for after in (after_evolve, after_default_h):
+        assert not {"gcflow.experiments", "gcflow.metric", "gcflow.selftest",
+                    "gcflow.jko"} & set(after)
     assert {"gcflow.metric", "gcflow.fieldio"} <= set(after_distance)
     assert "gcflow.experiments" not in after_distance and "gcflow.experiments" in after_sweep
     assert "gcflow.jko" not in after_sweep  # an IMEX sweep needs no implicit step

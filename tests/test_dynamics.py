@@ -10,7 +10,8 @@ import weakref
 import numpy as np
 import pytest
 
-from gcflow import dynamics, experiments, jko, problems, spectral, thermo
+import oracles
+from gcflow import dynamics, experiments, jko, problems, spectral
 from gcflow.dynamics import (
     SimState,
     diagnostics,
@@ -26,7 +27,7 @@ from gcflow.errors import PositivityLoss, StabilityViolation
 from gcflow.experiments import linearized_rate
 from gcflow.kernels import make_positive_type, make_smoothed_indicator
 from gcflow.spectral import Grid, RealField
-from gcflow.thermo import free_energy_grand, make_params
+from gcflow.thermo import make_params
 
 
 @pytest.fixture
@@ -43,18 +44,6 @@ def perturbed_state(params, seed=31, amp=0.1):
 def model(d, M):
     grid = Grid.make(d, 1.0, M)
     return make_params(grid, make_smoothed_indicator(grid, 1.0, 0.1, 0.04), 0.4, m0=0.05)
-
-
-@pytest.fixture
-def fft_calls(monkeypatch):
-    """Records the input shape of each call of numpy's real transforms,
-    which gcflow looks up on np.fft at each call, so the patch sees every one."""
-    calls = []
-    for name in ("rfft", "irfft", "rfftn", "irfftn"):
-        transform = getattr(np.fft, name)
-        monkeypatch.setattr(np.fft, name, lambda *a, _t=transform, **k:
-                            calls.append(np.shape(a[0])) or _t(*a, **k))
-    return calls
 
 
 @pytest.fixture
@@ -296,12 +285,12 @@ def test_dissipation_identity_first_order(params):
     kernel = make_smoothed_indicator(grid, 1.0, 0.1, 0.02)
     p = make_params(grid, kernel, 0.4, m0=0.05)
     st0 = problems.random_band_state(p, 3, 0.3, seed=35)
-    d0 = thermo.dissipation(st0.n, p)
-    g0 = free_energy_grand(st0.n, p)
+    d0 = oracles.dissipation(st0.n, p)
+    g0 = oracles.free_energy_grand(st0.n, p)
     errs = []
     for h in (1e-3, 5e-4, 2.5e-4, 1.25e-4):
         st1 = step_imex(st0, h)
-        dg = (free_energy_grand(st1.n, p) - g0) / h
+        dg = (oracles.free_energy_grand(st1.n, p) - g0) / h
         errs.append(abs(dg + d0))
     for a, b in zip(errs, errs[1:]):
         assert 0.4 < b / a < 0.6
@@ -480,13 +469,13 @@ def test_rk4_stage_positivity_loss_names_stage_time(params, monkeypatch):
 @pytest.mark.parametrize("built_from", ["psi", "density"])
 @pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
 def test_record_matches_reference_functionals(d, M, built_from, canonical):
-    # the one-pass record against the validated functionals of thermo/spectral
+    # the one-pass record against the reference functionals of oracles/spectral
     p = model(d, M)
     st = problems.random_band_state(p, 3, 0.3, seed=39)  # built by from_psi
     if built_from == "density":
         st = SimState.from_density(0.0, st.n, p)
     rec = diagnostics(0, st, canonical=canonical)
-    g_mu = thermo.free_energy_grand(st.n, p)
+    g_mu = oracles.free_energy_grand(st.n, p)
     psi = RealField(p.grid, st.psi)
     reference = {
         "mass": st.n.integral(),
@@ -496,13 +485,13 @@ def test_record_matches_reference_functionals(d, M, built_from, canonical):
         "d2": spectral.dnorm(psi, 2),
         "n_min": float(np.min(st.n.values)),
         "n_max": float(np.max(st.n.values)),
-        "dissipation": thermo.dissipation(st.n, p),
+        "dissipation": oracles.dissipation(st.n, p),
     }
     for key, value in reference.items():
         assert abs(getattr(rec, key) - value) <= 1e-12 * abs(value), key
     if canonical:
         nbar = st.n.integral() / p.grid.volume
-        gap = (thermo.free_energy_canonical(st.n, p.kernel)
+        gap = (oracles.free_energy_canonical(st.n, p.kernel)
                - dynamics._uniform_energy(p, nbar, 0.0))
     else:
         gap = g_mu - dynamics._uniform_energy(p, p.m0, p.mu)
@@ -536,7 +525,7 @@ def test_record_rejects_underflowed_density(params):
 
 
 @pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
-def test_transforms_per_step_and_record(d, M, fft_calls):
+def test_transforms_per_step_and_record(d, M, transform_calls):
     # a step starts from the caches of a state made by a step: N_hat, and
     # grad W*N, which the IMEX step's one inverse gave with N and W*N; IMEX
     # sends flux and reaction forward in one call; an RK4 stage gets N (and
@@ -546,57 +535,57 @@ def test_transforms_per_step_and_record(d, M, fft_calls):
     # forward and grad Phi back in one call each
     st = step_imex(problems.random_band_state(model(d, M), 3, 0.3, seed=40), 1e-5)
     for name, count in {"imex": 2, "rk4": 8, "rk4_canonical": 8}.items():
-        del fft_calls[:]
+        del transform_calls[:]
         dynamics._STEPPERS[name](st, 1e-5)
-        assert len(fft_calls) == count, name
+        assert len(transform_calls) == count, name
     for canonical in (False, True):
-        del fft_calls[:]
+        del transform_calls[:]
         diagnostics(1, st, canonical=canonical)
-        assert len(fft_calls) == 2, canonical
+        assert len(transform_calls) == 2, canonical
         # a gap record reads the free energy from the state
-        del fft_calls[:]
+        del transform_calls[:]
         gap_record(1, st, canonical)
-        assert fft_calls == [], canonical
+        assert transform_calls == [], canonical
     # an rk4 state holds grad W*N too, so an rk4 march pays 8 a step
-    del fft_calls[:]
+    del transform_calls[:]
     step_rk4(step_rk4(st, 1e-5), 1e-5)
-    assert len(fft_calls) == 8 + 8
+    assert len(transform_calls) == 8 + 8
     # evolve re-times each state without dropping its caches: 10 IMEX steps
     # and one record
-    del fft_calls[:]
+    del transform_calls[:]
     evolve(st, 1e-4, 1e-5, stride=10)
-    assert len(fft_calls) == 10 * 2 + 2
+    assert len(transform_calls) == 10 * 2 + 2
     # a sweep point's march of n IMEX steps, stride 5, records the gap alone:
     # 2 n calls, and its fit and rate constants make none
-    del fft_calls[:]
+    del transform_calls[:]
     experiments.volume_sweep([st], 100 * 1e-5, 1e-5)
-    assert len(fft_calls) == 100 * 2
+    assert len(transform_calls) == 100 * 2
     # a from_density or from_psi build sends N forward and gets W*N and
     # grad W*N back in one call, so an RK4 step from it reads them: 8 calls
     for build in (lambda: SimState.from_density(0.0, st.n, st.params),
                   lambda: SimState.from_psi(0.0, st.psi, st.params)):
-        del fft_calls[:]
+        del transform_calls[:]
         built = build()
-        assert len(fft_calls) == 2
+        assert len(transform_calls) == 2
         for name in ("rk4", "rk4_canonical"):
-            del fft_calls[:]
+            del transform_calls[:]
             dynamics._STEPPERS[name](built, 1e-5)
-            assert len(fft_calls) == 8, name
+            assert len(transform_calls) == 8, name
     # a distance-path node mixes N_hat, W*N and grad W*N of its endpoints
     other = SimState.from_density(0.0, RealField(st.n.grid, st.n.values[::-1].copy()), st.params)
-    del fft_calls[:]
+    del transform_calls[:]
     dynamics._mix(st, other, 0.25)
-    assert fft_calls == []
+    assert transform_calls == []
     # the JKO step's frozen terms read W_hat N_hat and grad W*N from the
     # state: Psi0 forward, its d gradient rows back, the local part of A
     # forward; a JKO step is 10 calls plus 4 per inner iteration
     grid, half = st.n.grid.shape, st.n_hat.shape
-    del fft_calls[:]
+    del transform_calls[:]
     jko._step(st, 1e-3)
-    assert fft_calls == [grid, (d,) + half, grid]
-    del fft_calls[:]
+    assert transform_calls == [("_hat", grid), ("_real", (d,) + half), ("_hat", grid)]
+    del transform_calls[:]
     report = jko.jko_step(st, 1e-3)[1]
-    assert len(fft_calls) == 10 + 4 * report.inner_iters
+    assert len(transform_calls) == 10 + 4 * report.inner_iters
 
 
 @pytest.mark.parametrize("integrator", ["imex", "rk4", "rk4_canonical", "jko"])
@@ -652,7 +641,7 @@ def test_mixed_node_matches_density(d, M, s):
 @pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
 def test_record_dissipation_matches_reference(d, M, state):
     # the record's sinh form of the dissipation, from Phi_hat = Psi_hat +
-    # W_hat N_hat, against thermo.dissipation (Omega_N through sinhc), on the
+    # W_hat N_hat, against oracles.dissipation (Omega_N through sinhc), on the
     # criterion matrix's model; also on a mode of size 1e-8, where Phi_N is
     # about 2e-7 and Psi_hat's roundoff, about 1e-16 |Psi_hat| in each mode,
     # is what separates the two routes (5.9e-13 in d = 1)
@@ -660,7 +649,7 @@ def test_record_dissipation_matches_reference(d, M, state):
     p = make_params(grid, make_smoothed_indicator(grid, 1.0, 0.1, 0.02), 0.4, m0=0.05)
     st = (problems.random_band_state(p, 3, 0.3, seed=45) if state == "band"
           else problems.single_mode_state(p, 1, 1e-8))
-    reference = thermo.dissipation(st.n, p)
+    reference = oracles.dissipation(st.n, p)
     assert reference > 0.0
     assert abs(diagnostics(0, st).dissipation - reference) <= 1e-12 * reference
 
@@ -877,14 +866,14 @@ def test_buffered_steps_match_fresh_allocation_bit_for_bit(d, M):
 @pytest.mark.parametrize("family", ["smoothed_indicator", "positive_type"])
 @pytest.mark.parametrize("d, M", [(1, 64), (2, 32)])
 def test_state_phi_omega_match_reference(d, M, family):
-    # Phi_N and Omega_N of a state against the functionals of thermo
+    # Phi_N and Omega_N of a state against the reference functionals
     grid = Grid.make(d, 1.0, M)
     kernel = (make_smoothed_indicator(grid, 1.0, 0.1, 0.04) if family == "smoothed_indicator"
               else make_positive_type(grid, 1.0, 0.05))
     p = make_params(grid, kernel, 0.4, m0=0.05)
     st = problems.random_band_state(p, 3, 0.3, seed=44)
-    for cached, reference in ((st.phi, thermo.potential_phi(st.n, p)),
-                              (st.omega, thermo.omega(st.n, p))):
+    for cached, reference in ((st.phi, oracles.potential_phi(st.n, p)),
+                              (st.omega, oracles.omega(st.n, p))):
         assert type(cached) is np.ndarray
         ref = reference.values
         assert np.max(np.abs(cached - ref)) <= 1e-14 * np.max(np.abs(ref))

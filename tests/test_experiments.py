@@ -17,6 +17,7 @@ from gcflow.kernels import make_positive_type, make_smoothed_indicator
 from gcflow.jko import jko_step
 from gcflow.spectral import Grid, RealField, dnorm
 from gcflow.thermo import make_params, rate_constants
+from oracles import in_corridor
 
 
 @pytest.fixture
@@ -265,8 +266,6 @@ def test_volume_sweep_fit_matches_full_records(params, integrator, h):
 
 
 def test_random_band_state_in_corridor(params):
-    from gcflow.thermo import in_corridor
-
     for seed in range(5):
         st = problems.random_band_state(params, 3, 1.0, seed=seed)
         assert in_corridor(st.n, params)
@@ -276,8 +275,6 @@ def test_random_band_state_in_corridor(params):
 def test_random_band_state_negative_amp_keeps_corridor(params, amp):
     # a negative amp flips the band's sign; its size is clamped like a
     # positive one's (it once bypassed the clamp: amp = -5 gave 5.0)
-    from gcflow.thermo import in_corridor
-
     limit = 0.9 * np.log(1.0 / params.kappa)
     log_m0 = np.log(params.m0)
     st = problems.random_band_state(params, 3, amp, seed=7)

@@ -9,14 +9,10 @@ from gcflow import metric, problems, thermo
 from gcflow.dynamics import SimState
 from gcflow.errors import GridMismatch, NoConvergence
 from gcflow.kernels import make_smoothed_indicator
-from gcflow.metric import (
-    approx_distance,
-    metric_axiom_checks,
-    path_distance_upper,
-    solve_driving_potential,
-)
+from gcflow.metric import metric_axiom_checks, path_distance_upper, solve_driving_potential
 from gcflow.spectral import Grid, RealField, gradient, l2_norm
-from gcflow.thermo import make_params, omega, rate_constants
+from gcflow.thermo import make_params, rate_constants
+from oracles import approx_distance, divergence, in_corridor, omega
 
 
 @pytest.fixture
@@ -44,8 +40,6 @@ def dense_operator(n, params):
         e[j] = 1.0
         q = RealField(grid, e)
         flux = RealField(grid, n.values * gradient(q)[0].values)
-        from gcflow.spectral import divergence
-
         A[:, j] = divergence((flux,)).values - om * e
     return A
 
@@ -152,7 +146,7 @@ def test_nonfinite_residual_fails_fast(params):
 
 
 def test_path_node_zero_gives_short_time_distance(params):
-    # node 0 solves A Q0 = N1 - N0, the equation of approx_distance, so d_a = sqrt(E_0)
+    # node 0 solves A Q0 = N1 - N0, the equation of the short-time distance, so d_a = sqrt(E_0)
     sa = problems.random_band_state(params, 3, 0.3, seed=71)
     sb = problems.random_band_state(params, 3, 0.3, seed=72)
     path = path_distance_upper(sa, sb, 8)
@@ -274,7 +268,7 @@ def test_distance_bound_by_l2(params):
     for seed in (65, 66, 67):
         s0 = problems.random_band_state(params, 3, 0.5, seed=seed)
         n0 = s0.n
-        assert thermo.in_corridor(n0, params)
+        assert in_corridor(n0, params)
         dev = l2_norm(RealField(params.grid, n0.values - params.m0))
         bound = rc.gsq * dev**2 * 1.02
         val = path_distance_upper(s0, uniform, 16).value_sq

@@ -12,12 +12,12 @@ from gcflow.spectral import (
     _real,
     convolve,
     div_n_grad,
-    divergence,
     dnorm,
     gradient,
     inner_l2,
     l2_norm,
 )
+from oracles import divergence
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
-"""Free energy, uniform state, mobility, rate constants."""
+"""Uniform state, rate constants, and the reference functionals: free
+energy, potential, mobility, convexity, against closed forms."""
 
+import hashlib
 import math
 import tempfile
 import warnings
@@ -15,18 +17,20 @@ from gcflow.kernels import make_positive_type, make_smoothed_indicator
 from gcflow.spectral import Grid, RealField, convolve
 from gcflow.thermo import (
     ModelParams,
+    make_params,
+    rate_constants,
+    sinhc_half,
+    solve_uniform_density,
+)
+from oracles import (
     convexity_quadratic_form,
     dissipation,
     free_energy_canonical,
     free_energy_grand,
     in_corridor,
     interaction_energy,
-    make_params,
     omega,
     potential_phi,
-    rate_constants,
-    sinhc_half,
-    solve_uniform_density,
     weighted_inner,
 )
 
@@ -83,6 +87,11 @@ def test_uniform_density_errors():
         solve_uniform_density(0.0, 1.0, max_iter=0)
     with pytest.raises(OverflowError):  # w = 0: the root e^mu is beyond the float range
         solve_uniform_density(800.0, 0.0)
+    # the root mu / w is representable, but w x keeps no digit of mu - w x:
+    # refused as ModelParams refuses it, where a Newton step overflowed w e^t
+    for mu in (1e18, 1e300):
+        with pytest.raises(ValueError, match="cannot keep its digits"):
+            solve_uniform_density(mu, 0.203125)
 
 
 @pytest.mark.parametrize("amplitude, mu, m0", [
@@ -111,6 +120,18 @@ def test_uniform_density_pinned(setup, mu, w, m0):
     _, kernel, _ = setup
     assert kernel.w == 0.203125
     assert abs(solve_uniform_density(mu, w) / m0 - 1.0) <= 1e-15
+
+
+def test_uniform_density_roots_pinned_bit_for_bit():
+    # capping the bracket at log(ell / w) moved none of these roots by a bit:
+    # the digest is of the roots that the bracket [mu - ell, mu] gave (glibc's
+    # exp and log on x86-64)
+    rng = np.random.default_rng(33)
+    mus = rng.uniform(-700.0, 709.0, 2000).tolist()
+    ws = [math.exp(v) for v in rng.uniform(math.log(1e-10), math.log(1e8), 2000).tolist()]
+    roots = np.array([solve_uniform_density(mu, w) for mu, w in zip(mus, ws)])
+    digest = "22e8ab0ff4aff5b4abba293d3edcd008edba641ece23874df0463b0aee6b1d4f"
+    assert hashlib.sha256(roots.tobytes()).hexdigest() == digest
 
 
 _W = st.one_of(st.just(0.0), st.floats(math.log(1e-6), math.log(1e6)).map(math.exp))
