@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, dynamics, kernels
 from .config import build_band_state, build_initial_state, build_params, load_config
-from .errors import ConfigError, GcflowError, PositivityLoss, StabilityViolation
+from .errors import ConfigError, GcflowError, PositivityLoss
 
 SCHEMA_VERSION = "diagnostics-ndjson/1"
 FIELD_FORMAT = "GCF1"
@@ -79,7 +79,7 @@ def _check_march(integrator: str, state, T: float, h: float) -> None:
     decides both, so they are checked before any output opens."""
     try:
         dynamics._check_step(h, state if integrator in dynamics._EXPLICIT else None)
-    except (ValueError, StabilityViolation) as exc:
+    except ValueError as exc:
         raise ConfigError("run.h", str(exc)) from None
     try:
         dynamics._step_count(T, h)

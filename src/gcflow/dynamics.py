@@ -67,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral, thermo
-from .errors import PositivityLoss, StabilityViolation
+from .errors import PositivityLoss
 from .spectral import RealField
 from .thermo import ModelParams
 
@@ -175,13 +175,13 @@ def _mix(s0: SimState, s1: SimState, s: float) -> SimState:
 
 
 def _check_step(h: float, explicit: SimState | None = None) -> None:
-    """ValueError unless 0 < h < inf (NaN fails it too); for an explicit step
-    from the state `explicit`, StabilityViolation unless h max|k|^2 <= 2.7."""
+    """ValueError unless 0 < h < inf (NaN fails it too) and, for an explicit
+    step from the state `explicit`, h max|k|^2 <= 2.7."""
     if not 0.0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
     if explicit is not None and h * (kmax2 := explicit.n.grid.k2_max) > 2.7:
-        raise StabilityViolation(f"h * max|k|^2 = {h * kmax2:.3g} > 2.7; "
-                                 f"reduce h below {2.7 / kmax2:.3g}")
+        raise ValueError(f"h * max|k|^2 = {h * kmax2:.3g} > 2.7; "
+                         f"reduce h below {2.7 / kmax2:.3g}")
 
 
 def _positive(n: np.ndarray, t: float) -> np.ndarray:

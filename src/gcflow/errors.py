@@ -17,10 +17,6 @@ class PositivityLoss(GcflowError):
     """A density, given or made by a time step (h too large), is not positive."""
 
 
-class StabilityViolation(GcflowError):
-    """Explicit step size exceeds the stability bound."""
-
-
 class InnerDivergence(NoConvergence):
     """Inner fixed-point iteration is diverging or stalled (h too large)."""
 

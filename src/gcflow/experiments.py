@@ -25,15 +25,12 @@ class RateFit:
     n_points: int
 
 
-def fit_decay_rate(records: list, window: tuple[float, float] | None = None) -> RateFit:
-    """Fit log(gap) = a - lambda_hat * t to a march's records over `window`
-    (default: the last 60% of their times).  Records with gap <= GAP_FLOOR
-    are dropped."""
+def fit_decay_rate(records: list) -> RateFit:
+    """Fit log(gap) = a - lambda_hat * t to a march's records over the last
+    60% of their times.  Records with gap <= GAP_FLOOR are dropped."""
     ts = np.array([r.t for r in records])
     gaps = np.array([r.gap for r in records])
-    if window is None:
-        t0 = ts[0] + 0.4 * (ts[-1] - ts[0])
-        window = (float(t0), float(ts[-1]))
+    window = (float(ts[0] + 0.4 * (ts[-1] - ts[0])), float(ts[-1]))
     keep = (ts >= window[0]) & (ts <= window[1]) & (gaps > GAP_FLOOR)
     ts, gaps = ts[keep], gaps[keep]
     if ts.size < 10:
@@ -85,21 +82,14 @@ def _states_every(k: int):
     return lambda step, state, canonical, report: state if step % k == 0 else None
 
 
-def measure_mode_decay(
-    params: ModelParams,
-    mode: int,
-    eps: float,
-    T: float,
-    h: float,
-    integrator: str = "rk4",
-) -> RateFit:
-    """Evolve m0 + eps cos(k x) and fit the decay rate of |Nhat(k, t)|."""
+def measure_mode_decay(params: ModelParams, mode: int, eps: float, T: float, h: float) -> RateFit:
+    """Evolve m0 + eps cos(k x) by IMEX and fit the decay rate of |Nhat(k, t)|."""
     state = problems.single_mode_state(params, mode, eps)
     g = params.grid
     idx = _half_index(g, (mode,) + (0,) * (g.d - 1))
     every = _states_every(max(1, dynamics._step_count(T, h)[0] // 400))
     ts, amps = [], []
-    for s in [state] + dynamics.evolve(state, T, h, integrator, record=every):
+    for s in [state] + dynamics.evolve(state, T, h, record=every):
         if mode == 0:
             amp = abs(float(np.mean(s.n.values)) - params.m0)
         else:
@@ -145,11 +135,6 @@ class SweepReport:
         }
 
 
-def _sweep_report(points: list[SweepPoint]) -> SweepReport:
-    lams = [p.fit.lambda_hat for p in points]
-    return SweepReport(tuple(points), float(max(lams) / min(lams)))
-
-
 def _run_point(label: str, state: SimState, T: float, h: float, integrator: str,
                stride: int, jko: JkoConfig | None = None) -> SweepPoint:
     """Evolve to T and fit the gap decay rate, from gap records: the fit
@@ -166,8 +151,9 @@ def volume_sweep(states: list[SimState], T: float, h: float, integrator: str = "
     """Run the same relaxation, by `integrator` (`jko` holds the tolerances
     of the implicit step), from `states`, one per torus of increasing volume,
     and compare fitted gap-decay rates."""
-    return _sweep_report([_run_point(f"L={s.params.grid.L}", s, T, h, integrator, 5, jko)
-                          for s in states])
+    points = [_run_point(f"L={s.params.grid.L}", s, T, h, integrator, 5, jko) for s in states]
+    lams = [p.fit.lambda_hat for p in points]
+    return SweepReport(tuple(points), float(max(lams) / min(lams)))
 
 
 @dataclass(frozen=True)
@@ -249,11 +235,13 @@ class RateGuaranteeReport:
     l2_bound_ok: bool | None  # sigma * ||N - m0||_L2^2 <= gap(t) at every state
 
 
-def rate_guarantee_check(states: list[SimState], params: ModelParams) -> RateGuaranteeReport:
-    """Check the certified relaxation rate lambda_dagger = sigma g^-2 against
-    the states of a grand-canonical march: their `diagnostics` records give
-    the corridor and the fitted rate, and the L2 bound is replayed at each
-    state.  Not applicable when sigma <= 0 or the corridor was left."""
+def rate_guarantee_check(states: list[SimState]) -> RateGuaranteeReport:
+    """Check the certified relaxation rate lambda_dagger = sigma g^-2 of the
+    states' model against the states of a grand-canonical march: their
+    `diagnostics` records give the corridor and the fitted rate, and the L2
+    bound is replayed at each state.  Not applicable when sigma <= 0 or the
+    corridor was left."""
+    params = states[0].params
     rates = thermo.rate_constants(params)
     records = [dynamics.diagnostics(step, s) for step, s in enumerate(states)]
     corr = corridor_check(records, params)

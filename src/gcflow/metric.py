@@ -174,21 +174,22 @@ def path_distance_upper(s0: SimState, s1: SimState, segments: int) -> PathDistan
                               per_segment_energy=energies, reports=reports)
 
 
-def metric_axiom_checks(states: list, segments: int = 32, tol: float = 1e-8) -> dict:
-    """Numeric sanity battery on the path distance over sample states: zero
-    iff equal endpoints, positivity with a coercivity floor, and
-    forward/reverse path symmetry.  `ok` is False when a self-distance
-    exceeds 1e-10, a forward value is nonpositive or below its floor, or a
-    symmetry defect exceeds tol.  A report, not a test: a failed axiom does
-    not raise, but a solve that fails raises its NoConvergence."""
+def metric_axiom_checks(states: list) -> dict:
+    """Numeric sanity battery on the path distance over sample states, with
+    8 segments a path: zero iff equal endpoints, positivity with a
+    coercivity floor, and forward/reverse path symmetry.  `ok` is False when
+    a self-distance exceeds 1e-10, a forward value is nonpositive or below
+    its floor, or a symmetry defect exceeds 1e-8 max(1, forward value).  A
+    report, not a test: a failed axiom does not raise, but a solve that
+    fails raises its NoConvergence."""
     report = {"pairs": [], "ok": True}
     for i, sa in enumerate(states):
         self_d = path_distance_upper(sa, sa, 2).value_sq
         if abs(self_d) > 1e-10:
             report["ok"] = False
         for sb in states[i + 1:]:
-            fwd = path_distance_upper(sa, sb, segments).value_sq
-            rev = path_distance_upper(sb, sa, segments).value_sq
+            fwd = path_distance_upper(sa, sb, 8).value_sq
+            rev = path_distance_upper(sb, sa, 8).value_sq
             # coercivity floor: energy = dN^T A^{-1} dN >= ||dN||^2 / lam_max(A)
             # with A the (positive) elliptic operator; lam_max is bounded by
             # max(N) * max|k|^2 + max(Omega) along the path.
@@ -204,7 +205,7 @@ def metric_axiom_checks(states: list, segments: int = 32, tol: float = 1e-8) -> 
                 "positivity_floor": floor,
                 "symmetry_defect": abs(fwd - rev),
             }
-            if fwd <= 0 or fwd < floor or abs(fwd - rev) > tol * max(1.0, fwd):
+            if fwd <= 0 or fwd < floor or abs(fwd - rev) > 1e-8 * max(1.0, fwd):
                 report["ok"] = False
             report["pairs"].append(entry)
     return report

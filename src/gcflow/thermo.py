@@ -28,6 +28,7 @@ against.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,8 @@ _UNIFORM_RTOL = 1e-14
 # the reaction drives towards is known only to that relative size; past
 # sqrt(eps) it keeps fewer than half of its digits (at amplitude 1e100 none)
 _MAX_WM0 = 2.0 ** 26
+# steps of the uniform-state solve before NoConvergence
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ def make_params(grid: Grid, kernel: Kernel, kappa: float, mu: float | None = Non
     return ModelParams(grid, kernel, float(mu), float(m0), float(kappa))
 
 
-def solve_uniform_density(mu: float, w: float, max_iter: int = 200) -> float:
+def solve_uniform_density(mu: float, w: float) -> float:
     """Unique positive root of x * exp(w x) = exp(mu) for w >= 0.
 
     Newton's method in t = log x on g(t) = t + w e^t - mu, which is increasing
@@ -108,11 +111,15 @@ def solve_uniform_density(mu: float, w: float, max_iter: int = 200) -> float:
     such a root is refused first, as ModelParams refuses it (ValueError).  The
     relative residual |log x + w x - mu| is at most `_UNIFORM_RTOL` *
     max(1, |mu|, w x), the scale of the terms it is rounded at, or
-    NoConvergence.  Only w = 0 forms exp(mu), the root itself (OverflowError
-    past the float range); w > 0 needs only mu + log w.
+    NoConvergence after `_MAX_ITER` steps.  A root past the float range is
+    refused first, by an OverflowError that says so.  Only w = 0 forms
+    exp(mu), the root itself; w > 0 needs only mu + log w.
     """
     if w < 0:
         raise ValueError(f"kernel integral must be nonnegative, got {w}")
+    big = sys.float_info.max
+    if mu - math.log(big) > w * big:  # g(log big) < 0: the root is above big
+        raise OverflowError(f"uniform density for mu = {mu:g}, w = {w:g} overflows the float range")
     if w == 0.0:
         return math.exp(mu)
     s = mu + math.log(w)
@@ -121,7 +128,7 @@ def solve_uniform_density(mu: float, w: float, max_iter: int = 200) -> float:
     if ell > 0.0:  # w e^t = mu - t <= ell at the root: no step overflows w e^t
         hi = min(hi, math.log(ell) - math.log(w))
     t = mu - ell * (1.0 - math.log1p(ell) / (2.0 + ell))  # W(w e^mu) to within 2%
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         wx = w * math.exp(t)
         g = t + wx - mu
         if g > 0:
@@ -134,7 +141,7 @@ def solve_uniform_density(mu: float, w: float, max_iter: int = 200) -> float:
             break
         t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
     else:
-        raise NoConvergence(f"uniform density not found in {max_iter} iterations")
+        raise NoConvergence(f"uniform density not found in {_MAX_ITER} iterations")
     x = math.exp(t)
     _require_digits(w * x)
     y = math.exp(mu - w * x)

@@ -107,8 +107,7 @@ def test_criterion_04_linearized_spectrum(params):
     for mode in (0, 1, 2, 3):
         k = 2 * np.pi * mode / params.grid.L
         lam = linearized_rate(k, params)
-        fit = measure_mode_decay(params, mode, eps=1e-4, T=2.0 / lam, h=2e-5,
-                                 integrator="imex")
+        fit = measure_mode_decay(params, mode, eps=1e-4, T=2.0 / lam, h=2e-5)
         rel_errs[mode] = abs(fit.lambda_hat - lam) / lam
     ok = all(v <= 0.02 for v in rel_errs.values())
     report(4, "linearized spectrum", ok,
@@ -128,7 +127,7 @@ def test_criterion_05_rate_bound_positive_type():
     st = problems.random_band_state(p, 3, 0.3, seed=103)
     # every stride-5 state: its record for the fit, the L2 bound replayed at it
     states = evolve(st, 1.5, 1e-3, stride=5, record=lambda step, s, canonical, rep: s)
-    rep = rate_guarantee_check(states, p)
+    rep = rate_guarantee_check(states)
     ok = (rep.applicable and rep.guarantee_ok and rep.l2_bound_ok)
     report(5, "certified rate bound", ok,
            f"lambda_hat={rep.fit.lambda_hat:.4f} >= 0.95*{rc.lambda_dagger:.4f}, "

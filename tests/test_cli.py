@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import gcflow
-from gcflow import fieldio, metric, problems
+from gcflow import experiments, fieldio, metric, problems
 from gcflow.cli import build_parser, main
 from gcflow.config import build_params, dump_config, load_config, parse_config
 from gcflow.errors import ConfigError
@@ -352,6 +352,19 @@ def test_huge_mu_with_interaction_is_refused(tmp_path, capsys, mu):
     assert message.startswith("model.mu: reaction exponent mu - W*N cannot keep its digits")
 
 
+@pytest.mark.parametrize("amplitude, mu", [("1e-10", "1e300"), ("0.0", "800")])
+def test_uniform_density_past_float_range_exit_2(tmp_path, capsys, amplitude, mu):
+    # the root m0 is past the float range (about 4.9e310, and e^800): exit 2
+    # with a message that says so, where it read "model.mu: math range error"
+    text = BASE.replace("amplitude = 1.0", f"amplitude = {amplitude}")
+    cfgp = write_config(tmp_path, text.replace("m0 = 0.05", f"mu = {mu}"))
+    assert main(["kernel-info", "--config", cfgp]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert re.fullmatch(r"model\.mu: uniform density for mu = \S+, w = \S+ overflows the "
+                        r"float range", err["message"])
+
+
 @pytest.mark.parametrize("mu", [10.0, 50.0])
 def test_evolve_mu_large_activity(tmp_path, capsys, mu):
     # w e^mu is large: m0 is about 32 and 220; the uniform state's solve once
@@ -565,6 +578,36 @@ def test_check_runs_every_check(capsys):
         "mass_conserving_step", "jko_uniform_step", "jko_implicit_residual", "metric_axioms",
         "rate_fit_synthetic", "field_serialization")]
     assert lines[-1] == "14/14 checks passed"
+
+
+def test_check_reports_a_failed_check(capsys, monkeypatch):
+    # a check that fails is printed as FAIL with its error, and `check` exits 1
+    monkeypatch.setattr(experiments, "fit_decay_rate",
+                        lambda records: experiments.RateFit(2.0, 1.0, (0.0, 1.0), 100))
+    assert main(["check"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line.split()[:2] for line in lines[:-1] if not line.startswith("ok")]
+    assert failed == [["FAIL", "rate_fit_synthetic"]]
+    assert lines[-1] == "13/14 checks passed"
+
+
+def test_check_fails_under_optimize():
+    # `python -O` strips `assert`: the battery reports a failed check all the
+    # same, here of a real transform that adds 1e-3 to its samples
+    script = ("import sys\n"
+              "from gcflow import spectral\n"
+              "real = spectral._real\n"
+              "spectral._real = lambda *a, **k: real(*a, **k) + 1e-3\n"
+              "from gcflow.cli import main\n"
+              "sys.exit(main(['check']))\n")
+    src = os.path.dirname(os.path.dirname(gcflow.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1, proc.stderr
+    status = {line.split()[1]: line.split()[0] for line in proc.stdout.splitlines()[:-1]}
+    for name in ("spectral_roundtrip", "cosine_gradient", "convolution_theorem",
+                 "stationary_rhs", "mass_conserving_step"):
+        assert status[name] == "FAIL"
 
 
 def test_kernel_info_json(tmp_path, capsys):

@@ -46,13 +46,15 @@ def test_fit_exact_exponential():
 
 
 def test_fit_window_selects_tail():
-    # rate changes halfway: default window (last 60%) must see mostly the tail
+    # the rate changes at t = 0.5: the window, the last 60% of the times
+    # (0.796 to 1.99), sees only the tail
     recs = []
     for i in range(200):
         t = i * 0.01
-        gap = np.exp(-1.0 * t) if t < 1.0 else np.exp(-1.0) * np.exp(-4.0 * (t - 1.0))
+        gap = np.exp(-1.0 * t) if t < 0.5 else np.exp(-0.5) * np.exp(-4.0 * (t - 0.5))
         recs.append(DiagnosticsRecord(i, t, 1.0, 0.0, gap, 0, 0, 0, 0.05, 0.05, 0.0))
-    fit = fit_decay_rate(recs, window=(1.2, 1.99))
+    fit = fit_decay_rate(recs)
+    assert fit.window == pytest.approx((0.796, 1.99), abs=1e-12)
     assert abs(fit.lambda_hat - 4.0) < 1e-8
 
 
@@ -65,7 +67,9 @@ def test_fit_scale_covariance():
 
 def test_fit_drops_floored_records():
     traj = synthetic_traj(5.0, n=400, dt=0.02)  # tail far below 1e-13
-    fit = fit_decay_rate(traj, window=(0.0, 8.0))
+    fit = fit_decay_rate(traj)
+    in_window = [r for r in traj if r.t >= fit.window[0]]
+    assert len(in_window) - fit.n_points == 100  # the records from t = 6 on
     assert abs(fit.lambda_hat - 5.0) < 1e-6
 
 
@@ -125,7 +129,7 @@ def test_rate_guarantee_positive_type():
     st = problems.random_band_state(params, 3, 0.3, seed=72)
     traj = dynamics.evolve(st, 1.2, 1e-3, stride=5, record=keep_state)
     assert len(traj) == 240
-    rep = rate_guarantee_check(traj, params)
+    rep = rate_guarantee_check(traj)
     assert rep.applicable
     assert rep.fit.lambda_hat >= 0.95 * rep.rates.lambda_dagger
     assert rep.l2_bound_ok
@@ -140,7 +144,7 @@ def test_rate_guarantee_l2_bound_fails_at_some_state(monkeypatch):
     states = dynamics.evolve(st, 0.07, 1e-3, record=keep_state)
     huge = thermo.RateConstants(sigma=1e6, gsq=1.0, lambda_dagger=0.0, sigma_nonpositive=False)
     monkeypatch.setattr(thermo, "rate_constants", lambda p: huge)
-    rep = rate_guarantee_check(states, params)
+    rep = rate_guarantee_check(states)
     assert rep.applicable and rep.l2_bound_ok is False
     assert rep.fit is not None and rep.fit.n_points == 42  # the last 60% of 70 states
 
@@ -152,7 +156,7 @@ def test_rate_guarantee_not_applicable_sigma(params):
     big = make_params(grid, kernel, 0.4, m0=2.0 * 0.4 * kernel.stats.theta_sharp)
     st = problems.uniform_state(big)
     traj = dynamics.evolve(st, 0.05, 1e-3, stride=5, record=keep_state)
-    rep = rate_guarantee_check(traj, big)
+    rep = rate_guarantee_check(traj)
     assert not rep.applicable
     assert rep.fit is None
 
@@ -231,20 +235,20 @@ def test_states_every_drops_shortened_last_step(params):
 
 def test_mode_decay_window_ends_at_T(params):
     # T / h = 16.67 is not an integer: the last step is shortened to end at T
-    fit = experiments.measure_mode_decay(params, 1, 1e-4, T=0.05, h=0.003, integrator="imex")
+    fit = experiments.measure_mode_decay(params, 1, 1e-4, T=0.05, h=0.003)
     assert fit.window[1] == 0.05
 
 
 def test_mode_decay_rejects_overflowing_step_count(params):
     # T / h = 1e600 is no step count: a ValueError, not an OverflowError
     with pytest.raises(ValueError, match="overflows"):
-        experiments.measure_mode_decay(params, 1, 1e-4, T=1e300, h=1e-300, integrator="imex")
+        experiments.measure_mode_decay(params, 1, 1e-4, T=1e300, h=1e-300)
 
 
 def test_mode_decay_floored_amplitude_is_insufficient_data(params):
     # a mode of amplitude 1e-14 starts below GAP_FLOOR: no record is kept to fit
     with pytest.raises(InsufficientData, match="hit the floor too quickly"):
-        experiments.measure_mode_decay(params, 1, 1e-14, T=0.05, h=1e-3, integrator="imex")
+        experiments.measure_mode_decay(params, 1, 1e-14, T=0.05, h=1e-3)
 
 
 def test_volume_sweep_reproducible(params):

@@ -125,6 +125,8 @@ def test_self_distance_zero(params):
     # +0.0: -<target, Q> is -0.0 for Q = 0, and max(-0.0, 0.0) keeps the -0.0
     st = problems.random_band_state(params, 3, 0.3, seed=60)
     d_a, path = approx_distance(st, st)[0], path_distance_upper(st, st, 4)
+    with pytest.raises(ValueError, match="need at least 2 segments, got 1"):
+        path_distance_upper(st, st, 1)
     assert d_a == 0.0
     assert path.value_sq < 1e-24
     for value in (d_a, path.d_a, path.value_sq):
@@ -279,24 +281,26 @@ def test_metric_axiom_battery(params):
     samples = [
         problems.random_band_state(params, 2, 0.2, seed=s) for s in (68, 69, 70)
     ]
-    report = metric_axiom_checks(samples, segments=8)
+    report = metric_axiom_checks(samples)
     assert report["ok"]
     for pair in report["pairs"]:
         assert pair["forward_sq"] >= pair["positivity_floor"] * 0.99
 
 
 def test_metric_axiom_battery_enforces_floor(params, monkeypatch):
-    # a tiny, symmetric, positive forward value below the coercivity floor fails
+    # a tiny, symmetric, positive forward value below the coercivity floor
+    # fails, and so does a self-distance above 1e-10 beside a passing pair
     samples = [problems.random_band_state(params, 2, 0.2, seed=s) for s in (68, 69)]
+    for self_sq, pair_sq in ((0.0, 1e-12), (2e-10, 1.0)):
 
-    def tiny(sa, sb, segments):
-        same = np.array_equal(sa.n.values, sb.n.values)
-        return metric.PathDistanceResult(0.0 if same else 1e-12, segments, [], [])
+        def stub(sa, sb, segments):
+            same = np.array_equal(sa.n.values, sb.n.values)
+            return metric.PathDistanceResult(self_sq if same else pair_sq, segments, [], [])
 
-    monkeypatch.setattr(metric, "path_distance_upper", tiny)
-    report = metric_axiom_checks(samples, segments=8)
-    assert report["pairs"][0]["positivity_floor"] > 1e-12
-    assert not report["ok"]
+        monkeypatch.setattr(metric, "path_distance_upper", stub)
+        report = metric_axiom_checks(samples)
+        assert report["pairs"][0]["positivity_floor"] > 1e-12
+        assert not report["ok"]
 
 
 @pytest.mark.parametrize("L, M", [(2.0, 64), (1.0, 32)], ids=["other-L", "other-M"])

@@ -60,6 +60,8 @@ def test_grid_2d(grid2d):
     assert grid2d.cell_volume == (2.0 / 32) ** 2
     assert grid2d.shape == (32, 32)
     assert grid2d.k2_max == np.max(grid2d.k2)
+    with pytest.raises(ValueError, match=r"values shape \(32,\) != grid shape \(32, 32\)"):
+        RealField(grid2d, np.zeros(32))
 
 
 def test_roundtrip_1d(grid):
@@ -175,6 +177,8 @@ def test_dnorm_analytic(grid):
     assert abs(dnorm(f, 0) - (a + b)) < 1e-12
     for m in range(1, 5):
         assert abs(dnorm(f, m) - b * k**m) < 1e-8 * k**m
+    with pytest.raises(ValueError, match="m must be in 0..4, got 5"):
+        dnorm(f, 5)
 
 
 def test_dnorm_product_inequality(grid):

@@ -80,13 +80,17 @@ def test_uniform_density_relative_residual(setup):
         ModelParams(grid, kernel, -700.0, 0.5 * math.exp(-700.0), 0.4)
 
 
-def test_uniform_density_errors():
+def test_uniform_density_errors(monkeypatch):
     with pytest.raises(ValueError):
         solve_uniform_density(0.0, -1.0)
-    with pytest.raises(NoConvergence):
-        solve_uniform_density(0.0, 1.0, max_iter=0)
-    with pytest.raises(OverflowError):  # w = 0: the root e^mu is beyond the float range
-        solve_uniform_density(800.0, 0.0)
+    with monkeypatch.context() as m:
+        m.setattr(thermo, "_MAX_ITER", 0)
+        with pytest.raises(NoConvergence):
+            solve_uniform_density(0.0, 1.0)
+    # the root is beyond the float range: e^mu at w = 0, and about 4.9e310 at w = 2e-11
+    for mu, w in ((800.0, 0.0), (1e300, 2.03125e-11)):
+        with pytest.raises(OverflowError, match="uniform density .* overflows the float range"):
+            solve_uniform_density(mu, w)
     # the root mu / w is representable, but w x keeps no digit of mu - w x:
     # refused as ModelParams refuses it, where a Newton step overflowed w e^t
     for mu in (1e18, 1e300):
@@ -203,6 +207,9 @@ def test_make_params_exclusivity(setup):
         make_params(grid, kernel, 0.4, mu=0.0, m0=0.05)
     with pytest.raises(ValueError):
         make_params(grid, kernel, 0.4)
+    for m0 in (0.0, -1.0):  # a target m0 must be positive
+        with pytest.raises(ValueError, match="^m0 must be positive, got"):
+            make_params(grid, kernel, 0.4, m0=m0)
 
 
 @pytest.mark.parametrize("L, M", [(2.0, 64), (1.0, 32)], ids=["other-L", "other-M"])
